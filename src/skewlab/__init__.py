@@ -67,6 +67,6 @@ from .nonauto import (
     trace_to_csv,
     trace_to_csv_string,
 )
-from .skew import SkewSystem, classify, detect_pinching, orbit, step
+from .skew import SkewSystem, classify, detect_pinching, orbit, orbits, step
 
 __version__ = "0.1.0"

@@ -28,12 +28,15 @@ from .errors import (
 )
 from .fiber import ZERO_TOL, FiberMap, grid_max
 from .nonauto import map_profile
-from .parallel import map_ordered
-from .skew import SkewSystem, step
+# step is unused here; perfbench's tracer test looks it up as attractor.step.
+from .skew import SkewSystem, orbits, step  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
 DEFAULT_GRID_NODES = 2 ** 14
 PULLBACK_STOP_DELTA = 1e-12
+# Starts walked together by match_fraction.  Stepping 10^4 shift words at once
+# holds all of them plus the tuples the interpreter keeps for reuse, several MB.
+MATCH_BLOCK = 32
 
 
 class GraphFunction:
@@ -109,6 +112,15 @@ class GraphFunction:
         if self.grid is not None:
             return float(self.grid[self.node_index(theta)])
         return self._check_value(self.func(theta), theta)
+
+    def values(self, thetas: Sequence) -> np.ndarray:
+        """`value` at every point, as an array; a grid looks up all nodes at once."""
+        if self.grid is not None:
+            m = len(self.grid)
+            # np.rint rounds ties to even, like round in node_index
+            idx = np.rint((np.asarray(thetas, dtype=float) % 1.0) * m).astype(int) % m
+            return self.grid[idx]
+        return np.array([self.value(t) for t in thetas], dtype=float)
 
     def to_csv(self, stream, base=None) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -411,7 +423,6 @@ def pullback_grid(
     depth: int = 1000,
     stop_delta: float = PULLBACK_STOP_DELTA,
     snapshots: Iterable[int] = (),
-    workers: int | None = None,
 ) -> PullbackGridResult:
     """Pullback limit over a dense circle grid by repeated backward sweeps.
 
@@ -448,15 +459,9 @@ def pullback_grid(
 
     else:
         fibers_pred = [sys.fiber_at(t) for t in theta_pred]
-        idx = list(range(m))
 
         def sweep(vals: np.ndarray) -> np.ndarray:
-            pulled = vals[perm]
-
-            def one(i: int) -> float:
-                return fibers_pred[i](pulled[i])
-
-            return np.array(map_ordered(one, idx, workers=workers))
+            return np.array([fm(v) for fm, v in zip(fibers_pred, vals[perm])])
 
     sweeps = 0
     for s in range(1, depth + 1):
@@ -546,35 +551,25 @@ def verify_attractor(
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    records = []
-    all_ok = True
-    for theta0, x0 in starts:
-        devs = []
-        pt = (theta0, x0)
-        for n in range(steps + 1):
-            theta, x = pt
-            devs.append(abs(x - graph.value(theta)))
-            if n < steps:
-                pt = step(sys, pt)
-        achieved = 0
-        for n in range(steps, -1, -1):
-            if devs[n] >= tol:
-                achieved = n + 1
-                break
-        if achieved > steps:
-            records.append(
-                SampleRecord(sys.base.format_point(theta0), x0, None, None)
-            )
-            all_ok = False
-        else:
-            records.append(
-                SampleRecord(
-                    sys.base.format_point(theta0), x0, achieved,
-                    max(devs[achieved:]),
-                )
-            )
+    devs = np.empty((steps + 1, len(starts)))  # devs[n, i]: start i at step n
+    walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps)
+    for n, (thetas, xs) in enumerate(walk):
+        devs[n] = np.abs(np.asarray(xs, dtype=float) - graph.values(thetas))
+    missed = devs >= tol
+    # One past the last step that misses tol, or 0 when none does.
+    achieved = np.where(
+        missed.any(axis=0), steps + 1 - np.argmax(missed[::-1], axis=0), 0
+    )
+    devs[np.arange(steps + 1)[:, None] < achieved] = -np.inf
+    tail_max = devs.max(axis=0)
+    records = [
+        SampleRecord(sys.base.format_point(theta0), x0, None, None)
+        if n > steps
+        else SampleRecord(sys.base.format_point(theta0), x0, int(n), float(dev))
+        for (theta0, x0), n, dev in zip(starts, achieved, tail_max)
+    ]
     return AttractorVerdict(
-        verdict="attracting" if all_ok else "not-attracting",
+        verdict="attracting" if np.all(achieved <= steps) else "not-attracting",
         tol=tol, steps=steps, records=records,
     )
 
@@ -722,11 +717,10 @@ def match_fraction(
     if n < 1:
         raise DomainError("n must be >= 1")
     hits = 0
-    for theta0, x0 in starts:
-        pt = (theta0, x0)
-        for _ in range(n):
-            pt = step(sys, pt)
-        theta_n, x_n = pt
-        if abs(x_n - graph.value(theta_n)) <= tol:
-            hits += 1
+    for i in range(0, len(starts), MATCH_BLOCK):
+        block = starts[i:i + MATCH_BLOCK]
+        for thetas, xs in orbits(sys, [t for t, _ in block], [x for _, x in block], n):
+            pass
+        matched = np.abs(np.asarray(xs, dtype=float) - graph.values(thetas)) <= tol
+        hits += int(np.count_nonzero(matched))
     return hits / len(starts)

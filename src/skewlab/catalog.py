@@ -64,13 +64,13 @@ def make_coinflip(sided: str = "one") -> SkewSystem:
     this system exists to exercise orbit and attractor verification only.
     """
     base = SymbolicShift(sided)
+    fibers = tuple(
+        FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})", analyzable=False)
+        for bit in (0.0, 1.0)
+    )
 
     def fiber_at(word) -> FiberMap:
-        bit = float(word.symbol(0))
-        return FiberMap(
-            a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})",
-            analyzable=False,
-        )
+        return fibers[word.symbol(0)]
 
     return SkewSystem(
         base=base, fiber_at=fiber_at, a=1.0,

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 malformed configuration, 3 invariant or
 precondition violation, 4 a recorded contraction ratio exceeded its bound,
-5 the base lacks the requested capability.  SKEWLAB_THREADS caps worker
-threads; output ordering is deterministic regardless of scheduling.
+5 the base lacks the requested capability.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .fiber import certify
 from .nonauto import bound_violations, iterate_pair, isoclinic_guard, trace_to_csv
-from .parallel import worker_count
 from .skew import classify, orbit
 
 EXIT_OK = 0
@@ -139,10 +137,7 @@ def cmd_pullback(args) -> int:
     base = system.base
     if isinstance(base, CircleRotation):
         grid = args.grid or cfg.defaults["grid"]
-        res = pullback_grid(
-            system, grid_size=grid, depth=depth, stop_delta=stop_delta,
-            workers=worker_count(),
-        )
+        res = pullback_grid(system, grid_size=grid, depth=depth, stop_delta=stop_delta)
         with _out_stream(args.out) as fh:
             res.graph.to_csv(fh, base=base)
         summary = res.to_dict()
@@ -462,7 +457,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        worker_count()  # validate SKEWLAB_THREADS up front
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

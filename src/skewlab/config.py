@@ -117,8 +117,6 @@ def parse_config(doc) -> SystemConfig:
         )
         defaults[k] = int(v) if k in ("grid", "depth", "steps") else v
 
-    if variant == "finite-orbit" and fiber.get("form") == "noinvattr-split":
-        pass  # resolved against the preset in build_system
     return SystemConfig(base=base, fiber=dict(fiber), a=float(a), defaults=defaults)
 
 

@@ -167,9 +167,12 @@ def iterate_pair(
 
     x, y = x0, y0
     reason = "completed"
+    profiles: dict[FiberMap, MapProfile] = {}  # a map met again is not re-certified
     for n in range(1, steps + 1):
         fm = seq.map_at(n)
-        prof = map_profile(fm, grid_size)
+        prof = profiles.get(fm)
+        if prof is None:
+            prof = profiles[fm] = map_profile(fm, grid_size)
         prev = rows[-1]
         prev.b = prof.b
 

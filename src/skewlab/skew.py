@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
+from .bases import CircleRotation
 from .errors import DomainError, SkewlabError
 from .fiber import ZERO_TOL, FiberMap, certify, grid_max
 from .nonauto import MapSequence
@@ -18,8 +21,8 @@ class SkewSystem:
     ``classification`` and ``beta`` are declarations (from the catalog or a
     config); `classify` re-derives them from grid certification so the two
     can be cross-checked.  ``product_parts``, when present, holds vectorized
-    (f, g) callables for product families psi_theta(x) = f(x) * g(theta) and
-    only accelerates grid sweeps; all contracts go through ``fiber_at``.
+    (f, g) callables for product families psi_theta(x) = f(x) * g(theta); they
+    speed up grid sweeps and `orbits`, while all contracts go through ``fiber_at``.
     """
 
     base: object
@@ -49,11 +52,15 @@ class SkewSystem:
         )
 
 
+def _outside(x: float, a: float) -> DomainError:
+    return DomainError(f"fiber coordinate {x!r} outside [0, {a!r}]")
+
+
 def step(sys: SkewSystem, point):
     """One application of the skew map to (base point, fiber coordinate)."""
     theta, x = point
     if not (0.0 <= x <= sys.a):
-        raise DomainError(f"fiber coordinate {x!r} outside [0, {sys.a!r}]")
+        raise _outside(x, sys.a)
     return (sys.base.step(theta), sys.fiber_at(theta)(x))
 
 
@@ -63,6 +70,40 @@ def orbit(sys: SkewSystem, point, steps: int) -> list:
     for _ in range(steps):
         pts.append(step(sys, pts[-1]))
     return pts
+
+
+def orbits(
+    sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int
+) -> Iterator[tuple]:
+    """Walk the forward orbits of many starts together, one step at a time.
+
+    Yields (thetas_n, xs_n) for n = 0..steps and holds only the current
+    points.  A circle rotation with ``product_parts`` steps every start at
+    once as numpy arrays; any other system steps each point through `step`
+    and yields lists.  Either way a fiber coordinate outside [0, a] raises
+    DomainError before it is stepped.
+    """
+    if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
+        f_vec, g_vec = sys.product_parts
+        omega, a = sys.base.omega, sys.a
+        thetas = np.asarray(thetas, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        yield thetas, xs
+        for _ in range(steps):
+            bad = ~((xs >= 0.0) & (xs <= a))
+            if bad.any():
+                raise _outside(float(xs[np.argmax(bad)]), a)
+            xs = f_vec(xs) * g_vec(thetas)
+            thetas = (thetas + omega) % 1.0
+            yield thetas, xs
+        return
+    thetas, xs = list(thetas), list(xs)
+    yield thetas, xs
+    for _ in range(steps):
+        stepped = [step(sys, p) for p in zip(thetas, xs)]
+        thetas = [theta for theta, _ in stepped]
+        xs = [x for _, x in stepped]
+        yield thetas, xs
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.attractor import (
     GraphFunction,
@@ -25,12 +28,22 @@ from skewlab.catalog import (
     make_keller,
     make_noinvattr,
 )
-from skewlab.errors import CapabilityError, CoverageError, InvariantError
+from skewlab.errors import CapabilityError, CoverageError, DomainError, InvariantError
 from skewlab.fiber import FiberMap
-from skewlab.skew import SkewSystem
+from skewlab.skew import SkewSystem, orbit
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
 WEAK = FiberMap(1.0, lambda x: x * (2 - x) / 4.0, gamma=0.25, alpha=0.25, b=1.0, monotone=True)
+
+
+def reference_records(sys_, graph, starts, steps, tol):
+    """(achieved_step, max_dev_after) per start, walked start by start with `step`."""
+    out = []
+    for point in starts:
+        devs = [abs(x - graph.value(theta)) for theta, x in orbit(sys_, point, steps)]
+        achieved = max((n + 1 for n, d in enumerate(devs) if d >= tol), default=0)
+        out.append((achieved, max(devs[achieved:])) if achieved <= steps else (None, None))
+    return out
 
 
 class TestLargestFixedPoint:
@@ -72,6 +85,8 @@ class TestGraphFunction:
         g = GraphFunction.from_grid(1.0, [0.0, 0.25, 0.5, 0.75])
         assert g.value(0.26) == 0.25
         assert g.value(0.99) == 0.0  # wraps to node 0
+        g8 = GraphFunction.from_grid(1.0, np.arange(8) / 8)
+        assert g8.value(1 / 16) == 0.0 and g8.value(3 / 16) == 0.25  # ties to even
 
     def test_coverage_error_names_point(self):
         g = GraphFunction.from_table(1.0, {0.5: 0.3})
@@ -81,6 +96,19 @@ class TestGraphFunction:
     def test_fallback(self):
         g = GraphFunction.from_table(1.0, {0.5: 0.3}, fallback=1.0)
         assert g.value(0.123) == 1.0
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            GraphFunction.from_grid(1.0, np.linspace(0.0, 0.875, 8)),
+            GraphFunction.from_table(1.0, {0.5: 0.3, 0.25: 0.6}, fallback=1.0),
+            GraphFunction.from_callable(1.0, lambda t: (t % 1.0) ** 2),
+        ],
+        ids=["grid", "table", "callable"],
+    )
+    def test_values_match_value(self, graph):
+        thetas = [0.0, 1 / 16, 3 / 16, 0.25, 0.5, 0.7, 0.99, 0.999999, -0.3, 2.5625]
+        assert np.array_equal(graph.values(thetas), [graph.value(t) for t in thetas])
 
     def test_csv_roundtrip_grid(self):
         base = CircleRotation(0.3)
@@ -187,7 +215,8 @@ class TestPullbackGrid:
         res = pullback_grid(make_keller(), grid_size=512, depth=2000)
         assert res.monotone_ok
         assert res.delta < 1e-12
-        assert positive_fraction(res.graph) in (0.0, 1.0) or True
+        # lambda(0.5) = log 2 + 2 log((1 + sqrt 0.5) / 2) ~ 0.376 > 0: positive graph
+        assert positive_fraction(res.graph) == 1.0
 
     def test_snapshots_taken(self):
         res = pullback_grid(
@@ -202,18 +231,8 @@ class TestPullbackGrid:
             base=sys_.base, fiber_at=sys_.fiber_at, a=sys_.a, product_parts=None
         )
         r_fast = pullback_grid(sys_, grid_size=128, depth=60, stop_delta=0.0)
-        r_scalar = pullback_grid(scalar, grid_size=128, depth=60, stop_delta=0.0,
-                                 workers=1)
+        r_scalar = pullback_grid(scalar, grid_size=128, depth=60, stop_delta=0.0)
         assert np.allclose(r_fast.graph.grid, r_scalar.graph.grid, atol=1e-12)
-
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        sys_ = make_keller()
-        scalar = SkewSystem(
-            base=sys_.base, fiber_at=sys_.fiber_at, a=sys_.a, product_parts=None
-        )
-        serial = pullback_grid(scalar, grid_size=96, depth=40, stop_delta=0.0, workers=1)
-        threaded = pullback_grid(scalar, grid_size=96, depth=40, stop_delta=0.0, workers=4)
-        assert np.array_equal(serial.graph.grid, threaded.graph.grid)
 
     def test_requires_circle(self):
         with pytest.raises(CapabilityError):
@@ -249,6 +268,48 @@ class TestVerifyAttractor:
         sparse = GraphFunction.from_table(1.0, {0.0: 1.0})
         with pytest.raises(CoverageError):
             verify_attractor(sys_, sparse, [(0.0, 0.5)], steps=5, tol=1e-6)
+
+    @given(
+        eps=st.floats(0.0, 1.0),
+        starts=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0)),
+            min_size=1, max_size=12,
+        ),
+        steps=st.integers(1, 150),
+        tol=st.floats(1e-6, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_orbits_match_scalar_path(self, eps, starts, steps, tol):
+        batched = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": eps})
+        scalar = dataclasses.replace(batched, product_parts=None)
+        graph = pullback_grid(batched, grid_size=256, depth=300).graph
+        fast = verify_attractor(batched, graph, starts, steps, tol)
+        slow = verify_attractor(scalar, graph, starts, steps, tol)
+        expected = reference_records(scalar, graph, starts, steps, tol)
+        assert [(r.achieved_step, r.max_dev_after) for r in slow.records] == expected
+        assert fast.verdict == slow.verdict
+        for r_fast, r_slow in zip(fast.records, slow.records, strict=True):
+            assert r_fast.achieved_step == r_slow.achieved_step
+            if r_slow.max_dev_after is None:
+                assert r_fast.max_dev_after is None
+            else:
+                assert r_fast.max_dev_after == pytest.approx(r_slow.max_dev_after, abs=1e-12)
+        n = 1 + steps // 2
+        assert match_fraction(batched, graph, n, starts, tol) == match_fraction(
+            scalar, graph, n, starts, tol
+        )
+
+    @pytest.mark.parametrize("x0", [-0.25, 1.5])
+    def test_start_outside_fiber_raises_on_both_paths(self, x0):
+        batched = make_keller()
+        scalar = dataclasses.replace(batched, product_parts=None)
+        graph = GraphFunction.from_callable(1.0, lambda t: 0.5)
+        messages = []
+        for sys_ in (batched, scalar):
+            with pytest.raises(DomainError, match="outside") as exc:
+                verify_attractor(sys_, graph, [(0.1, 0.5), (0.2, x0)], steps=3, tol=1e-3)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == f"fiber coordinate {x0!r} outside [0, 1.0]"
 
 
 class TestVerifyPreinvariance:
@@ -328,6 +389,7 @@ class TestHelpers:
         ]
         freq = match_fraction(sys_, flat, 6, starts, tol=0.0)
         assert 0.35 <= freq <= 0.65
+        assert freq == sum(orbit(sys_, s, 6)[-1][1] == 0.0 for s in starts) / len(starts)
 
     def test_finite_pullback_graph(self):
         sys_ = make_noinvattr(32)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from skewlab import nonauto
 from skewlab.errors import DomainError, PreconditionError
 from skewlab.fiber import FiberMap
 from skewlab.nonauto import (
@@ -88,6 +89,18 @@ class TestIteratePair:
             iterate_pair(constant_sequence(HALF), 0.5, 1.5, 5)
         with pytest.raises(DomainError):
             iterate_pair(constant_sequence(HALF), 0.5, 0.7, 0)
+
+    def test_repeated_map_profiled_once(self, monkeypatch):
+        calls = []
+        real = nonauto.map_profile
+
+        def counting(fm, grid_size):
+            calls.append(fm)
+            return real(fm, grid_size)
+
+        monkeypatch.setattr(nonauto, "map_profile", counting)
+        trace = iterate_pair(constant_sequence(HALF), 0.2, 0.9, 30)
+        assert len(trace.rows) == 31 and calls == [HALF]
 
     def test_records_are_exact_images(self):
         seq = constant_sequence(HALF, beta=1.0)
