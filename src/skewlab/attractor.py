@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bases import CircleRotation
+from .bases import CircleRotation, orbit_walk
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -148,21 +149,48 @@ class GraphFunction:
         header = next(reader, None)
         if header is None or tuple(header) != GRAPH_COLUMNS:
             raise ConfigError(f"graph CSV must start with header {GRAPH_COLUMNS}")
-        rows = [(k, float(v)) for k, v in reader]
+        rows = []
+        for row in reader:
+            line = reader.line_num
+            if len(row) != 2:
+                raise ConfigError(
+                    f"graph CSV line {line}: {len(row)} cells, expected 2 "
+                    f"(point, value): {row!r}"
+                )
+            rows.append((line, row[0], _csv_number(row[1], line, "value")))
+        if not rows:
+            raise ConfigError("graph CSV has a header but no rows")
         if isinstance(base, CircleRotation):
             m = len(rows)
             values = np.empty(m)
-            for k, v in rows:
-                theta = float(k)
+            filled: dict[int, int] = {}  # node -> line that set it
+            for line, k, v in rows:
+                theta = _csv_number(k, line, "point")
                 j = int(round(theta * m))
-                if j >= m or abs(theta - j / m) > 1e-9:
+                if not 0 <= j < m or abs(theta - j / m) > 1e-9:
                     raise ConfigError(
-                        f"grid CSV row {k!r} is not a node of a uniform {m}-grid"
+                        f"grid CSV line {line}: point {k!r} is not a node of a "
+                        f"uniform {m}-grid"
                     )
+                if j in filled:
+                    raise ConfigError(
+                        f"grid CSV line {line}: point {k!r} repeats the node of "
+                        f"line {filled[j]}"
+                    )
+                filled[j] = line
                 values[j] = v
             return cls(a, provenance, grid=values)
-        table = {base.parse_point(k): v for k, v in rows}
+        table = {base.parse_point(k): v for _, k, v in rows}
         return cls(a, provenance, table=table)
+
+
+def _csv_number(cell: str, line: int, column: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ConfigError(
+            f"graph CSV line {line}: {column} {cell!r} is not a number"
+        ) from None
 
 
 def positive_fraction(graph: GraphFunction, threshold: float = 1e-9) -> float:
@@ -265,28 +293,18 @@ def build_preinvariant(
     for p in pts:
         if p in table:
             continue
-        path: list = []
-        idx: dict = {}
-        cycle = None
-        joined = False
-        cur = p
-        for _ in range(limit):
-            if cur in table:
-                joined = True
-                break
-            if cur in idx:
-                cycle = path[idx[cur]:]
-                break
-            idx[cur] = len(path)
-            path.append(cur)
-            cur = base.step(cur)
+        path, cycle = orbit_walk(base, p, limit)
+        # cut the walk where it joins an already-assigned class
+        joined = next((k for k, t in enumerate(path) if t in table), None)
+        if joined is not None:
+            path = path[:joined]
 
         pinned = any(is_zero(t) for t in path) and all(fixes_zero(t) for t in path)
         if pinned:
             for t in path:
                 table[t] = 0.0
             continue
-        if joined:
+        if joined is not None:
             for t in path:
                 table[t] = sys.a
             continue
@@ -347,6 +365,57 @@ class PullbackSequence:
         return self.values[-1]
 
 
+def _sweeps(sys: SkewSystem, nodes: Sequence, pred) -> Iterator[tuple]:
+    """(phi_n, live_n) at every node for n = 1, 2, ...: one backward step each.
+
+    phi_n(node) = psi_p(phi_{n-1}(p)) for p = nodes[pred[node]], and phi_0 = a.
+    ``pred[i] = -1`` ends node i's backward orbit.  live_n marks the nodes
+    with at least n preimages, the ones sweep n moves; every other node keeps
+    its last value.  A circle product whose every node has a predecessor
+    sweeps as numpy arrays; any other system applies each live node's
+    predecessor map through ``fiber_at``.
+    """
+    pred = np.asarray(pred, dtype=int)
+    has_pred = pred >= 0
+    vals = np.full(len(nodes), float(sys.a))
+    if (
+        isinstance(sys.base, CircleRotation)
+        and sys.product_parts is not None
+        and has_pred.all()
+    ):
+        f_vec, g_vec = sys.product_parts
+        g_pred = np.asarray(g_vec(np.asarray(nodes, dtype=float)[pred]), dtype=float)
+        while True:
+            vals = f_vec(vals[pred]) * g_pred
+            yield vals, has_pred
+    maps = [sys.fiber_at(nodes[p]) if p >= 0 else None for p in pred]
+    live = has_pred
+    while True:
+        idx = np.flatnonzero(live)
+        new = vals.copy()
+        new[idx] = [
+            maps[i](v) for i, v in zip(idx.tolist(), vals[pred[idx]].tolist())
+        ]
+        vals = new
+        yield vals, live
+        live = has_pred & live[pred]
+
+
+def _compositions(sys: SkewSystem, back: Sequence) -> Iterator[float]:
+    """phi_n for n = 1..len(back), each composed afresh along ``back``.
+
+    ``back[k-1]`` is the k-th preimage; each fiber map is built when the
+    composition first reaches it.
+    """
+    maps: list[FiberMap] = []
+    for t in back:
+        maps.append(sys.fiber_at(t))
+        v = sys.a
+        for fm in reversed(maps):
+            v = fm(v)
+        yield v
+
+
 def pullback_phi(
     sys: SkewSystem,
     theta,
@@ -360,12 +429,18 @@ def pullback_phi(
     preimage of theta forward to theta.  For monotone fiber families the
     sequence is nonincreasing; iteration stops early once consecutive values
     differ by less than ``stop_delta`` (pass 0 to disable).
+
+    A backward orbit that returns to theta is a closed node set, and
+    phi_n(theta) is read off `_sweeps` over it: depth fiber calls per node.
+    Any other orbit composes the maps afresh for every n, which costs n^2/2
+    calls up to the depth where the iteration stops.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if not hasattr(sys.base, "predecessor"):
         raise CapabilityError("base provides no predecessor map")
     back: list = []  # back[k-1] = k-th preimage of theta
+    closed = False
     cur = theta
     truncated = False
     for _ in range(depth):
@@ -376,15 +451,20 @@ def pullback_phi(
                 truncated = True
                 break
             raise
+        # predecessor inverts step, so a backward orbit can only close at theta
+        if cur == theta:
+            closed = True
+            break
         back.append(cur)
 
-    maps = [sys.fiber_at(t) for t in back]
+    if closed:
+        pred = list(range(1, len(back) + 1)) + [0]
+        history = (float(vals[0]) for vals, _ in _sweeps(sys, [theta] + back, pred))
+    else:
+        history = _compositions(sys, back)
     values: list[float] = []
     delta = math.inf
-    for n in range(1, len(back) + 1):
-        v = sys.a
-        for k in range(n - 1, -1, -1):
-            v = maps[k](v)
+    for v in itertools.islice(history, depth):
         values.append(v)
         if len(values) >= 2:
             delta = abs(values[-1] - values[-2])
@@ -393,7 +473,7 @@ def pullback_phi(
     return PullbackSequence(
         theta_repr=sys.base.format_point(theta),
         values=values,
-        delta=delta if values and len(values) >= 2 else math.inf,
+        delta=delta,
         depth_used=len(values),
         truncated=truncated,
     )
@@ -430,7 +510,7 @@ def pullback_grid(
     exact rotation, which for a uniform grid is a fixed index shift.  Each
     sweep transports the whole grid one step, so sweep s holds phi_s at every
     node; monotonicity (nonincreasing values at every node, up to 1e-12) is
-    tracked sweep by sweep.  Product families take a vectorized fast path.
+    tracked sweep by sweep.
     """
     base = sys.base
     if not isinstance(base, CircleRotation):
@@ -441,7 +521,6 @@ def pullback_grid(
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
     perm = (np.arange(m) - shift) % m
-    theta_pred = thetas[perm]
     want = set(int(s) for s in snapshots)
 
     values = np.full(m, float(sys.a))
@@ -450,22 +529,8 @@ def pullback_grid(
     max_increase = 0.0
     delta = math.inf
 
-    if sys.product_parts is not None:
-        f_vec, g_vec = sys.product_parts
-        g_pred = np.asarray(g_vec(theta_pred), dtype=float)
-
-        def sweep(vals: np.ndarray) -> np.ndarray:
-            return f_vec(vals[perm]) * g_pred
-
-    else:
-        fibers_pred = [sys.fiber_at(t) for t in theta_pred]
-
-        def sweep(vals: np.ndarray) -> np.ndarray:
-            return np.array([fm(v) for fm, v in zip(fibers_pred, vals[perm])])
-
     sweeps = 0
-    for s in range(1, depth + 1):
-        new = sweep(values)
+    for s, (new, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
         inc = float(np.max(new - values))
         max_increase = max(max_increase, inc)
         if inc > 1e-12:
@@ -492,19 +557,37 @@ def pullback_graph_finite(
 ) -> tuple[GraphFunction, dict]:
     """Pointwise pullback over every point of a finite base.
 
-    Points whose backward orbit leaves the represented set are truncated at
-    the deepest available preimage; the summary maps each such point to the
-    depth actually used.
+    One `_sweeps` run over ``base.points`` serves every point; a point with
+    no unique predecessor ends its chain.  Each point stops at the first
+    n >= 2 with |phi_n - phi_{n-1}| < ``stop_delta``, or where its backward
+    orbit leaves the represented set; the summary maps every point to the
+    depth it used.
     """
-    pts = getattr(sys.base, "points", None)
+    base = sys.base
+    pts = getattr(base, "points", None)
     if pts is None:
         raise CapabilityError("finite pullback needs an enumerable base")
-    table = {}
-    depths = {}
+    index = {p: i for i, p in enumerate(pts)}
+    pred = []
     for p in pts:
-        seq = pullback_phi(sys, p, depth, stop_delta=stop_delta, allow_partial=True)
-        table[p] = seq.values[-1] if seq.values else sys.a
-        depths[sys.base.format_point(p)] = seq.depth_used
+        try:
+            pred.append(index[base.predecessor(p)])
+        except CapabilityError:
+            pred.append(-1)
+    running = np.ones(len(pts), dtype=bool)
+    final = np.full(len(pts), float(sys.a))
+    used = np.zeros(len(pts), dtype=int)
+    for n, (vals, live) in zip(range(1, depth + 1), _sweeps(sys, pts, pred)):
+        running = running & live  # chain not used up and not stopped yet
+        if not running.any():
+            break
+        final = np.where(running, vals, final)
+        used[running] = n
+        if n >= 2 and stop_delta > 0.0:
+            running = running & ~(np.abs(vals - prev) < stop_delta)
+        prev = vals
+    table = dict(zip(pts, final.tolist()))
+    depths = {base.format_point(p): d for p, d in zip(pts, used.tolist())}
     graph = GraphFunction(sys.a, "pullback", table=table, label=f"pullback({sys.label})")
     return graph, depths
 
@@ -551,6 +634,8 @@ def verify_attractor(
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if not starts:
+        raise DomainError("verify_attractor needs at least one start")
     devs = np.empty((steps + 1, len(starts)))  # devs[n, i]: start i at step n
     walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps)
     for n, (thetas, xs) in enumerate(walk):
@@ -716,6 +801,8 @@ def match_fraction(
     """Fraction of starts whose step-n fiber value matches the graph."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    if not starts:
+        raise DomainError("match_fraction needs at least one start")
     hits = 0
     for i in range(0, len(starts), MATCH_BLOCK):
         block = starts[i:i + MATCH_BLOCK]

@@ -56,9 +56,17 @@ class OneSidedWord:
         return self.cycle[(i - len(self.transient)) % len(self.cycle)]
 
     def shifted(self) -> "OneSidedWord":
+        # The shift of a normalised word is normalised: dropping a transient
+        # symbol keeps the transient's last symbol, and rotating a primitive
+        # cycle keeps it primitive.  So skip __post_init__.
         if self.transient:
-            return OneSidedWord(self.transient[1:], self.cycle)
-        return OneSidedWord((), self.cycle[1:] + self.cycle[:1])
+            transient, cycle = self.transient[1:], self.cycle
+        else:
+            transient, cycle = (), self.cycle[1:] + self.cycle[:1]
+        word = object.__new__(OneSidedWord)
+        object.__setattr__(word, "transient", transient)
+        object.__setattr__(word, "cycle", cycle)
+        return word
 
     def __str__(self) -> str:
         return "".join(map(str, self.transient)) + "|" + "".join(map(str, self.cycle))

@@ -157,8 +157,14 @@ def cmd_pullback(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, system = load_system(args.config)
-    with open(args.phi, newline="") as fh:
+    try:
+        fh = open(args.phi, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read --phi file {args.phi!r}: {exc.strerror}") from None
+    with fh:
         graph = GraphFunction.from_csv(fh, system.base, system.a)
+    if args.samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
     rng = random.Random(args.seed)
     thetas = system.base.sample_points(args.samples, rng)
     starts = [

@@ -46,6 +46,64 @@ def reference_records(sys_, graph, starts, steps, tol):
     return out
 
 
+def reference_pullback(sys_, theta, depth, stop_delta):
+    """(phi_1..phi_N, truncated): every phi_n composed afresh along the backward orbit.
+
+    N is the first n >= 2 with |phi_n - phi_{n-1}| < stop_delta, else the depth
+    or the length of the backward orbit, whichever is shorter.
+    """
+    back = []
+    cur = theta
+    for _ in range(depth):
+        try:
+            cur = sys_.base.predecessor(cur)
+        except CapabilityError:
+            break
+        back.append(cur)
+    values = []
+    for n in range(1, len(back) + 1):
+        v = sys_.a
+        for t in reversed(back[:n]):
+            v = sys_.fiber_at(t)(v)
+        values.append(v)
+        if n >= 2 and abs(values[-1] - values[-2]) < stop_delta:
+            break
+    return values, len(back) < depth
+
+
+@st.composite
+def finite_systems(draw):
+    """A random successor table on up to 12 points, one k x (2 - x) fiber per point.
+
+    Every such table has a cycle; most have points with several preimages
+    (no predecessor) and chains that run into them.
+    """
+    n = draw(st.integers(1, 12))
+    succ = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    ks = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    base = FiniteOrbitBase([float(i) for i in range(n)],
+                           {float(i): float(j) for i, j in enumerate(succ)})
+    maps = [FiberMap(1.0, lambda x, k=k: k * x * (2.0 - x)) for k in ks]
+    return SkewSystem(base=base, fiber_at=lambda t: maps[int(t)], a=1.0)
+
+
+def counting_noinvattr():
+    """noinvattr(64) whose fiber maps count their evaluations in ``calls[0]``."""
+    calls = [0]
+
+    def counting(k):
+        def f(x):
+            calls[0] += 1
+            return k * x * (2.0 - x)
+        return FiberMap(1.0, f)
+
+    strong, weak = counting(1.0), counting(0.25)
+    sys_ = dataclasses.replace(
+        make_noinvattr(64), fiber_at=lambda t: strong if t >= 0.0 else weak
+    )
+    return sys_, calls
+
+
 class TestLargestFixedPoint:
     def test_strong_map(self):
         assert largest_fixed_point(STRONG) == 1.0
@@ -239,6 +297,46 @@ class TestPullbackGrid:
             pullback_grid(make_noinvattr(8), grid_size=64, depth=5)
 
 
+class TestPullbackSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(finite_systems(), st.integers(1, 60))
+    def test_sweep_matches_composition(self, sys_, depth):
+        for stop_delta in (0.0, 1e-12):
+            graph, depths = pullback_graph_finite(sys_, depth, stop_delta=stop_delta)
+            for p in sys_.base.points:
+                values, truncated = reference_pullback(sys_, p, depth, stop_delta)
+                assert graph.table[p] == (values[-1] if values else sys_.a)
+                assert depths[repr(p)] == len(values)
+                seq = pullback_phi(sys_, p, depth, stop_delta=stop_delta,
+                                   allow_partial=True)
+                assert seq.values == values
+                assert seq.truncated == truncated
+
+    def test_closed_circle_orbit_matches_composition(self):
+        # omega = 1/4: the backward orbit of 1/8 closes after four exact steps,
+        # so the query sweeps the product family as numpy arrays
+        sys_ = make_keller(omega=0.25)
+        seq = pullback_phi(sys_, 0.125, 300, stop_delta=0.0)
+        values, truncated = reference_pullback(sys_, 0.125, 300, 0.0)
+        assert len(seq.values) == 300 and not seq.truncated and not truncated
+        assert np.allclose(seq.values, values, rtol=0.0, atol=1e-12)
+
+    def test_cost_linear_in_depth(self):
+        sys_, calls = counting_noinvattr()
+        runs = {
+            "finite graph": lambda d: pullback_graph_finite(sys_, d, stop_delta=0.0),
+            "query at -1": lambda d: pullback_phi(sys_, -1.0, d, stop_delta=0.0),
+        }
+        for name, run in runs.items():
+            evals = []
+            for depth in (1000, 2000):
+                calls[0] = 0
+                run(depth)
+                evals.append(calls[0])
+            assert evals[0] >= 1000, name
+            assert evals[1] <= 2.1 * evals[0], (name, evals)
+
+
 class TestVerifyAttractor:
     def test_noinvattr_forward_attraction(self):
         sys_ = make_noinvattr(16)
@@ -262,6 +360,14 @@ class TestVerifyAttractor:
         verdict = verify_attractor(sys_, g, [(w, 0.0), (w, 1.0)], steps=10, tol=1e-15)
         for rec in verdict.records:
             assert rec.achieved_step <= 1 and rec.max_dev_after == 0.0
+
+    def test_empty_starts_refused(self):
+        sys_ = make_noinvattr(8)
+        graph = build_preinvariant(sys_)
+        with pytest.raises(DomainError, match="at least one start"):
+            verify_attractor(sys_, graph, [], 10, 1e-9)
+        with pytest.raises(DomainError, match="at least one start"):
+            match_fraction(sys_, graph, 3, [])
 
     def test_coverage_error_propagates(self):
         sys_ = make_noinvattr(8)

@@ -46,6 +46,10 @@ class TestOneSidedWord:
         w = OneSidedWord(t, c)
         s = w.shifted()
         assert all(s.symbol(i) == w.symbol(i + 1) for i in range(12))
+        # the shift stays in normal form: it equals, and hashes like, the
+        # constructor-normalised word with the same symbols
+        ref = OneSidedWord(t[1:], c) if t else OneSidedWord((), c[1:] + c[:1])
+        assert s == ref and hash(s) == hash(ref)
 
 
 class TestTwoSidedWord:

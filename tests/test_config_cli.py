@@ -174,6 +174,46 @@ class TestPullbackVerifyPipeline:
         assert doc["nonincreasing"] and len(doc["values"]) == 40
 
 
+class TestVerifyInput:
+    def verify(self, cfg, phi, samples=2):
+        return cli.main(["verify", "--config", cfg, "--phi", str(phi),
+                         "--samples", str(samples), "--steps", "5"])
+
+    def graph_csv(self, tmp_path, rows):
+        phi = tmp_path / "phi.csv"
+        phi.write_text("\n".join(["point,value", *rows]) + "\n")
+        return phi
+
+    @pytest.mark.parametrize("rows, needle", [
+        ([], "no rows"),
+        (["0.0,0.5", "0.5"], "line 3: 1 cells"),
+        (["0.0,0.5", "0.5,0.5,0.1"], "line 3: 3 cells"),
+        (["0.0,0.5", "0.5,half"], "line 3: value 'half' is not a number"),
+        (["zero,0.5", "0.5,0.5"], "line 2: point 'zero' is not a number"),
+        (["0.0,0.5", "0.0,0.25"], "line 3: point '0.0' repeats the node of line 2"),
+        (["0.0,0.5", "-0.5,0.25"], "line 3: point '-0.5' is not a node"),
+    ])
+    def test_bad_graph_csv_exits_2(self, cfg_file, tmp_path, capsys, rows, needle):
+        phi = self.graph_csv(tmp_path, rows)
+        assert self.verify(cfg_file(KELLER_CFG), phi) == 2
+        assert needle in capsys.readouterr().err
+
+    def test_missing_phi_exits_2(self, cfg_file, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert self.verify(cfg_file(KELLER_CFG), missing) == 2
+        assert repr(str(missing)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, rows, samples", [
+        (KELLER_CFG, ["0.0,0.5", "0.5,0.5"], 0),
+        (KELLER_CFG, ["0.0,0.5", "0.5,0.5"], -3),
+        (NOINV_CFG, ["1.0,1.0"], -3),
+    ])
+    def test_no_samples_exits_3(self, cfg_file, tmp_path, capsys, cfg, rows, samples):
+        phi = self.graph_csv(tmp_path, rows)
+        assert self.verify(cfg_file(cfg), phi, samples) == 3
+        assert "--samples must be >= 1" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_pullback_bytes_repeat(self, cfg_file, tmp_path):
         outs = []
