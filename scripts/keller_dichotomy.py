@@ -4,7 +4,8 @@ where the pullback limit graph flips between essentially-zero and
 essentially-positive.
 
 For q(theta) = eps + (1-eps) sin^2(pi theta) the average of log(2 q) over the
-circle crosses 0 near eps ~ 0.22; below that the limit graph collapses to 0
+circle, log 2 + 2 log((1 + sqrt(eps)) / 2), crosses 0 at
+eps_c = 3 - 2 sqrt(2) ~ 0.171573; below that the limit graph collapses to 0
 at almost every node, above it the graph is positive almost everywhere.  The
 script reports the observed positive-node fraction per eps as a CSV; the
 dichotomy (fractions hugging 0 or 1, nothing in between once converged) is an

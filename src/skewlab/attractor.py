@@ -180,7 +180,17 @@ class GraphFunction:
                 filled[j] = line
                 values[j] = v
             return cls(a, provenance, grid=values)
-        table = {base.parse_point(k): v for _, k, v in rows}
+        table = {}
+        lines: dict = {}  # point -> line that set it
+        for line, k, v in rows:
+            p = base.parse_point(k)
+            if p in lines:
+                raise ConfigError(
+                    f"graph CSV line {line}: point {k!r} repeats the point of "
+                    f"line {lines[p]}"
+                )
+            lines[p] = line
+            table[p] = v
         return cls(a, provenance, table=table)
 
 
@@ -512,6 +522,8 @@ def pullback_grid(
     node; monotonicity (nonincreasing values at every node, up to 1e-12) is
     tracked sweep by sweep.
     """
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
     base = sys.base
     if not isinstance(base, CircleRotation):
         raise CapabilityError("grid pullback is defined for circle rotation bases")
@@ -563,6 +575,8 @@ def pullback_graph_finite(
     orbit leaves the represented set; the summary maps every point to the
     depth it used.
     """
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
     base = sys.base
     pts = getattr(base, "points", None)
     if pts is None:

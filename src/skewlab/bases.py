@@ -30,6 +30,11 @@ def _primitive(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise DomainError(f"sample count must be >= 1, got {count}")
+
+
 @dataclass(frozen=True)
 class OneSidedWord:
     """Eventually periodic one-sided binary word: transient then cycle forever."""
@@ -171,6 +176,7 @@ class FiniteOrbitBase:
         return q
 
     def sample_points(self, count: int, rng: random.Random) -> list[float]:
+        _check_count(count)
         if count >= len(self.points):
             return list(self.points)
         return rng.sample(list(self.points), count)
@@ -207,6 +213,7 @@ class CircleRotation:
         return (theta - self.omega) % 1.0
 
     def sample_points(self, count: int, rng: random.Random) -> list[float]:
+        _check_count(count)
         return [rng.random() for _ in range(count)]
 
     def format_point(self, theta: float) -> str:
@@ -245,6 +252,7 @@ class SymbolicShift:
     def sample_points(
         self, count: int, rng: random.Random, length: int = 20
     ) -> list:
+        _check_count(count)
         out = []
         for _ in range(count):
             bits = tuple(rng.randrange(2) for _ in range(length))

@@ -37,7 +37,13 @@ from .errors import (
     PreconditionError,
 )
 from .fiber import certify
-from .nonauto import bound_violations, iterate_pair, isoclinic_guard, trace_to_csv
+from .nonauto import (
+    TRACE_COLUMNS,
+    bound_violations,
+    iterate_pair,
+    isoclinic_guard,
+    trace_to_csv,
+)
 from .skew import classify, orbit
 
 EXIT_OK = 0
@@ -76,7 +82,7 @@ def _emit_json(doc) -> None:
 
 def cmd_certify(args) -> int:
     cfg, system = load_system(args.config)
-    grid = args.grid or cfg.defaults["grid"]
+    grid = cfg.defaults["grid"] if args.grid is None else args.grid
     theta = _resolve_theta(system.base, args.theta)
     fm = system.fiber_at(theta)
     cert = certify(fm, grid)
@@ -97,7 +103,7 @@ def cmd_orbit_pair(args) -> int:
     steps = cfg.defaults["steps"] if args.steps is None else args.steps
     if steps == 0:
         with _out_stream(args.out) as fh:
-            fh.write("n,x,y,kappa,ratio,bound,b\n")
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
         return EXIT_OK
     seq = system.map_sequence(theta)
     trace = iterate_pair(seq, args.x0, args.y0, steps, grid_size=cfg.defaults["grid"])
@@ -115,7 +121,7 @@ def cmd_orbit_pair(args) -> int:
 
 def cmd_pullback(args) -> int:
     cfg, system = load_system(args.config)
-    depth = args.depth or cfg.defaults["depth"]
+    depth = cfg.defaults["depth"] if args.depth is None else args.depth
     stop_delta = 0.0 if args.no_early_stop else 1e-12
 
     if args.theta is not None:
@@ -136,7 +142,7 @@ def cmd_pullback(args) -> int:
 
     base = system.base
     if isinstance(base, CircleRotation):
-        grid = args.grid or cfg.defaults["grid"]
+        grid = cfg.defaults["grid"] if args.grid is None else args.grid
         res = pullback_grid(system, grid_size=grid, depth=depth, stop_delta=stop_delta)
         with _out_stream(args.out) as fh:
             res.graph.to_csv(fh, base=base)

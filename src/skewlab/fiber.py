@@ -21,12 +21,8 @@ CONCAVITY_SLACK = 1e-9
 # Tie-breaker for the strict inequality in the isoclinic predicate.
 _ISO_TIE = 1e-12
 
-# Backward-difference schedule for one-sided derivatives: start at a/1e4 and
-# shrink geometrically; the quotient is monotone in h for concave maps, so the
-# last value is the best bracket of the limit.
+# Largest step of the one-sided derivative quotient, as a fraction of a.
 _H0_FRACTION = 1e-4
-_H_SHRINK = 0.25
-_H_STEPS = 6
 
 
 def kappa(u: float, v: float) -> float:
@@ -139,28 +135,30 @@ def _check_map_invariants(fm: FiberMap, xs: list[float], vals: list[float]) -> N
             )
 
 
+def _second_differences(vals: list[float]):
+    """Centered second differences D2 at the interior grid points, in order."""
+    return (vals[i - 1] - 2.0 * vals[i] + vals[i + 1] for i in range(1, len(vals) - 1))
+
+
 def concavity_holds(
     fm: FiberMap, alpha: float, grid_size: int, slack: float = CONCAVITY_SLACK
 ) -> bool:
     """Grid test: are all second differences of f(x) + alpha*x^2 <= slack?"""
-    xs, vals = grid_values(fm, grid_size)
+    _, vals = grid_values(fm, grid_size)
     h = fm.a / grid_size
     bump = 2.0 * alpha * h * h
-    return all(
-        vals[i - 1] - 2.0 * vals[i] + vals[i + 1] + bump <= slack
-        for i in range(1, grid_size)
-    )
+    return all(d2 + bump <= slack for d2 in _second_differences(vals))
 
 
 def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     """Certify the largest grid-level concavity of a fiber map.
 
-    alpha_star is the minimum over interior grid points of -D2/(2h^2), where
-    D2 is the centered second difference, clamped below at 0.  The certified
-    map f + alpha_star*x^2 must itself pass the grid concavity test; a map
-    that fails it at alpha_star (i.e. is convex somewhere on the grid) is
-    rejected.  The peak, supremum, monotonicity flag and isoclinic point are
-    read off the same grid.
+    alpha_star is -max D2/(2h^2), where D2 is the centered second difference
+    at the interior grid points, clamped below at 0.  A map with some
+    D2 > CONCAVITY_SLACK (convex somewhere on the grid) is rejected: that is
+    exactly when f + alpha_star*x^2 fails the grid concavity test, since
+    then alpha_star = 0.  The peak, supremum, monotonicity flag and
+    isoclinic point are read off the same grid.
     """
     if grid_size < 8:
         raise PreconditionError(f"grid_size must be >= 8, got {grid_size}")
@@ -172,19 +170,16 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     _check_map_invariants(fm, xs, vals)
 
     h = fm.a / grid_size
-    denom = 2.0 * h * h
-    alpha_star = min(
-        -(vals[i - 1] - 2.0 * vals[i] + vals[i + 1]) / denom
-        for i in range(1, grid_size)
-    )
-    alpha_star = max(0.0, alpha_star)
-
-    bump = 2.0 * alpha_star * h * h
-    for i in range(1, grid_size):
-        if vals[i - 1] - 2.0 * vals[i] + vals[i + 1] + bump > CONCAVITY_SLACK:
-            raise InvariantError(
-                f"map {fm.form} is not concave on the grid near x = {xs[i]!r}"
-            )
+    d2_max = max(_second_differences(vals))
+    alpha_star = max(0.0, -d2_max / (2.0 * h * h))
+    if d2_max > CONCAVITY_SLACK:
+        i = next(
+            i for i, d2 in enumerate(_second_differences(vals), 1)
+            if d2 > CONCAVITY_SLACK
+        )
+        raise InvariantError(
+            f"map {fm.form} is not concave on the grid near x = {xs[i]!r}"
+        )
 
     i_max = max(range(len(vals)), key=vals.__getitem__)
     gamma = vals[i_max]
@@ -216,25 +211,24 @@ def left_derivative(fm: FiberMap, x: float, h: float) -> float:
 
 
 def left_derivative_limit(fm: FiberMap, x: float) -> float:
-    """Backward quotient refined along the shrinking-h schedule.
+    """Backward quotient at the step h = min(a/1e4, x/2) / 4^5.
 
-    For concave maps the quotient is monotone in h, so the last (smallest-h)
-    value is the tightest available estimate of the left derivative.
+    For concave maps the quotient is monotone in h, so a small step gives a
+    tight estimate of the left derivative.  h is scaled by 1/4 five times,
+    one rounding each; that equals one division by 4^5 except where h is
+    subnormal.
     """
-    h = min(fm.a * _H0_FRACTION, x / 2.0)
-    val = left_derivative(fm, x, h)
-    for _ in range(_H_STEPS - 1):
-        h *= _H_SHRINK
-        val = left_derivative(fm, x, h)
-    return val
+    h = min(fm.a * _H0_FRACTION, x / 2.0) * 0.25 * 0.25 * 0.25 * 0.25 * 0.25
+    return left_derivative(fm, x, h)
 
 
 def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     """Supremum of the points where |left derivative| < chord slope f(x)/x.
 
-    Works by scanning the predicate on a coarse grid and bisecting its last
-    sign change.  Returns a when the predicate holds up to the right endpoint
-    (in particular for nondecreasing maps).  Undefined for the zero map.
+    Works by scanning the predicate on a coarse grid from the right and
+    bisecting the first sign change it meets.  Returns a when the predicate
+    holds at the right endpoint (in particular for nondecreasing maps).
+    Undefined for the zero map.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -251,10 +245,12 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
             return False
         return abs(left_derivative_limit(fm, x)) < fx / x - _ISO_TIE
 
-    flags = [pred(x, v) for x, v in zip(xs, vals)]
-    if flags[-1]:
+    last_true = next(
+        (i for i in reversed(range(len(xs))) if pred(xs[i], vals[i])), None
+    )
+    if last_true == len(xs) - 1:
         return a
-    if not any(flags):
+    if last_true is None:
         # Exactly-linear initial segments defeat the strict predicate; the
         # monotone convention still applies.
         if all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(len(vals) - 1)):
@@ -264,7 +260,6 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
             "map does not look strictly concave"
         )
 
-    last_true = max(i for i, fl in enumerate(flags) if fl)
     lo, hi = xs[last_true], xs[last_true + 1]
     for _ in range(60):
         if hi - lo <= tol:

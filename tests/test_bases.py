@@ -12,7 +12,7 @@ from skewlab.bases import (
     TwoSidedWord,
     orbit_walk,
 )
-from skewlab.errors import CapabilityError, ConfigError
+from skewlab.errors import CapabilityError, ConfigError, DomainError
 
 bits = st.lists(st.integers(0, 1), min_size=0, max_size=8).map(tuple)
 cycles = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
@@ -123,6 +123,18 @@ class TestCircleRotation:
         pts = base.sample_points(5, random.Random(0))
         assert len(pts) == 5 and all(0.0 <= p < 1.0 for p in pts)
         assert base.parse_point("1.25") == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("base", [
+    FiniteOrbitBase([0.0, 1.0, 2.0], {0.0: 1.0, 1.0: 2.0, 2.0: 2.0}),
+    CircleRotation(0.3),
+    SymbolicShift("one"),
+    SymbolicShift("two"),
+], ids=["finite", "circle", "shift-one", "shift-two"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_below_one_refused(base, count):
+    with pytest.raises(DomainError, match=f"sample count must be >= 1, got {count}"):
+        base.sample_points(count, random.Random(0))
 
 
 class TestOrbitWalk:

@@ -198,6 +198,20 @@ class TestVerifyInput:
         assert self.verify(cfg_file(KELLER_CFG), phi) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, rows, needle", [
+        # -1 and -1.0 parse to the same chain point
+        (NOINV_CFG, ["-1,0.0", "1.0,1.0", "-1.0,0.5"],
+         "line 4: point '-1.0' repeats the point of line 2"),
+        # 01|1 normalises to 0|1
+        (SHIFT_CFG, ["0|1,0.5", "01|1,0.25"],
+         "line 3: point '01|1' repeats the point of line 2"),
+    ], ids=["finite", "shift"])
+    def test_repeated_table_point_exits_2(self, cfg_file, tmp_path, capsys, cfg, rows,
+                                          needle):
+        phi = self.graph_csv(tmp_path, rows)
+        assert self.verify(cfg_file(cfg), phi) == 2
+        assert needle in capsys.readouterr().err
+
     def test_missing_phi_exits_2(self, cfg_file, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert self.verify(cfg_file(KELLER_CFG), missing) == 2
@@ -212,6 +226,26 @@ class TestVerifyInput:
         phi = self.graph_csv(tmp_path, rows)
         assert self.verify(cfg_file(cfg), phi, samples) == 3
         assert "--samples must be >= 1" in capsys.readouterr().err
+
+
+class TestDepthAndGridArguments:
+    """0 and negative values are refused, not replaced by the config default."""
+
+    @pytest.mark.parametrize("cfg, argv, needle", [
+        (KELLER_CFG, ["pullback", "--depth", "0"], "depth must be >= 1"),
+        (KELLER_CFG, ["pullback", "--depth", "-5"], "depth must be >= 1"),
+        (NOINV_CFG, ["pullback", "--depth", "0"], "depth must be >= 1"),
+        (NOINV_CFG, ["pullback", "--depth", "-5"], "depth must be >= 1"),
+        (NOINV_CFG, ["pullback", "--theta", "0.0", "--depth", "0"], "depth must be >= 1"),
+        (KELLER_CFG, ["pullback", "--grid", "0"], "grid_size must be >= 8"),
+        (KELLER_CFG, ["certify", "--grid", "0"], "grid_size must be >= 8"),
+    ], ids=["grid-pullback-depth-0", "grid-pullback-depth-neg", "finite-pullback-depth-0",
+            "finite-pullback-depth-neg", "theta-pullback-depth-0", "pullback-grid-0",
+            "certify-grid-0"])
+    def test_exits_3_and_writes_nothing(self, cfg_file, capsys, cfg, argv, needle):
+        assert cli.main([argv[0], "--config", cfg_file(cfg), *argv[1:]]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and needle in err
 
 
 class TestDeterminism:

@@ -1,9 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.errors import DomainError, InvariantError, PreconditionError
+from skewlab.errors import DomainError, InvariantError, PreconditionError, SkewlabError
 from skewlab.fiber import (
+    _ISO_TIE,
+    CONCAVITY_SLACK,
+    ZERO_TOL,
+    ConcavityCertificate,
     FiberMap,
     certify,
     concavity_holds,
@@ -108,6 +112,19 @@ class TestCertify:
         with pytest.raises(InvariantError):
             certify(FiberMap(1.0, lambda x: x * x), 64)
 
+    def test_nonmonotone_certify_evaluates_each_value_once(self):
+        # grid values, scan values, two per predicate from the right end
+        # down to b = 2/3, and the bisection: 2793 evaluations
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return 4.0 * x * (1.0 - x)
+
+        cert = certify(FiberMap(1.0, f, form="4x(1-x)"), 1024)
+        assert not cert.monotone and cert.b == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert calls[0] <= 3 * 1025
+
     def test_unanalyzable_rejected(self):
         coin = FiberMap(1.0, lambda x: 1.0, analyzable=False)
         with pytest.raises(PreconditionError):
@@ -143,6 +160,14 @@ class TestLeftDerivative:
     def test_hump_at_isoclinic(self):
         d = left_derivative_limit(HUMP4, 2.0 / 3.0)
         assert d == pytest.approx(-4.0 / 3.0, abs=1e-6)
+
+    @given(st.floats(min_value=0.1, max_value=4.0),
+           st.floats(min_value=1e-6, max_value=1.0))
+    def test_limit_is_one_quotient_at_the_smallest_step(self, a, u):
+        fm = FiberMap(a, lambda x: x * (2.0 * a - x) / a)
+        x = a * u
+        h = min(fm.a * 1e-4, x / 2) / 4**5
+        assert left_derivative_limit(fm, x) == left_derivative(fm, x, h)
 
     def test_h_domain(self):
         with pytest.raises(DomainError):
@@ -258,3 +283,181 @@ class TestFiberMap:
     def test_scaled_negative_rejected(self):
         with pytest.raises(DomainError):
             LOGISTIC.scaled(-1.0)
+
+
+# Reference versions that evaluate the predicate at every scan point, the
+# quotient at every step of a shrinking-h schedule, and the concavity test a
+# second time at alpha_star.  The library functions must give the same
+# floats and raise the same errors.
+
+
+def _ref_left_derivative_limit(fm, x):
+    h = min(fm.a * 1e-4, x / 2.0)
+    val = left_derivative(fm, x, h)
+    for _ in range(5):
+        h *= 0.25
+        val = left_derivative(fm, x, h)
+    return val
+
+
+def _ref_concavity_holds(fm, alpha, grid_size, slack=CONCAVITY_SLACK):
+    xs = [fm.a * i / grid_size for i in range(grid_size + 1)]
+    xs[-1] = fm.a
+    vals = [fm(x) for x in xs]
+    h = fm.a / grid_size
+    bump = 2.0 * alpha * h * h
+    return all(
+        vals[i - 1] - 2.0 * vals[i] + vals[i + 1] + bump <= slack
+        for i in range(1, grid_size)
+    )
+
+
+def _ref_isoclinic_point(fm, tol=1e-9, scan=2048):
+    if tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    a = fm.a
+    xs = [a * i / scan for i in range(scan + 1)]
+    xs[-1] = a
+    xs = xs[1:]
+    vals = [fm(x) for x in xs]
+    if max(vals) <= ZERO_TOL:
+        raise PreconditionError(
+            "isoclinic point undefined: map is identically 0 on the scan grid"
+        )
+
+    def pred(x, fx):
+        if fx <= 0.0:
+            return False
+        return abs(_ref_left_derivative_limit(fm, x)) < fx / x - _ISO_TIE
+
+    flags = [pred(x, v) for x, v in zip(xs, vals)]
+    if flags[-1]:
+        return a
+    if not any(flags):
+        if all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(len(vals) - 1)):
+            return a
+        raise PreconditionError(
+            "isoclinic predicate never holds on the scan grid; "
+            "map does not look strictly concave"
+        )
+    last_true = max(i for i, fl in enumerate(flags) if fl)
+    lo, hi = xs[last_true], xs[last_true + 1]
+    for _ in range(60):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if pred(mid, fm(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_certify(fm, grid_size):
+    if grid_size < 8:
+        raise PreconditionError(f"grid_size must be >= 8, got {grid_size}")
+    xs = [fm.a * i / grid_size for i in range(grid_size + 1)]
+    xs[-1] = fm.a
+    vals = [fm(x) for x in xs]
+    if abs(vals[0]) > ZERO_TOL:
+        raise InvariantError(f"f(0) = {vals[0]!r} is not 0 (map {fm.form})")
+    for x, v in zip(xs, vals):
+        if not (-ZERO_TOL <= v <= fm.a + ZERO_TOL):
+            raise InvariantError(f"f({x!r}) = {v!r} leaves [0, {fm.a!r}] (map {fm.form})")
+    h = fm.a / grid_size
+    denom = 2.0 * h * h
+    alpha_star = min(
+        -(vals[i - 1] - 2.0 * vals[i] + vals[i + 1]) / denom
+        for i in range(1, grid_size)
+    )
+    alpha_star = max(0.0, alpha_star)
+    bump = 2.0 * alpha_star * h * h
+    for i in range(1, grid_size):
+        if vals[i - 1] - 2.0 * vals[i] + vals[i + 1] + bump > CONCAVITY_SLACK:
+            raise InvariantError(f"map {fm.form} is not concave on the grid near x = {xs[i]!r}")
+    i_max = max(range(len(vals)), key=vals.__getitem__)
+    gamma = vals[i_max]
+    monotone = all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(grid_size))
+    if gamma <= ZERO_TOL:
+        b = None
+    elif monotone:
+        b = fm.a
+    elif alpha_star > 0.0:
+        b = _ref_isoclinic_point(fm, tol=1e-9, scan=min(grid_size, 2048))
+    else:
+        b = None
+    return ConcavityCertificate(
+        alpha_star=alpha_star, gamma=gamma, c=xs[i_max], b=b,
+        grid_size=grid_size, monotone=monotone,
+    )
+
+
+def _outcome(fn, *args):
+    """repr of the result (exact floats), or the raised error type and message."""
+    try:
+        return repr(fn(*args))
+    except SkewlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def polynomial_maps(draw):
+    """a * t * p(x / a) for p = c1 u + c2 u^2 + c3 u^3, peak scaled to s * a.
+
+    c2 <= 0 with c3 near 0 gives concave quadratics and cubics; the draws
+    also reach linear maps, maps convex near a, and maps that go negative.
+    """
+    a = draw(st.sampled_from([0.25, 1.0, 2.0, 3.7]))
+    c1 = draw(st.floats(min_value=0.0, max_value=3.0))
+    c2 = draw(st.just(0.0) | st.floats(min_value=-3.0, max_value=0.0))
+    c3 = draw(st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0))
+    s = draw(st.floats(min_value=0.05, max_value=0.95))
+    peak = max(((c3 * u + c2) * u + c1) * u for u in (i / 64.0 for i in range(65)))
+    t = s / peak if peak > 0.0 else 1.0
+    form = f"poly(a={a!r},{c1!r},{c2!r},{c3!r},t={t!r})"
+    return FiberMap(a, lambda x: a * t * (((c3 * (x / a) + c2) * (x / a) + c1) * (x / a)),
+                    form=form)
+
+
+class TestAgainstParentReference:
+    @settings(max_examples=150, deadline=None)
+    @given(polynomial_maps(), st.sampled_from([4, 8, 9, 64, 257, 1024]))
+    def test_certify(self, fm, grid):
+        assert _outcome(certify, fm, grid) == _outcome(_ref_certify, fm, grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(polynomial_maps(), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+           st.sampled_from([1, 8, 64, 300]))
+    def test_isoclinic_point(self, fm, tol, scan):
+        assert (_outcome(isoclinic_point, fm, tol, scan)
+                == _outcome(_ref_isoclinic_point, fm, tol, scan))
+
+    def test_convex_error_names_the_first_failing_node(self):
+        # D2 is exactly 0 on the linear half and h^2 at x = 0.5
+        fm = FiberMap(1.0, lambda x: 0.5 * x + max(0.0, x - 0.5) ** 2, form="kink")
+        with pytest.raises(InvariantError, match=r"near x = 0\.5$"):
+            certify(fm, 64)
+        assert _outcome(certify, fm, 64) == _outcome(_ref_certify, fm, 64)
+
+    def test_concavity_holds_at_the_slack(self):
+        # the second differences of x on i/64 are exactly 0
+        assert concavity_holds(LINEAR, 0.0, 64, slack=0.0)
+        assert _ref_concavity_holds(LINEAR, 0.0, 64, slack=0.0)
+
+    @given(polynomial_maps(), st.floats(min_value=0.0, max_value=20.0),
+           st.sampled_from([8, 64, 257]))
+    def test_concavity_holds(self, fm, alpha, grid):
+        assert (_outcome(concavity_holds, fm, alpha, grid)
+                == _outcome(_ref_concavity_holds, fm, alpha, grid))
+
+    def test_left_derivative_limit_with_subnormal_step(self):
+        # five roundings of h and one division by 4^5 differ here
+        fm = FiberMap(1.0, lambda x: 0.5 * x)
+        x = 2.2250738585e-313
+        assert left_derivative_limit(fm, x) == _ref_left_derivative_limit(fm, x) == 0.5
+
+    @given(polynomial_maps(), st.floats(min_value=-0.5, max_value=1.5))
+    def test_left_derivative_limit(self, fm, u):
+        x = fm.a * u
+        assert (_outcome(left_derivative_limit, fm, x)
+                == _outcome(_ref_left_derivative_limit, fm, x))
