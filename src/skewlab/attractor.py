@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .bases import CircleRotation, orbit_walk
 from .errors import (
     CapabilityError,
@@ -128,8 +127,10 @@ class GraphFunction:
         writer.writerow(GRAPH_COLUMNS)
         if self.grid is not None:
             m = len(self.grid)
-            for j in range(m):
-                writer.writerow([repr(j / m), repr(float(self.grid[j]))])
+            # A float's repr never needs CSV quoting, so each row is plain text.
+            stream.writelines(
+                f"{j / m!r},{v!r}\n" for j, v in enumerate(self.grid.tolist())
+            )
             return
         if self.table is not None:
             fmt = base.format_point if base is not None else str

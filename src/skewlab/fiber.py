@@ -109,6 +109,11 @@ class RatioBound(NamedTuple):
     bound: float
 
 
+def _check_grid_size(n: int) -> None:
+    if n < 8:
+        raise PreconditionError(f"grid_size must be >= 8, got {n}")
+
+
 def _grid(a: float, n: int) -> list[float]:
     xs = [a * i / n for i in range(n + 1)]
     xs[-1] = a
@@ -144,6 +149,7 @@ def concavity_holds(
     fm: FiberMap, alpha: float, grid_size: int, slack: float = CONCAVITY_SLACK
 ) -> bool:
     """Grid test: are all second differences of f(x) + alpha*x^2 <= slack?"""
+    _check_grid_size(grid_size)
     _, vals = grid_values(fm, grid_size)
     h = fm.a / grid_size
     bump = 2.0 * alpha * h * h
@@ -160,8 +166,7 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     then alpha_star = 0.  The peak, supremum, monotonicity flag and
     isoclinic point are read off the same grid.
     """
-    if grid_size < 8:
-        raise PreconditionError(f"grid_size must be >= 8, got {grid_size}")
+    _check_grid_size(grid_size)
     if not fm.analyzable:
         raise PreconditionError(
             f"map {fm.form} opted out of interval concavity analysis"
@@ -230,6 +235,7 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     holds at the right endpoint (in particular for nondecreasing maps).
     Undefined for the zero map.
     """
+    _check_grid_size(scan)
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     a = fm.a

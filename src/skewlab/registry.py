@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .errors import RegistryError
 from .fiber import FiberMap
 

@@ -6,8 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .bases import CircleRotation
 from .errors import DomainError, SkewlabError
 from .fiber import ZERO_TOL, FiberMap, certify, grid_max

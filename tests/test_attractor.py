@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import random
@@ -132,6 +133,26 @@ class TestLargestFixedPoint:
         assert _largest_fixed_point_scan(fm) == pytest.approx(0.75, abs=1e-9)
 
 
+def reference_grid_csv(grid):
+    """Grid CSV written row by row, one repr(float(grid[j])) per node."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("point", "value"))
+    m = len(grid)
+    for j in range(m):
+        writer.writerow([repr(j / m), repr(float(grid[j]))])
+    return buf.getvalue()
+
+
+@st.composite
+def grid_graphs(draw):
+    """A grid graph over [0, a] whose values reach 0, -0, a and subnormals."""
+    a = draw(st.sampled_from([1.0, 0.3, 3.7, 1e-300]))
+    special = st.sampled_from([0.0, -0.0, a, 5e-324, 2.2250738585e-313, a / 3.0])
+    values = draw(st.lists(special | st.floats(0.0, a), min_size=1, max_size=300))
+    return GraphFunction.from_grid(a, values)
+
+
 class TestGraphFunction:
     def test_bounds_enforced(self):
         with pytest.raises(InvariantError):
@@ -175,6 +196,20 @@ class TestGraphFunction:
         text = g.to_csv_string(base=base)
         g2 = GraphFunction.from_csv(io.StringIO(text), base, 1.0)
         assert np.array_equal(g2.grid, g.grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_graphs())
+    def test_grid_csv_matches_row_writer(self, g):
+        assert g.to_csv_string() == reference_grid_csv(g.grid)
+
+    def test_grid_csv_matches_row_writer_off_powers_of_two(self):
+        rng = random.Random(5)
+        for m in (1, 3, 7, 1000, 4099):
+            vals = [rng.choice((0.0, 1.0, 5e-324, rng.random())) for _ in range(m)]
+            g = GraphFunction.from_grid(1.0, vals)
+            text = g.to_csv_string(base=CircleRotation(0.3))
+            assert text == reference_grid_csv(g.grid)
+            assert text.count("\n") == m + 1
 
     def test_csv_roundtrip_table(self):
         base = FiniteOrbitBase([0.25, 0.5], {0.25: 0.5, 0.5: 0.5})

@@ -31,6 +31,7 @@ LOGISTIC = FiberMap(1.0, lambda x: x * (2.0 - x), form="x(2-x)")
 HUMP4 = FiberMap(1.0, lambda x: 4.0 * x * (1.0 - x), form="4x(1-x)")
 LINEAR = FiberMap(1.0, lambda x: x, form="x")
 ZERO = FiberMap(1.0, lambda x: 0.0, form="0")
+SQUARE = FiberMap(1.0, lambda x: x * x, form="x^2")  # convex: the concavity test fails
 
 
 class TestKappa:
@@ -203,6 +204,26 @@ class TestIsoclinicPoint:
             fm = case["fm"]
             b = isoclinic_point(fm, tol=1e-7, scan=512)
             assert b >= fm.a / 2.0 - 1e-6
+
+
+class TestGridSize:
+    """Every grid-based fibre test refuses fewer than 8 cells, as certify does."""
+
+    @pytest.mark.parametrize("n", [0, -1, 1, 7])
+    def test_isoclinic_scan_refused(self, n):
+        with pytest.raises(PreconditionError, match=rf"^grid_size must be >= 8, got {n}$"):
+            isoclinic_point(HUMP4, scan=n)
+
+    @pytest.mark.parametrize("n", [0, -1, 1, 7])
+    def test_concavity_grid_refused(self, n):
+        for fm in (LOGISTIC, SQUARE):
+            with pytest.raises(PreconditionError, match=rf"^grid_size must be >= 8, got {n}$"):
+                concavity_holds(fm, 0.0, n)
+
+    def test_smallest_grid_accepted(self):
+        assert concavity_holds(LOGISTIC, 0.0, 8)
+        assert not concavity_holds(SQUARE, 0.0, 8)
+        assert isoclinic_point(HUMP4, tol=1e-7, scan=8) == pytest.approx(2 / 3, abs=1e-6)
 
 
 class TestRatioBoundMonotone:
@@ -429,8 +450,10 @@ class TestAgainstParentReference:
     @given(polynomial_maps(), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
            st.sampled_from([1, 8, 64, 300]))
     def test_isoclinic_point(self, fm, tol, scan):
-        assert (_outcome(isoclinic_point, fm, tol, scan)
-                == _outcome(_ref_isoclinic_point, fm, tol, scan))
+        # the library refuses scans below 8 cells; the reference has no such check
+        expected = (f"PreconditionError: grid_size must be >= 8, got {scan}" if scan < 8
+                    else _outcome(_ref_isoclinic_point, fm, tol, scan))
+        assert _outcome(isoclinic_point, fm, tol, scan) == expected
 
     def test_convex_error_names_the_first_failing_node(self):
         # D2 is exactly 0 on the linear half and h^2 at x = 0.5

@@ -1,0 +1,92 @@
+"""Which commands run numpy.
+
+numpy is bound lazily: a process that only certifies fibres, traces orbit
+pairs or walks a backward orbit that never closes must finish without
+executing numpy's import.  The child process below starts fresh, so no
+earlier test has loaded numpy for it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import skewlab
+from skewlab import cli
+
+KELLER_CFG = {
+    "base": {"variant": "circle-rotation", "omega": 0.6180339887498949},
+    "fiber": {
+        "form": "product",
+        "f": {"form": "logistic-scaled", "k": 1.0},
+        "g": {"form": "sin-squared", "c": 1.0, "eps": 0.5},
+    },
+    "a": 1.0,
+}
+CUBIC_CFG = {
+    "base": {"variant": "shift", "sided": "two"},
+    "fiber": {"form": "poly", "coeffs": [2.4, -1.2, -0.6]},
+}
+
+# Runs each argv list through cli.main in turn and records, after each one,
+# its exit code and the numpy submodules loaded so far.
+CHILD = """
+import json, sys
+from skewlab import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    rc = cli.main(argv)
+    report.append([rc, sorted(k for k in sys.modules if k.startswith("numpy."))])
+with open(sys.argv[2], "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def _run_child(argvs, report_path):
+    src = str(Path(skewlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(argvs), str(report_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(report_path.read_text())
+
+
+def test_scalar_commands_never_run_numpy(tmp_path):
+    keller = tmp_path / "keller.json"
+    keller.write_text(json.dumps(KELLER_CFG))
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(json.dumps(CUBIC_CFG))
+    grid_args = ["pullback", "--config", str(keller), "--grid", "64", "--depth", "200"]
+    scalar = [
+        ["certify", "--config", str(keller), "--theta", "0.3"],
+        ["certify", "--config", str(cubic), "--grid", "2000"],
+        ["orbit-pair", "--config", str(keller), "--x0", "0.2", "--y0", "0.8",
+         "--steps", "50", "--out", str(tmp_path / "trace.csv")],
+        ["orbit-pair", "--config", str(cubic), "--x0", "0.2", "--y0", "0.8",
+         "--steps", "20", "--out", str(tmp_path / "trace-cubic.csv")],
+        # the golden rotation has no closed backward orbit
+        ["pullback", "--config", str(keller), "--theta", "0.3", "--depth", "400"],
+    ]
+    report = _run_child(
+        scalar + [grid_args + ["--out", str(tmp_path / "child.csv")]],
+        tmp_path / "report.json",
+    )
+
+    for argv, (rc, loaded) in zip(scalar, report):
+        assert rc == 0, argv
+        assert loaded == [], (argv, loaded[:5])
+    rc, loaded = report[-1]
+    assert rc == 0 and loaded, "the grid pullback must have run numpy"
+
+    # The same call once more, in a process where numpy already ran.
+    np.asarray(0.0)
+    assert cli.main(grid_args + ["--out", str(tmp_path / "here.csv")]) == 0
+    child = (tmp_path / "child.csv").read_bytes()
+    assert child.count(b"\n") == 65
+    assert child == (tmp_path / "here.csv").read_bytes()
