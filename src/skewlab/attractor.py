@@ -74,7 +74,8 @@ class GraphFunction:
         if self.grid is not None:
             if self.grid.ndim != 1 or len(self.grid) < 1:
                 raise DomainError("grid representation must be a 1-d array")
-            if self.grid.min() < -ZERO_TOL or self.grid.max() > a + ZERO_TOL:
+            # written so that a NaN, which compares False, fails the check
+            if not (self.grid.min() >= -ZERO_TOL and self.grid.max() <= a + ZERO_TOL):
                 raise InvariantError("grid graph stores values outside [0, a]")
         if fallback is not None:
             self._check_value(fallback, "<fallback>")
@@ -113,14 +114,15 @@ class GraphFunction:
             return float(self.grid[self.node_index(theta)])
         return self._check_value(self.func(theta), theta)
 
-    def values(self, thetas: Sequence) -> np.ndarray:
-        """`value` at every point, as an array; a grid looks up all nodes at once."""
+    def values(self, thetas: Sequence) -> Sequence[float]:
+        """`value` at every point: a grid looks up all nodes at once into an
+        array; a table or callable graph gives a list."""
         if self.grid is not None:
             m = len(self.grid)
             # np.rint rounds ties to even, like round in node_index
             idx = np.rint((np.asarray(thetas, dtype=float) % 1.0) * m).astype(int) % m
             return self.grid[idx]
-        return np.array([self.value(t) for t in thetas], dtype=float)
+        return [self.value(t) for t in thetas]
 
     def to_csv(self, stream, base=None) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -167,7 +169,7 @@ class GraphFunction:
             filled: dict[int, int] = {}  # node -> line that set it
             for line, k, v in rows:
                 theta = _csv_number(k, line, "point")
-                j = int(round(theta * m))
+                j = int(round(theta * m)) if math.isfinite(theta) else -1
                 if not 0 <= j < m or abs(theta - j / m) > 1e-9:
                     raise ConfigError(
                         f"grid CSV line {line}: point {k!r} is not a node of a "
@@ -376,40 +378,48 @@ class PullbackSequence:
         return self.values[-1]
 
 
-def _sweeps(sys: SkewSystem, nodes: Sequence, pred) -> Iterator[tuple]:
+def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]:
     """(phi_n, live_n) at every node for n = 1, 2, ...: one backward step each.
 
     phi_n(node) = psi_p(phi_{n-1}(p)) for p = nodes[pred[node]], and phi_0 = a.
-    ``pred[i] = -1`` ends node i's backward orbit.  live_n marks the nodes
+    ``pred`` holds node indices (a list, or an index array for a circle
+    grid); ``pred[i] = -1`` ends node i's backward orbit.  live_n marks the nodes
     with at least n preimages, the ones sweep n moves; every other node keeps
     its last value.  A circle product whose every node has a predecessor
-    sweeps as numpy arrays; any other system applies each live node's
-    predecessor map through ``fiber_at``.
+    sweeps as numpy arrays; any other system holds phi_n and live_n as lists
+    and applies each live node's predecessor map through ``fiber_at``, so it
+    never loads numpy.
     """
-    pred = np.asarray(pred, dtype=int)
-    has_pred = pred >= 0
-    vals = np.full(len(nodes), float(sys.a))
-    if (
-        isinstance(sys.base, CircleRotation)
-        and sys.product_parts is not None
-        and has_pred.all()
-    ):
-        f_vec, g_vec = sys.product_parts
-        g_pred = np.asarray(g_vec(np.asarray(nodes, dtype=float)[pred]), dtype=float)
-        while True:
-            vals = f_vec(vals[pred]) * g_pred
-            yield vals, has_pred
+    a = float(sys.a)
+    if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
+        pred_idx = np.asarray(pred, dtype=int)
+        has_pred = pred_idx >= 0
+        if has_pred.all():
+            f_vec, g_vec = sys.product_parts
+            g_pred = np.asarray(
+                g_vec(np.asarray(nodes, dtype=float)[pred_idx]), dtype=float
+            )
+            vals = np.full(len(nodes), a)
+            while True:
+                vals = f_vec(vals[pred_idx]) * g_pred
+                yield vals, has_pred
     maps = [sys.fiber_at(nodes[p]) if p >= 0 else None for p in pred]
-    live = has_pred
+    live = [p >= 0 for p in pred]
+    # A sweep walks only the live indices: the noinvattr chain keeps one of
+    # its 130 nodes live through all sweeps of a depth-1000 pullback.
+    idx = [i for i, moves in enumerate(live) if moves]
+    vals = [a] * len(nodes)
     while True:
-        idx = np.flatnonzero(live)
         new = vals.copy()
-        new[idx] = [
-            maps[i](v) for i, v in zip(idx.tolist(), vals[pred[idx]].tolist())
-        ]
+        for i in idx:
+            # float() stores what an array of floats would
+            new[i] = float(maps[i](vals[pred[i]]))
         vals = new
         yield vals, live
-        live = has_pred & live[pred]
+        idx = [i for i in idx if live[pred[i]]]
+        live = [False] * len(nodes)
+        for i in idx:
+            live[i] = True
 
 
 def _compositions(sys: SkewSystem, back: Sequence) -> Iterator[float]:
@@ -543,7 +553,8 @@ def pullback_grid(
     delta = math.inf
 
     sweeps = 0
-    for s, (new, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
+    for s, (row, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
+        new = np.asarray(row)  # a list for a circle system without product_parts
         inc = float(np.max(new - values))
         max_increase = max(max_increase, inc)
         if inc > 1e-12:
@@ -589,20 +600,21 @@ def pullback_graph_finite(
             pred.append(index[base.predecessor(p)])
         except CapabilityError:
             pred.append(-1)
-    running = np.ones(len(pts), dtype=bool)
-    final = np.full(len(pts), float(sys.a))
-    used = np.zeros(len(pts), dtype=int)
+    running = list(range(len(pts)))  # chain not used up and not stopped yet
+    final = [float(sys.a)] * len(pts)
+    used = [0] * len(pts)
     for n, (vals, live) in zip(range(1, depth + 1), _sweeps(sys, pts, pred)):
-        running = running & live  # chain not used up and not stopped yet
-        if not running.any():
+        running = [i for i in running if live[i]]
+        if not running:
             break
-        final = np.where(running, vals, final)
-        used[running] = n
+        for i in running:
+            final[i] = vals[i]
+            used[i] = n
         if n >= 2 and stop_delta > 0.0:
-            running = running & ~(np.abs(vals - prev) < stop_delta)
+            running = [i for i in running if not abs(vals[i] - prev[i]) < stop_delta]
         prev = vals
-    table = dict(zip(pts, final.tolist()))
-    depths = {base.format_point(p): d for p, d in zip(pts, used.tolist())}
+    table = dict(zip(pts, final))
+    depths = {base.format_point(p): d for p, d in zip(pts, used)}
     graph = GraphFunction(sys.a, "pullback", table=table, label=f"pullback({sys.label})")
     return graph, depths
 
@@ -651,27 +663,63 @@ def verify_attractor(
         raise DomainError("steps must be >= 1")
     if not starts:
         raise DomainError("verify_attractor needs at least one start")
-    devs = np.empty((steps + 1, len(starts)))  # devs[n, i]: start i at step n
+    _check_tol(tol)
     walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps)
+    first = next(walk)
+    walk = itertools.chain([first], walk)
+    # A per-point walk yields lists and is reduced step by step; the circle
+    # product's array walk is reduced as one (steps + 1) x N array.
+    if isinstance(first[1], list):
+        achieved, tail = _reduce_lists(walk, graph, tol, len(starts))
+    else:
+        achieved, tail = _reduce_arrays(walk, graph, tol, steps, len(starts))
+    records = [
+        SampleRecord(sys.base.format_point(theta0), x0, None, None)
+        if n > steps
+        else SampleRecord(sys.base.format_point(theta0), x0, int(n), float(dev))
+        for (theta0, x0), n, dev in zip(starts, achieved, tail)
+    ]
+    return AttractorVerdict(
+        verdict="attracting" if all(n <= steps for n in achieved) else "not-attracting",
+        tol=tol, steps=steps, records=records,
+    )
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # also refuses NaN, against which every deviation passes
+        raise DomainError(f"tol must be > 0, got {tol!r}")
+
+
+def _reduce_lists(walk, graph: GraphFunction, tol: float, count: int) -> tuple:
+    """(achieved, tail) per start: one past the last step whose deviation is
+    >= tol (0 when none is), and the largest deviation from that step on."""
+    achieved = [0] * count
+    tail = [-math.inf] * count
     for n, (thetas, xs) in enumerate(walk):
-        devs[n] = np.abs(np.asarray(xs, dtype=float) - graph.values(thetas))
+        for i, (x, v) in enumerate(zip(xs, graph.values(thetas))):
+            dev = abs(x - v)
+            if dev >= tol:
+                achieved[i] = n + 1
+                tail[i] = -math.inf
+            elif dev > tail[i]:
+                tail[i] = dev
+    return achieved, tail
+
+
+def _reduce_arrays(
+    walk, graph: GraphFunction, tol: float, steps: int, count: int
+) -> tuple:
+    """`_reduce_lists` for array steps, over all steps at once."""
+    devs = np.empty((steps + 1, count))  # devs[n, i]: start i at step n
+    for n, (thetas, xs) in enumerate(walk):
+        devs[n] = np.abs(xs - graph.values(thetas))
     missed = devs >= tol
     # One past the last step that misses tol, or 0 when none does.
     achieved = np.where(
         missed.any(axis=0), steps + 1 - np.argmax(missed[::-1], axis=0), 0
     )
     devs[np.arange(steps + 1)[:, None] < achieved] = -np.inf
-    tail_max = devs.max(axis=0)
-    records = [
-        SampleRecord(sys.base.format_point(theta0), x0, None, None)
-        if n > steps
-        else SampleRecord(sys.base.format_point(theta0), x0, int(n), float(dev))
-        for (theta0, x0), n, dev in zip(starts, achieved, tail_max)
-    ]
-    return AttractorVerdict(
-        verdict="attracting" if np.all(achieved <= steps) else "not-attracting",
-        tol=tol, steps=steps, records=records,
-    )
+    return achieved, devs.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -701,6 +749,7 @@ def verify_preinvariance(
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    _check_tol(tol)
     residuals = []
     cur = theta
     for _ in range(horizon):
@@ -823,6 +872,5 @@ def match_fraction(
         block = starts[i:i + MATCH_BLOCK]
         for thetas, xs in orbits(sys, [t for t, _ in block], [x for _, x in block], n):
             pass
-        matched = np.abs(np.asarray(xs, dtype=float) - graph.values(thetas)) <= tol
-        hits += int(np.count_nonzero(matched))
+        hits += sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
     return hits / len(starts)

@@ -9,6 +9,7 @@ That keeps every represented forward orbit exactly computable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -224,6 +225,8 @@ class CircleRotation:
             v = float(s)
         except ValueError:
             raise ConfigError(f"cannot parse {s!r} as a circle point") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"circle point {s!r} is not a finite number")
         return v % 1.0
 
 

@@ -47,6 +47,19 @@ def reference_records(sys_, graph, starts, steps, tol):
     return out
 
 
+def assert_verify_matches_reference(sys_, graph, starts, steps, tol):
+    """verify_attractor and match_fraction against the start-by-start walk."""
+    verdict = verify_attractor(sys_, graph, starts, steps, tol)
+    expected = reference_records(sys_, graph, starts, steps, tol)
+    assert [(r.achieved_step, r.max_dev_after) for r in verdict.records] == expected
+    attracted = all(achieved is not None for achieved, _ in expected)
+    assert verdict.verdict == ("attracting" if attracted else "not-attracting")
+    n = 1 + steps // 2
+    ends = [orbit(sys_, point, n)[-1] for point in starts]
+    hits = sum(abs(x - graph.value(theta)) <= tol for theta, x in ends)
+    assert match_fraction(sys_, graph, n, starts, tol) == hits / len(starts)
+
+
 def reference_pullback(sys_, theta, depth, stop_delta):
     """(phi_1..phi_N, truncated): every phi_n composed afresh along the backward orbit.
 
@@ -440,6 +453,43 @@ class TestVerifyAttractor:
             scalar, graph, n, starts, tol
         )
 
+    @given(sys_=finite_systems(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finite_table_records_match_start_by_start(self, sys_, data):
+        pts = sys_.base.points
+        if data.draw(st.booleans(), label="pullback graph"):
+            graph, _ = pullback_graph_finite(sys_, 40)
+        else:
+            graph = GraphFunction.from_table(
+                1.0, {p: data.draw(st.floats(0.0, 1.0)) for p in pts}
+            )
+        starts = data.draw(st.lists(
+            st.tuples(st.sampled_from(pts), st.floats(0.0, 1.0)), min_size=1, max_size=12
+        ))
+        steps = data.draw(st.integers(1, 60))
+        tol = data.draw(st.floats(1e-6, 0.5))
+        assert_verify_matches_reference(sys_, graph, starts, steps, tol)
+
+    @given(sided=st.sampled_from(["one", "two"]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shift_records_match_start_by_start(self, sided, data):
+        bits = st.lists(st.integers(0, 1), max_size=6).map(tuple)
+        cycle = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+        if sided == "one":
+            words = st.builds(OneSidedWord, bits, cycle)
+            read = st.integers(0, 4)
+        else:
+            words = st.builds(TwoSidedWord, cycle, bits, cycle, st.integers(-3, 3))
+            read = st.integers(-4, 4)
+        k = data.draw(read, label="symbol read by the graph")
+        graph = GraphFunction.from_callable(1.0, lambda w: float(w.symbol(k)))
+        starts = data.draw(st.lists(
+            st.tuples(words, st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=12
+        ))
+        steps = data.draw(st.integers(1, 12))
+        tol = data.draw(st.sampled_from([1e-15, 0.5, 0.75]))
+        assert_verify_matches_reference(make_coinflip(sided), graph, starts, steps, tol)
+
     @pytest.mark.parametrize("x0", [-0.25, 1.5])
     def test_start_outside_fiber_raises_on_both_paths(self, x0):
         batched = make_keller()
@@ -454,6 +504,17 @@ class TestVerifyAttractor:
 
 
 class TestVerifyPreinvariance:
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        # against a NaN tol every deviation passes; against tol <= 0 none does
+        sys_ = make_noinvattr(8)
+        graph = build_preinvariant(sys_)
+        message = f"tol must be > 0, got {tol!r}"
+        with pytest.raises(DomainError, match=message):
+            verify_preinvariance(sys_, graph, 0.0, 5, tol)
+        with pytest.raises(DomainError, match=message):
+            verify_attractor(sys_, graph, [(0.0, 0.5)], 5, tol)
+
     def test_pullback_graph_immediately_preinvariant_at_nodes(self):
         # one-step residuals at grid nodes are bounded by the stop delta; the
         # node lattice is exactly aligned with the nearest-node predecessor

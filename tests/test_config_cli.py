@@ -192,6 +192,8 @@ class TestVerifyInput:
         (["zero,0.5", "0.5,0.5"], "line 2: point 'zero' is not a number"),
         (["0.0,0.5", "0.0,0.25"], "line 3: point '0.0' repeats the node of line 2"),
         (["0.0,0.5", "-0.5,0.25"], "line 3: point '-0.5' is not a node"),
+        (["0.0,0.5", "nan,0.25"], "line 3: point 'nan' is not a node"),
+        (["0.0,0.5", "inf,0.25"], "line 3: point 'inf' is not a node"),
     ])
     def test_bad_graph_csv_exits_2(self, cfg_file, tmp_path, capsys, rows, needle):
         phi = self.graph_csv(tmp_path, rows)
@@ -211,6 +213,27 @@ class TestVerifyInput:
         phi = self.graph_csv(tmp_path, rows)
         assert self.verify(cfg_file(cfg), phi) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [["0.0,nan", "0.5,nan"], ["0.0,0.5", "0.5,nan"]],
+                             ids=["all-nan", "one-nan"])
+    def test_nan_grid_values_exit_3(self, cfg_file, tmp_path, capsys, rows):
+        phi = self.graph_csv(tmp_path, rows)
+        assert self.verify(cfg_file(KELLER_CFG), phi) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "grid graph stores values outside [0, a]" in err
+
+    @pytest.mark.parametrize("cfg, rows", [
+        (KELLER_CFG, ["0.0,0.5", "0.5,0.5"]),
+        (NOINV_CFG, ["1.0,1.0"]),
+    ], ids=["grid", "table"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_tol_exits_3(self, cfg_file, tmp_path, capsys, cfg, rows, tol):
+        phi = self.graph_csv(tmp_path, rows)
+        rc = cli.main(["verify", "--config", cfg_file(cfg), "--phi", str(phi),
+                       "--samples", "2", "--steps", "5", "--tol", tol])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"tol must be > 0, got {float(tol)!r}" in err
 
     def test_missing_phi_exits_2(self, cfg_file, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
@@ -246,6 +269,24 @@ class TestDepthAndGridArguments:
         assert cli.main([argv[0], "--config", cfg_file(cfg), *argv[1:]]) == 3
         out, err = capsys.readouterr()
         assert out == "" and needle in err
+
+
+class TestNonFiniteCirclePoint:
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["certify"],
+        ["orbit-pair", "--x0", "0.2", "--y0", "0.8", "--steps", "5"],
+        ["pullback", "--depth", "5"],
+    ], ids=["certify", "orbit-pair", "pullback"])
+    def test_exits_2_and_names_the_input(self, cfg_file, tmp_path, capsys, argv, theta):
+        out_path = tmp_path / "out.csv"
+        extra = ["--out", str(out_path)] if argv[0] == "orbit-pair" else []
+        rc = cli.main([argv[0], "--config", cfg_file(KELLER_CFG), *argv[1:],
+                       "--theta", theta, *extra])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"circle point {theta!r} is not a finite number" in err
+        assert not out_path.exists()
 
 
 class TestDeterminism:

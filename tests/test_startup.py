@@ -1,8 +1,10 @@
 """Which commands run numpy.
 
-numpy is bound lazily: a process that only certifies fibres, traces orbit
-pairs or walks a backward orbit that never closes must finish without
-executing numpy's import.  The child process below starts fresh, so no
+numpy is bound lazily, and only work over a circle base uses it (grid
+graphs, grid sweeps, batched orbits).  A process that certifies fibres,
+traces orbit pairs, walks a backward orbit that never closes, or pulls back,
+verifies and runs demos over a finite base or a shift must finish without
+executing numpy's import.  Each child process below starts fresh, so no
 earlier test has loaded numpy for it.
 """
 
@@ -25,6 +27,10 @@ KELLER_CFG = {
         "g": {"form": "sin-squared", "c": 1.0, "eps": 0.5},
     },
     "a": 1.0,
+}
+NOINV_CFG = {
+    "base": {"variant": "finite-orbit", "preset": "noinvattr", "window": 64},
+    "fiber": {"form": "noinvattr-split"},
 }
 CUBIC_CFG = {
     "base": {"variant": "shift", "sided": "two"},
@@ -62,6 +68,9 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     keller.write_text(json.dumps(KELLER_CFG))
     cubic = tmp_path / "cubic.json"
     cubic.write_text(json.dumps(CUBIC_CFG))
+    noinv = tmp_path / "noinv.json"
+    noinv.write_text(json.dumps(NOINV_CFG))
+    finite = str(tmp_path / "finite.csv")
     grid_args = ["pullback", "--config", str(keller), "--grid", "64", "--depth", "200"]
     scalar = [
         ["certify", "--config", str(keller), "--theta", "0.3"],
@@ -72,6 +81,17 @@ def test_scalar_commands_never_run_numpy(tmp_path):
          "--steps", "20", "--out", str(tmp_path / "trace-cubic.csv")],
         # the golden rotation has no closed backward orbit
         ["pullback", "--config", str(keller), "--theta", "0.3", "--depth", "400"],
+        ["pullback", "--config", str(noinv), "--depth", "300", "--no-early-stop",
+         "--out", finite],
+        # the fixed point -1.0 is its own predecessor: a closed backward orbit
+        ["pullback", "--config", str(noinv), "--theta", "-1.0", "--depth", "300",
+         "--no-early-stop"],
+        ["verify", "--config", str(noinv), "--phi", finite, "--samples", "40",
+         "--steps", "60"],
+        ["demo", "noinvattr", "--fast"],
+        ["demo", "coinflip-one", "--fast"],
+        ["demo", "coinflip-two", "--fast"],
+        ["demo", "product-hump", "--fast"],
     ]
     report = _run_child(
         scalar + [grid_args + ["--out", str(tmp_path / "child.csv")]],
@@ -90,3 +110,18 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     child = (tmp_path / "child.csv").read_bytes()
     assert child.count(b"\n") == 65
     assert child == (tmp_path / "here.csv").read_bytes()
+
+
+def test_circle_arrays_run_numpy(tmp_path):
+    keller = tmp_path / "keller.json"
+    keller.write_text(json.dumps(KELLER_CFG))
+    grid = tmp_path / "grid.csv"
+    grid.write_text("point,value\n" + "".join(f"{j / 16!r},0.5\n" for j in range(16)))
+    array_commands = [
+        ["verify", "--config", str(keller), "--phi", str(grid), "--samples", "4",
+         "--steps", "10"],
+        ["demo", "keller", "--fast"],
+    ]
+    for argv in array_commands:
+        [(rc, loaded)] = _run_child([argv], tmp_path / "report.json")
+        assert rc == 0 and loaded, argv
