@@ -27,7 +27,6 @@ from .errors import (
     SkewlabError,
 )
 from .fiber import ZERO_TOL, FiberMap, grid_max
-from .nonauto import map_profile
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
 from .skew import SkewSystem, orbits, step  # noqa: F401
 
@@ -282,6 +281,8 @@ def build_preinvariant(
     existing values and fill their new upstream points with a (0 if the new
     segment pins orbits at 0).
     """
+    from .nonauto import map_profile
+
     base = sys.base
     pts = list(points) if points is not None else list(getattr(base, "points", ()))
     if not pts:
@@ -663,7 +664,7 @@ def verify_attractor(
         raise DomainError("steps must be >= 1")
     if not starts:
         raise DomainError("verify_attractor needs at least one start")
-    _check_tol(tol)
+    _check_positive("tol", tol)
     walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps)
     first = next(walk)
     walk = itertools.chain([first], walk)
@@ -685,9 +686,9 @@ def verify_attractor(
     )
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0.0:  # also refuses NaN, against which every deviation passes
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:  # also refuses NaN: no deviation or gap is ever >= NaN
+        raise DomainError(f"{name} must be > 0, got {value!r}")
 
 
 def _reduce_lists(walk, graph: GraphFunction, tol: float, count: int) -> tuple:
@@ -749,7 +750,7 @@ def verify_preinvariance(
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    _check_tol(tol)
+    _check_positive("tol", tol)
     residuals = []
     cur = theta
     for _ in range(horizon):
@@ -819,6 +820,7 @@ def uniqueness_probe(
     flagged: two graphs with a persistent gap along a common orbit cannot
     both be attractors, since forward fiber orbits would have to shadow both.
     """
+    _check_positive("eps", eps)
     records = []
     max_gap = 0.0
     flagged = 0

@@ -116,11 +116,17 @@ class TwoSidedWord:
             return self.right_cycle[(j - len(self.buf)) % len(self.right_cycle)]
         return self.left_cycle[j % len(self.left_cycle)]
 
+    def _moved(self, by: int) -> "TwoSidedWord":
+        # The fields of a built word are checked tuples already: skip __post_init__.
+        word = object.__new__(TwoSidedWord)
+        word.__dict__.update(vars(self), origin=self.origin + by)
+        return word
+
     def shifted(self) -> "TwoSidedWord":
-        return TwoSidedWord(self.left_cycle, self.buf, self.right_cycle, self.origin + 1)
+        return self._moved(1)
 
     def shifted_back(self) -> "TwoSidedWord":
-        return TwoSidedWord(self.left_cycle, self.buf, self.right_cycle, self.origin - 1)
+        return self._moved(-1)
 
     def __str__(self) -> str:
         return "{}~{}~{}@{}".format(

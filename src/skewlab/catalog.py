@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .attractor import GraphFunction
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
 from .errors import DomainError, RegistryError
 from .fiber import FiberMap
 from .registry import build_base_function, build_fiber, fiber_vectorized
 from .skew import SkewSystem
+
+if TYPE_CHECKING:
+    from .attractor import GraphFunction
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -81,6 +83,8 @@ def make_coinflip(sided: str = "one") -> SkewSystem:
 
 def coinflip_attractor_graph() -> GraphFunction:
     """The canonical graph of the two-sided coin model: read the bit at -1."""
+    from .attractor import GraphFunction
+
     return GraphFunction.from_callable(
         1.0, lambda w: float(w.symbol(-1)),
         provenance="user-supplied", label="coinflip-two canonical graph",
@@ -125,8 +129,15 @@ def make_product(
     if fm.gamma * g_sup > a:
         scale = a / (fm.gamma * g_sup)
 
+    # Consecutive calls with the same factor (a constant g) get the same
+    # FiberMap, so per-map caches keyed by it hit; only the latest is kept.
+    last = [None, None]
+
     def fiber_at(theta) -> FiberMap:
-        return fm.scaled(scale * g(theta))
+        c = scale * g(theta)
+        if c != last[0]:
+            last[:] = c, fm.scaled(c)
+        return last[1]
 
     f_vec = fiber_vectorized(f_spec)
     product_parts = None

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 malformed configuration, 3 invariant or
 precondition violation, 4 a recorded contraction ratio exceeded its bound,
 5 the base lacks the requested capability.
+
+Each handler imports the layers it runs when it runs, so `certify` never
+executes the attractor or nonauto modules and `orbit-pair` never executes
+the attractor module.
 """
 
 from __future__ import annotations
@@ -14,17 +18,6 @@ import math
 import random
 import sys as _sys
 
-from .attractor import (
-    GraphFunction,
-    build_preinvariant,
-    match_fraction,
-    positive_fraction,
-    pullback_grid,
-    pullback_graph_finite,
-    pullback_phi,
-    verify_attractor,
-    verify_preinvariance,
-)
 from .bases import CircleRotation, FiniteOrbitBase, OneSidedWord
 from .catalog import CATALOG, coinflip_attractor_graph, make_keller, make_product
 from .config import load_system
@@ -37,13 +30,6 @@ from .errors import (
     PreconditionError,
 )
 from .fiber import certify
-from .nonauto import (
-    TRACE_COLUMNS,
-    bound_violations,
-    iterate_pair,
-    isoclinic_guard,
-    trace_to_csv,
-)
 from .skew import classify, orbit
 
 EXIT_OK = 0
@@ -80,6 +66,15 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def __getattr__(name: str):
+    # perfbench reads cli.pullback_grid; it names what cmd_pullback calls.
+    if name == "pullback_grid":
+        from .attractor import pullback_grid
+
+        return pullback_grid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_certify(args) -> int:
     cfg, system = load_system(args.config)
     grid = cfg.defaults["grid"] if args.grid is None else args.grid
@@ -98,6 +93,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_orbit_pair(args) -> int:
+    from .nonauto import TRACE_COLUMNS, bound_violations, iterate_pair, trace_to_csv
+
     cfg, system = load_system(args.config)
     theta = _resolve_theta(system.base, args.theta)
     steps = cfg.defaults["steps"] if args.steps is None else args.steps
@@ -120,6 +117,8 @@ def cmd_orbit_pair(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    from .attractor import positive_fraction, pullback_graph_finite, pullback_grid, pullback_phi
+
     cfg, system = load_system(args.config)
     depth = cfg.defaults["depth"] if args.depth is None else args.depth
     stop_delta = 0.0 if args.no_early_stop else 1e-12
@@ -162,6 +161,8 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .attractor import GraphFunction, verify_attractor, verify_preinvariance
+
     cfg, system = load_system(args.config)
     try:
         fh = open(args.phi, newline="")
@@ -194,6 +195,7 @@ def cmd_verify(args) -> int:
 
 
 def _claims_noinvattr(fast: bool) -> list[tuple[bool, str]]:
+    from .attractor import build_preinvariant, pullback_phi, verify_preinvariance
     from .catalog import make_noinvattr
 
     system = make_noinvattr(64)
@@ -247,8 +249,9 @@ def _claims_noinvattr(fast: bool) -> list[tuple[bool, str]]:
 
 
 def _claims_coinflip_two(fast: bool) -> list[tuple[bool, str]]:
-    from .catalog import make_coinflip
+    from .attractor import verify_attractor
     from .bases import TwoSidedWord
+    from .catalog import make_coinflip
 
     system = make_coinflip("two")
     graph = coinflip_attractor_graph()
@@ -275,6 +278,7 @@ def _claims_coinflip_two(fast: bool) -> list[tuple[bool, str]]:
 
 
 def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:
+    from .attractor import GraphFunction, build_preinvariant, match_fraction, verify_attractor
     from .catalog import make_coinflip
 
     system = make_coinflip("one")
@@ -315,6 +319,8 @@ def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:
 
 
 def _claims_keller(fast: bool) -> list[tuple[bool, str]]:
+    from .attractor import positive_fraction, pullback_grid, verify_preinvariance
+
     system = make_keller()
     grid = 1024 if fast else 4096
     res = pullback_grid(system, grid_size=grid, depth=4000, stop_delta=1e-12)
@@ -350,6 +356,8 @@ def _claims_keller(fast: bool) -> list[tuple[bool, str]]:
 
 
 def _claims_product_hump(fast: bool) -> list[tuple[bool, str]]:
+    from .nonauto import isoclinic_guard, iterate_pair
+
     system = CATALOG["product-hump"].build()
     cls = classify(system, 12, grid_size=1024)
     claims = [

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._numpy import np
 from .bases import CircleRotation
 from .errors import DomainError, SkewlabError
-from .fiber import ZERO_TOL, FiberMap, certify, grid_max
-from .nonauto import MapSequence
+from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
+
+if TYPE_CHECKING:
+    from .nonauto import MapSequence
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class SkewSystem:
 
     def map_sequence(self, theta) -> MapSequence:
         """The fiber maps met along the forward orbit of theta, as a sequence."""
+        from .nonauto import MapSequence
+
         orbit_cache = [theta]
 
         def supplier(n: int) -> FiberMap:
@@ -138,11 +142,16 @@ def classify(
     betas: list[float] = []
     all_monotone = True
     range_ok = True
+    certs: dict[FiberMap, ConcavityCertificate] = {}  # a map met again is not re-certified
+
+    def certified(fm: FiberMap) -> ConcavityCertificate:
+        if fm not in certs:
+            certs[fm] = certify(fm, grid_size)
+        return certs[fm]
 
     for theta in thetas:
-        fm = sys.fiber_at(theta)
         try:
-            cert = certify(fm, grid_size)
+            cert = certified(sys.fiber_at(theta))
         except SkewlabError as exc:
             diagnostics.append(f"certification failed at theta = {theta!s}: {exc}")
             return Classification("unclassified", None, len(thetas), diagnostics)
@@ -159,7 +168,7 @@ def classify(
             all_monotone = False
             succ_cert = None
             try:
-                succ_cert = certify(sys.fiber_at(sys.base.step(theta)), grid_size)
+                succ_cert = certified(sys.fiber_at(sys.base.step(theta)))
             except SkewlabError as exc:
                 diagnostics.append(
                     f"successor map at theta = {theta!s} not certifiable: {exc}"

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import math
 import random
 
 import numpy as np
@@ -574,6 +575,14 @@ class TestUniquenessProbe:
             sys_, g_half, res.graph, [rng.random() for _ in range(20)], 50, 1e-6
         )
         assert rep.flagged_orbits == 0
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_eps_must_be_positive(self, eps):
+        sys_ = make_noinvattr(8)
+        g1 = build_preinvariant(sys_)
+        g2 = GraphFunction.from_callable(1.0, lambda theta: 0.0)
+        with pytest.raises(DomainError, match="eps must be > 0"):
+            uniqueness_probe(sys_, g1, g2, [0.0, 0.5], 10, eps)
 
 
 class TestHelpers:

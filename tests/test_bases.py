@@ -70,6 +70,20 @@ class TestTwoSidedWord:
         assert base.step(base.predecessor(w)) == w
         assert base.step(w).symbol(-1) == w.symbol(0)
 
+    @given(
+        st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+        bits,
+        st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+        st.integers(-6, 6),
+    )
+    def test_shifts_equal_constructor_built_words(self, lc, buf, rc, k):
+        w = TwoSidedWord(lc, buf, rc, k)
+        for moved, origin in ((w.shifted(), k + 1), (w.shifted_back(), k - 1)):
+            ref = TwoSidedWord(lc, buf, rc, origin)
+            assert moved == ref and hash(moved) == hash(ref)
+        assert w.shifted().shifted_back() == w
+        assert w.shifted_back().shifted() == w
+
     def test_parse_format_roundtrip(self):
         for s in ["0~101~01@0", "01~~1@-3", "1~0~0@12"]:
             assert str(TwoSidedWord.parse(s)) == s

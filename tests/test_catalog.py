@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from skewlab import nonauto
 from skewlab.bases import CircleRotation, OneSidedWord
 from skewlab.catalog import (
     CATALOG,
@@ -113,6 +114,30 @@ class TestProduct:
             CircleRotation(GOLDEN_ROTATION),
         )
         assert sys2.classification == "monotone-equiconcave"
+
+    def test_same_factor_gives_the_same_map(self, monkeypatch):
+        sys_ = make_product(
+            {"form": "quadratic-hump", "k": 4.0},
+            {"form": "constant", "c": 0.6},
+            CircleRotation(GOLDEN_ROTATION),
+        )
+        assert sys_.fiber_at(0.1) is sys_.fiber_at(0.7)
+        calls = []
+        real = nonauto.map_profile
+
+        def counting(fm, grid_size):
+            calls.append(fm)
+            return real(fm, grid_size)
+
+        monkeypatch.setattr(nonauto, "map_profile", counting)
+        trace = nonauto.iterate_pair(sys_.map_sequence(0.1), 0.3, 0.62, 40)
+        assert len(trace.rows) > 2 and calls == [sys_.fiber_at(0.1)]
+
+    def test_distinct_factors_give_distinct_maps(self):
+        sys_ = make_keller()
+        a, b = sys_.fiber_at(0.1), sys_.fiber_at(0.3)
+        assert a is not b and a(0.5) != b(0.5)
+        assert sys_.fiber_at(0.1)(0.5) == a(0.5)
 
 
 class TestCatalogEntries:

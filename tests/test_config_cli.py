@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from skewlab import cli
+from skewlab import cli, nonauto
 from skewlab.config import build_system, parse_config
 from skewlab.errors import ConfigError
 
@@ -100,14 +100,14 @@ class TestCliExitCodes:
                          "--depth", "5"]) == 5
 
     def test_bound_violation_exits_4(self, cfg_file, monkeypatch):
-        real = cli.iterate_pair
+        real = nonauto.iterate_pair
 
         def doctored(*args, **kwargs):
             tr = real(*args, **kwargs)
             tr.rows[0].ratio = tr.rows[0].bound + 1.0
             return tr
 
-        monkeypatch.setattr(cli, "iterate_pair", doctored)
+        monkeypatch.setattr(nonauto, "iterate_pair", doctored)
         rc = cli.main(["orbit-pair", "--config", cfg_file(NOINV_CFG),
                        "--theta", "0.0", "--x0", "0.2", "--y0", "0.8",
                        "--steps", "5", "--out", "/dev/null"])

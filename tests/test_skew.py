@@ -1,5 +1,6 @@
 import pytest
 
+from skewlab import skew
 from skewlab.bases import CircleRotation, FiniteOrbitBase, OneSidedWord
 from skewlab.catalog import make_coinflip, make_keller, make_noinvattr, make_product
 from skewlab.errors import DomainError
@@ -110,6 +111,26 @@ class TestClassify:
         cls = classify(sys_, 6, grid_size=1024)
         assert cls.kind == "monotone-equiconcave"
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
+
+    def test_each_distinct_map_certified_once(self, monkeypatch):
+        calls = []
+        real = skew.certify
+
+        def counting(fm, grid_size):
+            calls.append(fm)
+            return real(fm, grid_size)
+
+        monkeypatch.setattr(skew, "certify", counting)
+        hump = make_product(
+            {"form": "quadratic-hump", "k": 4.0},
+            {"form": "constant", "c": 0.6},
+            CircleRotation(0.41),
+        )
+        assert classify(hump, 12, grid_size=1024).kind == "isoclinic-equiconcave"
+        assert len(calls) == 1  # 12 samples and their 12 successors: one map
+        calls.clear()
+        classify(make_keller(), 6, grid_size=1024)
+        assert len(calls) == 6 and len(set(calls)) == 6
 
 
 class TestDetectPinching:

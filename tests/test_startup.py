@@ -1,11 +1,14 @@
-"""Which commands run numpy.
+"""Which commands run numpy, and which skewlab layers each command runs.
 
 numpy is bound lazily, and only work over a circle base uses it (grid
 graphs, grid sweeps, batched orbits).  A process that certifies fibres,
 traces orbit pairs, walks a backward orbit that never closes, or pulls back,
 verifies and runs demos over a finite base or a shift must finish without
-executing numpy's import.  Each child process below starts fresh, so no
-earlier test has loaded numpy for it.
+executing numpy's import.  Likewise `import skewlab` runs no layer module,
+and each command executes only the layers it calls: `certify` neither the
+attractor nor the nonauto module, `orbit-pair` not the attractor module,
+`pullback` and `verify` not the nonauto module.  Each child process below
+starts fresh, so no earlier test has loaded a module for it.
 """
 
 import json
@@ -15,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import skewlab
 from skewlab import cli
@@ -38,26 +42,31 @@ CUBIC_CFG = {
 }
 
 # Runs each argv list through cli.main in turn and records, after each one,
-# its exit code and the numpy submodules loaded so far.
+# its exit code, the numpy submodules and the skewlab modules loaded so far.
 CHILD = """
 import json, sys
 from skewlab import cli
 report = []
 for argv in json.loads(sys.argv[1]):
     rc = cli.main(argv)
-    report.append([rc, sorted(k for k in sys.modules if k.startswith("numpy."))])
+    report.append([rc, sorted(k for k in sys.modules if k.startswith("numpy.")),
+                   sorted(k for k in sys.modules if k.startswith("skewlab."))])
 with open(sys.argv[2], "w") as fh:
     json.dump(report, fh)
 """
 
 
-def _run_child(argvs, report_path):
+def _child_env():
     src = str(Path(skewlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_child(argvs, report_path):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argvs), str(report_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(report_path.read_text())
@@ -98,10 +107,10 @@ def test_scalar_commands_never_run_numpy(tmp_path):
         tmp_path / "report.json",
     )
 
-    for argv, (rc, loaded) in zip(scalar, report):
+    for argv, (rc, loaded, _) in zip(scalar, report):
         assert rc == 0, argv
         assert loaded == [], (argv, loaded[:5])
-    rc, loaded = report[-1]
+    rc, loaded, _ = report[-1]
     assert rc == 0 and loaded, "the grid pullback must have run numpy"
 
     # The same call once more, in a process where numpy already ran.
@@ -123,5 +132,60 @@ def test_circle_arrays_run_numpy(tmp_path):
         ["demo", "keller", "--fast"],
     ]
     for argv in array_commands:
-        [(rc, loaded)] = _run_child([argv], tmp_path / "report.json")
+        [(rc, loaded, _)] = _run_child([argv], tmp_path / "report.json")
         assert rc == 0 and loaded, argv
+
+
+def test_import_runs_no_layer_module():
+    code = "import json, sys, skewlab; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [k for k in json.loads(proc.stdout) if k.startswith("skewlab")] == ["skewlab"]
+
+
+def test_each_command_runs_only_its_layers(tmp_path):
+    keller = tmp_path / "keller.json"
+    keller.write_text(json.dumps(KELLER_CFG))
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(json.dumps(CUBIC_CFG))
+    noinv = tmp_path / "noinv.json"
+    noinv.write_text(json.dumps(NOINV_CFG))
+    finite = str(tmp_path / "finite.csv")
+    grid = str(tmp_path / "grid.csv")
+    attractor, nonauto = "skewlab.attractor", "skewlab.nonauto"
+    # (argv, modules it must not execute, modules it must execute)
+    commands = [
+        (["certify", "--config", str(keller), "--theta", "0.3"], {attractor, nonauto}, set()),
+        (["certify", "--config", str(cubic), "--grid", "2000"], {attractor, nonauto}, set()),
+        (["orbit-pair", "--config", str(cubic), "--x0", "0.2", "--y0", "0.8", "--steps",
+          "20", "--out", str(tmp_path / "trace.csv")], {attractor}, {nonauto}),
+        (["pullback", "--config", str(keller), "--grid", "64", "--depth", "50", "--out",
+          grid], {nonauto}, {attractor}),
+        (["pullback", "--config", str(noinv), "--depth", "50", "--out", finite],
+         {nonauto}, {attractor}),
+        (["pullback", "--config", str(keller), "--theta", "0.3", "--depth", "50"],
+         {nonauto}, {attractor}),
+        (["verify", "--config", str(noinv), "--phi", finite, "--samples", "5",
+          "--steps", "10"], {nonauto}, {attractor}),
+        (["verify", "--config", str(keller), "--phi", grid, "--samples", "5",
+          "--steps", "10"], {nonauto}, {attractor}),
+    ]
+    for argv, absent, present in commands:
+        [(rc, _, modules)] = _run_child([argv], tmp_path / "report.json")
+        assert rc == 0, argv
+        assert not absent & set(modules), (argv, modules)
+        assert present <= set(modules), (argv, modules)
+
+
+def test_exports_resolve():
+    import skewlab.attractor
+
+    for name in skewlab.__all__:
+        assert getattr(skewlab, name) is not None, name
+    assert len(set(skewlab.__all__)) == len(skewlab.__all__)
+    with pytest.raises(AttributeError):
+        skewlab.no_such_name
+    assert cli.pullback_grid is skewlab.attractor.pullback_grid
+    with pytest.raises(AttributeError):
+        cli.no_such_name
