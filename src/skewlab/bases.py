@@ -64,14 +64,16 @@ class OneSidedWord:
     def shifted(self) -> "OneSidedWord":
         # The shift of a normalised word is normalised: dropping a transient
         # symbol keeps the transient's last symbol, and rotating a primitive
-        # cycle keeps it primitive.  So skip __post_init__.
-        if self.transient:
-            transient, cycle = self.transient[1:], self.cycle
-        else:
-            transient, cycle = (), self.cycle[1:] + self.cycle[:1]
+        # cycle keeps it primitive.  So skip __post_init__ and write the
+        # fields straight into the new word.
         word = object.__new__(OneSidedWord)
-        object.__setattr__(word, "transient", transient)
-        object.__setattr__(word, "cycle", cycle)
+        fields = word.__dict__
+        if self.transient:
+            fields["transient"] = self.transient[1:]
+            fields["cycle"] = self.cycle
+        else:
+            fields["transient"] = ()
+            fields["cycle"] = self.cycle[1:] + self.cycle[:1]
         return word
 
     def __str__(self) -> str:
@@ -87,13 +89,15 @@ class OneSidedWord:
         return OneSidedWord(_bits(t), _bits(c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSidedWord:
     """Bi-infinite binary word, periodic in both tails.
 
     symbol(i) reads position origin+i of the window ``buf``; reads past either
     end fall through to the repeating blocks.  Shifting just moves the origin,
-    so stepping and stepping back are exact inverses.
+    so stepping and stepping back are exact inverses.  Words compare and hash
+    by the symbol sequence they represent, not by their fields: the fixed
+    all-zero word ``0~~0@0`` equals its shift ``0~~0@1``.
     """
 
     left_cycle: tuple[int, ...]
@@ -117,10 +121,55 @@ class TwoSidedWord:
         return self.left_cycle[j % len(self.left_cycle)]
 
     def _moved(self, by: int) -> "TwoSidedWord":
-        # The fields of a built word are checked tuples already: skip __post_init__.
+        # The fields of a built word are checked tuples already: skip
+        # __post_init__ and write them straight into the new word.
         word = object.__new__(TwoSidedWord)
-        word.__dict__.update(vars(self), origin=self.origin + by)
+        fields = word.__dict__
+        fields.update(self.__dict__)
+        fields["origin"] = self.origin + by
         return word
+
+    def _key(self) -> tuple:
+        """The symbol sequence as a tuple that every representation shares.
+
+        Positions count from the start of ``buf``: the left tail reads
+        left_cycle[j mod p] at j < 0, the right tail right_cycle[(j - len(buf))
+        mod q] from the end of ``buf``.  The cycles are made primitive, and
+        buffer symbols that a tail continues are trimmed into it.  An empty
+        buffer is moved left to where the right tail's periodic run begins.
+        A word that is one periodic word in both tails is keyed by its
+        symbols 0 .. p-1 alone.
+        """
+        left, right = _primitive(self.left_cycle), _primitive(self.right_cycle)
+        buf, p, q = self.buf, len(left), len(right)
+        end = len(buf)
+        while end and buf[end - 1] == right[(end - 1 - len(buf)) % q]:
+            end -= 1
+        start = 0
+        while start < end and buf[start] == left[start % p]:
+            start += 1
+        # Re-anchor positions at the trimmed buffer's start and end.
+        k, r = start % p, (end - len(buf)) % q
+        left, right = left[k:] + left[:k], right[r:] + right[:r]
+        buf, origin = buf[start:end], self.origin - start
+        if not buf:
+            if left == right:
+                k = origin % p
+                return (left[k:] + left[:k],)
+            # The tails differ, so some symbol before the split breaks the
+            # right tail's run (within p + q moves, both cycles being primitive).
+            while left[-1] == right[-1]:
+                left, right = left[-1:] + left[:-1], right[-1:] + right[:-1]
+                origin += 1
+        return (left, buf, right, origin)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TwoSidedWord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def shifted(self) -> "TwoSidedWord":
         return self._moved(1)

@@ -277,18 +277,27 @@ def _claims_coinflip_two(fast: bool) -> list[tuple[bool, str]]:
     ]
 
 
+def _coin_words(rng: random.Random, count: int) -> list[OneSidedWord]:
+    """``count`` words of 20 fair bits followed by zeros.
+
+    ``rng.choice((0, 1))`` makes the same draw as ``rng.randrange(2)``, at
+    less cost per bit.
+    """
+    choice, bits = rng.choice, (0, 1)
+    return [
+        OneSidedWord(tuple([choice(bits) for _ in range(20)]), (0,))
+        for _ in range(count)
+    ]
+
+
 def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:
     from .attractor import GraphFunction, build_preinvariant, match_fraction, verify_attractor
     from .catalog import make_coinflip
 
     system = make_coinflip("one")
-    rng = random.Random(20260809)
     n_words = 2000 if fast else 10 ** 4
     flat = GraphFunction.from_callable(1.0, lambda w: 0.0, label="constant 0")
-    starts = [
-        (OneSidedWord(tuple(rng.randrange(2) for _ in range(20)), (0,)), 0.0)
-        for _ in range(n_words)
-    ]
+    starts = [(w, 0.0) for w in _coin_words(random.Random(20260809), n_words)]
     freq = match_fraction(system, flat, 20, starts, tol=0.0)
     claims = [
         (

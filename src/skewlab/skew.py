@@ -82,9 +82,10 @@ def orbits(
 
     Yields (thetas_n, xs_n) for n = 0..steps and holds only the current
     points.  A circle rotation with ``product_parts`` steps every start at
-    once as numpy arrays; any other system steps each point through `step`
-    and yields lists.  Either way a fiber coordinate outside [0, a] raises
-    DomainError before it is stepped.
+    once as numpy arrays; any other system yields lists, built per step by
+    one base step and one fiber-map call per point, as `step` makes them.
+    Either way a fiber coordinate outside [0, a] raises DomainError before
+    it is stepped.
     """
     if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
         f_vec, g_vec = sys.product_parts
@@ -100,12 +101,16 @@ def orbits(
             thetas = (thetas + omega) % 1.0
             yield thetas, xs
         return
+    base_step, fiber_at, a = sys.base.step, sys.fiber_at, sys.a
     thetas, xs = list(thetas), list(xs)
     yield thetas, xs
     for _ in range(steps):
-        stepped = [step(sys, p) for p in zip(thetas, xs)]
-        thetas = [theta for theta, _ in stepped]
-        xs = [x for _, x in stepped]
+        for x in xs:
+            if not (0.0 <= x <= a):
+                raise _outside(x, a)
+        stepped = [base_step(t) for t in thetas]
+        xs = [fiber_at(t)(x) for t, x in zip(thetas, xs)]
+        thetas = stepped
         yield thetas, xs
 
 

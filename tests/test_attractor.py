@@ -32,7 +32,7 @@ from skewlab.catalog import (
 )
 from skewlab.errors import CapabilityError, CoverageError, DomainError, InvariantError
 from skewlab.fiber import FiberMap
-from skewlab.skew import SkewSystem, orbit
+from skewlab.skew import SkewSystem, orbit, step
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
 WEAK = FiberMap(1.0, lambda x: x * (2 - x) / 4.0, gamma=0.25, alpha=0.25, b=1.0, monotone=True)
@@ -48,17 +48,53 @@ def reference_records(sys_, graph, starts, steps, tol):
     return out
 
 
+def walk_error(sys_, starts, steps):
+    """The DomainError message of stepping every start with `step`, all
+    starts one step at a time, or None when the walk stays in [0, a]."""
+    points = list(starts)
+    try:
+        for _ in range(steps):
+            points = [step(sys_, point) for point in points]
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
 def assert_verify_matches_reference(sys_, graph, starts, steps, tol):
-    """verify_attractor and match_fraction against the start-by-start walk."""
-    verdict = verify_attractor(sys_, graph, starts, steps, tol)
-    expected = reference_records(sys_, graph, starts, steps, tol)
-    assert [(r.achieved_step, r.max_dev_after) for r in verdict.records] == expected
-    attracted = all(achieved is not None for achieved, _ in expected)
-    assert verdict.verdict == ("attracting" if attracted else "not-attracting")
+    """verify_attractor and match_fraction against the start-by-start walk;
+    a start that leaves [0, a] fails both with the message `step` gives."""
+    error = walk_error(sys_, starts, steps)
+    if error is None:
+        verdict = verify_attractor(sys_, graph, starts, steps, tol)
+        expected = reference_records(sys_, graph, starts, steps, tol)
+        assert [(r.achieved_step, r.max_dev_after) for r in verdict.records] == expected
+        attracted = all(achieved is not None for achieved, _ in expected)
+        assert verdict.verdict == ("attracting" if attracted else "not-attracting")
+    else:
+        with pytest.raises(DomainError) as exc:
+            verify_attractor(sys_, graph, starts, steps, tol)
+        assert str(exc.value) == error
     n = 1 + steps // 2
-    ends = [orbit(sys_, point, n)[-1] for point in starts]
-    hits = sum(abs(x - graph.value(theta)) <= tol for theta, x in ends)
-    assert match_fraction(sys_, graph, n, starts, tol) == hits / len(starts)
+    error = walk_error(sys_, starts, n)
+    if error is None:
+        ends = [orbit(sys_, point, n)[-1] for point in starts]
+        hits = sum(abs(x - graph.value(theta)) <= tol for theta, x in ends)
+        assert match_fraction(sys_, graph, n, starts, tol) == hits / len(starts)
+    else:
+        with pytest.raises(DomainError) as exc:
+            match_fraction(sys_, graph, n, starts, tol)
+        assert str(exc.value) == error
+
+
+# Sends every fiber coordinate out of [0, 1].
+EXIT = FiberMap(1.0, lambda x: x + 1.5, form="exit")
+
+
+def exiting_at(sys_, point):
+    """sys_ with the fiber map at base point ``point`` replaced by EXIT."""
+    return dataclasses.replace(
+        sys_, fiber_at=lambda t: EXIT if t == point else sys_.fiber_at(t)
+    )
 
 
 def reference_pullback(sys_, theta, depth, stop_delta):
@@ -285,6 +321,31 @@ class TestBuildPreinvariant:
         with pytest.raises(CapabilityError):
             build_preinvariant(make_keller())
 
+    def test_each_distinct_map_scanned_once(self, monkeypatch):
+        import skewlab.attractor as attractor
+
+        scanned = []
+        real = attractor.grid_max
+
+        def counting(fm, grid_size):
+            scanned.append(fm)
+            return real(fm, grid_size)
+
+        monkeypatch.setattr(attractor, "grid_max", counting)
+        sys_ = make_noinvattr(64)
+        graph = build_preinvariant(sys_)
+        # 130 base points, but only the strong and the weak map
+        assert len(sys_.base.points) == 130
+        assert len(scanned) == 2 and scanned[0] is not scanned[1]
+        assert graph.value(1.0) == 1.0 and graph.value(-1.0) == 0.0
+
+    def test_fixed_two_sided_word_stored_once(self):
+        sys_ = make_coinflip("two")
+        zero = sys_.base.zero_word()
+        graph = build_preinvariant(sys_, points=[zero], orbit_limit=5)
+        assert len(graph.table) == 1
+        assert graph.value(zero) == graph.value(zero.shifted()) == 0.0
+
 
 class TestPullbackPhi:
     def test_noinvattr_halves(self):
@@ -469,6 +530,12 @@ class TestVerifyAttractor:
         ))
         steps = data.draw(st.integers(1, 60))
         tol = data.draw(st.floats(1e-6, 0.5))
+        if data.draw(st.booleans(), label="a start leaves [0, 1]"):
+            # the orbit of a start meets the exit point after 0..3 steps
+            theta = data.draw(st.sampled_from(starts))[0]
+            for _ in range(data.draw(st.integers(0, 3))):
+                theta = sys_.base.step(theta)
+            sys_ = exiting_at(sys_, theta)
         assert_verify_matches_reference(sys_, graph, starts, steps, tol)
 
     @given(sided=st.sampled_from(["one", "two"]), data=st.data())
@@ -489,7 +556,41 @@ class TestVerifyAttractor:
         ))
         steps = data.draw(st.integers(1, 12))
         tol = data.draw(st.sampled_from([1e-15, 0.5, 0.75]))
-        assert_verify_matches_reference(make_coinflip(sided), graph, starts, steps, tol)
+        sys_ = make_coinflip(sided)
+        if data.draw(st.booleans(), label="a start leaves [0, 1]"):
+            word = data.draw(st.sampled_from(starts))[0]
+            for _ in range(data.draw(st.integers(0, 3))):
+                word = word.shifted()
+            sys_ = exiting_at(sys_, word)
+        assert_verify_matches_reference(sys_, graph, starts, steps, tol)
+
+    @pytest.mark.parametrize("sys_, exit_point, good, bad", [
+        # chain indices 0 -> 1 -> 2 on noinvattr(8); the fixed points stay put
+        (make_noinvattr(8), 1.0 - 1.0 / 3.0, [-1.0, 1.0], 0.0),
+        (make_coinflip("one"), OneSidedWord((1, 1, 0), (1,)),
+         [OneSidedWord((), (0,)), OneSidedWord((), (0, 1))],
+         OneSidedWord((0, 0, 1, 1, 0), (1,))),
+        (make_coinflip("two"), TwoSidedWord((0,), (1, 1), (0,), 0),
+         [TwoSidedWord((0,), (), (0,), 0), TwoSidedWord((1,), (), (1,), 0)],
+         TwoSidedWord((0,), (1, 1), (0,), -2)),
+    ], ids=["finite", "one-sided", "two-sided"])
+    def test_one_start_leaving_later_fails_as_step_does(self, sys_, exit_point, good, bad):
+        sys_ = exiting_at(sys_, exit_point)
+        starts = [(good[0], 0.5), (bad, 0.25), (good[1], 0.75)]
+        graph = GraphFunction.from_callable(1.0, lambda t: 0.5)
+        # the bad start meets the exit map at step 2 and is refused at step 3
+        theta2, x2 = orbit(sys_, (bad, 0.25), 2)[-1]
+        assert theta2 == exit_point
+        message = f"fiber coordinate {x2 + 1.5!r} outside [0, 1.0]"
+        with pytest.raises(DomainError) as ref:
+            orbit(sys_, (bad, 0.25), 4)
+        assert str(ref.value) == walk_error(sys_, starts, 4) == message
+        assert verify_attractor(sys_, graph, starts, 3, 0.1).steps == 3
+        for run in (lambda: verify_attractor(sys_, graph, starts, 4, 0.1),
+                    lambda: match_fraction(sys_, graph, 4, starts, 0.1)):
+            with pytest.raises(DomainError) as exc:
+                run()
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("x0", [-0.25, 1.5])
     def test_start_outside_fiber_raises_on_both_paths(self, x0):
@@ -601,6 +702,16 @@ class TestHelpers:
         freq = match_fraction(sys_, flat, 6, starts, tol=0.0)
         assert 0.35 <= freq <= 0.65
         assert freq == sum(orbit(sys_, s, 6)[-1][1] == 0.0 for s in starts) / len(starts)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+    def test_match_fraction_tol_must_be_nonnegative(self, tol):
+        # against either tol no deviation counts as a match, silently
+        sys_ = make_coinflip("one")
+        flat = GraphFunction.from_callable(1.0, lambda w: 0.0)
+        starts = [(OneSidedWord((), (0,)), 0.0)]
+        assert match_fraction(sys_, flat, 3, starts, tol=0.0) == 1.0
+        with pytest.raises(DomainError, match=f"tol must be >= 0, got {tol!r}"):
+            match_fraction(sys_, flat, 3, starts, tol=tol)
 
     def test_finite_pullback_graph(self):
         sys_ = make_noinvattr(32)

@@ -16,6 +16,14 @@ from skewlab.errors import CapabilityError, ConfigError, DomainError
 
 bits = st.lists(st.integers(0, 1), min_size=0, max_size=8).map(tuple)
 cycles = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
+# Small words, so that distinct representations of one word are often drawn.
+two_sided_words = st.builds(
+    TwoSidedWord,
+    st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(0, 1), max_size=4).map(tuple),
+    st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+    st.integers(-3, 3),
+)
 
 
 class TestOneSidedWord:
@@ -83,6 +91,42 @@ class TestTwoSidedWord:
             assert moved == ref and hash(moved) == hash(ref)
         assert w.shifted().shifted_back() == w
         assert w.shifted_back().shifted() == w
+
+    @given(two_sided_words, two_sided_words)
+    def test_equal_exactly_when_symbols_agree(self, u, v):
+        # Past both buffers each word repeats its tails, and two periodic runs
+        # that agree on p + q symbols agree forever, so this window decides it.
+        lo = min(-u.origin, -v.origin) - len(u.left_cycle) - len(v.left_cycle)
+        hi = (max(len(u.buf) - u.origin, len(v.buf) - v.origin)
+              + len(u.right_cycle) + len(v.right_cycle))
+        agree = all(u.symbol(i) == v.symbol(i) for i in range(lo, hi))
+        assert (u == v) == agree
+        if agree:
+            assert hash(u) == hash(v)
+
+    @given(two_sided_words, st.integers(-4, 4), st.integers(0, 4), st.integers(1, 3))
+    def test_rewritten_representation_is_equal(self, w, lo, width, repeat):
+        # The symbols of w over a window [lo, hi) that covers its buffer, with
+        # tails read off w and repeated: another representation of w.
+        lo = min(lo, -w.origin)
+        hi = max(lo + width, len(w.buf) - w.origin)
+        p, q = repeat * len(w.left_cycle), repeat * len(w.right_cycle)
+        other = TwoSidedWord(
+            tuple(w.symbol(lo - p + r) for r in range(p)),
+            tuple(w.symbol(i) for i in range(lo, hi)),
+            tuple(w.symbol(hi + r) for r in range(q)),
+            -lo,
+        )
+        assert all(other.symbol(i) == w.symbol(i) for i in range(lo - 8, hi + 8))
+        assert other == w and hash(other) == hash(w)
+
+    def test_periodic_word_equals_its_shift(self):
+        zero = TwoSidedWord.parse("0~~0@0")
+        assert zero == TwoSidedWord.parse("0~~0@1") == zero.shifted()
+        assert hash(zero) == hash(zero.shifted())
+        assert TwoSidedWord.parse("01~~01@0") == TwoSidedWord.parse("10~~10@1")
+        assert TwoSidedWord.parse("0~~1@0") != TwoSidedWord.parse("0~~1@1")
+        assert TwoSidedWord.parse("01~~01@0") != TwoSidedWord.parse("01~~01@1")
 
     def test_parse_format_roundtrip(self):
         for s in ["0~101~01@0", "01~~1@-3", "1~0~0@12"]:
@@ -167,3 +211,12 @@ class TestOrbitWalk:
 
         path, cycle = orbit_walk(Chain(), 0, 10)
         assert cycle is None and len(path) == 10
+
+    def test_fixed_two_sided_word_is_a_cycle(self):
+        zero = TwoSidedWord.parse("0~~0@0")
+        path, cycle = orbit_walk(SymbolicShift("two"), zero, 50)
+        assert path == cycle == [zero]
+        front = TwoSidedWord.parse("1~01~0@0")  # ...1 1 0 1 0 0...: no cycle
+        assert orbit_walk(SymbolicShift("two"), front, 20)[1] is None
+        alternating = TwoSidedWord.parse("01~~01@0")
+        assert len(orbit_walk(SymbolicShift("two"), alternating, 50)[1]) == 2

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from skewlab import cli, nonauto
+from skewlab.bases import OneSidedWord
 from skewlab.config import build_system, parse_config
 from skewlab.errors import ConfigError
 
@@ -312,3 +318,25 @@ class TestDemos:
 
     def test_unknown_demo_exits_2(self):
         assert cli.main(["demo", "nope"]) == 2
+
+    def test_coin_words_draw_as_randrange_does(self):
+        rng = random.Random(20260809)
+        expected = [
+            OneSidedWord(tuple(rng.randrange(2) for _ in range(20)), (0,))
+            for _ in range(10 ** 4)
+        ]
+        words = cli._coin_words(random.Random(20260809), 10 ** 4)
+        assert words == expected
+        assert [str(w) for w in words] == [str(w) for w in expected]
+
+    def test_run_demos_script_passes(self):
+        # a fresh interpreter, so no module this test process imported is reused
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_demos.py"), "--fast"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+        assert "all demos passed" in proc.stdout
+        assert "FAIL" not in proc.stdout
