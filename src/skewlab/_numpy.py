@@ -1,11 +1,11 @@
 """numpy, bound so that Python runs it on the first attribute access.
 
 Only work over a circle base uses numpy: grid graphs, grid pullbacks, and
-a circle product's batched forward orbits and closed backward sweeps.
-`certify`, `orbit-pair`, a backward orbit that does not close, and every
-system over a finite base or a shift run on plain lists, so a process that
-only runs them never pays numpy's import.  The modules
-that use arrays take ``np`` from here.
+a circle product's batched forward orbits.  `certify`, `orbit-pair`, every
+pointwise pullback (it composes fiber maps; sweeps are for node sets), and
+every system over a finite base or a shift run on plain lists, so a process
+that only runs them never pays numpy's import.  The modules that use arrays
+take ``np`` from here.
 """
 
 import importlib.util

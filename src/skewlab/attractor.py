@@ -287,20 +287,23 @@ def build_preinvariant(
     a class closing into a cycle anchors at the cycle's largest fixed fiber
     value and pushes it forward around the cycle, with the off-cycle points
     set to a; a class that never closes (no cycle within the walk limit)
-    takes the forward images of (theta_0, a).  Points outside every walk fall
-    back to a.  Walks that run into an already-assigned class keep the
-    existing values and fill their new upstream points with a (0 if the new
-    segment pins orbits at 0).
+    takes the forward images of (theta_0, a).  A walk visits at most
+    ``orbit_limit`` points (default max(64, 4 x the point count)).  Points
+    outside every walk fall back to a.  Walks that run into an
+    already-assigned class keep the existing values and fill their new
+    upstream points with a (0 if the new segment pins orbits at 0).
     """
     from .nonauto import map_profile
 
+    if orbit_limit is not None and orbit_limit < 1:
+        raise DomainError(f"orbit_limit must be >= 1, got {orbit_limit!r}")
     base = sys.base
     pts = list(points) if points is not None else list(getattr(base, "points", ()))
     if not pts:
         raise CapabilityError(
             "build_preinvariant needs an enumerable point set for this base"
         )
-    limit = orbit_limit or max(64, 4 * len(pts))
+    limit = max(64, 4 * len(pts)) if orbit_limit is None else orbit_limit
     table: dict = {}
     # Keyed by the fiber map, so each distinct map is scanned once.
     zero_cache: dict[FiberMap, bool] = {}
@@ -396,27 +399,25 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
     """(phi_n, live_n) at every node for n = 1, 2, ...: one backward step each.
 
     phi_n(node) = psi_p(phi_{n-1}(p)) for p = nodes[pred[node]], and phi_0 = a.
-    ``pred`` holds node indices (a list, or an index array for a circle
-    grid); ``pred[i] = -1`` ends node i's backward orbit.  live_n marks the nodes
-    with at least n preimages, the ones sweep n moves; every other node keeps
-    its last value.  A circle product whose every node has a predecessor
-    sweeps as numpy arrays; any other system holds phi_n and live_n as lists
-    and applies each live node's predecessor map through ``fiber_at``, so it
-    never loads numpy.
+    The node sets are a circle grid, where ``pred`` is an index permutation,
+    and a finite base, where ``pred[i] = -1`` ends node i's backward orbit.
+    live_n marks the nodes with at least n preimages, the ones sweep n moves;
+    every other node keeps its last value.  A circle product sweeps as numpy
+    arrays; any other system holds phi_n and live_n as lists and applies each
+    live node's predecessor map through ``fiber_at``, so it never loads numpy.
     """
     a = float(sys.a)
     if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
+        f_vec, g_vec = sys.product_parts
         pred_idx = np.asarray(pred, dtype=int)
-        has_pred = pred_idx >= 0
-        if has_pred.all():
-            f_vec, g_vec = sys.product_parts
-            g_pred = np.asarray(
-                g_vec(np.asarray(nodes, dtype=float)[pred_idx]), dtype=float
-            )
-            vals = np.full(len(nodes), a)
-            while True:
-                vals = f_vec(vals[pred_idx]) * g_pred
-                yield vals, has_pred
+        g_pred = np.asarray(
+            g_vec(np.asarray(nodes, dtype=float)[pred_idx]), dtype=float
+        )
+        live = np.ones(len(nodes), dtype=bool)
+        vals = np.full(len(nodes), a)
+        while True:
+            vals = f_vec(vals[pred_idx]) * g_pred
+            yield vals, live
     maps = [sys.fiber_at(nodes[p]) if p >= 0 else None for p in pred]
     live = [p >= 0 for p in pred]
     # A sweep walks only the live indices: the noinvattr chain keeps one of
@@ -436,18 +437,26 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
             live[i] = True
 
 
-def _compositions(sys: SkewSystem, back: Sequence) -> Iterator[float]:
-    """phi_n for n = 1..len(back), each composed afresh along ``back``.
+def _compositions(sys: SkewSystem, back: Sequence, closed: bool) -> Iterator[float]:
+    """phi_n for n = 1, 2, ... composed along the backward orbit ``back``.
 
     ``back[k-1]`` is the k-th preimage; each fiber map is built when the
-    composition first reaches it.
+    composition first reaches it.  phi_n applies the k maps built so far to
+    phi_{n-k}: to phi_0 = a while n <= len(back).  A ``closed`` orbit holds
+    one period, ending at theta itself, so past it phi_n applies the period
+    to phi_{n-p}: the float operations of composing all n maps, in order.
     """
     maps: list[FiberMap] = []
-    for t in back:
-        maps.append(sys.fiber_at(t))
-        v = sys.a
+    phis = [sys.a]  # phis[n] = phi_n
+    for n in itertools.count(1):
+        if n <= len(back):
+            maps.append(sys.fiber_at(back[n - 1]))
+        elif not closed:
+            return
+        v = phis[n - len(maps)]
         for fm in reversed(maps):
             v = fm(v)
+        phis.append(v)
         yield v
 
 
@@ -465,17 +474,14 @@ def pullback_phi(
     sequence is nonincreasing; iteration stops early once consecutive values
     differ by less than ``stop_delta`` (pass 0 to disable).
 
-    A backward orbit that returns to theta is a closed node set, and
-    phi_n(theta) is read off `_sweeps` over it: depth fiber calls per node.
-    Any other orbit composes the maps afresh for every n, which costs n^2/2
-    calls up to the depth where the iteration stops.
+    Each phi_n composes the fiber maps along the backward orbit: n^2/2 calls
+    up to the stopping depth n, or about n*p if the orbit closes after p steps.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if not hasattr(sys.base, "predecessor"):
         raise CapabilityError("base provides no predecessor map")
     back: list = []  # back[k-1] = k-th preimage of theta
-    closed = False
     cur = theta
     truncated = False
     for _ in range(depth):
@@ -486,20 +492,15 @@ def pullback_phi(
                 truncated = True
                 break
             raise
+        back.append(cur)
         # predecessor inverts step, so a backward orbit can only close at theta
         if cur == theta:
-            closed = True
             break
-        back.append(cur)
+    closed = back[-1:] == [theta]
 
-    if closed:
-        pred = list(range(1, len(back) + 1)) + [0]
-        history = (float(vals[0]) for vals, _ in _sweeps(sys, [theta] + back, pred))
-    else:
-        history = _compositions(sys, back)
     values: list[float] = []
     delta = math.inf
-    for v in itertools.islice(history, depth):
+    for v in itertools.islice(_compositions(sys, back, closed), depth):
         values.append(v)
         if len(values) >= 2:
             delta = abs(values[-1] - values[-2])
@@ -833,6 +834,10 @@ def uniqueness_probe(
     flagged: two graphs with a persistent gap along a common orbit cannot
     both be attractors, since forward fiber orbits would have to shadow both.
     """
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
+    if len(thetas) == 0:
+        raise DomainError("uniqueness_probe needs at least one theta")
     _check_positive("eps", eps)
     records = []
     max_gap = 0.0

@@ -121,6 +121,7 @@ def _grid(a: float, n: int) -> list[float]:
 
 
 def grid_values(fm: FiberMap, grid_size: int) -> tuple[list[float], list[float]]:
+    _check_grid_size(grid_size)
     xs = _grid(fm.a, grid_size)
     return xs, [fm(x) for x in xs]
 
@@ -149,7 +150,6 @@ def concavity_holds(
     fm: FiberMap, alpha: float, grid_size: int, slack: float = CONCAVITY_SLACK
 ) -> bool:
     """Grid test: are all second differences of f(x) + alpha*x^2 <= slack?"""
-    _check_grid_size(grid_size)
     _, vals = grid_values(fm, grid_size)
     h = fm.a / grid_size
     bump = 2.0 * alpha * h * h

@@ -23,14 +23,26 @@ from skewlab.attractor import (
     verify_attractor,
     verify_preinvariance,
 )
-from skewlab.bases import CircleRotation, FiniteOrbitBase, OneSidedWord, TwoSidedWord
+from skewlab.bases import (
+    CircleRotation,
+    FiniteOrbitBase,
+    OneSidedWord,
+    SymbolicShift,
+    TwoSidedWord,
+)
 from skewlab.catalog import (
     coinflip_attractor_graph,
     make_coinflip,
     make_keller,
     make_noinvattr,
 )
-from skewlab.errors import CapabilityError, CoverageError, DomainError, InvariantError
+from skewlab.errors import (
+    CapabilityError,
+    CoverageError,
+    DomainError,
+    InvariantError,
+    PreconditionError,
+)
 from skewlab.fiber import FiberMap
 from skewlab.skew import SkewSystem, orbit, step
 
@@ -339,6 +351,27 @@ class TestBuildPreinvariant:
         assert len(scanned) == 2 and scanned[0] is not scanned[1]
         assert graph.value(1.0) == 1.0 and graph.value(-1.0) == 0.0
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_orbit_limit_below_one_refused(self, limit):
+        # 0 must not stand for the default, and a walk of -1 points walks nothing
+        sys_ = make_noinvattr(8)
+        message = f"^orbit_limit must be >= 1, got {limit}$"
+        with pytest.raises(DomainError, match=message):
+            build_preinvariant(sys_, orbit_limit=limit)
+
+    def test_orbit_limit_one_walks_one_point(self):
+        sys_ = make_noinvattr(8)
+        graph = build_preinvariant(sys_, orbit_limit=1)
+        # no walk sees a cycle, so every point anchors an open chain at a
+        assert graph.table == dict.fromkeys(sys_.base.points, 1.0)
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_grid_size_checked(self, n):
+        # the zero-map scan runs on this grid
+        message = f"^grid_size must be >= 8, got {n}$"
+        with pytest.raises(PreconditionError, match=message):
+            build_preinvariant(make_noinvattr(8), grid_size=n)
+
     def test_fixed_two_sided_word_stored_once(self):
         sys_ = make_coinflip("two")
         zero = sys_.base.zero_word()
@@ -423,13 +456,53 @@ class TestPullbackSweep:
                 assert seq.truncated == truncated
 
     def test_closed_circle_orbit_matches_composition(self):
-        # omega = 1/4: the backward orbit of 1/8 closes after four exact steps,
-        # so the query sweeps the product family as numpy arrays
+        # omega = 1/4: the backward orbit of 1/8 closes after four exact steps
         sys_ = make_keller(omega=0.25)
         seq = pullback_phi(sys_, 0.125, 300, stop_delta=0.0)
         values, truncated = reference_pullback(sys_, 0.125, 300, 0.0)
         assert len(seq.values) == 300 and not seq.truncated and not truncated
-        assert np.allclose(seq.values, values, rtol=0.0, atol=1e-12)
+        assert seq.values == values
+
+    @pytest.mark.parametrize("word", ["01~~01@0", "011~~011@1", "0010~~0010@2"])
+    def test_periodic_two_sided_word_matches_composition(self, word):
+        strong = FiberMap(1.0, lambda x: 0.9 * x * (2.0 - x))
+        weak = FiberMap(1.0, lambda x: 0.5 * x * (2.0 - x))
+        sys_ = SkewSystem(base=SymbolicShift("two"),
+                          fiber_at=lambda w: strong if w.symbol(0) else weak, a=1.0)
+        theta = TwoSidedWord.parse(word)
+        period = len(word.split("~")[0])
+        back = theta
+        for _ in range(period):
+            back = sys_.base.predecessor(back)
+        assert back == theta  # the backward orbit closes after the period
+        for depth, stop_delta in ((200, 0.0), (2000, 1e-12)):
+            seq = pullback_phi(sys_, theta, depth, stop_delta=stop_delta)
+            values, _ = reference_pullback(sys_, theta, depth, stop_delta)
+            assert len(values) > 4 * period
+            assert seq.values == values and not seq.truncated
+
+    def test_open_query_cost_triangular(self):
+        # the golden rotation's backward orbits never close; each phi_n is
+        # composed afresh, so a query that stops at n makes n(n+1)/2 calls
+        keller = make_keller()
+        calls = [0]
+
+        def counting_fiber_at(theta):
+            fm = keller.fiber_at(theta)
+
+            def f(x):
+                calls[0] += 1
+                return fm(x)
+            return FiberMap(1.0, f)
+
+        sys_ = dataclasses.replace(keller, fiber_at=counting_fiber_at)
+        for theta in (0.3, 0.0625, 0.9):
+            calls[0] = 0
+            seq = pullback_phi(sys_, theta, 4000)
+            n = seq.depth_used
+            assert 2 <= n < 4000 and not seq.truncated
+            assert calls[0] <= n * (n + 1) // 2
+            assert seq.values == pullback_phi(keller, theta, 4000).values
 
     def test_cost_linear_in_depth(self):
         sys_, calls = counting_noinvattr()
@@ -676,6 +749,25 @@ class TestUniquenessProbe:
             sys_, g_half, res.graph, [rng.random() for _ in range(20)], 50, 1e-6
         )
         assert rep.flagged_orbits == 0
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_must_be_positive(self, steps):
+        # no step compares anything, which must not read as agreement
+        sys_ = make_noinvattr(8)
+        g1 = build_preinvariant(sys_)
+        g2 = GraphFunction.from_callable(1.0, lambda theta: 0.0)
+        with pytest.raises(DomainError, match="^steps must be >= 1$"):
+            uniqueness_probe(sys_, g1, g2, [0.0, 0.5], steps, 0.1)
+
+    def test_empty_thetas_refused(self):
+        sys_ = make_noinvattr(8)
+        g1 = build_preinvariant(sys_)
+        g2 = GraphFunction.from_callable(1.0, lambda theta: 0.0)
+        message = "^uniqueness_probe needs at least one theta$"
+        with pytest.raises(DomainError, match=message):
+            uniqueness_probe(sys_, g1, g2, [], 10, 0.1)
+        rep = uniqueness_probe(sys_, g1, g2, [1.0], 1, 0.1)
+        assert rep.flagged_orbits == 1 and len(rep.records) == 1
 
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
     def test_eps_must_be_positive(self, eps):

@@ -340,3 +340,20 @@ class TestDemos:
         assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
         assert "all demos passed" in proc.stdout
         assert "FAIL" not in proc.stdout
+
+    def test_keller_dichotomy_script_runs(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "keller_dichotomy.py"),
+             "--grid", "64", "--depth", "400", "--eps", "0.5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rows = list(csv.reader(proc.stdout.splitlines()))
+        assert rows[0] == ["eps", "positive_fraction", "sweeps", "delta"]
+        assert len(rows) == 2
+        # lambda(0.5) = log 2 + 2 log((1 + sqrt 0.5) / 2) ~ 0.376 > 0: positive graph
+        eps, frac, sweeps, delta = rows[1]
+        assert float(eps) == 0.5 and float(frac) == 1.0
+        assert 1 <= int(sweeps) <= 400 and float(delta) < 1e-12

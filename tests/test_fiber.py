@@ -11,6 +11,8 @@ from skewlab.fiber import (
     FiberMap,
     certify,
     concavity_holds,
+    grid_max,
+    grid_values,
     isoclinic_point,
     kappa,
     left_derivative,
@@ -220,7 +222,14 @@ class TestGridSize:
             with pytest.raises(PreconditionError, match=rf"^grid_size must be >= 8, got {n}$"):
                 concavity_holds(fm, 0.0, n)
 
+    @pytest.mark.parametrize("n", [0, -1, 1, 7])
+    def test_grid_values_refused(self, n):
+        for grid in (grid_values, grid_max):
+            with pytest.raises(PreconditionError, match=rf"^grid_size must be >= 8, got {n}$"):
+                grid(LOGISTIC, n)
+
     def test_smallest_grid_accepted(self):
+        assert grid_max(LOGISTIC, 8) == 1.0
         assert concavity_holds(LOGISTIC, 0.0, 8)
         assert not concavity_holds(SQUARE, 0.0, 8)
         assert isoclinic_point(HUMP4, tol=1e-7, scan=8) == pytest.approx(2 / 3, abs=1e-6)

@@ -2,13 +2,14 @@
 
 numpy is bound lazily, and only work over a circle base uses it (grid
 graphs, grid sweeps, batched orbits).  A process that certifies fibres,
-traces orbit pairs, walks a backward orbit that never closes, or pulls back,
-verifies and runs demos over a finite base or a shift must finish without
-executing numpy's import.  Likewise `import skewlab` runs no layer module,
-and each command executes only the layers it calls: `certify` neither the
-attractor nor the nonauto module, `orbit-pair` not the attractor module,
-`pullback` and `verify` not the nonauto module.  Each child process below
-starts fresh, so no earlier test has loaded a module for it.
+traces orbit pairs, pulls back at one point (every pointwise query composes
+on lists; sweeps are for node sets), or pulls back, verifies and runs demos
+over a finite base or a shift must finish without executing numpy's import.
+Likewise `import skewlab` runs no layer module, and each command executes
+only the layers it calls: `certify` neither the attractor nor the nonauto
+module, `orbit-pair` not the attractor module, `pullback` and `verify` not
+the nonauto module.  Each child process below starts fresh, so no earlier
+test has loaded a module for it.
 """
 
 import json
@@ -88,11 +89,11 @@ def test_scalar_commands_never_run_numpy(tmp_path):
          "--steps", "50", "--out", str(tmp_path / "trace.csv")],
         ["orbit-pair", "--config", str(cubic), "--x0", "0.2", "--y0", "0.8",
          "--steps", "20", "--out", str(tmp_path / "trace-cubic.csv")],
-        # the golden rotation has no closed backward orbit
+        # a pointwise query composes on lists; the golden rotation's orbit never closes
         ["pullback", "--config", str(keller), "--theta", "0.3", "--depth", "400"],
         ["pullback", "--config", str(noinv), "--depth", "300", "--no-early-stop",
          "--out", finite],
-        # the fixed point -1.0 is its own predecessor: a closed backward orbit
+        # the fixed point -1.0 is its own predecessor: the query reuses that one map
         ["pullback", "--config", str(noinv), "--theta", "-1.0", "--depth", "300",
          "--no-early-stop"],
         ["verify", "--config", str(noinv), "--phi", finite, "--samples", "40",
@@ -119,6 +120,19 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     child = (tmp_path / "child.csv").read_bytes()
     assert child.count(b"\n") == 65
     assert child == (tmp_path / "here.csv").read_bytes()
+
+
+def test_closed_circle_orbit_never_runs_numpy(tmp_path):
+    # omega = 1/4: the backward orbit of 1/8 closes after four exact steps
+    quarter = tmp_path / "quarter.json"
+    quarter.write_text(json.dumps(
+        dict(KELLER_CFG, base={"variant": "circle-rotation", "omega": 0.25})
+    ))
+    argv = ["pullback", "--config", str(quarter), "--theta", "0.125", "--depth", "300",
+            "--no-early-stop"]
+    [(rc, loaded, _)] = _run_child([argv], tmp_path / "report.json")
+    assert rc == 0
+    assert loaded == [], (len(loaded), loaded[:5])
 
 
 def test_circle_arrays_run_numpy(tmp_path):
