@@ -14,7 +14,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._numpy import np
 from .bases import CircleRotation, orbit_walk
@@ -69,6 +69,8 @@ class GraphFunction:
         self.fallback = fallback
         self.label = label
         if self.table is not None:
+            if not self.table:
+                raise DomainError("table representation must hold at least one point")
             for k, v in self.table.items():
                 self._check_value(v, k)
         if self.grid is not None:
@@ -408,15 +410,13 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
     """
     a = float(sys.a)
     if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
-        f_vec, g_vec = sys.product_parts
+        f, g = sys.product_parts
         pred_idx = np.asarray(pred, dtype=int)
-        g_pred = np.asarray(
-            g_vec(np.asarray(nodes, dtype=float)[pred_idx]), dtype=float
-        )
+        g_pred = np.asarray(g(np.asarray(nodes, dtype=float)[pred_idx]), dtype=float)
         live = np.ones(len(nodes), dtype=bool)
         vals = np.full(len(nodes), a)
         while True:
-            vals = f_vec(vals[pred_idx]) * g_pred
+            vals = f(vals[pred_idx]) * g_pred
             yield vals, live
     maps = [sys.fiber_at(nodes[p]) if p >= 0 else None for p in pred]
     live = [p >= 0 for p in pred]
@@ -522,7 +522,6 @@ class PullbackGridResult:
     delta: float
     monotone_ok: bool
     max_increase: float
-    snapshots: dict[int, np.ndarray]
 
     def to_dict(self) -> dict:
         return {
@@ -538,7 +537,6 @@ def pullback_grid(
     grid_size: int = DEFAULT_GRID_NODES,
     depth: int = 1000,
     stop_delta: float = PULLBACK_STOP_DELTA,
-    snapshots: Iterable[int] = (),
 ) -> PullbackGridResult:
     """Pullback limit over a dense circle grid by repeated backward sweeps.
 
@@ -559,10 +557,8 @@ def pullback_grid(
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
     perm = (np.arange(m) - shift) % m
-    want = set(int(s) for s in snapshots)
 
     values = np.full(m, float(sys.a))
-    taken: dict[int, np.ndarray] = {}
     monotone_ok = True
     max_increase = 0.0
     delta = math.inf
@@ -577,8 +573,6 @@ def pullback_grid(
         delta = float(np.max(np.abs(new - values)))
         values = new
         sweeps = s
-        if s in want:
-            taken[s] = values.copy()
         if stop_delta > 0.0 and delta < stop_delta:
             break
 
@@ -587,7 +581,7 @@ def pullback_grid(
     )
     return PullbackGridResult(
         graph=graph, sweeps=sweeps, delta=delta,
-        monotone_ok=monotone_ok, max_increase=max_increase, snapshots=taken,
+        monotone_ok=monotone_ok, max_increase=max_increase,
     )
 
 

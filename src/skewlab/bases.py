@@ -307,13 +307,13 @@ class SymbolicShift:
             return OneSidedWord((), (0,))
         return TwoSidedWord((0,), (), (0,), 0)
 
-    def sample_points(
-        self, count: int, rng: random.Random, length: int = 20
-    ) -> list:
+    def sample_points(self, count: int, rng: random.Random) -> list:
+        """Random words: a 20-symbol random block, then a random repeated symbol
+        (two-sided: one before it as well)."""
         _check_count(count)
         out = []
         for _ in range(count):
-            bits = tuple(rng.randrange(2) for _ in range(length))
+            bits = tuple(rng.randrange(2) for _ in range(20))
             if self.sided == "one":
                 out.append(OneSidedWord(bits, (rng.randrange(2),)))
             else:

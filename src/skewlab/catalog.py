@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
 from .errors import DomainError, RegistryError
 from .fiber import FiberMap
-from .registry import build_base_function, build_fiber, fiber_vectorized
+from .registry import build_base_function, build_fiber
 from .skew import SkewSystem
 
 if TYPE_CHECKING:
@@ -120,7 +120,7 @@ def make_product(
     isoclinic-equiconcave when sup(f)*sup(g) stays strictly below b(f).
     """
     fm = build_fiber(f_spec, a)
-    g, g_vec, g_sup, g_label = build_base_function(g_spec)
+    g, g_sup, g_label = build_base_function(g_spec)
     if fm.gamma is None:
         raise RegistryError(
             f"product fiber form {fm.form} lacks an analytic supremum"
@@ -129,20 +129,18 @@ def make_product(
     if fm.gamma * g_sup > a:
         scale = a / (fm.gamma * g_sup)
 
+    def factor(theta):
+        return scale * g(theta)
+
     # Consecutive calls with the same factor (a constant g) get the same
     # FiberMap, so per-map caches keyed by it hit; only the latest is kept.
     last = [None, None]
 
     def fiber_at(theta) -> FiberMap:
-        c = scale * g(theta)
+        c = factor(theta)
         if c != last[0]:
             last[:] = c, fm.scaled(c)
         return last[1]
-
-    f_vec = fiber_vectorized(f_spec)
-    product_parts = None
-    if f_vec is not None:
-        product_parts = (f_vec, lambda t: scale * g_vec(t))
 
     sup_range = fm.gamma * g_sup * scale
     if fm.gamma > 0 and fm.alpha is not None and fm.alpha > 0:
@@ -161,7 +159,7 @@ def make_product(
         base=base, fiber_at=fiber_at, a=a,
         classification=classification, beta=beta,
         label=f"{label}[{fm.form} x {g_label}]",
-        product_parts=product_parts,
+        product_parts=(fm.f, factor),
     )
 
 

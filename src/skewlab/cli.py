@@ -127,6 +127,10 @@ def cmd_pullback(args) -> int:
         theta = system.base.parse_point(args.theta)
         seq = pullback_phi(system, theta, depth, stop_delta=stop_delta,
                            allow_partial=True)
+        if not seq.values:
+            raise CapabilityError(
+                f"no pullback at {seq.theta_repr}: the point has no unique predecessor"
+            )
         _emit_json(
             {
                 "theta": seq.theta_repr,

@@ -16,11 +16,11 @@ from .bases import CircleRotation, SymbolicShift
 from .catalog import make_noinvattr, make_product
 from .errors import ConfigError
 from .fiber import FiberMap
-from .registry import build_fiber, fiber_vectorized
+from .registry import build_fiber
 from .skew import SkewSystem
 
 _BASE_VARIANTS = ("circle-rotation", "finite-orbit", "shift")
-_DEFAULTS = {"grid": 4096, "tol": 1e-9, "depth": 1000, "steps": 100, "eps": 0.1}
+_DEFAULTS = {"grid": 4096, "tol": 1e-9, "depth": 1000, "steps": 100}
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,6 @@ def build_system(cfg: SystemConfig) -> SkewSystem:
     def fiber_at(theta, _fm=fm) -> FiberMap:
         return _fm
 
-    f_vec = fiber_vectorized(cfg.fiber)
-    parts = (f_vec, lambda t: t * 0.0 + 1.0) if f_vec is not None else None
     classification = (
         "monotone-equiconcave"
         if fm.monotone and fm.alpha and fm.gamma
@@ -168,7 +166,7 @@ def build_system(cfg: SystemConfig) -> SkewSystem:
     return SkewSystem(
         base=base, fiber_at=fiber_at, a=cfg.a,
         classification=classification, beta=beta,
-        label=f"config[{fm.form}]", product_parts=parts,
+        label=f"config[{fm.form}]", product_parts=(fm.f, lambda theta: 1.0),
     )
 
 

@@ -5,6 +5,12 @@ the declared parameter domain (checked numerically at build time).  Where
 the algebra allows — quadratics and the tanh form — the built map carries
 exact supremum, concavity level, isoclinic point and monotonicity, so that
 grid certification has an analytic cross-check.
+
+Each fiber form and base function is one expression that takes a float or
+a numpy array: polynomials through Horner's rule, and sin and tanh through
+`math` for a number and numpy for an array, so a one-point call never loads
+numpy.  Grid sweeps and batched orbits run these same callables, so they do
+the float operations of the one-point path.
 """
 
 from __future__ import annotations
@@ -20,6 +26,21 @@ FIBER_FORMS = ("poly", "logistic-scaled", "quadratic-hump", "tanh-like")
 BASE_FUNCTION_FORMS = ("constant", "sin-squared")
 
 _VALIDATE_GRID = 257
+
+
+def _elementwise(name: str) -> Callable:
+    """`math`'s function ``name`` for a number, numpy's for an array."""
+    scalar = getattr(math, name)
+
+    def fn(x):
+        if isinstance(x, (int, float)):
+            return scalar(x)
+        return getattr(np, name)(x)
+
+    return fn
+
+
+_sin, _tanh = _elementwise("sin"), _elementwise("tanh")
 
 
 def _validate_range(fm: FiberMap) -> FiberMap:
@@ -112,7 +133,7 @@ def build_fiber(spec: dict, a: float) -> FiberMap:
         k, s = float(k), float(s)
 
         def f(x, _k=k, _s=s):
-            return _k * math.tanh(_s * x)
+            return _k * _tanh(_s * x)
 
         # Curvature vanishes at 0, so no strictly positive level certifies.
         return _validate_range(
@@ -125,33 +146,8 @@ def build_fiber(spec: dict, a: float) -> FiberMap:
     raise RegistryError(f"unknown fiber form {form!r} (known: {FIBER_FORMS})")
 
 
-def fiber_vectorized(spec: dict) -> Callable | None:
-    """Numpy evaluator for a fiber form, for grid sweeps; None when unknown."""
-    form = spec.get("form")
-    if form == "poly":
-        coeffs = [float(c) for c in spec["coeffs"]]
-
-        def f(x, _c=tuple(coeffs)):
-            acc = np.zeros_like(x)
-            for c in reversed(_c):
-                acc = (acc + c) * x
-            return acc
-
-        return f
-    if form == "logistic-scaled":
-        k = float(spec["k"])
-        return lambda x: k * x * (2.0 - x)
-    if form == "quadratic-hump":
-        k = float(spec["k"])
-        return lambda x: k * x * (1.0 - x)
-    if form == "tanh-like":
-        k, s = float(spec["k"]), float(spec["s"])
-        return lambda x: k * np.tanh(s * x)
-    return None
-
-
-def build_base_function(spec: dict) -> tuple[Callable, Callable, float, str]:
-    """A named function theta -> [0, sup]: (scalar, vectorized, sup, label)."""
+def build_base_function(spec: dict) -> tuple[Callable, float, str]:
+    """A named function theta -> [0, sup]: (g, sup, label)."""
     if not isinstance(spec, dict) or "form" not in spec:
         raise RegistryError(
             f"base function spec must be a dict with a 'form' key, got {spec!r}"
@@ -162,7 +158,7 @@ def build_base_function(spec: dict) -> tuple[Callable, Callable, float, str]:
         if not isinstance(c, (int, float)) or c < 0:
             raise RegistryError("constant form needs nonnegative 'c'")
         c = float(c)
-        return (lambda theta: c), (lambda t: np.full_like(t, c)), c, f"constant({c!r})"
+        return (lambda theta: c), c, f"constant({c!r})"
     if form == "sin-squared":
         c = spec.get("c", 1.0)
         eps = spec.get("eps", 0.0)
@@ -173,14 +169,10 @@ def build_base_function(spec: dict) -> tuple[Callable, Callable, float, str]:
         c, eps = float(c), float(eps)
 
         def g(theta, _c=c, _e=eps):
-            s = math.sin(math.pi * theta)
+            s = _sin(math.pi * theta)
             return _c * (_e + (1.0 - _e) * s * s)
 
-        def g_vec(thetas, _c=c, _e=eps):
-            s = np.sin(np.pi * thetas)
-            return _c * (_e + (1.0 - _e) * s * s)
-
-        return g, g_vec, c, f"sin-squared(c={c!r},eps={eps!r})"
+        return g, c, f"sin-squared(c={c!r},eps={eps!r})"
     raise RegistryError(
         f"unknown base function form {form!r} (known: {BASE_FUNCTION_FORMS})"
     )

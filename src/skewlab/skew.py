@@ -21,9 +21,11 @@ class SkewSystem:
 
     ``classification`` and ``beta`` are declarations (from the catalog or a
     config); `classify` re-derives them from grid certification so the two
-    can be cross-checked.  ``product_parts``, when present, holds vectorized
-    (f, g) callables for product families psi_theta(x) = f(x) * g(theta); they
-    speed up grid sweeps and `orbits`, while all contracts go through ``fiber_at``.
+    can be cross-checked.  ``product_parts``, when present, holds the (f, g)
+    of a product family psi_theta(x) = f(x) * g(theta): the callables that
+    ``fiber_at`` composes, each taking a float or a numpy array.  Grid sweeps
+    and `orbits` apply them to every node at once, with the float operations
+    of the one-point path; all contracts go through ``fiber_at``.
     """
 
     base: object
@@ -88,7 +90,7 @@ def orbits(
     it is stepped.
     """
     if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
-        f_vec, g_vec = sys.product_parts
+        f, g = sys.product_parts
         omega, a = sys.base.omega, sys.a
         thetas = np.asarray(thetas, dtype=float)
         xs = np.asarray(xs, dtype=float)
@@ -97,7 +99,7 @@ def orbits(
             bad = ~((xs >= 0.0) & (xs <= a))
             if bad.any():
                 raise _outside(float(xs[np.argmax(bad)]), a)
-            xs = f_vec(xs) * g_vec(thetas)
+            xs = f(xs) * g(thetas)
             thetas = (thetas + omega) % 1.0
             yield thetas, xs
         return

@@ -284,9 +284,8 @@ def test_c10_pullback_dichotomy():
 
 def test_c11_uniqueness_shadow():
     system = make_keller()
-    res = pullback_grid(system, grid_size=2048, depth=1000, stop_delta=0.0,
-                        snapshots=[500])
-    g500 = GraphFunction.from_grid(1.0, res.snapshots[500], provenance="pullback")
+    res = pullback_grid(system, grid_size=2048, depth=1000, stop_delta=0.0)
+    g500 = pullback_grid(system, grid_size=2048, depth=500, stop_delta=0.0).graph
     rng = random.Random(1111)
     thetas = [rng.random() for _ in range(100)]
     rep = uniqueness_probe(system, g500, res.graph, thetas, steps=100, eps=1e-6)

@@ -67,6 +67,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="defaults.grid"):
             parse_config(doc)
 
+    def test_defaults_eps_refused(self, cfg_file, capsys):
+        # no command reads an eps default
+        doc = dict(KELLER_CFG, defaults={"eps": 0.1})
+        assert cli.main(["certify", "--config", cfg_file(doc)]) == 2
+        err = capsys.readouterr().err
+        assert "field defaults.eps: unknown analysis default" in err
+
     def test_build_keller_like(self):
         sys_ = build_system(parse_config(KELLER_CFG))
         assert sys_.classification == "monotone-equiconcave"
@@ -171,6 +178,18 @@ class TestPullbackVerifyPipeline:
         rows = {r["point"]: float(r["value"]) for r in csv.DictReader(phi.open())}
         assert rows["0.0"] <= 2.0 ** -45
         assert rows["1.0"] == 1.0
+
+    @pytest.mark.parametrize(
+        "cfg,theta", [(SHIFT_CFG, "0|1"), (NOINV_CFG, "1.0")],
+        ids=["one-sided-shift", "noinvattr-two-preimages"],
+    )
+    def test_point_without_preimage_exits_5(self, cfg_file, capsys, cfg, theta):
+        rc = cli.main(["pullback", "--config", cfg_file(cfg), "--theta", theta,
+                       "--depth", "10"])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"no pullback at {theta}:" in err
 
     def test_single_point_pullback_json(self, cfg_file, capsys):
         rc = cli.main(["pullback", "--config", cfg_file(NOINV_CFG),

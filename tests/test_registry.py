@@ -6,7 +6,7 @@ from skewlab import cli
 from skewlab.errors import DomainError, RegistryError
 from skewlab.fiber import certify
 from skewlab.nonauto import MapSequence
-from skewlab.registry import build_base_function, build_fiber, fiber_vectorized
+from skewlab.registry import build_base_function, build_fiber
 
 
 class TestFiberForms:
@@ -58,32 +58,46 @@ class TestFiberForms:
             build_fiber({"coeffs": [1.0]}, 1.0)
 
     def test_vectorized_matches_scalar(self):
+        # a form's own map takes an array; the polynomial forms then do the
+        # float operations of one-point calls, while numpy's tanh and
+        # math.tanh may differ in the last bit
         import numpy as np
 
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([np.linspace(0.0, 1.0, 37), rng.random(1000)])
+        points = xs.tolist()
         for spec in [
             {"form": "logistic-scaled", "k": 0.7},
+            {"form": "logistic-scaled", "k": 1.0},
             {"form": "quadratic-hump", "k": 3.0},
             {"form": "poly", "coeffs": [1.0, -0.5]},
-            {"form": "tanh-like", "k": 0.5, "s": 1.5},
+            {"form": "poly", "coeffs": [0.9, 0.3, -1.1]},
         ]:
             fm = build_fiber(spec, 1.0)
-            f_vec = fiber_vectorized(spec)
-            xs = np.linspace(0.0, 1.0, 37)
-            assert np.allclose(f_vec(xs), [fm(x) for x in xs], atol=1e-12)
+            assert fm.f(xs).tolist() == [fm(x) for x in points], spec
+        fm = build_fiber({"form": "tanh-like", "k": 0.5, "s": 1.5}, 1.0)
+        assert np.allclose(fm.f(xs), [fm(x) for x in points], rtol=0.0, atol=1e-12)
 
 
 class TestBaseFunctions:
     def test_constant(self):
-        g, g_vec, sup, _ = build_base_function({"form": "constant", "c": 0.6})
+        g, sup, _ = build_base_function({"form": "constant", "c": 0.6})
         assert g(0.3) == 0.6 and sup == 0.6
 
     def test_sin_squared_range(self):
-        g, _, sup, _ = build_base_function(
+        g, sup, _ = build_base_function(
             {"form": "sin-squared", "c": 1.0, "eps": 0.25}
         )
         assert g(0.0) == pytest.approx(0.25)
         assert g(0.5) == pytest.approx(1.0)
         assert sup == 1.0
+
+    def test_sin_squared_takes_an_array(self):
+        import numpy as np
+
+        g, _, _ = build_base_function({"form": "sin-squared", "c": 0.8, "eps": 0.3})
+        thetas = np.random.default_rng(1).random(1000)
+        assert g(thetas).tolist() == [g(t) for t in thetas.tolist()]
 
     def test_bad_params(self):
         with pytest.raises(RegistryError):
