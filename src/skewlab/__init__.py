@@ -29,8 +29,7 @@ _EXPORTS = {
     "fiber": "ConcavityCertificate FiberMap certify concavity_holds isoclinic_point kappa "
     "left_derivative left_derivative_limit ratio_bound_monotone ratio_bound_nonmonotone",
     "nonauto": "MapSequence OrbitPairTrace bound_violations check_equiconcavity "
-    "convergence_certificate isoclinic_guard iterate_pair trace_to_csv "
-    "trace_to_csv_string",
+    "convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
     "skew": "SkewSystem classify detect_pinching orbit orbits step",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -34,7 +34,7 @@ GRAPH_COLUMNS = ("point", "value")
 DEFAULT_GRID_NODES = 2 ** 14
 PULLBACK_STOP_DELTA = 1e-12
 # Starts walked together by match_fraction.  Stepping 10^4 shift words at once
-# holds all of them and their successors: 7.5 MB more peak memory for demo
+# holds all of them and their successors: 7.0 MB more peak memory for demo
 # coinflip-one.
 MATCH_BLOCK = 32
 
@@ -126,7 +126,9 @@ class GraphFunction:
             return self.grid[idx]
         if self.func is not None:
             func, check = self.func, self._check_value
-            return [check(func(t), t) for t in thetas]
+            lo, hi = -ZERO_TOL, self.a + ZERO_TOL
+            # check raises: it is called only for a value outside [lo, hi]
+            return [v if lo <= (v := func(t)) <= hi else check(v, t) for t in thetas]
         table, fallback = self.table, self.fallback
         if fallback is not None:
             return [table.get(t, fallback) for t in thetas]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import CapabilityError, ConfigError, DomainError
@@ -31,50 +31,90 @@ def _primitive(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle
 
 
+_SYMBOLS = frozenset((0, 1))
+# Builds a word from fields already checked and normalised, skipping __new__.
+_new_word = tuple.__new__
+
+
+def _symbols(seq: Sequence[int]) -> tuple[int, ...]:
+    seq = tuple(seq)
+    if not _SYMBOLS.issuperset(seq):
+        bad = next(s for s in seq if s not in _SYMBOLS)
+        raise DomainError(f"word symbol {bad!r} is not 0 or 1")
+    return seq
+
+
+def fair_bits(rng: random.Random, n: int) -> list[int]:
+    """``[rng.randrange(2) for _ in range(n)]`` drawn in bulk: the same bits,
+    and ``rng`` left in the same state.
+
+    ``randrange(2)`` reads the top two bits of one 32-bit output and draws
+    again when they read 2 or 3.  Each round here draws one output per bit
+    still missing, in one `getrandbits` call (output j fills bits 32j to
+    32j + 31), and keeps bit 30 of each output whose bit 31 is clear.  Every
+    output gives at most one bit, so a round never draws an output that the
+    loop would not draw.
+    """
+    out: list[int] = []
+    while len(out) < n:
+        k = n - len(out)
+        top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+        out += [b >> 6 for b in top if b < 128]
+    return out
+
+
 def _check_count(count: int) -> None:
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
 
 
-@dataclass(frozen=True)
-class OneSidedWord:
-    """Eventually periodic one-sided binary word: transient then cycle forever."""
+class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
+    """Eventually periodic one-sided binary word: transient then cycle forever.
 
-    transient: tuple[int, ...]
-    cycle: tuple[int, ...]
+    An immutable value: a tuple of its two fields, built in normal form (a
+    primitive cycle, and no trailing transient symbol that the cycle
+    continues), so words with the same symbols have the same fields.  A word
+    equals only a word.
+    """
 
-    def __post_init__(self):
-        if not self.cycle:
+    __slots__ = ()
+
+    def __new__(cls, transient: Sequence[int], cycle: Sequence[int]) -> "OneSidedWord":
+        cyc = tuple(cycle)
+        if not cyc:
             raise DomainError("cycle must be nonempty")
-        cyc = _primitive(tuple(self.cycle))
-        tr = tuple(self.transient)
+        tr = _symbols(transient)
+        cyc = _primitive(_symbols(cyc))
         while tr and tr[-1] == cyc[-1]:
             tr = tr[:-1]
             cyc = cyc[-1:] + cyc[:-1]
-        object.__setattr__(self, "transient", tr)
-        object.__setattr__(self, "cycle", cyc)
+        return _new_word(cls, (tr, cyc))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is OneSidedWord and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:  # tuple's own != would compare bare fields
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def symbol(self, i: int) -> int:
         if i < 0:
             raise DomainError("one-sided words have no negative coordinates")
-        if i < len(self.transient):
-            return self.transient[i]
-        return self.cycle[(i - len(self.transient)) % len(self.cycle)]
+        transient = self.transient
+        if i < len(transient):
+            return transient[i]
+        cycle = self.cycle
+        return cycle[(i - len(transient)) % len(cycle)]
 
     def shifted(self) -> "OneSidedWord":
         # The shift of a normalised word is normalised: dropping a transient
         # symbol keeps the transient's last symbol, and rotating a primitive
-        # cycle keeps it primitive.  So skip __post_init__ and write the
-        # fields straight into the new word.
-        word = object.__new__(OneSidedWord)
-        fields = word.__dict__
-        if self.transient:
-            fields["transient"] = self.transient[1:]
-            fields["cycle"] = self.cycle
-        else:
-            fields["transient"] = ()
-            fields["cycle"] = self.cycle[1:] + self.cycle[:1]
-        return word
+        # cycle keeps it primitive.  So skip the normalisation in __new__.
+        transient, cycle = self
+        if transient:
+            return _new_word(OneSidedWord, (transient[1:], cycle))
+        return _new_word(OneSidedWord, ((), cycle[1:] + cycle[:1]))
 
     def __str__(self) -> str:
         return "".join(map(str, self.transient)) + "|" + "".join(map(str, self.cycle))
@@ -89,45 +129,46 @@ class OneSidedWord:
         return OneSidedWord(_bits(t), _bits(c))
 
 
-@dataclass(frozen=True, eq=False)
-class TwoSidedWord:
+class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle origin")):
     """Bi-infinite binary word, periodic in both tails.
 
-    symbol(i) reads position origin+i of the window ``buf``; reads past either
-    end fall through to the repeating blocks.  Shifting just moves the origin,
-    so stepping and stepping back are exact inverses.  Words compare and hash
-    by the symbol sequence they represent, not by their fields: the fixed
-    all-zero word ``0~~0@0`` equals its shift ``0~~0@1``.
+    An immutable value: a tuple of its four fields.  symbol(i) reads position
+    origin+i of the window ``buf``; reads past either end fall through to the
+    repeating blocks.  Shifting just moves the origin, so stepping and
+    stepping back are exact inverses.  Words compare and hash by the symbol
+    sequence they represent, not by their fields: the fixed all-zero word
+    ``0~~0@0`` equals its shift ``0~~0@1``.
     """
 
-    left_cycle: tuple[int, ...]
-    buf: tuple[int, ...]
-    right_cycle: tuple[int, ...]
-    origin: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.left_cycle or not self.right_cycle:
+    def __new__(
+        cls,
+        left_cycle: Sequence[int],
+        buf: Sequence[int],
+        right_cycle: Sequence[int],
+        origin: int = 0,
+    ) -> "TwoSidedWord":
+        left, right = tuple(left_cycle), tuple(right_cycle)
+        if not left or not right:
             raise DomainError("both cycles must be nonempty")
-        object.__setattr__(self, "left_cycle", tuple(self.left_cycle))
-        object.__setattr__(self, "buf", tuple(self.buf))
-        object.__setattr__(self, "right_cycle", tuple(self.right_cycle))
+        return _new_word(cls, (_symbols(left), _symbols(buf), _symbols(right), origin))
 
     def symbol(self, i: int) -> int:
         j = i + self.origin
-        if 0 <= j < len(self.buf):
-            return self.buf[j]
-        if j >= len(self.buf):
-            return self.right_cycle[(j - len(self.buf)) % len(self.right_cycle)]
-        return self.left_cycle[j % len(self.left_cycle)]
+        buf = self.buf
+        if 0 <= j < len(buf):
+            return buf[j]
+        if j >= len(buf):
+            right = self.right_cycle
+            return right[(j - len(buf)) % len(right)]
+        left = self.left_cycle
+        return left[j % len(left)]
 
     def _moved(self, by: int) -> "TwoSidedWord":
-        # The fields of a built word are checked tuples already: skip
-        # __post_init__ and write them straight into the new word.
-        word = object.__new__(TwoSidedWord)
-        fields = word.__dict__
-        fields.update(self.__dict__)
-        fields["origin"] = self.origin + by
-        return word
+        # The fields of a built word are checked already: skip __new__.
+        left, buf, right, origin = self
+        return _new_word(TwoSidedWord, (left, buf, right, origin + by))
 
     def _key(self) -> tuple:
         """The symbol sequence as a tuple that every representation shares.
@@ -164,9 +205,10 @@ class TwoSidedWord:
         return (left, buf, right, origin)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoSidedWord):
-            return NotImplemented
-        return self._key() == other._key()
+        return isinstance(other, TwoSidedWord) and self._key() == other._key()
+
+    def __ne__(self, other) -> bool:  # tuple's own != would compare fields
+        return not self == other
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -294,7 +336,8 @@ class SymbolicShift:
         self.sided = sided
         self.invertible = sided == "two"
 
-    def step(self, w):
+    @staticmethod
+    def step(w):
         return w.shifted()
 
     def predecessor(self, w):
@@ -309,18 +352,23 @@ class SymbolicShift:
 
     def sample_points(self, count: int, rng: random.Random) -> list:
         """Random words: a 20-symbol random block, then a random repeated symbol
-        (two-sided: one before it as well)."""
+        (two-sided: one before it as well).
+
+        Each word draws its block, then its left symbol (two-sided), then its
+        repeated symbol, each bit as ``rng.randrange(2)`` would.
+        """
         _check_count(count)
-        out = []
-        for _ in range(count):
-            bits = tuple(rng.randrange(2) for _ in range(20))
-            if self.sided == "one":
-                out.append(OneSidedWord(bits, (rng.randrange(2),)))
-            else:
-                out.append(
-                    TwoSidedWord((rng.randrange(2),), bits, (rng.randrange(2),), 0)
-                )
-        return out
+        if self.sided == "one":
+            bits = fair_bits(rng, 21 * count)
+            return [
+                OneSidedWord(bits[i:i + 20], bits[i + 20:i + 21])
+                for i in range(0, len(bits), 21)
+            ]
+        bits = fair_bits(rng, 22 * count)
+        return [
+            TwoSidedWord(bits[i + 20:i + 21], bits[i:i + 20], bits[i + 21:i + 22], 0)
+            for i in range(0, len(bits), 22)
+        ]
 
     def format_point(self, w) -> str:
         return str(w)

@@ -18,7 +18,7 @@ import math
 import random
 import sys as _sys
 
-from .bases import CircleRotation, FiniteOrbitBase, OneSidedWord
+from .bases import CircleRotation, FiniteOrbitBase, OneSidedWord, fair_bits
 from .catalog import CATALOG, coinflip_attractor_graph, make_keller, make_product
 from .config import load_system
 from .errors import (
@@ -284,14 +284,11 @@ def _claims_coinflip_two(fast: bool) -> list[tuple[bool, str]]:
 def _coin_words(rng: random.Random, count: int) -> list[OneSidedWord]:
     """``count`` words of 20 fair bits followed by zeros.
 
-    ``rng.choice((0, 1))`` makes the same draw as ``rng.randrange(2)``, at
-    less cost per bit.
+    The bits are drawn in bulk by `fair_bits`: the words and the final state
+    of ``rng`` are those of drawing each bit by ``rng.randrange(2)``.
     """
-    choice, bits = rng.choice, (0, 1)
-    return [
-        OneSidedWord(tuple([choice(bits) for _ in range(20)]), (0,))
-        for _ in range(count)
-    ]
+    bits = fair_bits(rng, 20 * count)
+    return [OneSidedWord(bits[i:i + 20], (0,)) for i in range(0, len(bits), 20)]
 
 
 def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:

@@ -10,7 +10,6 @@ does not; ties (equal images) and coordinates pinned at 0 leave blanks.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -392,9 +391,3 @@ def trace_to_csv(trace: OrbitPairTrace, stream) -> None:
             [r.n, repr(r.x), repr(r.y), _cell(r.kappa), _cell(r.ratio),
              _cell(r.bound), _cell(r.b)]
         )
-
-
-def trace_to_csv_string(trace: OrbitPairTrace) -> str:
-    buf = io.StringIO()
-    trace_to_csv(trace, buf)
-    return buf.getvalue()

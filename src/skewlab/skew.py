@@ -85,7 +85,8 @@ def orbits(
     Yields (thetas_n, xs_n) for n = 0..steps and holds only the current
     points.  A circle rotation with ``product_parts`` steps every start at
     once as numpy arrays; any other system yields lists, built per step by
-    one base step and one fiber-map call per point, as `step` makes them.
+    one base step and one call of the fiber map's ``f`` per point, the
+    values `step` makes.
     Either way a fiber coordinate outside [0, a] raises DomainError before
     it is stepped.
     """
@@ -111,7 +112,7 @@ def orbits(
             if not (0.0 <= x <= a):
                 raise _outside(x, a)
         stepped = [base_step(t) for t in thetas]
-        xs = [fiber_at(t)(x) for t, x in zip(thetas, xs)]
+        xs = [fiber_at(t).f(x) for t, x in zip(thetas, xs)]
         thetas = stepped
         yield thetas, xs
 

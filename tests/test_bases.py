@@ -10,6 +10,7 @@ from skewlab.bases import (
     OneSidedWord,
     SymbolicShift,
     TwoSidedWord,
+    fair_bits,
     orbit_walk,
 )
 from skewlab.errors import CapabilityError, ConfigError, DomainError
@@ -58,6 +59,91 @@ class TestOneSidedWord:
         # constructor-normalised word with the same symbols
         ref = OneSidedWord(t[1:], c) if t else OneSidedWord((), c[1:] + c[:1])
         assert s == ref and hash(s) == hash(ref)
+
+
+class TestWordValues:
+    WORDS = [
+        OneSidedWord((1, 1, 0), (0, 1)),
+        OneSidedWord((), (1, 0, 0)),
+        TwoSidedWord((0,), (1, 1, 0), (1,), 2),
+        TwoSidedWord((0, 1), (), (1, 0), -1),
+    ]
+
+    @pytest.mark.parametrize("w", WORDS, ids=str)
+    def test_fields_cannot_be_set(self, w):
+        for field in w._fields:
+            with pytest.raises(AttributeError):
+                setattr(w, field, getattr(w, field))
+        with pytest.raises(AttributeError):
+            w.extra = 1  # no __dict__ either
+        assert not hasattr(w, "__dict__")
+
+    @pytest.mark.parametrize("w", WORDS, ids=str)
+    def test_equal_words_hash_equal(self, w):
+        twin = type(w).parse(str(w))
+        assert twin == w and not twin != w and hash(twin) == hash(w)
+        assert w.shifted() != w
+        # a word equals only a word, not the tuple of its fields
+        assert w != tuple(w) and tuple(w) != w
+
+    def test_str_is_unchanged(self):
+        assert [str(w) for w in self.WORDS] == ["110|01", "|100", "0~110~1@2", "01~~10@-1"]
+        assert [str(w.shifted()) for w in self.WORDS] == [
+            "10|01", "|001", "0~110~1@3", "01~~10@0"
+        ]
+        # the constructor still normalises
+        assert str(OneSidedWord((1, 0, 1), (0, 1))) == "|10"
+        assert str(OneSidedWord((1, 0, 0), (0,))) == "1|0"
+        assert str(OneSidedWord((0, 1, 0, 1), (0, 1))) == "|01"
+
+    def test_shift_equals_constructor_built_word(self):
+        built = [
+            OneSidedWord((1, 0), (0, 1)),
+            OneSidedWord((), (0, 0, 1)),
+            TwoSidedWord((0,), (1, 1, 0), (1,), 3),
+            TwoSidedWord((0, 1), (), (1, 0), 0),
+        ]
+        assert [w.shifted() for w in self.WORDS] == built
+        assert TwoSidedWord.parse("0~~0@0") == TwoSidedWord.parse("0~~0@1")
+
+    @pytest.mark.parametrize("build", [
+        lambda: OneSidedWord((2,), (0,)),
+        lambda: OneSidedWord((0, 1), (1, 2)),
+        lambda: TwoSidedWord((0,), (1, 2), (1,), 0),
+        lambda: TwoSidedWord((2,), (), (1,), 0),
+        lambda: TwoSidedWord((0,), (), (1, -1), 0),
+    ])
+    def test_symbols_outside_0_1_refused(self, build):
+        with pytest.raises(DomainError, match=r"word symbol (2|-1) is not 0 or 1"):
+            build()
+
+
+class TestFairBits:
+    @pytest.mark.parametrize("n", [0, 1, 2, 21, 1000, 4097])
+    def test_same_bits_and_state_as_randrange(self, n):
+        for seed in range(50):
+            ref, rng = random.Random(seed), random.Random(seed)
+            expected = [ref.randrange(2) for _ in range(n)]
+            assert fair_bits(rng, n) == expected
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 20260809])
+    def test_shift_samples_draw_as_randrange_does(self, seed):
+        ref = random.Random(seed)
+        one = []
+        for _ in range(40):
+            bits = tuple(ref.randrange(2) for _ in range(20))
+            one.append(OneSidedWord(bits, (ref.randrange(2),)))
+        two = []
+        for _ in range(40):
+            bits = tuple(ref.randrange(2) for _ in range(20))
+            two.append(TwoSidedWord((ref.randrange(2),), bits, (ref.randrange(2),), 0))
+        rng = random.Random(seed)
+        got_one = SymbolicShift("one").sample_points(40, rng)
+        got_two = SymbolicShift("two").sample_points(40, rng)
+        assert got_one == one and got_two == two
+        assert [str(w) for w in got_one + got_two] == [str(w) for w in one + two]
+        assert rng.getstate() == ref.getstate()
 
 
 class TestTwoSidedWord:

@@ -328,7 +328,7 @@ class TestDeterminism:
 
 class TestDemos:
     @pytest.mark.parametrize(
-        "name", ["noinvattr", "coinflip-two", "product-hump"]
+        "name", ["noinvattr", "coinflip-one", "coinflip-two", "keller", "product-hump"]
     )
     def test_fast_demos_pass(self, name, capsys):
         assert cli.main(["demo", name, "--fast"]) == 0

@@ -14,7 +14,7 @@ from skewlab.nonauto import (
     convergence_certificate,
     isoclinic_guard,
     iterate_pair,
-    trace_to_csv_string,
+    trace_to_csv,
 )
 
 HALF = FiberMap(
@@ -208,8 +208,10 @@ class TestTraceCsv:
     def test_columns_and_blanks(self):
         seq = constant_sequence(HALF, beta=1.0)
         tr = iterate_pair(seq, 0.2, 0.8, 5)
-        text = trace_to_csv_string(tr)
-        rows = list(csv.reader(io.StringIO(text)))
+        buf = io.StringIO()
+        trace_to_csv(tr, buf)
+        buf.seek(0)
+        rows = list(csv.reader(buf))
         assert rows[0] == ["n", "x", "y", "kappa", "ratio", "bound", "b"]
         assert len(rows) == len(tr.rows) + 1
         # last row has no transition data
