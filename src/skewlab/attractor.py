@@ -10,7 +10,6 @@ attraction, preinvariance, and pairwise agreement of candidate graphs.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from .fiber import ZERO_TOL, FiberMap, grid_max
 from .skew import SkewSystem, orbits, step  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
-DEFAULT_GRID_NODES = 2 ** 14
 PULLBACK_STOP_DELTA = 1e-12
 # Starts walked together by match_fraction.  Stepping 10^4 shift words at once
 # holds all of them and their successors: 7.0 MB more peak memory for demo
@@ -56,7 +54,6 @@ class GraphFunction:
         grid: np.ndarray | None = None,
         func: Callable | None = None,
         fallback: float | None = None,
-        label: str = "",
     ):
         reps = sum(x is not None for x in (table, grid, func))
         if reps != 1:
@@ -67,7 +64,6 @@ class GraphFunction:
         self.grid = np.asarray(grid, dtype=float) if grid is not None else None
         self.func = func
         self.fallback = fallback
-        self.label = label
         if self.table is not None:
             if not self.table:
                 raise DomainError("table representation must hold at least one point")
@@ -90,16 +86,16 @@ class GraphFunction:
         return v
 
     @classmethod
-    def from_table(cls, a, table, provenance="user-supplied", fallback=None, label=""):
-        return cls(a, provenance, table=table, fallback=fallback, label=label)
+    def from_table(cls, a, table, provenance="user-supplied", fallback=None):
+        return cls(a, provenance, table=table, fallback=fallback)
 
     @classmethod
-    def from_grid(cls, a, values, provenance="user-supplied", label=""):
-        return cls(a, provenance, grid=values, label=label)
+    def from_grid(cls, a, values, provenance="user-supplied"):
+        return cls(a, provenance, grid=values)
 
     @classmethod
-    def from_callable(cls, a, func, provenance="user-supplied", label=""):
-        return cls(a, provenance, func=func, label=label)
+    def from_callable(cls, a, func, provenance="user-supplied"):
+        return cls(a, provenance, func=func)
 
     def node_index(self, theta: float) -> int:
         m = len(self.grid)
@@ -154,11 +150,6 @@ class GraphFunction:
             writer.writerows(rows)
             return
         raise CapabilityError("callable graphs have no CSV serialization")
-
-    def to_csv_string(self, base=None) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf, base=base)
-        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, stream, base, a, provenance="user-supplied"):
@@ -373,10 +364,7 @@ def build_preinvariant(
             v = sys.fiber_at(prev)(v)
             table[t] = v
 
-    return GraphFunction(
-        sys.a, "constructed-preinvariant", table=table, fallback=sys.a,
-        label=f"preinvariant({sys.label})",
-    )
+    return GraphFunction(sys.a, "constructed-preinvariant", table=table, fallback=sys.a)
 
 
 @dataclass(frozen=True)
@@ -536,7 +524,7 @@ class PullbackGridResult:
 
 def pullback_grid(
     sys: SkewSystem,
-    grid_size: int = DEFAULT_GRID_NODES,
+    grid_size: int,
     depth: int = 1000,
     stop_delta: float = PULLBACK_STOP_DELTA,
 ) -> PullbackGridResult:
@@ -578,11 +566,8 @@ def pullback_grid(
         if stop_delta > 0.0 and delta < stop_delta:
             break
 
-    graph = GraphFunction(
-        sys.a, "pullback", grid=values, label=f"pullback({sys.label})"
-    )
     return PullbackGridResult(
-        graph=graph, sweeps=sweeps, delta=delta,
+        graph=GraphFunction(sys.a, "pullback", grid=values), sweeps=sweeps, delta=delta,
         monotone_ok=monotone_ok, max_increase=max_increase,
     )
 
@@ -626,8 +611,7 @@ def pullback_graph_finite(
         prev = vals
     table = dict(zip(pts, final))
     depths = {base.format_point(p): d for p, d in zip(pts, used)}
-    graph = GraphFunction(sys.a, "pullback", table=table, label=f"pullback({sys.label})")
-    return graph, depths
+    return GraphFunction(sys.a, "pullback", table=table), depths
 
 
 @dataclass(frozen=True)
@@ -637,9 +621,6 @@ class SampleRecord:
     achieved_step: int | None
     max_dev_after: float | None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 @dataclass(frozen=True)
 class AttractorVerdict:
@@ -647,14 +628,6 @@ class AttractorVerdict:
     tol: float
     steps: int
     records: list[SampleRecord]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "steps": self.steps,
-            "records": [r.to_dict() for r in self.records],
-        }
 
 
 def verify_attractor(
@@ -742,9 +715,6 @@ class PreinvarianceReport:
     horizon: int
     tol: float
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 def verify_preinvariance(
     sys: SkewSystem,
@@ -792,9 +762,6 @@ class OrbitGapRecord:
     last_exceed: int | None
     flagged: bool
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 @dataclass(frozen=True)
 class UniquenessReport:
@@ -804,16 +771,6 @@ class UniquenessReport:
     max_gap: float
     flagged_orbits: int
     records: list[OrbitGapRecord]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "eps": self.eps,
-            "steps": self.steps,
-            "max_gap": self.max_gap,
-            "flagged_orbits": self.flagged_orbits,
-            "records": [r.to_dict() for r in self.records],
-        }
 
 
 def uniqueness_probe(
@@ -829,25 +786,25 @@ def uniqueness_probe(
     An orbit whose gap still exceeds eps in the second half of the window is
     flagged: two graphs with a persistent gap along a common orbit cannot
     both be attractors, since forward fiber orbits would have to shadow both.
+    Each orbit's steps + 1 base points are read from both graphs with one
+    `GraphFunction.values` call each.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if len(thetas) == 0:
         raise DomainError("uniqueness_probe needs at least one theta")
     _check_positive("eps", eps)
+    base_step = sys.base.step
     records = []
     max_gap = 0.0
     flagged = 0
     for theta0 in thetas:
-        cur = theta0
-        exceed = []
-        gmax = 0.0
-        for n in range(steps + 1):
-            gap = abs(g1.value(cur) - g2.value(cur))
-            gmax = max(gmax, gap)
-            if gap >= eps:
-                exceed.append(n)
-            cur = sys.base.step(cur)
+        path = [theta0]
+        for _ in range(steps):
+            path.append(base_step(path[-1]))
+        gaps = [abs(u - v) for u, v in zip(g1.values(path), g2.values(path))]
+        exceed = [n for n, gap in enumerate(gaps) if gap >= eps]
+        gmax = float(max(gaps))  # a grid graph's values are numpy floats
         is_flagged = any(n >= steps // 2 for n in exceed)
         flagged += is_flagged
         max_gap = max(max_gap, gmax)

@@ -10,6 +10,7 @@ That keeps every represented forward orbit exactly computable.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import namedtuple
 from typing import Sequence
@@ -152,6 +153,10 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
         left, right = tuple(left_cycle), tuple(right_cycle)
         if not left or not right:
             raise DomainError("both cycles must be nonempty")
+        try:
+            origin = operator.index(origin)
+        except TypeError:
+            raise DomainError(f"word origin {origin!r} is not an integer") from None
         return _new_word(cls, (_symbols(left), _symbols(buf), _symbols(right), origin))
 
     def symbol(self, i: int) -> int:

@@ -85,10 +85,7 @@ def coinflip_attractor_graph() -> GraphFunction:
     """The canonical graph of the two-sided coin model: read the bit at -1."""
     from .attractor import GraphFunction
 
-    return GraphFunction.from_callable(
-        1.0, lambda w: float(w.symbol(-1)),
-        provenance="user-supplied", label="coinflip-two canonical graph",
-    )
+    return GraphFunction.from_callable(1.0, lambda w: float(w.symbol(-1)))
 
 
 def make_keller(

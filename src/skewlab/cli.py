@@ -17,6 +17,7 @@ import json
 import math
 import random
 import sys as _sys
+from dataclasses import asdict
 
 from .bases import CircleRotation, FiniteOrbitBase, OneSidedWord, fair_bits
 from .catalog import CATALOG, coinflip_attractor_graph, make_keller, make_product
@@ -86,7 +87,7 @@ def cmd_certify(args) -> int:
             "system": system.label,
             "theta": system.base.format_point(theta),
             "form": fm.form,
-            "certificate": cert.to_dict(),
+            "certificate": asdict(cert),
         }
     )
     return EXIT_OK
@@ -117,11 +118,17 @@ def cmd_orbit_pair(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    from .attractor import positive_fraction, pullback_graph_finite, pullback_grid, pullback_phi
+    from .attractor import (
+        PULLBACK_STOP_DELTA,
+        positive_fraction,
+        pullback_graph_finite,
+        pullback_grid,
+        pullback_phi,
+    )
 
     cfg, system = load_system(args.config)
     depth = cfg.defaults["depth"] if args.depth is None else args.depth
-    stop_delta = 0.0 if args.no_early_stop else 1e-12
+    stop_delta = 0.0 if args.no_early_stop else PULLBACK_STOP_DELTA
 
     if args.theta is not None:
         theta = system.base.parse_point(args.theta)
@@ -185,12 +192,12 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else cfg.defaults["tol"]
     verdict = verify_attractor(system, graph, starts, steps, tol)
     preinv = [
-        verify_preinvariance(system, graph, theta, args.horizon, tol).to_dict()
+        asdict(verify_preinvariance(system, graph, theta, args.horizon, tol))
         for theta in thetas[: min(3, len(thetas))]
     ]
     _emit_json(
         {
-            "attractor": verdict.to_dict(),
+            "attractor": asdict(verdict),
             "preinvariance": preinv,
             "graph_provenance": graph.provenance,
         }
@@ -297,7 +304,7 @@ def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:
 
     system = make_coinflip("one")
     n_words = 2000 if fast else 10 ** 4
-    flat = GraphFunction.from_callable(1.0, lambda w: 0.0, label="constant 0")
+    flat = GraphFunction.from_callable(1.0, lambda w: 0.0)
     starts = [(w, 0.0) for w in _coin_words(random.Random(20260809), n_words)]
     freq = match_fraction(system, flat, 20, starts, tol=0.0)
     claims = [
@@ -333,7 +340,7 @@ def _claims_keller(fast: bool) -> list[tuple[bool, str]]:
 
     system = make_keller()
     grid = 1024 if fast else 4096
-    res = pullback_grid(system, grid_size=grid, depth=4000, stop_delta=1e-12)
+    res = pullback_grid(system, grid_size=grid, depth=4000)
     claims = [
         (
             res.monotone_ok,

@@ -9,7 +9,7 @@ through repr).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .bases import CircleRotation, SymbolicShift
@@ -30,16 +30,8 @@ class SystemConfig:
     a: float
     defaults: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "fiber": self.fiber,
-            "a": self.a,
-            "defaults": self.defaults,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _require(cond: bool, field: str, msg: str) -> None:

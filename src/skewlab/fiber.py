@@ -93,16 +93,6 @@ class ConcavityCertificate:
     grid_size: int
     monotone: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_star": self.alpha_star,
-            "gamma": self.gamma,
-            "c": self.c,
-            "b": self.b,
-            "grid_size": self.grid_size,
-            "monotone": self.monotone,
-        }
-
 
 class RatioBound(NamedTuple):
     ratio: float
@@ -278,6 +268,16 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     return 0.5 * (lo + hi)
 
 
+def monotone_bound(alpha: float, y: float, fy: float) -> float:
+    """The order-preserving bound f(y) / (f(y) + alpha*y^2) at the larger point y."""
+    return fy / (fy + alpha * y * y)
+
+
+def flip_bound(alpha: float, b: float, fb: float, x: float) -> float:
+    """The order-flipping bound 1 - alpha*b*(b - x)/f(b) at the smaller point x."""
+    return 1.0 - alpha * b * (b - x) / fb
+
+
 def ratio_bound_monotone(
     fm: FiberMap, alpha: float, x: float, y: float
 ) -> RatioBound:
@@ -298,9 +298,7 @@ def ratio_bound_monotone(
         raise PreconditionError(
             f"precondition 0 < f(x) < f(y) failed: f(x) = {fx!r}, f(y) = {fy!r}"
         )
-    ratio = kappa(fx, fy) / kappa(x, y)
-    bound = fy / (fy + alpha * y * y)
-    return RatioBound(ratio, bound)
+    return RatioBound(kappa(fx, fy) / kappa(x, y), monotone_bound(alpha, y, fy))
 
 
 def ratio_bound_nonmonotone(
@@ -330,6 +328,4 @@ def ratio_bound_nonmonotone(
     fb = fm(b)
     if fb <= 0.0:
         raise PreconditionError(f"precondition f(b) > 0 failed: f(b) = {fb!r}")
-    ratio = kappa(fx, fy) / kappa(x, y)
-    bound = 1.0 - alpha * b * (b - x) / fb
-    return RatioBound(ratio, bound)
+    return RatioBound(kappa(fx, fy) / kappa(x, y), flip_bound(alpha, b, fb, x))

@@ -19,7 +19,9 @@ from .fiber import (
     ConcavityCertificate,
     FiberMap,
     certify,
+    flip_bound,
     kappa,
+    monotone_bound,
 )
 
 _BOUND_SLACK = 1e-9
@@ -75,7 +77,6 @@ class MapSequence:
     supplier: Callable[[int], FiberMap]
     a: float
     declared_beta: float | None = None
-    classification: str = "unknown"  # pinched | equiconcave | unknown
 
     def map_at(self, n: int) -> FiberMap:
         if n < 1:
@@ -192,16 +193,12 @@ def iterate_pair(
         if fu < fv:
             prev.case = "inc"
             if fu > 0.0:
-                prev.bound = fv / (fv + alpha * v * v)
+                prev.bound = monotone_bound(alpha, v, fv)
         elif fu > fv:
             prev.case = "dec"
-            if (
-                alpha > 0.0
-                and prof.b is not None
-                and v < prof.b
-                and fm(prof.b) > 0.0
-            ):
-                prev.bound = 1.0 - alpha * prof.b * (prof.b - u) / fm(prof.b)
+            b = prof.b
+            if alpha > 0.0 and b is not None and v < b and (fb := fm(b)) > 0.0:
+                prev.bound = flip_bound(alpha, b, fb, u)
         else:
             prev.case = "tie"
 
@@ -243,10 +240,6 @@ class ConvergenceReport:
     envelope_first: int | None
     first_within: int | None
     tol: float
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        return d
 
 
 def convergence_certificate(
@@ -321,9 +314,6 @@ class GuardReport:
     flip_violations: list[int]
     unverifiable: list[int]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
 def isoclinic_guard(seq: MapSequence, trace: OrbitPairTrace) -> GuardReport:

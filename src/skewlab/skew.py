@@ -47,14 +47,7 @@ class SkewSystem:
                 orbit_cache.append(self.base.step(orbit_cache[-1]))
             return self.fiber_at(orbit_cache[n - 1])
 
-        return MapSequence(
-            supplier=supplier,
-            a=self.a,
-            declared_beta=self.beta,
-            classification=(
-                "equiconcave" if self.classification.endswith("equiconcave") else "unknown"
-            ),
-        )
+        return MapSequence(supplier=supplier, a=self.a, declared_beta=self.beta)
 
 
 def _outside(x: float, a: float) -> DomainError:
@@ -123,9 +116,6 @@ class Classification:
     beta: float | None
     samples: int
     diagnostics: list[str]
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
 def classify(
@@ -212,9 +202,6 @@ class PinchReport:
     horizon: int
     zero_steps: list[int]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
 def detect_pinching(

@@ -141,8 +141,7 @@ def _strong_monotone_sequence(rng):
         return FiberMap(1.0, lambda x, k=k: k * x * (2.0 - x),
                         gamma=k, alpha=k, b=1.0, monotone=True)
 
-    return MapSequence(supplier, 1.0, declared_beta=1.0,
-                       classification="equiconcave")
+    return MapSequence(supplier, 1.0, declared_beta=1.0)
 
 
 def test_c06_monotone_contraction_at_desk_scale():
@@ -187,8 +186,7 @@ def _scaled_hump_sequence(rng):
         return FiberMap(1.0, lambda x, s=s: 4.0 * s * x * (1.0 - x),
                         gamma=s, alpha=4.0 * s, b=2.0 / 3.0, monotone=False)
 
-    return MapSequence(supplier, 1.0, declared_beta=4.0,
-                       classification="equiconcave")
+    return MapSequence(supplier, 1.0, declared_beta=4.0)
 
 
 def test_c07_nonmonotone_contraction_and_guard():
@@ -209,8 +207,7 @@ def test_c07_nonmonotone_contraction_and_guard():
 
     full = FiberMap(1.0, lambda x: 4.0 * x * (1.0 - x),
                     gamma=1.0, alpha=4.0, b=2.0 / 3.0, monotone=False)
-    seq_full = MapSequence(lambda n: full, 1.0, declared_beta=4.0,
-                           classification="equiconcave")
+    seq_full = MapSequence(lambda n: full, 1.0, declared_beta=4.0)
     tr_full = iterate_pair(seq_full, 0.2, 0.25, 40)
     rep_full = isoclinic_guard(seq_full, tr_full)
     assert not rep_full.hypothesis_ok

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from skewlab.attractor import (
     GraphFunction,
+    OrbitGapRecord,
+    UniquenessReport,
     _largest_fixed_point_scan,
     build_preinvariant,
     largest_fixed_point,
@@ -208,6 +210,38 @@ class TestLargestFixedPoint:
         assert _largest_fixed_point_scan(fm) == pytest.approx(0.75, abs=1e-9)
 
 
+def csv_text(graph, base=None):
+    """What `GraphFunction.to_csv` writes, as a string."""
+    buf = io.StringIO()
+    graph.to_csv(buf, base=base)
+    return buf.getvalue()
+
+
+def scalar_uniqueness(sys_, g1, g2, thetas, steps, eps):
+    """`uniqueness_probe` by one scalar `value` call per graph and step."""
+    records, flagged = [], 0
+    for theta0 in thetas:
+        cur, exceed, gmax = theta0, [], 0.0
+        for n in range(steps + 1):
+            gap = abs(g1.value(cur) - g2.value(cur))
+            gmax = max(gmax, gap)
+            if gap >= eps:
+                exceed.append(n)
+            cur = sys_.base.step(cur)
+        is_flagged = any(n >= steps // 2 for n in exceed)
+        flagged += is_flagged
+        records.append(OrbitGapRecord(
+            sys_.base.format_point(theta0), gmax, len(exceed),
+            exceed[-1] if exceed else None, is_flagged,
+        ))
+    verdict = (
+        "consistent with a single attractor" if flagged == 0
+        else f"both cannot be attractors (gap persists on {flagged} orbits)"
+    )
+    return UniquenessReport(verdict, eps, steps, max(r.max_gap for r in records),
+                            flagged, records)
+
+
 def reference_grid_csv(grid):
     """Grid CSV written row by row, one repr(float(grid[j])) per node."""
     buf = io.StringIO()
@@ -275,28 +309,28 @@ class TestGraphFunction:
         base = CircleRotation(0.3)
         vals = np.linspace(0.0, 0.9, 64)
         g = GraphFunction.from_grid(1.0, vals, provenance="pullback")
-        text = g.to_csv_string(base=base)
+        text = csv_text(g, base=base)
         g2 = GraphFunction.from_csv(io.StringIO(text), base, 1.0)
         assert np.array_equal(g2.grid, g.grid)
 
     @settings(max_examples=150, deadline=None)
     @given(grid_graphs())
     def test_grid_csv_matches_row_writer(self, g):
-        assert g.to_csv_string() == reference_grid_csv(g.grid)
+        assert csv_text(g) == reference_grid_csv(g.grid)
 
     def test_grid_csv_matches_row_writer_off_powers_of_two(self):
         rng = random.Random(5)
         for m in (1, 3, 7, 1000, 4099):
             vals = [rng.choice((0.0, 1.0, 5e-324, rng.random())) for _ in range(m)]
             g = GraphFunction.from_grid(1.0, vals)
-            text = g.to_csv_string(base=CircleRotation(0.3))
+            text = csv_text(g, base=CircleRotation(0.3))
             assert text == reference_grid_csv(g.grid)
             assert text.count("\n") == m + 1
 
     def test_csv_roundtrip_table(self):
         base = FiniteOrbitBase([0.25, 0.5], {0.25: 0.5, 0.5: 0.5})
         g = GraphFunction.from_table(1.0, {0.25: 0.125, 0.5: 1 / 3})
-        text = g.to_csv_string(base=base)
+        text = csv_text(g, base=base)
         g2 = GraphFunction.from_csv(io.StringIO(text), base, 1.0)
         assert g2.table == g.table
 
@@ -777,6 +811,24 @@ class TestUniquenessProbe:
             sys_, g_half, res.graph, [rng.random() for _ in range(20)], 50, 1e-6
         )
         assert rep.flagged_orbits == 0
+
+    @pytest.mark.parametrize("kind", ["grid-callable", "table-callable", "table-table"])
+    def test_records_match_scalar_walk(self, kind):
+        if kind == "grid-callable":
+            sys_ = make_keller()
+            g1 = pullback_grid(sys_, grid_size=128, depth=60, stop_delta=0.0).graph
+            g2 = GraphFunction.from_callable(1.0, lambda t: 0.75 + 0.2 * math.sin(9.0 * t))
+            thetas = [0.0, 0.1, 0.3, 0.77]
+        else:
+            sys_ = make_noinvattr(8)
+            g1 = build_preinvariant(sys_)
+            g2 = (GraphFunction.from_callable(1.0, lambda t: 0.5) if kind == "table-callable"
+                  else pullback_graph_finite(sys_, 3)[0])
+            thetas = list(sys_.base.points)
+        for steps, eps in [(1, 0.1), (12, 0.05), (40, 1e-9)]:
+            rep = uniqueness_probe(sys_, g1, g2, thetas, steps, eps)
+            assert rep == scalar_uniqueness(sys_, g1, g2, thetas, steps, eps)
+            assert all(type(r.max_gap) is float for r in rep.records)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_must_be_positive(self, steps):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from skewlab.bases import (
     fair_bits,
     orbit_walk,
 )
+from skewlab.catalog import coinflip_attractor_graph
 from skewlab.errors import CapabilityError, ConfigError, DomainError
 
 bits = st.lists(st.integers(0, 1), min_size=0, max_size=8).map(tuple)
@@ -116,6 +118,26 @@ class TestWordValues:
     def test_symbols_outside_0_1_refused(self, build):
         with pytest.raises(DomainError, match=r"word symbol (2|-1) is not 0 or 1"):
             build()
+
+    @pytest.mark.parametrize("origin", [0.5, 1.0, "1", None], ids=repr)
+    def test_origin_must_be_an_integer(self, origin):
+        message = re.escape(f"word origin {origin!r} is not an integer")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            TwoSidedWord((0,), (1,), (1,), origin)
+
+    def test_integer_origin_accepted(self):
+        class Index:
+            def __index__(self):
+                return -2
+
+        for origin, stored in [(3, 3), (-1, -1), (Index(), -2)]:
+            w = TwoSidedWord((0,), (1,), (1,), origin)
+            assert w.origin == stored and type(w.origin) is int
+            assert coinflip_attractor_graph().value(w) == float(w.symbol(-1))
+        # parse reads the origin through int(), as before
+        assert str(TwoSidedWord.parse("0~1~1@-3")) == "0~1~1@-3"
+        with pytest.raises(ConfigError, match="bad two-sided word '0~1~1@0.5'"):
+            TwoSidedWord.parse("0~1~1@0.5")
 
 
 class TestFairBits:

@@ -4,14 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 from skewlab import cli, nonauto
 from skewlab.bases import OneSidedWord
-from skewlab.config import build_system, parse_config
+from skewlab.attractor import AttractorVerdict, PreinvarianceReport, SampleRecord
+from skewlab.config import build_system, load_system, parse_config
 from skewlab.errors import ConfigError
+from skewlab.fiber import certify
 
 KELLER_CFG = {
     "base": {"variant": "circle-rotation", "omega": 0.6180339887498949},
@@ -154,6 +157,41 @@ class TestOrbitPairCommand:
                   "--steps", "0", "--out", str(out)])
         lines = out.read_text().strip().splitlines()
         assert lines == ["n,x,y,kappa,ratio,bound,b"]
+
+
+class TestJsonLayout:
+    """The results in the JSON of certify and verify are `dataclasses.asdict` of their types."""
+
+    def test_certificate_is_asdict_of_certify(self, cfg_file, capsys):
+        cfg = cfg_file(KELLER_CFG)
+        rc = cli.main(["certify", "--config", cfg, "--grid", "512", "--theta", "0.25"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        _, system = load_system(cfg)
+        assert doc["certificate"] == asdict(certify(system.fiber_at(0.25), 512))
+        assert set(doc) == {"system", "theta", "form", "certificate"}
+
+    def test_verify_records_have_the_result_fields(self, cfg_file, tmp_path, capsys):
+        cfg = cfg_file(KELLER_CFG)
+        phi = tmp_path / "phi.csv"
+        assert cli.main(["pullback", "--config", cfg, "--out", str(phi)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["verify", "--config", cfg, "--phi", str(phi), "--samples", "5",
+                       "--steps", "30", "--tol", "0.05", "--horizon", "3"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"attractor", "preinvariance", "graph_provenance"}
+        assert set(doc["attractor"]) == _field_names(AttractorVerdict)
+        assert len(doc["attractor"]["records"]) == 5
+        for record in doc["attractor"]["records"]:
+            assert set(record) == _field_names(SampleRecord)
+        assert len(doc["preinvariance"]) == 3
+        for entry in doc["preinvariance"]:
+            assert set(entry) == _field_names(PreinvarianceReport)
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 class TestPullbackVerifyPipeline:

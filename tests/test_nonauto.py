@@ -6,7 +6,7 @@ import pytest
 
 from skewlab import nonauto
 from skewlab.errors import DomainError, PreconditionError
-from skewlab.fiber import FiberMap
+from skewlab.fiber import FiberMap, ratio_bound_monotone, ratio_bound_nonmonotone
 from skewlab.nonauto import (
     MapSequence,
     bound_violations,
@@ -25,8 +25,7 @@ ZERO = FiberMap(1.0, lambda x: 0.0, form="0", gamma=0.0, alpha=0.0, monotone=Tru
 
 
 def constant_sequence(fm, beta=None):
-    return MapSequence(lambda n: fm, fm.a, declared_beta=beta,
-                       classification="equiconcave" if beta else "unknown")
+    return MapSequence(lambda n: fm, fm.a, declared_beta=beta)
 
 
 def strong_monotone_sequence(rng):
@@ -40,7 +39,7 @@ def strong_monotone_sequence(rng):
             gamma=k, alpha=k, b=1.0, monotone=True,
         )
 
-    return MapSequence(supplier, 1.0, declared_beta=1.0, classification="equiconcave")
+    return MapSequence(supplier, 1.0, declared_beta=1.0)
 
 
 def scaled_hump_sequence(rng):
@@ -54,7 +53,7 @@ def scaled_hump_sequence(rng):
             gamma=s, alpha=4.0 * s, b=2.0 / 3.0, monotone=False,
         )
 
-    return MapSequence(supplier, 1.0, declared_beta=4.0, classification="equiconcave")
+    return MapSequence(supplier, 1.0, declared_beta=4.0)
 
 
 class TestIteratePair:
@@ -68,10 +67,7 @@ class TestIteratePair:
         assert not bound_violations(tr)
 
     def test_pinched_sequence(self):
-        seq = MapSequence(
-            lambda n: ZERO if n == 3 else HALF, 1.0,
-            declared_beta=1.0, classification="pinched",
-        )
+        seq = MapSequence(lambda n: ZERO if n == 3 else HALF, 1.0, declared_beta=1.0)
         tr = iterate_pair(seq, 0.3, 0.9, 20)
         assert tr.reason == "pinched"
         assert tr.rows[-1].n == 3
@@ -123,6 +119,28 @@ class TestIteratePair:
                 continue
             tr = iterate_pair(seq, x0, y0, 100)
             assert not bound_violations(tr)
+
+    def test_recorded_bounds_are_the_fiber_bounds(self):
+        # the bound a trace row records is the one ratio_bound_* returns
+        rng = random.Random(11)
+        cases = set()
+        for _ in range(20):
+            seq = scaled_hump_sequence(rng)
+            x0, y0 = sorted(rng.uniform(0.1, 0.65) for _ in range(2))
+            for r in iterate_pair(seq, x0, y0, 60).rows:
+                if r.bound is None:
+                    continue
+                fm = seq.map_at(r.n + 1)
+                alpha = seq.declared_beta * fm.gamma
+                u, v = sorted((r.x, r.y))
+                if r.case == "inc":
+                    expected = ratio_bound_monotone(fm, alpha, u, v)
+                else:
+                    expected = ratio_bound_nonmonotone(fm, alpha, r.b, u, v)
+                assert r.bound == expected.bound
+                assert r.ratio is None or r.ratio == expected.ratio
+                cases.add(r.case)
+        assert cases == {"inc", "dec"}
 
 
 class TestConvergenceCertificate:
