@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .bases import CircleRotation, orbit_walk
@@ -367,8 +366,7 @@ def build_preinvariant(
     return GraphFunction(sys.a, "constructed-preinvariant", table=table, fallback=sys.a)
 
 
-@dataclass(frozen=True)
-class PullbackSequence:
+class PullbackSequence(NamedTuple):
     """phi_n(theta) for n = 1..depth_used along the backward orbit of theta."""
 
     theta_repr: str
@@ -505,8 +503,7 @@ def pullback_phi(
     )
 
 
-@dataclass(frozen=True)
-class PullbackGridResult:
+class PullbackGridResult(NamedTuple):
     graph: GraphFunction
     sweeps: int
     delta: float
@@ -614,16 +611,14 @@ def pullback_graph_finite(
     return GraphFunction(sys.a, "pullback", table=table), depths
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     start_base: str
     start_fiber: float
     achieved_step: int | None
     max_dev_after: float | None
 
 
-@dataclass(frozen=True)
-class AttractorVerdict:
+class AttractorVerdict(NamedTuple):
     verdict: str  # attracting | not-attracting
     tol: float
     steps: int
@@ -706,8 +701,7 @@ def _reduce_arrays(
     return achieved, devs.max(axis=0)
 
 
-@dataclass(frozen=True)
-class PreinvarianceReport:
+class PreinvarianceReport(NamedTuple):
     ok: bool
     first_good_n: int | None
     first_violation: int | None
@@ -754,8 +748,7 @@ def verify_preinvariance(
     )
 
 
-@dataclass(frozen=True)
-class OrbitGapRecord:
+class OrbitGapRecord(NamedTuple):
     theta: str
     max_gap: float
     exceed_count: int
@@ -763,8 +756,7 @@ class OrbitGapRecord:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     verdict: str
     eps: float
     steps: int

@@ -45,6 +45,12 @@ def _symbols(seq: Sequence[int]) -> tuple[int, ...]:
     return seq
 
 
+# Each output's top byte maps to its bit 30 (bytes below 128), or is deleted
+# when its bit 31 is set.
+_BIT_30 = bytes(b >> 6 for b in range(128)) + bytes(128)
+_BIT_31_SET = bytes(range(128, 256))
+
+
 def fair_bits(rng: random.Random, n: int) -> list[int]:
     """``[rng.randrange(2) for _ in range(n)]`` drawn in bulk: the same bits,
     and ``rng`` left in the same state.
@@ -60,7 +66,7 @@ def fair_bits(rng: random.Random, n: int) -> list[int]:
     while len(out) < n:
         k = n - len(out)
         top = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
-        out += [b >> 6 for b in top if b < 128]
+        out += top.translate(_BIT_30, _BIT_31_SET)
     return out
 
 
@@ -170,11 +176,6 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
         left = self.left_cycle
         return left[j % len(left)]
 
-    def _moved(self, by: int) -> "TwoSidedWord":
-        # The fields of a built word are checked already: skip __new__.
-        left, buf, right, origin = self
-        return _new_word(TwoSidedWord, (left, buf, right, origin + by))
-
     def _key(self) -> tuple:
         """The symbol sequence as a tuple that every representation shares.
 
@@ -218,11 +219,14 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
     def __hash__(self) -> int:
         return hash(self._key())
 
+    # The fields of a built word are checked already: the shifts skip __new__.
     def shifted(self) -> "TwoSidedWord":
-        return self._moved(1)
+        left, buf, right, origin = self
+        return _new_word(TwoSidedWord, (left, buf, right, origin + 1))
 
     def shifted_back(self) -> "TwoSidedWord":
-        return self._moved(-1)
+        left, buf, right, origin = self
+        return _new_word(TwoSidedWord, (left, buf, right, origin - 1))
 
     def __str__(self) -> str:
         return "{}~{}~{}@{}".format(
@@ -340,10 +344,8 @@ class SymbolicShift:
             raise ConfigError(f"sided must be 'one' or 'two', got {sided!r}")
         self.sided = sided
         self.invertible = sided == "two"
-
-    @staticmethod
-    def step(w):
-        return w.shifted()
+        # The shift map itself: step(w) is w.shifted(), one call frame fewer.
+        self.step = OneSidedWord.shifted if sided == "one" else TwoSidedWord.shifted
 
     def predecessor(self, w):
         if self.sided == "one":

@@ -7,8 +7,7 @@ concavity constant can be re-derived with `skew.classify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
 from .errors import DomainError, RegistryError
@@ -160,8 +159,7 @@ def make_product(
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     build: Callable[..., SkewSystem]
     params: dict

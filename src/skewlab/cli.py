@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys as _sys
-from dataclasses import asdict
 
 from .bases import CircleRotation, FiniteOrbitBase, OneSidedWord, fair_bits
 from .catalog import CATALOG, coinflip_attractor_graph, make_keller, make_product
@@ -87,7 +86,7 @@ def cmd_certify(args) -> int:
             "system": system.label,
             "theta": system.base.format_point(theta),
             "form": fm.form,
-            "certificate": asdict(cert),
+            "certificate": cert._asdict(),
         }
     )
     return EXIT_OK
@@ -192,12 +191,15 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else cfg.defaults["tol"]
     verdict = verify_attractor(system, graph, starts, steps, tol)
     preinv = [
-        asdict(verify_preinvariance(system, graph, theta, args.horizon, tol))
+        verify_preinvariance(system, graph, theta, args.horizon, tol)._asdict()
         for theta in thetas[: min(3, len(thetas))]
     ]
     _emit_json(
         {
-            "attractor": asdict(verdict),
+            # json writes a bare NamedTuple as an array: convert the nested records too.
+            "attractor": dict(
+                verdict._asdict(), records=[r._asdict() for r in verdict.records]
+            ),
             "preinvariance": preinv,
             "graph_provenance": graph.provenance,
         }

@@ -9,8 +9,8 @@ through repr).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .bases import CircleRotation, SymbolicShift
 from .catalog import make_noinvattr, make_product
@@ -23,15 +23,14 @@ _BASE_VARIANTS = ("circle-rotation", "finite-orbit", "shift")
 _DEFAULTS = {"grid": 4096, "tol": 1e-9, "depth": 1000, "steps": 100}
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(NamedTuple):
     base: dict
     fiber: dict
     a: float
     defaults: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(self._asdict(), sort_keys=True, indent=2)
 
 
 def _require(cond: bool, field: str, msg: str) -> None:

@@ -9,7 +9,6 @@ against their closed-form bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InvariantError, PreconditionError
@@ -32,8 +31,7 @@ def kappa(u: float, v: float) -> float:
     return abs(v - u) / min(u, v)
 
 
-@dataclass(frozen=True)
-class FiberMap:
+class FiberMap(NamedTuple):
     """A map of [0, a] into itself with f(0) = 0.
 
     ``form`` is a human-readable descriptor (registry name plus parameters)
@@ -67,8 +65,7 @@ class FiberMap:
                 gamma=0.0, alpha=0.0, b=None, monotone=True,
                 analyzable=self.analyzable,
             )
-        return replace(
-            self,
+        return self._replace(
             f=lambda x: c * base(x),
             form=f"{c!r}*({self.form})",
             gamma=None if self.gamma is None else c * self.gamma,
@@ -76,8 +73,7 @@ class FiberMap:
         )
 
 
-@dataclass(frozen=True)
-class ConcavityCertificate:
+class ConcavityCertificate(NamedTuple):
     """Grid-level concavity data for one fiber map.
 
     ``alpha_star`` is the largest curvature level for which f(x) + alpha*x^2

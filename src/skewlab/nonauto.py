@@ -10,8 +10,7 @@ does not; ties (equal images) and coordinates pinned at 0 leave blanks.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, PreconditionError
 from .fiber import (
@@ -30,8 +29,7 @@ _BOUND_SLACK = 1e-9
 KAPPA_NOISE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class MapProfile:
+class MapProfile(NamedTuple):
     """Per-map data consumed by the trace bound bookkeeping."""
 
     gamma: float
@@ -64,8 +62,7 @@ def map_profile(fm: FiberMap, grid_size: int = 2048) -> MapProfile:
     return MapProfile(gamma=gamma, alpha=alpha, b=b, monotone=monotone, zero=zero)
 
 
-@dataclass(frozen=True)
-class MapSequence:
+class MapSequence(NamedTuple):
     """A sequence n >= 1 of fiber maps on a shared interval [0, a].
 
     ``declared_beta`` is the scale-normalized concavity constant: when set,
@@ -104,9 +101,8 @@ def check_equiconcavity(
     return out
 
 
-@dataclass
-class PairStep:
-    """One trace row.  ratio/bound/b describe the transition to row n+1."""
+class PairStep(NamedTuple):
+    """One trace row.  ratio/bound/b/case describe the transition to row n+1."""
 
     n: int
     x: float
@@ -118,8 +114,7 @@ class PairStep:
     case: str | None = None  # inc | dec | tie (orientation of the image pair)
 
 
-@dataclass(frozen=True)
-class OrbitPairTrace:
+class OrbitPairTrace(NamedTuple):
     rows: list[PairStep]
     reason: str  # merged | pinched | completed
     a: float
@@ -161,10 +156,12 @@ def iterate_pair(
         if not (0.0 < v <= a):
             raise DomainError(f"{name} must lie in (0, {a!r}], got {v!r}")
 
-    rows = [PairStep(n=0, x=x0, y=y0, kappa=_kappa_or_none(x0, y0))]
+    k = _kappa_or_none(x0, y0)
     if x0 == y0:
-        return OrbitPairTrace(rows, "merged", a, seq.declared_beta)
+        return OrbitPairTrace([PairStep(0, x0, y0, k)], "merged", a, seq.declared_beta)
 
+    # Row n - 1 is appended once step n has filled in its transition fields.
+    rows: list[PairStep] = []
     x, y = x0, y0
     reason = "completed"
     profiles: dict[FiberMap, MapProfile] = {}  # a map met again is not re-certified
@@ -173,12 +170,11 @@ def iterate_pair(
         prof = profiles.get(fm)
         if prof is None:
             prof = profiles[fm] = map_profile(fm, grid_size)
-        prev = rows[-1]
-        prev.b = prof.b
 
         if prof.zero:
+            rows.append(PairStep(n - 1, x, y, k, b=prof.b))
             x, y = fm(x), fm(y)
-            rows.append(PairStep(n=n, x=x, y=y, kappa=_kappa_or_none(x, y)))
+            k = _kappa_or_none(x, y)
             reason = "pinched"
             break
 
@@ -190,32 +186,31 @@ def iterate_pair(
             else prof.alpha
         )
 
+        bound = None
         if fu < fv:
-            prev.case = "inc"
+            case = "inc"
             if fu > 0.0:
-                prev.bound = monotone_bound(alpha, v, fv)
+                bound = monotone_bound(alpha, v, fv)
         elif fu > fv:
-            prev.case = "dec"
+            case = "dec"
             b = prof.b
             if alpha > 0.0 and b is not None and v < b and (fb := fm(b)) > 0.0:
-                prev.bound = flip_bound(alpha, b, fb, u)
+                bound = flip_bound(alpha, b, fb, u)
         else:
-            prev.case = "tie"
+            case = "tie"
 
         nx, ny = (fu, fv) if x < y else (fv, fu)
         k_new = _kappa_or_none(nx, ny)
-        if (
-            prev.kappa is not None
-            and prev.kappa >= KAPPA_NOISE_FLOOR
-            and k_new is not None
-        ):
-            prev.ratio = k_new / prev.kappa
-        rows.append(PairStep(n=n, x=nx, y=ny, kappa=k_new))
-        x, y = nx, ny
+        ratio = None
+        if k is not None and k >= KAPPA_NOISE_FLOOR and k_new is not None:
+            ratio = k_new / k
+        rows.append(PairStep(n - 1, x, y, k, ratio, bound, prof.b, case))
+        x, y, k = nx, ny, k_new
         if x == y:
             reason = "merged"
             break
 
+    rows.append(PairStep(n, x, y, k))
     return OrbitPairTrace(rows, reason, a, seq.declared_beta)
 
 
@@ -228,8 +223,7 @@ def bound_violations(trace: OrbitPairTrace, slack: float = _BOUND_SLACK) -> list
     ]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     verdict: str  # consistent | violation
     violation_step: int | None
     eps: float
@@ -306,8 +300,7 @@ def convergence_certificate(
     )
 
 
-@dataclass(frozen=True)
-class GuardReport:
+class GuardReport(NamedTuple):
     hypothesis_ok: bool
     first_violation: tuple[int, float, float] | None  # (n, offending value, b)
     flips: int

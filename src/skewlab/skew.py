@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .bases import CircleRotation
@@ -15,8 +14,7 @@ if TYPE_CHECKING:
     from .nonauto import MapSequence
 
 
-@dataclass(frozen=True)
-class SkewSystem:
+class SkewSystem(NamedTuple):
     """F(theta, x) = (R(theta), psi_theta(x)) on base x [0, a].
 
     ``classification`` and ``beta`` are declarations (from the catalog or a
@@ -110,8 +108,7 @@ def orbits(
         yield thetas, xs
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # monotone-equiconcave | isoclinic-equiconcave | unclassified
     beta: float | None
     samples: int
@@ -196,8 +193,7 @@ def classify(
     return Classification(kind, beta, len(thetas), diagnostics)
 
 
-@dataclass(frozen=True)
-class PinchReport:
+class PinchReport(NamedTuple):
     theta: str
     horizon: int
     zero_steps: list[int]

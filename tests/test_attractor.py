@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import random
@@ -119,8 +118,8 @@ EXIT = FiberMap(1.0, lambda x: x + 1.5, form="exit")
 
 def exiting_at(sys_, point):
     """sys_ with the fiber map at base point ``point`` replaced by EXIT."""
-    return dataclasses.replace(
-        sys_, fiber_at=lambda t: EXIT if t == point else sys_.fiber_at(t)
+    return sys_._replace(
+        fiber_at=lambda t: EXIT if t == point else sys_.fiber_at(t)
     )
 
 
@@ -176,8 +175,8 @@ def counting_noinvattr():
         return FiberMap(1.0, f)
 
     strong, weak = counting(1.0), counting(0.25)
-    sys_ = dataclasses.replace(
-        make_noinvattr(64), fiber_at=lambda t: strong if t >= 0.0 else weak
+    sys_ = make_noinvattr(64)._replace(
+        fiber_at=lambda t: strong if t >= 0.0 else weak
     )
     return sys_, calls
 
@@ -552,7 +551,7 @@ class TestPullbackSweep:
                 return fm(x)
             return FiberMap(1.0, f)
 
-        sys_ = dataclasses.replace(keller, fiber_at=counting_fiber_at)
+        sys_ = keller._replace(fiber_at=counting_fiber_at)
         for theta in (0.3, 0.0625, 0.9):
             calls[0] = 0
             seq = pullback_phi(sys_, theta, 4000)
@@ -627,7 +626,7 @@ class TestVerifyAttractor:
     @settings(max_examples=60, deadline=None)
     def test_batched_orbits_match_scalar_path(self, eps, starts, steps, tol):
         batched = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": eps})
-        scalar = dataclasses.replace(batched, product_parts=None)
+        scalar = batched._replace(product_parts=None)
         graph = pullback_grid(batched, grid_size=256, depth=300).graph
         fast = verify_attractor(batched, graph, starts, steps, tol)
         slow = verify_attractor(scalar, graph, starts, steps, tol)
@@ -719,7 +718,7 @@ class TestVerifyAttractor:
 
     def test_batched_records_equal_scalar_records(self):
         batched = keller_k07()
-        scalar = dataclasses.replace(batched, product_parts=None)
+        scalar = batched._replace(product_parts=None)
         graph = pullback_grid(batched, grid_size=256, depth=300).graph
         rng = random.Random(7)
         starts = [(rng.random(), rng.random()) for _ in range(200)]
@@ -731,7 +730,7 @@ class TestVerifyAttractor:
     @pytest.mark.parametrize("x0", [-0.25, 1.5])
     def test_start_outside_fiber_raises_on_both_paths(self, x0):
         batched = make_keller()
-        scalar = dataclasses.replace(batched, product_parts=None)
+        scalar = batched._replace(product_parts=None)
         graph = GraphFunction.from_callable(1.0, lambda t: 0.5)
         messages = []
         for sys_ in (batched, scalar):

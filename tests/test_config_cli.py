@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -12,9 +11,9 @@ import pytest
 from skewlab import cli, nonauto
 from skewlab.bases import OneSidedWord
 from skewlab.attractor import AttractorVerdict, PreinvarianceReport, SampleRecord
-from skewlab.config import build_system, load_system, parse_config
+from skewlab.config import SystemConfig, build_system, load_system, parse_config
 from skewlab.errors import ConfigError
-from skewlab.fiber import certify
+from skewlab.fiber import ConcavityCertificate, certify
 
 KELLER_CFG = {
     "base": {"variant": "circle-rotation", "omega": 0.6180339887498949},
@@ -120,7 +119,7 @@ class TestCliExitCodes:
 
         def doctored(*args, **kwargs):
             tr = real(*args, **kwargs)
-            tr.rows[0].ratio = tr.rows[0].bound + 1.0
+            tr.rows[0] = tr.rows[0]._replace(ratio=tr.rows[0].bound + 1.0)
             return tr
 
         monkeypatch.setattr(nonauto, "iterate_pair", doctored)
@@ -160,7 +159,11 @@ class TestOrbitPairCommand:
 
 
 class TestJsonLayout:
-    """The results in the JSON of certify and verify are `dataclasses.asdict` of their types."""
+    """The results in the JSON of certify and verify are the `_asdict()` of their types.
+
+    json writes a bare NamedTuple as an array, so each record, nested ones
+    included, must reach it as a dict.
+    """
 
     def test_certificate_is_asdict_of_certify(self, cfg_file, capsys):
         cfg = cfg_file(KELLER_CFG)
@@ -168,8 +171,9 @@ class TestJsonLayout:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         _, system = load_system(cfg)
-        assert doc["certificate"] == asdict(certify(system.fiber_at(0.25), 512))
+        assert doc["certificate"] == certify(system.fiber_at(0.25), 512)._asdict()
         assert set(doc) == {"system", "theta", "form", "certificate"}
+        assert set(doc["certificate"]) == _field_names(ConcavityCertificate)
 
     def test_verify_records_have_the_result_fields(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(KELLER_CFG)
@@ -184,14 +188,20 @@ class TestJsonLayout:
         assert set(doc["attractor"]) == _field_names(AttractorVerdict)
         assert len(doc["attractor"]["records"]) == 5
         for record in doc["attractor"]["records"]:
+            assert isinstance(record, dict)
             assert set(record) == _field_names(SampleRecord)
         assert len(doc["preinvariance"]) == 3
         for entry in doc["preinvariance"]:
             assert set(entry) == _field_names(PreinvarianceReport)
 
+    def test_config_json_is_an_object_of_its_fields(self):
+        doc = json.loads(parse_config(KELLER_CFG).to_json())
+        assert isinstance(doc, dict)
+        assert set(doc) == _field_names(SystemConfig)
+
 
 def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
+    return set(cls._fields)
 
 
 class TestPullbackVerifyPipeline:

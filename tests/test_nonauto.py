@@ -171,7 +171,7 @@ class TestConvergenceCertificate:
     def test_violation_is_named(self):
         seq = constant_sequence(HALF, beta=1.0)
         tr = iterate_pair(seq, 0.2, 0.8, 30)
-        tr.rows[4].ratio = tr.rows[4].bound + 1e-3  # doctored record
+        tr.rows[4] = tr.rows[4]._replace(ratio=tr.rows[4].bound + 1e-3)  # doctored record
         rep = convergence_certificate(tr, beta=1.0, eps=0.1)
         assert rep.verdict == "violation" and rep.violation_step == 4
 

@@ -8,8 +8,10 @@ over a finite base or a shift must finish without executing numpy's import.
 Likewise `import skewlab` runs no layer module, and each command executes
 only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
-the nonauto module.  Each child process below starts fresh, so no earlier
-test has loaded a module for it.
+the nonauto module.  No command imports `dataclasses`: every result and
+value type is a NamedTuple, which runs no generated code when its class is
+created.  Each child process below starts fresh, so no earlier test has
+loaded a module for it.
 """
 
 import json
@@ -43,7 +45,8 @@ CUBIC_CFG = {
 }
 
 # Runs each argv list through cli.main in turn and records, after each one,
-# its exit code, the numpy submodules and the skewlab modules loaded so far.
+# its exit code, the numpy submodules and the skewlab modules loaded so far,
+# and whether dataclasses is loaded.
 CHILD = """
 import json, sys
 from skewlab import cli
@@ -51,7 +54,8 @@ report = []
 for argv in json.loads(sys.argv[1]):
     rc = cli.main(argv)
     report.append([rc, sorted(k for k in sys.modules if k.startswith("numpy.")),
-                   sorted(k for k in sys.modules if k.startswith("skewlab."))])
+                   sorted(k for k in sys.modules if k.startswith("skewlab.")),
+                   "dataclasses" in sys.modules])
 with open(sys.argv[2], "w") as fh:
     json.dump(report, fh)
 """
@@ -70,7 +74,10 @@ def _run_child(argvs, report_path):
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(report_path.read_text())
+    report = json.loads(report_path.read_text())
+    for argv, entry in zip(argvs, report):
+        assert not entry.pop(), (argv, "imported dataclasses")
+    return report
 
 
 def test_scalar_commands_never_run_numpy(tmp_path):
