@@ -22,7 +22,6 @@ from .errors import (
     CoverageError,
     DomainError,
     InvariantError,
-    SkewlabError,
 )
 from .fiber import ZERO_TOL, FiberMap, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
@@ -34,6 +33,8 @@ PULLBACK_STOP_DELTA = 1e-12
 # holds all of them and their successors: 7.0 MB more peak memory for demo
 # coinflip-one.
 MATCH_BLOCK = 32
+# Scan nodes of largest_fixed_point before its bisection.
+FIXED_POINT_SCAN = 4096
 
 
 class GraphFunction:
@@ -101,15 +102,9 @@ class GraphFunction:
         return int(round((theta % 1.0) * m)) % m
 
     def value(self, theta) -> float:
-        if self.table is not None:
-            if theta in self.table:
-                return self.table[theta]
-            if self.fallback is not None:
-                return self.fallback
-            raise CoverageError(f"graph not defined at base point {theta!s}")
         if self.grid is not None:
             return float(self.grid[self.node_index(theta)])
-        return self._check_value(self.func(theta), theta)
+        return self.values((theta,))[0]
 
     def values(self, thetas: Sequence) -> Sequence[float]:
         """`value` at every point: a grid looks up all nodes at once into an
@@ -220,41 +215,27 @@ def positive_fraction(graph: GraphFunction, threshold: float = 1e-9) -> float:
     raise DomainError("positive fraction needs a stored representation")
 
 
-def largest_fixed_point(
-    g: FiberMap, tol: float = 1e-12, max_iter: int = 10 ** 6
-) -> float:
-    """Largest fixed point of a nondecreasing concave map with g(0) = 0.
+def largest_fixed_point(g: FiberMap) -> float:
+    """Largest solution of g(x) = x on [0, a], by downward scan and bisection.
 
-    Iterates from the right endpoint; the sequence is nonincreasing and
-    converges to the largest fixed point.  Converged values below 1e-9 are
-    snapped to 0 (the iteration leaves an O(tol) residue when 0 is the only
-    fixed point).
-    """
-    x = g.a
-    for _ in range(max_iter):
-        nx = g(x)
-        if abs(nx - x) < tol:
-            x = nx
-            break
-        x = nx
-    return 0.0 if x < 1e-9 else x
-
-
-def _largest_fixed_point_scan(g: FiberMap, grid: int = 4096) -> float:
-    """Largest solution of g(x) = x by downward scan plus bisection.
-
-    Used for cycle compositions that are not monotone, where the iterative
-    route has no convergence guarantee.
+    Returns a when g(a) = a (to 1e-12).  Otherwise scans g(x) - x at the
+    nodes a*j/FIXED_POINT_SCAN from the right: the first node where
+    g(x) >= x and its right neighbour bracket the largest fixed point, and
+    80 bisections close the bracket to rounding.  The bracket needs neither
+    monotonicity nor a contraction, so this serves every cycle composition,
+    and a neutral fixed point (g'(x) = 1) costs no more than an attracting
+    one.  Roots below 1e-9 are snapped to 0; with no node where g(x) >= x
+    the result is 0.
     """
     a = g.a
     if abs(g(a) - a) <= 1e-12:
         return a
     hi = None
     lo = None
-    for j in range(grid, -1, -1):
-        x = a * j / grid
+    for j in range(FIXED_POINT_SCAN, -1, -1):
+        x = a * j / FIXED_POINT_SCAN
         if g(x) - x >= 0.0:
-            lo, hi = x, a * (j + 1) / grid
+            lo, hi = x, a * (j + 1) / FIXED_POINT_SCAN
             break
     if lo is None:
         return 0.0
@@ -278,17 +259,16 @@ def build_preinvariant(
 
     Per walked orbit: a class containing an identically-zero fiber map (in a
     family whose maps all fix 0, so the zero propagates) gets the zero graph;
-    a class closing into a cycle anchors at the cycle's largest fixed fiber
-    value and pushes it forward around the cycle, with the off-cycle points
-    set to a; a class that never closes (no cycle within the walk limit)
-    takes the forward images of (theta_0, a).  A walk visits at most
+    a class closing into a cycle anchors at the largest fixed point of the
+    cycle's composed fiber map, which `largest_fixed_point` brackets whether
+    or not the maps are monotone, and pushes it forward around the cycle,
+    with the off-cycle points set to a; a class that never closes (no cycle
+    within the walk limit) takes the forward images of (theta_0, a).  A walk visits at most
     ``orbit_limit`` points (default max(64, 4 x the point count)).  Points
     outside every walk fall back to a.  Walks that run into an
     already-assigned class keep the existing values and fill their new
     upstream points with a (0 if the new segment pins orbits at 0).
     """
-    from .nonauto import map_profile
-
     if orbit_limit is not None and orbit_limit < 1:
         raise DomainError(f"orbit_limit must be >= 1, got {orbit_limit!r}")
     base = sys.base
@@ -343,14 +323,9 @@ def build_preinvariant(
                 return x
 
             g = FiberMap(a=sys.a, f=comp, form=f"cycle-composition(k={k})")
-            try:
-                mono = all(map_profile(fm, grid_size).monotone for fm in maps)
-            except SkewlabError:
-                mono = False
-            a0 = largest_fixed_point(g) if mono else _largest_fixed_point_scan(g)
             for t in path:
                 table[t] = sys.a
-            v = a0
+            v = largest_fixed_point(g)
             table[cycle[0]] = v
             for j in range(1, k):
                 v = maps[j - 1](v)
@@ -510,14 +485,6 @@ class PullbackGridResult(NamedTuple):
     monotone_ok: bool
     max_increase: float
 
-    def to_dict(self) -> dict:
-        return {
-            "sweeps": self.sweeps,
-            "delta": self.delta,
-            "monotone_ok": self.monotone_ok,
-            "max_increase": self.max_increase,
-        }
-
 
 def pullback_grid(
     sys: SkewSystem,
@@ -530,8 +497,8 @@ def pullback_grid(
     Nodes are j/m; the predecessor of a node is its nearest node under the
     exact rotation, which for a uniform grid is a fixed index shift.  Each
     sweep transports the whole grid one step, so sweep s holds phi_s at every
-    node; monotonicity (nonincreasing values at every node, up to 1e-12) is
-    tracked sweep by sweep.
+    node.  ``max_increase`` is the largest rise of any node over any sweep
+    (0 when none rises), and ``monotone_ok`` says it stays within 1e-12.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -546,18 +513,16 @@ def pullback_grid(
     perm = (np.arange(m) - shift) % m
 
     values = np.full(m, float(sys.a))
-    monotone_ok = True
     max_increase = 0.0
     delta = math.inf
 
     sweeps = 0
     for s, (row, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
         new = np.asarray(row)  # a list for a circle system without product_parts
-        inc = float(np.max(new - values))
-        max_increase = max(max_increase, inc)
-        if inc > 1e-12:
-            monotone_ok = False
-        delta = float(np.max(np.abs(new - values)))
+        diff = new - values
+        # a NaN rise compares False, so max keeps the running value
+        max_increase = max(max_increase, float(np.max(diff)))
+        delta = float(np.max(np.abs(diff)))
         values = new
         sweeps = s
         if stop_delta > 0.0 and delta < stop_delta:
@@ -565,7 +530,7 @@ def pullback_grid(
 
     return PullbackGridResult(
         graph=GraphFunction(sys.a, "pullback", grid=values), sweeps=sweeps, delta=delta,
-        monotone_ok=monotone_ok, max_increase=max_increase,
+        monotone_ok=max_increase <= 1e-12, max_increase=max_increase,
     )
 
 
@@ -726,12 +691,15 @@ def verify_preinvariance(
         raise DomainError("horizon must be >= 1")
     _check_positive("tol", tol)
     residuals = []
-    cur = theta
+    cur, here = theta, None  # here: the graph value at cur, read once
     for _ in range(horizon):
         nxt = sys.base.step(cur)
-        residuals.append(
-            abs(sys.fiber_at(cur)(graph.value(cur)) - graph.value(nxt))
-        )
+        psi = sys.fiber_at(cur)
+        if here is None:
+            here = graph.value(cur)
+        image = psi(here)
+        here = graph.value(nxt)
+        residuals.append(abs(image - here))
         cur = nxt
     first_violation = next(
         (n for n, r in enumerate(residuals) if r > tol), None

@@ -105,15 +105,36 @@ def make_keller(
     return make_product(p_spec, q_spec, CircleRotation(omega), label="keller")
 
 
+def declared_classification(
+    fm: FiberMap, sup_range: float | None
+) -> tuple[str, float | None]:
+    """(classification, beta) of a family of nonnegative multiples of fm.
+
+    Read off fm's analytic data: beta = alpha/gamma is its scale-normalized
+    concavity, and the family is monotone-equiconcave for monotone fm, or
+    isoclinic-equiconcave when its range bound ``sup_range`` stays strictly
+    below fm's isoclinic point b.  A map without a strictly positive alpha
+    and gamma (a black-box map has neither) declares unclassified, no beta.
+    """
+    alpha, gamma = fm.alpha or 0.0, fm.gamma or 0.0
+    if not (alpha > 0.0 and gamma > 0.0):
+        return "unclassified", None
+    beta = alpha / gamma
+    if fm.monotone:
+        return "monotone-equiconcave", beta
+    if fm.b is not None and sup_range < fm.b:
+        return "isoclinic-equiconcave", beta
+    return "unclassified", beta
+
+
 def make_product(
     f_spec: dict, g_spec: dict, base, a: float = 1.0, label: str = "product"
 ) -> SkewSystem:
     """General product family psi_theta(x) = f(x) * g(theta) over any base.
 
     g is normalized so that sup(f)*sup(g) <= a.  The family inherits f's
-    scale-normalized concavity (beta = alpha_f / gamma_f) and f's isoclinic
-    point, so it is monotone-equiconcave for monotone f and
-    isoclinic-equiconcave when sup(f)*sup(g) stays strictly below b(f).
+    scale-normalized concavity and f's isoclinic point; its declaration is
+    `declared_classification` of f with range bound sup(f)*sup(g).
     """
     fm = build_fiber(f_spec, a)
     g, g_sup, g_label = build_base_function(g_spec)
@@ -138,19 +159,7 @@ def make_product(
             last[:] = c, fm.scaled(c)
         return last[1]
 
-    sup_range = fm.gamma * g_sup * scale
-    if fm.gamma > 0 and fm.alpha is not None and fm.alpha > 0:
-        beta = fm.alpha / fm.gamma
-        if fm.monotone:
-            classification = "monotone-equiconcave"
-        elif fm.b is not None and sup_range < fm.b:
-            classification = "isoclinic-equiconcave"
-        else:
-            classification = "unclassified"
-    else:
-        beta = None
-        classification = "unclassified"
-
+    classification, beta = declared_classification(fm, fm.gamma * g_sup * scale)
     return SkewSystem(
         base=base, fiber_at=fiber_at, a=a,
         classification=classification, beta=beta,

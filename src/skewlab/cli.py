@@ -155,8 +155,8 @@ def cmd_pullback(args) -> int:
         res = pullback_grid(system, grid_size=grid, depth=depth, stop_delta=stop_delta)
         with _out_stream(args.out) as fh:
             res.graph.to_csv(fh, base=base)
-        summary = res.to_dict()
-        summary["positive_fraction"] = positive_fraction(res.graph)
+        summary = res._asdict()
+        summary["positive_fraction"] = positive_fraction(summary.pop("graph"))
         print(json.dumps(summary, sort_keys=True), file=_sys.stderr)
         return EXIT_OK
     if isinstance(base, FiniteOrbitBase):

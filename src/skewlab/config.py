@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .bases import CircleRotation, SymbolicShift
-from .catalog import make_noinvattr, make_product
+from .catalog import declared_classification, make_noinvattr, make_product
 from .errors import ConfigError
 from .fiber import FiberMap
 from .registry import build_fiber
@@ -148,12 +148,8 @@ def build_system(cfg: SystemConfig) -> SkewSystem:
     def fiber_at(theta, _fm=fm) -> FiberMap:
         return _fm
 
-    classification = (
-        "monotone-equiconcave"
-        if fm.monotone and fm.alpha and fm.gamma
-        else "unclassified"
-    )
-    beta = (fm.alpha / fm.gamma) if (fm.alpha and fm.gamma) else None
+    # A single form's range is f's own: its bound is gamma.
+    classification, beta = declared_classification(fm, fm.gamma)
     return SkewSystem(
         base=base, fiber_at=fiber_at, a=cfg.a,
         classification=classification, beta=beta,

@@ -117,6 +117,11 @@ def grid_max(fm: FiberMap, grid_size: int) -> float:
     return max(vals)
 
 
+def _nondecreasing(vals: list[float]) -> bool:
+    """Does no value fall more than ZERO_TOL below the one before it?"""
+    return all(w >= v - ZERO_TOL for v, w in zip(vals, vals[1:]))
+
+
 def _check_map_invariants(fm: FiberMap, xs: list[float], vals: list[float]) -> None:
     if abs(vals[0]) > ZERO_TOL:
         raise InvariantError(f"f(0) = {vals[0]!r} is not 0 (map {fm.form})")
@@ -175,7 +180,7 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     i_max = max(range(len(vals)), key=vals.__getitem__)
     gamma = vals[i_max]
     c = xs[i_max]
-    monotone = all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(grid_size))
+    monotone = _nondecreasing(vals)
 
     if gamma <= ZERO_TOL:
         b = None  # identically-zero map: f(b) > 0 has no witness
@@ -245,7 +250,7 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     if last_true is None:
         # Exactly-linear initial segments defeat the strict predicate; the
         # monotone convention still applies.
-        if all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(len(vals) - 1)):
+        if _nondecreasing(vals):
             return a
         raise PreconditionError(
             "isoclinic predicate never holds on the scan grid; "

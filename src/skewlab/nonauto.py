@@ -255,12 +255,10 @@ def convergence_certificate(
     cap = 1.0 / (1.0 + beta * eps * eps)
     capped_steps = 0
     cap_violations = []
-    violation_step = None
+    violation_step = next(iter(bound_violations(trace)), None)
     for r in trace.rows:
         if r.ratio is None or r.bound is None:
             continue
-        if r.ratio > r.bound + _BOUND_SLACK and violation_step is None:
-            violation_step = r.n
         if min(r.x, r.y) >= eps:
             capped_steps += 1
             if r.ratio > cap + _BOUND_SLACK:

@@ -109,10 +109,7 @@ def build_fiber(spec: dict, a: float) -> FiberMap:
             raise RegistryError("logistic-scaled form needs nonnegative 'k'")
         k = float(k)
         fm = build_fiber({"form": "poly", "coeffs": [2.0 * k, -k]}, a)
-        return FiberMap(
-            a=a, f=fm.f, form=f"logistic-scaled(k={k!r})",
-            gamma=fm.gamma, alpha=fm.alpha, b=fm.b, monotone=fm.monotone,
-        )
+        return fm._replace(form=f"logistic-scaled(k={k!r})")
 
     if form == "quadratic-hump":
         k = spec.get("k")
@@ -120,10 +117,7 @@ def build_fiber(spec: dict, a: float) -> FiberMap:
             raise RegistryError("quadratic-hump form needs nonnegative 'k'")
         k = float(k)
         fm = build_fiber({"form": "poly", "coeffs": [k, -k]}, a)
-        return FiberMap(
-            a=a, f=fm.f, form=f"quadratic-hump(k={k!r})",
-            gamma=fm.gamma, alpha=fm.alpha, b=fm.b, monotone=fm.monotone,
-        )
+        return fm._replace(form=f"quadratic-hump(k={k!r})")
 
     if form == "tanh-like":
         k, s = spec.get("k"), spec.get("s")

@@ -12,7 +12,6 @@ from skewlab.attractor import (
     GraphFunction,
     OrbitGapRecord,
     UniquenessReport,
-    _largest_fixed_point_scan,
     build_preinvariant,
     largest_fixed_point,
     match_fraction,
@@ -47,6 +46,7 @@ from skewlab.errors import (
     PreconditionError,
 )
 from skewlab.fiber import FiberMap
+from skewlab.registry import build_fiber
 from skewlab.skew import SkewSystem, orbit, step
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
@@ -198,15 +198,25 @@ class TestLargestFixedPoint:
         assert largest_fixed_point(fm) == pytest.approx(2 - 1 / 0.9, abs=1e-9)
 
     def test_scan_matches_iteration_on_monotone(self):
+        # 0.8 x(2-x) = x at x = 2 - 1/0.8, in closed form
         fm = FiberMap(1.0, lambda x: 0.8 * x * (2 - x))
-        assert _largest_fixed_point_scan(fm) == pytest.approx(
-            largest_fixed_point(fm), abs=1e-9
-        )
+        assert largest_fixed_point(fm) == pytest.approx(2 - 1 / 0.8, abs=1e-9)
 
     def test_scan_handles_hump(self):
-        # 4x(1-x) fixes 3/4; the iterative route would bounce around it
+        # 4x(1-x) fixes 3/4; an iteration from 1 would bounce around it
         fm = FiberMap(1.0, lambda x: 4.0 * x * (1.0 - x))
-        assert _largest_fixed_point_scan(fm) == pytest.approx(0.75, abs=1e-9)
+        assert largest_fixed_point(fm) == pytest.approx(0.75, abs=1e-9)
+
+    def test_neutral_fixed_point_is_exactly_zero(self):
+        # k = 0.5: f(x) = x - x^2/2 has f'(0) = 1, so an iteration from 1
+        # creeps towards 0 by steps of x^2/2 and stagnates near 2e-6
+        fm = build_fiber({"form": "logistic-scaled", "k": 0.5}, 1.0)
+        assert largest_fixed_point(fm) == 0.0
+
+    def test_slow_contraction_reaches_rounding(self):
+        # k = 0.75 fixes 2 - 1/0.75 = 2/3 with f'(2/3) = 0.5
+        fm = build_fiber({"form": "logistic-scaled", "k": 0.75}, 1.0)
+        assert abs(largest_fixed_point(fm) - 2.0 / 3.0) <= 1e-15
 
 
 def csv_text(graph, base=None):
@@ -352,6 +362,14 @@ class TestBuildPreinvariant:
         )
         g = build_preinvariant(sys_)
         assert g.value(0.0) == 0.0 and g.value(1.0) == 0.0
+
+    def test_neutral_fixed_point_anchors_at_zero(self):
+        # a one-point cycle under k = 0.5 x(2-x), whose only fixed point is 0
+        neutral = build_fiber({"form": "logistic-scaled", "k": 0.5}, 1.0)
+        sys_ = SkewSystem(
+            base=FiniteOrbitBase([0.5], {0.5: 0.5}), fiber_at=lambda t: neutral, a=1.0
+        )
+        assert build_preinvariant(sys_).table == {0.5: 0.0}
 
     def test_coinflip_matches_predecessor_bit(self):
         sys_ = make_coinflip("one")
@@ -782,6 +800,28 @@ class TestVerifyPreinvariance:
         rep = verify_preinvariance(sys_, top, 0.2, 5, 1e-6)
         assert not rep.ok or rep.first_good_n > 0
         assert rep.first_violation == 0
+
+    def test_each_orbit_point_read_once(self):
+        sys_ = keller_k07()
+        graph = GraphFunction.from_callable(1.0, lambda t: 0.5 + 0.25 * math.sin(7 * t))
+        calls = []
+        real = graph.value
+        graph.value = lambda t: calls.append(t) or real(t)
+        rep = verify_preinvariance(sys_, graph, 0.2, 50, 1.0)
+        assert len(calls) == 51
+        cur, residuals = 0.2, []
+        for _ in range(50):
+            nxt = sys_.base.step(cur)
+            residuals.append(abs(sys_.fiber_at(cur)(real(cur)) - real(nxt)))
+            cur = nxt
+        assert rep.ok and rep.max_tail_residual == max(residuals)
+
+    def test_point_off_the_base_fails_in_the_base_step(self):
+        # the base step meets the point before the graph does
+        sys_ = make_noinvattr(8)
+        graph = GraphFunction.from_table(1.0, {1.0: 1.0})
+        with pytest.raises(DomainError, match="not in the base"):
+            verify_preinvariance(sys_, graph, 0.123, 5, 1e-9)
 
 
 class TestUniquenessProbe:

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from skewlab import cli, nonauto
-from skewlab.bases import OneSidedWord
+from skewlab.bases import CircleRotation, OneSidedWord
 from skewlab.attractor import AttractorVerdict, PreinvarianceReport, SampleRecord
+from skewlab.catalog import make_product
 from skewlab.config import SystemConfig, build_system, load_system, parse_config
 from skewlab.errors import ConfigError
 from skewlab.fiber import ConcavityCertificate, certify
+from skewlab.skew import classify
 
 KELLER_CFG = {
     "base": {"variant": "circle-rotation", "omega": 0.6180339887498949},
@@ -88,6 +90,38 @@ class TestConfig:
         assert sys_.fiber_at(0.9)(0.5) == pytest.approx(1.0)
 
 
+class TestDeclaredClassification:
+    """A single-form config declares what the product with g = 1 declares."""
+
+    @pytest.mark.parametrize("spec", [
+        {"form": "logistic-scaled", "k": 0.7},
+        {"form": "quadratic-hump", "k": 2.0},
+        {"form": "quadratic-hump", "k": 4.0},
+        {"form": "tanh-like", "k": 0.8, "s": 2.0},
+    ])
+    def test_single_form_declares_as_product(self, spec):
+        base = {"variant": "circle-rotation", "omega": 0.3}
+        single = build_system(parse_config({"base": base, "fiber": spec}))
+        product = make_product(spec, {"form": "constant", "c": 1.0}, CircleRotation(0.3))
+        assert (single.classification, single.beta) == (
+            product.classification, product.beta
+        )
+
+    def test_half_hump_is_isoclinic(self):
+        # 2x(1-x) peaks at 1/2, below its isoclinic point 2/3
+        doc = {"base": {"variant": "circle-rotation", "omega": 0.3},
+               "fiber": {"form": "quadratic-hump", "k": 2.0}}
+        sys_ = build_system(parse_config(doc))
+        assert sys_.classification == "isoclinic-equiconcave"
+        assert classify(sys_, 8, grid_size=1024).kind == sys_.classification
+
+    def test_black_box_cubic_unclassified(self):
+        doc = {"base": {"variant": "shift", "sided": "two"},
+               "fiber": {"form": "poly", "coeffs": [2.4, -1.2, -0.6]}}
+        sys_ = build_system(parse_config(doc))
+        assert (sys_.classification, sys_.beta) == ("unclassified", None)
+
+
 class TestCliExitCodes:
     def test_certify_ok(self, cfg_file, capsys):
         rc = cli.main(["certify", "--config", cfg_file(KELLER_CFG),
@@ -136,7 +170,7 @@ class TestOrbitPairCommand:
                        "--theta", "0.0", "--x0", "0.2", "--y0", "0.8",
                        "--steps", "50", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         kappas = [float(r["kappa"]) for r in rows if r["kappa"]]
         assert len(kappas) >= 5
         assert all(b < a for a, b in zip(kappas, kappas[1:]))
@@ -146,7 +180,7 @@ class TestOrbitPairCommand:
         cli.main(["orbit-pair", "--config", cfg_file(NOINV_CFG),
                   "--theta", "0.0", "--x0", "0.5", "--y0", "0.5",
                   "--steps", "10", "--out", str(out)])
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1 and float(rows[0]["kappa"]) == 0.0
 
     def test_zero_steps_header_only(self, cfg_file, tmp_path):
@@ -223,7 +257,8 @@ class TestPullbackVerifyPipeline:
         rc = cli.main(["pullback", "--config", cfg_file(NOINV_CFG),
                        "--depth", "45", "--no-early-stop", "--out", str(phi)])
         assert rc == 0
-        rows = {r["point"]: float(r["value"]) for r in csv.DictReader(phi.open())}
+        reader = csv.DictReader(phi.read_text().splitlines())
+        rows = {r["point"]: float(r["value"]) for r in reader}
         assert rows["0.0"] <= 2.0 ** -45
         assert rows["1.0"] == 1.0
 

@@ -8,10 +8,11 @@ over a finite base or a shift must finish without executing numpy's import.
 Likewise `import skewlab` runs no layer module, and each command executes
 only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
-the nonauto module.  No command imports `dataclasses`: every result and
-value type is a NamedTuple, which runs no generated code when its class is
-created.  Each child process below starts fresh, so no earlier test has
-loaded a module for it.
+the nonauto module, nor the demos that build preinvariant graphs
+(`noinvattr`, `coinflip-one`).  No command imports `dataclasses`: every
+result and value type is a NamedTuple, which runs no generated code when
+its class is created.  Each child process below starts fresh, so no earlier
+test has loaded a module for it.
 """
 
 import json
@@ -191,6 +192,9 @@ def test_each_command_runs_only_its_layers(tmp_path):
           "--steps", "10"], {nonauto}, {attractor}),
         (["verify", "--config", str(keller), "--phi", grid, "--samples", "5",
           "--steps", "10"], {nonauto}, {attractor}),
+        # build_preinvariant brackets each cycle's anchor without profiling its maps
+        (["demo", "noinvattr", "--fast"], {nonauto}, {attractor}),
+        (["demo", "coinflip-one", "--fast"], {nonauto}, {attractor}),
     ]
     for argv, absent, present in commands:
         [(rc, _, modules)] = _run_child([argv], tmp_path / "report.json")
