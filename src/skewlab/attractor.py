@@ -22,16 +22,19 @@ from .errors import (
     CoverageError,
     DomainError,
     InvariantError,
+    check_at_least,
+    check_positive,
 )
 from .fiber import ZERO_TOL, FiberMap, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
-from .skew import SkewSystem, orbits, step  # noqa: F401
+from .skew import SkewSystem, advance, orbits, step  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
 PULLBACK_STOP_DELTA = 1e-12
-# Starts walked together by match_fraction.  Stepping 10^4 shift words at once
-# holds all of them and their successors: 7.0 MB more peak memory for demo
-# coinflip-one.
+# Starts walked together by match_fraction.  For demo coinflip-one's 10^4
+# shift words, advancing all of them at once on their symbol streams peaks
+# 0.3 MB higher (21.0 against 20.7 MB) and is no faster; through `orbits`,
+# with a word per point-step, it peaked 6.3 MB higher.
 MATCH_BLOCK = 32
 # Scan nodes of largest_fixed_point before its bisection.
 FIXED_POINT_SCAN = 4096
@@ -269,8 +272,8 @@ def build_preinvariant(
     already-assigned class keep the existing values and fill their new
     upstream points with a (0 if the new segment pins orbits at 0).
     """
-    if orbit_limit is not None and orbit_limit < 1:
-        raise DomainError(f"orbit_limit must be >= 1, got {orbit_limit!r}")
+    if orbit_limit is not None:
+        check_at_least("orbit_limit", orbit_limit, 1)
     base = sys.base
     pts = list(points) if points is not None else list(getattr(base, "points", ()))
     if not pts:
@@ -440,8 +443,7 @@ def pullback_phi(
     Each phi_n composes the fiber maps along the backward orbit: n^2/2 calls
     up to the stopping depth n, or about n*p if the orbit closes after p steps.
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    check_at_least("depth", depth, 1)
     if not hasattr(sys.base, "predecessor"):
         raise CapabilityError("base provides no predecessor map")
     back: list = []  # back[k-1] = k-th preimage of theta
@@ -500,14 +502,12 @@ def pullback_grid(
     node.  ``max_increase`` is the largest rise of any node over any sweep
     (0 when none rises), and ``monotone_ok`` says it stays within 1e-12.
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    check_at_least("depth", depth, 1)
     base = sys.base
     if not isinstance(base, CircleRotation):
         raise CapabilityError("grid pullback is defined for circle rotation bases")
     m = int(grid_size)
-    if m < 8:
-        raise DomainError("grid_size must be >= 8")
+    check_at_least("grid_size", m, 8)
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
     perm = (np.arange(m) - shift) % m
@@ -545,8 +545,7 @@ def pullback_graph_finite(
     orbit leaves the represented set; the summary maps every point to the
     depth it used.
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    check_at_least("depth", depth, 1)
     base = sys.base
     pts = getattr(base, "points", None)
     if pts is None:
@@ -603,11 +602,10 @@ def verify_attractor(
     sampled deviation stays below tol (None when even the final step misses),
     plus the largest deviation seen from N on.
     """
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
+    check_at_least("steps", steps, 1)
     if not starts:
         raise DomainError("verify_attractor needs at least one start")
-    _check_positive("tol", tol)
+    check_positive("tol", tol)
     walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps)
     first = next(walk)
     walk = itertools.chain([first], walk)
@@ -627,11 +625,6 @@ def verify_attractor(
         verdict="attracting" if all(n <= steps for n in achieved) else "not-attracting",
         tol=tol, steps=steps, records=records,
     )
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0:  # also refuses NaN: no deviation or gap is ever >= NaN
-        raise DomainError(f"{name} must be > 0, got {value!r}")
 
 
 def _reduce_lists(walk, graph: GraphFunction, tol: float, count: int) -> tuple:
@@ -687,9 +680,8 @@ def verify_preinvariance(
     Checks |psi_{R^n theta}(phi(R^n theta)) - phi(R^{n+1} theta)| <= tol for
     all N <= n < horizon; failure reports the first violating step instead.
     """
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    _check_positive("tol", tol)
+    check_at_least("horizon", horizon, 1)
+    check_positive("tol", tol)
     residuals = []
     cur, here = theta, None  # here: the graph value at cur, read once
     for _ in range(horizon):
@@ -749,11 +741,10 @@ def uniqueness_probe(
     Each orbit's steps + 1 base points are read from both graphs with one
     `GraphFunction.values` call each.
     """
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
+    check_at_least("steps", steps, 1)
     if len(thetas) == 0:
         raise DomainError("uniqueness_probe needs at least one theta")
-    _check_positive("eps", eps)
+    check_positive("eps", eps)
     base_step = sys.base.step
     records = []
     max_gap = 0.0
@@ -796,8 +787,7 @@ def match_fraction(
     tol: float = 0.0,
 ) -> float:
     """Fraction of starts whose step-n fiber value matches the graph."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    check_at_least("n", n, 1)
     if not tol >= 0.0:  # also refuses NaN, which no deviation is ever <=
         raise DomainError(f"tol must be >= 0, got {tol!r}")
     if not starts:
@@ -805,7 +795,6 @@ def match_fraction(
     hits = 0
     for i in range(0, len(starts), MATCH_BLOCK):
         block = starts[i:i + MATCH_BLOCK]
-        for thetas, xs in orbits(sys, [t for t, _ in block], [x for _, x in block], n):
-            pass
+        thetas, xs = advance(sys, [t for t, _ in block], [x for _, x in block], n)
         hits += sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
     return hits / len(starts)

@@ -15,7 +15,7 @@ import random
 from collections import namedtuple
 from typing import Sequence
 
-from .errors import CapabilityError, ConfigError, DomainError
+from .errors import CapabilityError, ConfigError, DomainError, check_at_least
 
 
 def _bits(s: str) -> tuple[int, ...]:
@@ -26,7 +26,7 @@ def _bits(s: str) -> tuple[int, ...]:
 
 def _primitive(cycle: tuple[int, ...]) -> tuple[int, ...]:
     n = len(cycle)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and cycle == cycle[:d] * (n // d):
             return cycle[:d]
     return cycle
@@ -70,9 +70,24 @@ def fair_bits(rng: random.Random, n: int) -> list[int]:
     return out
 
 
-def _check_count(count: int) -> None:
-    if count < 1:
-        raise DomainError(f"sample count must be >= 1, got {count}")
+def _count(n: int) -> int:
+    """n as a count of symbols or shifts: an integer >= 0."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"symbol count {n!r} is not an integer") from None
+    if n < 0:
+        raise DomainError(f"symbol count must be >= 0, got {n!r}")
+    return n
+
+
+def _cyclic(cycle: tuple[int, ...], start: int, count: int) -> tuple[int, ...]:
+    """``count`` symbols of ``cycle`` repeated, from its index ``start``."""
+    if count <= 0:
+        return ()
+    turned = cycle[start:] + cycle[:start]
+    reps, rest = divmod(count, len(turned))
+    return turned * reps + turned[:rest]
 
 
 class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
@@ -92,9 +107,16 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
             raise DomainError("cycle must be nonempty")
         tr = _symbols(transient)
         cyc = _primitive(_symbols(cyc))
-        while tr and tr[-1] == cyc[-1]:
-            tr = tr[:-1]
-            cyc = cyc[-1:] + cyc[:-1]
+        # The cycle continues the transient from index k on: drop those
+        # symbols, and rotate the cycle right by their count so that it
+        # starts where they started.
+        p, end = len(cyc), len(tr)
+        k = end
+        while k and tr[k - 1] == cyc[(k - end - 1) % p]:
+            k -= 1
+        if k < end:
+            r = (k - end) % p
+            tr, cyc = tr[:k], cyc[r:] + cyc[:r]
         return _new_word(cls, (tr, cyc))
 
     def __eq__(self, other) -> bool:
@@ -113,6 +135,21 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
             return transient[i]
         cycle = self.cycle
         return cycle[(i - len(transient)) % len(cycle)]
+
+    def symbols(self, n: int) -> tuple[int, ...]:
+        """symbol(0) .. symbol(n - 1) as one tuple."""
+        n = _count(n)
+        transient, cycle = self
+        return transient[:n] + _cyclic(cycle, 0, n - len(transient))
+
+    def advanced(self, n: int) -> "OneSidedWord":
+        """The word shifted n >= 0 times, built once: ``shifted()`` n times."""
+        n = _count(n)
+        transient, cycle = self
+        if n <= len(transient):
+            return _new_word(OneSidedWord, (transient[n:], cycle))
+        k = (n - len(transient)) % len(cycle)
+        return _new_word(OneSidedWord, ((), cycle[k:] + cycle[:k]))
 
     def shifted(self) -> "OneSidedWord":
         # The shift of a normalised word is normalised: dropping a transient
@@ -175,6 +212,25 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
             return right[(j - len(buf)) % len(right)]
         left = self.left_cycle
         return left[j % len(left)]
+
+    def symbols(self, n: int) -> tuple[int, ...]:
+        """symbol(0) .. symbol(n - 1) as one tuple: the left tail's part, the
+        window's and the right tail's, each one slice."""
+        left, buf, right, origin = self
+        end = origin + _count(n)
+        out = ()
+        if origin < 0:
+            out = _cyclic(left, origin % len(left), min(end, 0) - origin)
+        out += buf[max(origin, 0):max(end, 0)]
+        start = max(origin, len(buf))
+        if end > start:
+            out += _cyclic(right, (start - len(buf)) % len(right), end - start)
+        return out
+
+    def advanced(self, n: int) -> "TwoSidedWord":
+        """The word shifted n >= 0 times, built once: its origin moves by n."""
+        left, buf, right, origin = self
+        return _new_word(TwoSidedWord, (left, buf, right, origin + _count(n)))
 
     def _key(self) -> tuple:
         """The symbol sequence as a tuple that every representation shares.
@@ -283,7 +339,7 @@ class FiniteOrbitBase:
         return q
 
     def sample_points(self, count: int, rng: random.Random) -> list[float]:
-        _check_count(count)
+        check_at_least("sample count", count, 1)
         if count >= len(self.points):
             return list(self.points)
         return rng.sample(list(self.points), count)
@@ -320,7 +376,7 @@ class CircleRotation:
         return (theta - self.omega) % 1.0
 
     def sample_points(self, count: int, rng: random.Random) -> list[float]:
-        _check_count(count)
+        check_at_least("sample count", count, 1)
         return [rng.random() for _ in range(count)]
 
     def format_point(self, theta: float) -> str:
@@ -364,7 +420,7 @@ class SymbolicShift:
         Each word draws its block, then its left symbol (two-sided), then its
         repeated symbol, each bit as ``rng.randrange(2)`` would.
         """
-        _check_count(count)
+        check_at_least("sample count", count, 1)
         if self.sided == "one":
             bits = fair_bits(rng, 21 * count)
             return [

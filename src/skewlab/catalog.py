@@ -10,10 +10,10 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
-from .errors import DomainError, RegistryError
+from .errors import DomainError, RegistryError, check_at_least
 from .fiber import FiberMap
 from .registry import build_base_function, build_fiber
-from .skew import SkewSystem
+from .skew import SkewSystem, SymbolFibers
 
 if TYPE_CHECKING:
     from .attractor import GraphFunction
@@ -30,8 +30,7 @@ def make_noinvattr(window: int = 64) -> SkewSystem:
     negative.  The truncation makes the base non-invertible at the absorbing
     endpoint; backward orbits remain exact along the represented chain.
     """
-    if window < 1:
-        raise DomainError("window must be >= 1")
+    check_at_least("window", window, 1)
     thetas = {}
     for n in range(0, window + 1):
         thetas[n] = 1.0 - 1.0 / (n + 1)
@@ -65,14 +64,10 @@ def make_coinflip(sided: str = "one") -> SkewSystem:
     this system exists to exercise orbit and attractor verification only.
     """
     base = SymbolicShift(sided)
-    fibers = tuple(
+    fiber_at = SymbolFibers(
         FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})", analyzable=False)
         for bit in (0.0, 1.0)
     )
-
-    def fiber_at(word) -> FiberMap:
-        return fibers[word.symbol(0)]
-
     return SkewSystem(
         base=base, fiber_at=fiber_at, a=1.0,
         classification="unclassified", beta=None,

@@ -31,3 +31,13 @@ class ConfigError(SkewlabError, ValueError):
 
 class RegistryError(ConfigError):
     """Unknown closed-form name or parameters outside the declared domain."""
+
+
+def check_positive(name: str, value: float) -> None:
+    if not value > 0.0:  # also refuses NaN: no deviation or gap is ever >= NaN
+        raise DomainError(f"{name} must be > 0, got {value!r}")
+
+
+def check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value!r}")

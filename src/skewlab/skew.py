@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
-from .bases import CircleRotation
-from .errors import DomainError, SkewlabError
+from .bases import CircleRotation, SymbolicShift
+from .errors import DomainError, SkewlabError, check_at_least
 from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
 
 if TYPE_CHECKING:
@@ -46,6 +46,25 @@ class SkewSystem(NamedTuple):
             return self.fiber_at(orbit_cache[n - 1])
 
         return MapSequence(supplier=supplier, a=self.a, declared_beta=self.beta)
+
+
+class SymbolFibers:
+    """A fibre family over a shift keyed by the word's leading symbol:
+    word w gets ``maps[w.symbol(0)]``.
+
+    It is the system's ``fiber_at`` itself, so the declaration that the
+    fibre depends on symbol 0 alone goes wherever the contract goes, and
+    replacing ``fiber_at`` drops it.  `advance` reads it to walk words on
+    their symbol streams.
+    """
+
+    __slots__ = ("maps",)
+
+    def __init__(self, maps: Iterable[FiberMap]):
+        self.maps = tuple(maps)
+
+    def __call__(self, word) -> FiberMap:
+        return self.maps[word.symbol(0)]
 
 
 def _outside(x: float, a: float) -> DomainError:
@@ -108,6 +127,31 @@ def orbits(
         yield thetas, xs
 
 
+def advance(sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int) -> tuple:
+    """The last points that `orbits` yields, (thetas_steps, xs_steps).
+
+    Over a `SymbolicShift` whose ``fiber_at`` is a `SymbolFibers`, each
+    start's first ``steps`` symbols are read once, the fiber coordinates step
+    together by table lookup with the checks and float operations of
+    `orbits`, and each word is shifted ``steps`` times in one move.  Any
+    other system runs `orbits` to its end.
+    """
+    fibers = sys.fiber_at
+    if not (isinstance(fibers, SymbolFibers) and isinstance(sys.base, SymbolicShift)):
+        for thetas, xs in orbits(sys, thetas, xs, steps):
+            pass
+        return thetas, xs
+    fs, a = [fm.f for fm in fibers.maps], sys.a
+    thetas, xs = list(thetas), list(xs)
+    # column n: every start's symbol n
+    for column in zip(*[w.symbols(steps) for w in thetas]):
+        for x in xs:
+            if not (0.0 <= x <= a):
+                raise _outside(x, a)
+        xs = [fs[s](x) for s, x in zip(column, xs)]
+    return [w.advanced(steps) for w in thetas], xs
+
+
 class Classification(NamedTuple):
     kind: str  # monotone-equiconcave | isoclinic-equiconcave | unclassified
     beta: float | None
@@ -129,8 +173,7 @@ def classify(
     sample's range stays strictly below the isoclinic point of its successor
     map, and unclassified otherwise (with diagnostics, never an exception).
     """
-    if sample_count < 1:
-        raise DomainError("sample_count must be >= 1")
+    check_at_least("sample_count", sample_count, 1)
     rng = rng or random.Random(0)
     thetas = sys.base.sample_points(sample_count, rng)
     diagnostics: list[str] = []
@@ -208,8 +251,7 @@ def detect_pinching(
     An empty list never certifies the point as non-pinching: vanishing maps
     could appear past any finite horizon.
     """
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
+    check_at_least("horizon", horizon, 1)
     zero_steps = []
     cur = theta
     for n in range(horizon + 1):

@@ -47,7 +47,16 @@ from skewlab.errors import (
 )
 from skewlab.fiber import FiberMap
 from skewlab.registry import build_fiber
-from skewlab.skew import SkewSystem, orbit, step
+from skewlab.skew import (
+    SkewSystem,
+    SymbolFibers,
+    advance,
+    classify,
+    detect_pinching,
+    orbit,
+    orbits,
+    step,
+)
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
 WEAK = FiberMap(1.0, lambda x: x * (2 - x) / 4.0, gamma=0.25, alpha=0.25, b=1.0, monotone=True)
@@ -758,6 +767,123 @@ class TestVerifyAttractor:
         assert messages[0] == messages[1] == f"fiber coordinate {x0!r} outside [0, 1.0]"
 
 
+def last_of_orbits(sys_, thetas, xs, steps):
+    for thetas, xs in orbits(sys_, thetas, xs, steps):
+        pass
+    return thetas, xs
+
+
+def generic(sys_):
+    """sys_ with its fibre family hidden behind a lambda: no SymbolFibers."""
+    return sys_._replace(fiber_at=lambda t: sys_.fiber_at(t))
+
+
+def shift_starts(sided, data):
+    bits = st.lists(st.integers(0, 1), max_size=6).map(tuple)
+    cycle = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+    if sided == "one":
+        words = st.builds(OneSidedWord, bits, cycle)
+    else:
+        words = st.builds(TwoSidedWord, cycle, bits, cycle, st.integers(-4, 4))
+    return data.draw(st.lists(
+        st.tuples(words, st.sampled_from([0.0, 0.25, 1.0])), min_size=1, max_size=12
+    ))
+
+
+class TestAdvance:
+    """`advance` returns the last points `orbits` yields, bit for bit."""
+
+    @given(sided=st.sampled_from(["one", "two"]), wrapped=st.booleans(),
+           steps=st.integers(0, 25), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shift_walks_match_orbits(self, sided, wrapped, steps, data):
+        sys_ = make_coinflip(sided)
+        assert isinstance(sys_.fiber_at, SymbolFibers)
+        if wrapped:  # the generic path
+            sys_ = generic(sys_)
+        starts = shift_starts(sided, data)
+        thetas, xs = [t for t, _ in starts], [x for _, x in starts]
+        got_thetas, got_xs = advance(sys_, thetas, xs, steps)
+        want_thetas, want_xs = last_of_orbits(sys_, thetas, xs, steps)
+        assert [tuple(w) for w in got_thetas] == [tuple(w) for w in want_thetas]
+        assert got_thetas == want_thetas
+        assert [x.hex() for x in got_xs] == [x.hex() for x in want_xs]
+
+    def test_finite_walk_matches_orbits(self):
+        sys_ = make_noinvattr(8)
+        rng = random.Random(3)
+        thetas = [rng.choice(sys_.base.points) for _ in range(40)]
+        xs = [rng.random() for _ in thetas]
+        for steps in (0, 1, 7, 30):
+            got = advance(sys_, thetas, xs, steps)
+            want = last_of_orbits(sys_, thetas, xs, steps)
+            assert got[0] == want[0]
+            assert [x.hex() for x in got[1]] == [x.hex() for x in want[1]]
+
+    def test_circle_product_walk_matches_orbits(self):
+        sys_ = keller_k07()
+        rng = random.Random(4)
+        thetas = [rng.random() for _ in range(40)]
+        xs = [rng.random() for _ in thetas]
+        for steps in (0, 1, 50):
+            got = advance(sys_, thetas, xs, steps)
+            want = last_of_orbits(sys_, thetas, xs, steps)
+            assert isinstance(got[1], np.ndarray)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_exiting_symbol_map_fails_as_step_does(self, sided):
+        # symbol 1 sends x to x + 1.5, which the next step refuses
+        fibers = SymbolFibers([FiberMap(1.0, lambda x: 0.5 * x, form="half"), EXIT])
+        sys_ = make_coinflip(sided)._replace(fiber_at=fibers)
+        starts = [(sys_.base.zero_word(), 0.5)]
+        if sided == "one":
+            starts += [(OneSidedWord((0, 0, 1), (0,)), 0.25), (OneSidedWord((1,), (0,)), 1.0)]
+        else:
+            starts += [(TwoSidedWord((1,), (0, 0, 1), (0,), 0), 0.25),
+                       (TwoSidedWord((0,), (1,), (0,), 0), 1.0)]
+        assert advance(sys_, *zip(*starts), 1)[1] == [0.25, 0.125, 2.5]
+        graph = GraphFunction.from_callable(1.0, lambda w: 0.0)
+        # the third start is refused at step 1, the second at step 3
+        for starts, bad in ((starts, 2.5), (starts[:2], 1.5625)):
+            message = walk_error(sys_, starts, 4)
+            assert message == f"fiber coordinate {bad!r} outside [0, 1.0]"
+            thetas, xs = [t for t, _ in starts], [x for _, x in starts]
+            for run in (lambda: advance(sys_, thetas, xs, 4),
+                        lambda: last_of_orbits(sys_, thetas, xs, 4),
+                        lambda: match_fraction(sys_, graph, 4, starts)):
+                with pytest.raises(DomainError) as exc:
+                    run()
+                assert str(exc.value) == message
+
+    def test_match_fraction_reads_symbol_streams(self):
+        # the stream path shifts each word once, never through base.step,
+        # and counts what the generic walk counts
+        sys_ = make_coinflip("one")
+        calls = []
+        shift = sys_.base.step
+        sys_.base.step = lambda w: calls.append(w) or shift(w)
+        rng = random.Random(11)
+        starts = [
+            (OneSidedWord(tuple(rng.randrange(2) for _ in range(rng.randrange(30))),
+                          tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))),
+             rng.choice([0.0, 0.5, 1.0]))
+            for _ in range(100)
+        ]
+        graphs = [GraphFunction.from_callable(1.0, lambda w: 0.0),
+                  GraphFunction.from_callable(1.0, lambda w: 0.5),
+                  GraphFunction.from_callable(1.0, lambda w: float(w.symbol(2)))]
+        for n in range(1, 26):
+            for tol in (0.0, 0.5):
+                for graph in graphs:
+                    fraction = match_fraction(sys_, graph, n, starts, tol)
+                    assert calls == []
+                    assert fraction == match_fraction(generic(sys_), graph, n, starts, tol)
+                    assert len(calls) == n * len(starts)
+                    calls.clear()
+
+
 class TestVerifyPreinvariance:
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
     def test_tol_must_be_positive(self, tol):
@@ -875,7 +1001,7 @@ class TestUniquenessProbe:
         sys_ = make_noinvattr(8)
         g1 = build_preinvariant(sys_)
         g2 = GraphFunction.from_callable(1.0, lambda theta: 0.0)
-        with pytest.raises(DomainError, match="^steps must be >= 1$"):
+        with pytest.raises(DomainError, match=f"^steps must be >= 1, got {steps}$"):
             uniqueness_probe(sys_, g1, g2, [0.0, 0.5], steps, 0.1)
 
     def test_empty_thetas_refused(self):
@@ -895,6 +1021,34 @@ class TestUniquenessProbe:
         g2 = GraphFunction.from_callable(1.0, lambda theta: 0.0)
         with pytest.raises(DomainError, match="eps must be > 0"):
             uniqueness_probe(sys_, g1, g2, [0.0, 0.5], 10, eps)
+
+
+def _range_checks():
+    """(name, low, call of one value): every count check in front of a walk or sweep."""
+    noinv, keller = make_noinvattr(8), make_keller()
+    graph = GraphFunction.from_callable(1.0, lambda t: 0.5)
+    starts = [(0.0, 0.5)]
+    return [
+        ("depth", 1, lambda v: pullback_phi(noinv, 0.0, v)),
+        ("depth", 1, lambda v: pullback_grid(keller, 64, depth=v)),
+        ("depth", 1, lambda v: pullback_graph_finite(noinv, v)),
+        ("grid_size", 8, lambda v: pullback_grid(keller, v, depth=5)),
+        ("steps", 1, lambda v: verify_attractor(noinv, graph, starts, v, 0.1)),
+        ("steps", 1, lambda v: uniqueness_probe(noinv, graph, graph, [0.0], v, 0.1)),
+        ("horizon", 1, lambda v: verify_preinvariance(noinv, graph, 0.0, v, 0.1)),
+        ("n", 1, lambda v: match_fraction(noinv, graph, v, starts)),
+        ("sample_count", 1, lambda v: classify(noinv, v)),
+        ("horizon", 1, lambda v: detect_pinching(noinv, 0.0, v)),
+        ("window", 1, lambda v: make_noinvattr(v)),
+    ]
+
+
+@pytest.mark.parametrize("check", range(11))
+def test_range_errors_state_the_value(check):
+    name, low, run = _range_checks()[check]
+    for value in (low - 1, -3):
+        with pytest.raises(DomainError, match=f"^{name} must be >= {low}, got {value}$"):
+            run(value)
 
 
 class TestHelpers:

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewlab.bases import (
@@ -138,6 +138,82 @@ class TestWordValues:
         assert str(TwoSidedWord.parse("0~1~1@-3")) == "0~1~1@-3"
         with pytest.raises(ConfigError, match="bad two-sided word '0~1~1@0.5'"):
             TwoSidedWord.parse("0~1~1@0.5")
+
+
+def normal_form_by_trimming(transient, cycle):
+    """The constructor's normal form, computed one trailing symbol at a time:
+    while the (primitive) cycle continues the transient, drop the transient's
+    last symbol and rotate the cycle right by one."""
+    tr, cyc = tuple(transient), tuple(cycle)
+    n = len(cyc)
+    cyc = next(cyc[:d] for d in range(1, n + 1) if n % d == 0 and cyc == cyc[:d] * (n // d))
+    while tr and tr[-1] == cyc[-1]:
+        tr = tr[:-1]
+        cyc = cyc[-1:] + cyc[:-1]
+    return tr, cyc
+
+
+class TestNormalForm:
+    @given(st.lists(st.integers(0, 1), max_size=24), st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    @example([1, 0, 1, 0, 1, 0, 1], [0, 1])  # the whole transient continues the cycle
+    @example([1, 1, 0, 0, 0], [0, 0])  # a run longer than the primitive cycle
+    @settings(max_examples=300)
+    def test_fields_equal_trimming_one_symbol_at_a_time(self, t, c):
+        assert tuple(OneSidedWord(t, c)) == normal_form_by_trimming(t, c)
+
+    @pytest.mark.parametrize("t, c, message", [
+        ((2,), (), "cycle must be nonempty"),
+        ((0, 3), (2,), "word symbol 3 is not 0 or 1"),
+        ((0, 1), (1, 2), "word symbol 2 is not 0 or 1"),
+    ])
+    def test_error_order(self, t, c, message):
+        # an empty cycle first, then the transient's bad symbol, then the cycle's
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            OneSidedWord(t, c)
+
+
+class TestSymbolStreams:
+    """``symbols(n)`` reads n coordinates at once, ``advanced(n)`` shifts n times."""
+
+    @given(bits, cycles, st.integers(0, 20))
+    @example((), (0, 1), 0)
+    @example((), (1,), 5)
+    @example((1, 0, 1), (1, 1, 0), 3)
+    @example((1, 0, 1), (1, 1, 0), 11)
+    def test_one_sided(self, t, c, n):
+        w = OneSidedWord(t, c)
+        assert w.symbols(n) == tuple(w.symbol(i) for i in range(n))
+        shifted = w
+        for _ in range(n):
+            shifted = shifted.shifted()
+        assert tuple(w.advanced(n)) == tuple(shifted)
+
+    @given(two_sided_words, st.integers(0, 16))
+    @example(TwoSidedWord((0,), (), (1,), 0), 0)
+    @example(TwoSidedWord((0, 1), (), (1, 1, 0), -3), 7)
+    @example(TwoSidedWord((1,), (0, 1), (0,), -5), 2)  # read only the left tail
+    @example(TwoSidedWord((1,), (0, 1), (0,), 4), 3)  # read only the right tail
+    @example(TwoSidedWord((0, 1), (1, 1, 0), (1, 0), -2), 9)  # tail, buffer, tail
+    def test_two_sided(self, w, n):
+        assert w.symbols(n) == tuple(w.symbol(i) for i in range(n))
+        shifted = w
+        for _ in range(n):
+            shifted = shifted.shifted()
+        assert tuple(w.advanced(n)) == tuple(shifted)
+        assert w.advanced(n) == shifted
+
+    @pytest.mark.parametrize("w", [OneSidedWord((1,), (0,)), TwoSidedWord((0,), (1,), (1,), 0)],
+                             ids=str)
+    @pytest.mark.parametrize("n, message", [
+        (-1, "symbol count must be >= 0, got -1"),
+        (0.5, "symbol count 0.5 is not an integer"),
+        (2.0, "symbol count 2.0 is not an integer"),
+    ])
+    def test_count_must_be_a_natural_number(self, w, n, message):
+        # a float count would slice nothing, or give a two-sided word a float origin
+        for read in (w.symbols, w.advanced):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                read(n)
 
 
 class TestFairBits:

@@ -379,6 +379,25 @@ class TestDepthAndGridArguments:
         assert out == "" and needle in err
 
 
+class TestRangeErrorsNameTheValue:
+    """A refused count names the field and the value it got."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["pullback", "--depth", "0"], "depth must be >= 1, got 0"),
+        (["pullback", "--grid", "7"], "grid_size must be >= 8, got 7"),
+        (["verify", "--horizon", "0"], "horizon must be >= 1, got 0"),
+        (["verify", "--steps", "0"], "steps must be >= 1, got 0"),
+    ], ids=["pullback-depth", "pullback-grid", "verify-horizon", "verify-steps"])
+    def test_exits_3(self, cfg_file, tmp_path, capsys, argv, needle):
+        if argv[0] == "verify":
+            phi = tmp_path / "phi.csv"
+            phi.write_text("point,value\n0.0,0.5\n0.5,0.5\n")
+            argv = argv + ["--phi", str(phi), "--samples", "2"]
+        assert cli.main([argv[0], "--config", cfg_file(KELLER_CFG), *argv[1:]]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"invariant violation: {needle}\n"
+
+
 class TestNonFiniteCirclePoint:
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     @pytest.mark.parametrize("argv", [

@@ -9,7 +9,8 @@ Likewise `import skewlab` runs no layer module, and each command executes
 only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
 the nonauto module, nor the demos that build preinvariant graphs
-(`noinvattr`, `coinflip-one`).  No command imports `dataclasses`: every
+(`noinvattr`, `coinflip-one`); resolving `skewlab.advance` or
+`skewlab.SymbolFibers` runs the skew layer alone.  No command imports `dataclasses`: every
 result and value type is a NamedTuple, which runs no generated code when
 its class is created.  Each child process below starts fresh, so no earlier
 test has loaded a module for it.
@@ -164,6 +165,18 @@ def test_import_runs_no_layer_module():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [k for k in json.loads(proc.stdout) if k.startswith("skewlab")] == ["skewlab"]
+
+
+def test_stream_walk_exports_run_no_attractor_or_nonauto():
+    code = ("import json, sys, skewlab; skewlab.advance; skewlab.SymbolFibers; "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "skewlab.skew" in loaded
+    assert not {"skewlab.attractor", "skewlab.nonauto"} & loaded
+    assert not [k for k in loaded if k.startswith("numpy.")]
 
 
 def test_each_command_runs_only_its_layers(tmp_path):
