@@ -397,6 +397,20 @@ class TestRangeErrorsNameTheValue:
         out, err = capsys.readouterr()
         assert out == "" and err == f"invariant violation: {needle}\n"
 
+    def test_bad_horizon_is_refused_before_any_walk(self, cfg_file, tmp_path, capsys,
+                                                    monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("verify_attractor ran")
+
+        monkeypatch.setattr("skewlab.attractor.verify_attractor", walk)
+        phi = tmp_path / "phi.csv"
+        phi.write_text("point,value\n0.0,0.5\n0.5,0.5\n")
+        rc = cli.main(["verify", "--config", cfg_file(KELLER_CFG), "--phi", str(phi),
+                       "--horizon", "0"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "invariant violation: horizon must be >= 1, got 0\n"
+
 
 class TestNonFiniteCirclePoint:
     @pytest.mark.parametrize("theta", ["nan", "inf"])
@@ -439,6 +453,12 @@ class TestDemos:
 
     def test_unknown_demo_exits_2(self):
         assert cli.main(["demo", "nope"]) == 2
+
+    def test_failed_claim_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._DEMOS, "half-true",
+                            lambda fast: [(True, "holds"), (False, "does not hold")])
+        assert cli.main(["demo", "half-true"]) == cli.EXIT_CLAIM == 1
+        assert capsys.readouterr().out == "PASS - holds\nFAIL - does not hold\n"
 
     def test_coin_words_draw_as_randrange_does(self):
         rng = random.Random(20260809)
