@@ -26,10 +26,10 @@ _EXPORTS = {
     "config": "SystemConfig build_system load_system parse_config",
     "errors": "CapabilityError ConfigError CoverageError DomainError InvariantError "
     "PreconditionError RegistryError SkewlabError",
-    "fiber": "ConcavityCertificate FiberMap certify concavity_holds isoclinic_point kappa "
-    "left_derivative left_derivative_limit ratio_bound_monotone ratio_bound_nonmonotone",
-    "nonauto": "MapSequence OrbitPairTrace bound_violations check_equiconcavity "
-    "convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
+    "fiber": "ConcavityCertificate FiberMap certify isoclinic_point kappa "
+    "left_derivative_limit ratio_bound_monotone ratio_bound_nonmonotone",
+    "nonauto": "MapSequence OrbitPairTrace along_orbit bound_violations "
+    "check_equiconcavity convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
     "skew": "SkewSystem SymbolFibers advance classify detect_pinching orbit orbits step",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

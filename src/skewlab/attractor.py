@@ -31,6 +31,10 @@ from .skew import SkewSystem, advance, orbits, step  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
 PULLBACK_STOP_DELTA = 1e-12
+# Rise of a pullback value that still counts as no rise.
+MONOTONE_SLACK = 1e-12
+# Graph values above this count as positive.
+POSITIVE_THRESHOLD = 1e-9
 # Starts walked together by match_fraction.  For demo coinflip-one's 10^4
 # shift words, advancing all of them at once on their symbol streams peaks
 # 0.3 MB higher (21.0 against 20.7 MB) and is no faster; through `orbits`,
@@ -208,13 +212,13 @@ def _csv_number(cell: str, line: int, column: str) -> float:
         ) from None
 
 
-def positive_fraction(graph: GraphFunction, threshold: float = 1e-9) -> float:
-    """Fraction of stored graph values above the threshold."""
+def positive_fraction(graph: GraphFunction) -> float:
+    """Fraction of stored graph values above POSITIVE_THRESHOLD."""
     if graph.grid is not None:
-        return float(np.mean(graph.grid > threshold))
+        return float(np.mean(graph.grid > POSITIVE_THRESHOLD))
     if graph.table is not None:
         vals = list(graph.table.values())
-        return sum(v > threshold for v in vals) / len(vals)
+        return sum(v > POSITIVE_THRESHOLD for v in vals) / len(vals)
     raise DomainError("positive fraction needs a stored representation")
 
 
@@ -353,14 +357,11 @@ class PullbackSequence(NamedTuple):
     depth_used: int
     truncated: bool
 
-    def nonincreasing(self, slack: float = 1e-12) -> bool:
+    def nonincreasing(self) -> bool:
         return all(
-            self.values[i + 1] <= self.values[i] + slack
+            self.values[i + 1] <= self.values[i] + MONOTONE_SLACK
             for i in range(len(self.values) - 1)
         )
-
-    def limit(self) -> float:
-        return self.values[-1]
 
 
 def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]:
@@ -403,45 +404,26 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
             live[i] = True
 
 
-def _compositions(sys: SkewSystem, back: Sequence, closed: bool) -> Iterator[float]:
-    """phi_n for n = 1, 2, ... composed along the backward orbit ``back``.
-
-    ``back[k-1]`` is the k-th preimage; each fiber map is built when the
-    composition first reaches it.  phi_n applies the k maps built so far to
-    phi_{n-k}: to phi_0 = a while n <= len(back).  A ``closed`` orbit holds
-    one period, ending at theta itself, so past it phi_n applies the period
-    to phi_{n-p}: the float operations of composing all n maps, in order.
-    """
-    maps: list[FiberMap] = []
-    phis = [sys.a]  # phis[n] = phi_n
-    for n in itertools.count(1):
-        if n <= len(back):
-            maps.append(sys.fiber_at(back[n - 1]))
-        elif not closed:
-            return
-        v = phis[n - len(maps)]
-        for fm in reversed(maps):
-            v = fm(v)
-        phis.append(v)
-        yield v
-
-
 def pullback_phi(
     sys: SkewSystem,
     theta,
     depth: int,
     stop_delta: float = PULLBACK_STOP_DELTA,
-    allow_partial: bool = False,
 ) -> PullbackSequence:
     """Fiber images of the top endpoint transported along the backward orbit.
 
     phi_n(theta) applies, to the endpoint a, the fiber maps met from the n-th
     preimage of theta forward to theta.  For monotone fiber families the
     sequence is nonincreasing; iteration stops early once consecutive values
-    differ by less than ``stop_delta`` (pass 0 to disable).
+    differ by less than ``stop_delta`` (pass 0 to disable), or where the
+    backward orbit ends at a point with no unique predecessor, which sets
+    ``truncated``.  A theta with no unique predecessor raises.
 
-    Each phi_n composes the fiber maps along the backward orbit: n^2/2 calls
-    up to the stopping depth n, or about n*p if the orbit closes after p steps.
+    Each fiber map is built when the composition first reaches it, and phi_n
+    applies the k maps built so far to phi_{n-k}: n^2/2 calls up to the
+    stopping depth n.  An orbit that closes after p steps ends at theta
+    itself, so past it phi_n applies the period to phi_{n-p}: about n*p
+    calls, with the float operations of composing all n maps, in order.
     """
     check_at_least("depth", depth, 1)
     if not hasattr(sys.base, "predecessor"):
@@ -453,29 +435,40 @@ def pullback_phi(
         try:
             cur = sys.base.predecessor(cur)
         except CapabilityError:
-            if allow_partial:
-                truncated = True
-                break
-            raise
+            truncated = True
+            break
         back.append(cur)
         # predecessor inverts step, so a backward orbit can only close at theta
         if cur == theta:
             break
-    closed = back[-1:] == [theta]
+    theta_repr = sys.base.format_point(theta)
+    if not back:
+        raise CapabilityError(
+            f"no pullback at {theta_repr}: the point has no unique predecessor"
+        )
+    closed = back[-1] == theta
 
-    values: list[float] = []
+    maps: list[FiberMap] = []
+    phis = [sys.a]  # phis[n] = phi_n
     delta = math.inf
-    for v in itertools.islice(_compositions(sys, back, closed), depth):
-        values.append(v)
-        if len(values) >= 2:
-            delta = abs(values[-1] - values[-2])
+    for n in range(1, depth + 1):
+        if n <= len(back):
+            maps.append(sys.fiber_at(back[n - 1]))
+        elif not closed:
+            break
+        v = phis[n - len(maps)]
+        for fm in reversed(maps):
+            v = fm(v)
+        phis.append(v)
+        if n >= 2:
+            delta = abs(v - phis[-2])
             if stop_delta > 0.0 and delta < stop_delta:
                 break
     return PullbackSequence(
-        theta_repr=sys.base.format_point(theta),
-        values=values,
+        theta_repr=theta_repr,
+        values=phis[1:],
         delta=delta,
-        depth_used=len(values),
+        depth_used=len(phis) - 1,
         truncated=truncated,
     )
 
@@ -500,7 +493,7 @@ def pullback_grid(
     exact rotation, which for a uniform grid is a fixed index shift.  Each
     sweep transports the whole grid one step, so sweep s holds phi_s at every
     node.  ``max_increase`` is the largest rise of any node over any sweep
-    (0 when none rises), and ``monotone_ok`` says it stays within 1e-12.
+    (0 when none rises), and ``monotone_ok`` says it stays within MONOTONE_SLACK.
     """
     check_at_least("depth", depth, 1)
     base = sys.base
@@ -530,7 +523,7 @@ def pullback_grid(
 
     return PullbackGridResult(
         graph=GraphFunction(sys.a, "pullback", grid=values), sweeps=sweeps, delta=delta,
-        monotone_ok=max_increase <= 1e-12, max_increase=max_increase,
+        monotone_ok=max_increase <= MONOTONE_SLACK, max_increase=max_increase,
     )
 
 

@@ -322,9 +322,6 @@ class FiniteOrbitBase:
         self.pred = {
             q: ps[0] for q, ps in preimages.items() if len(ps) == 1
         }
-        self.invertible = len(self.pred) == len(self.points) and all(
-            p in self.pred for p in self.points
-        )
 
     def step(self, p: float) -> float:
         try:
@@ -367,7 +364,6 @@ class CircleRotation:
         if not (0.0 < omega < 1.0):
             raise ConfigError(f"rotation number must lie in (0, 1), got {omega!r}")
         self.omega = omega
-        self.invertible = True
 
     def step(self, theta: float) -> float:
         return (theta + self.omega) % 1.0
@@ -399,7 +395,6 @@ class SymbolicShift:
         if sided not in ("one", "two"):
             raise ConfigError(f"sided must be 'one' or 'two', got {sided!r}")
         self.sided = sided
-        self.invertible = sided == "two"
         # The shift map itself: step(w) is w.shifted(), one call frame fewer.
         self.step = OneSidedWord.shifted if sided == "one" else TwoSidedWord.shifted
 

@@ -1,13 +1,14 @@
 """Ready-made skew systems: the worked examples shipped with the package.
 
-Each entry builds an immutable SkewSystem whose declared classification and
-concavity constant can be re-derived with `skew.classify`.
+`CATALOG` maps each name to a zero-argument builder of an immutable
+SkewSystem whose declared classification and concavity constant can be
+re-derived with `skew.classify`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
 from .errors import DomainError, RegistryError, check_at_least
@@ -163,39 +164,15 @@ def make_product(
     )
 
 
-class CatalogEntry(NamedTuple):
-    name: str
-    build: Callable[..., SkewSystem]
-    params: dict
-    doc: str
-
-
-CATALOG: dict[str, CatalogEntry] = {
-    "noinvattr": CatalogEntry(
-        "noinvattr", make_noinvattr, {"window": 64},
-        "fixed points with an absorbed chain; strong map right, weak map left",
-    ),
-    "coinflip-one": CatalogEntry(
-        "coinflip-one", lambda: make_coinflip("one"), {},
-        "one-sided binary shift writing its leading bit into a two-point fiber",
-    ),
-    "coinflip-two": CatalogEntry(
-        "coinflip-two", lambda: make_coinflip("two"), {},
-        "two-sided binary shift; reading the bit at -1 gives an exact attractor",
-    ),
-    "keller": CatalogEntry(
-        "keller", make_keller, {"omega": GOLDEN_ROTATION},
-        "irrational rotation with product fibers p(x) q(theta)",
-    ),
-    "product-hump": CatalogEntry(
-        "product-hump",
-        lambda: make_product(
-            {"form": "quadratic-hump", "k": 4.0},
-            {"form": "constant", "c": 0.6},
-            CircleRotation(GOLDEN_ROTATION),
-            label="product-hump",
-        ),
-        {},
-        "nonmonotone hump map scaled to land strictly below its isoclinic point",
+CATALOG: dict[str, Callable[[], SkewSystem]] = {
+    "noinvattr": make_noinvattr,
+    "coinflip-one": lambda: make_coinflip("one"),
+    "coinflip-two": lambda: make_coinflip("two"),
+    "keller": make_keller,
+    "product-hump": lambda: make_product(
+        {"form": "quadratic-hump", "k": 4.0},
+        {"form": "constant", "c": 0.6},
+        CircleRotation(GOLDEN_ROTATION),
+        label="product-hump",
     ),
 }

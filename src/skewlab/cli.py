@@ -29,7 +29,13 @@ import sys as _sys
 from typing import NoReturn
 
 from .bases import CircleRotation, FiniteOrbitBase, OneSidedWord, fair_bits
-from .catalog import CATALOG, coinflip_attractor_graph, make_keller, make_product
+from .catalog import (
+    CATALOG,
+    GOLDEN_ROTATION,
+    coinflip_attractor_graph,
+    make_keller,
+    make_product,
+)
 from .config import load_system
 from .errors import (
     CapabilityError,
@@ -105,7 +111,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_orbit_pair(args) -> int:
-    from .nonauto import TRACE_COLUMNS, bound_violations, iterate_pair, trace_to_csv
+    from .nonauto import (
+        TRACE_COLUMNS,
+        along_orbit,
+        bound_violations,
+        iterate_pair,
+        trace_to_csv,
+    )
 
     cfg, system = load_system(args.config)
     theta = _resolve_theta(system.base, args.theta)
@@ -114,7 +126,7 @@ def cmd_orbit_pair(args) -> int:
         with _out_stream(args.out) as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         return EXIT_OK
-    seq = system.map_sequence(theta)
+    seq = along_orbit(system, theta)
     trace = iterate_pair(seq, args.x0, args.y0, steps, grid_size=cfg.defaults["grid"])
     with _out_stream(args.out) as fh:
         trace_to_csv(trace, fh)
@@ -143,12 +155,7 @@ def cmd_pullback(args) -> int:
 
     if args.theta is not None:
         theta = system.base.parse_point(args.theta)
-        seq = pullback_phi(system, theta, depth, stop_delta=stop_delta,
-                           allow_partial=True)
-        if not seq.values:
-            raise CapabilityError(
-                f"no pullback at {seq.theta_repr}: the point has no unique predecessor"
-            )
+        seq = pullback_phi(system, theta, depth, stop_delta=stop_delta)
         _emit_json(
             {
                 "theta": seq.theta_repr,
@@ -388,9 +395,9 @@ def _claims_keller(fast: bool) -> list[tuple[bool, str]]:
 
 
 def _claims_product_hump(fast: bool) -> list[tuple[bool, str]]:
-    from .nonauto import isoclinic_guard, iterate_pair
+    from .nonauto import along_orbit, isoclinic_guard, iterate_pair
 
-    system = CATALOG["product-hump"].build()
+    system = CATALOG["product-hump"]()
     cls = classify(system, 12, grid_size=1024)
     claims = [
         (
@@ -399,9 +406,8 @@ def _claims_product_hump(fast: bool) -> list[tuple[bool, str]]:
             f"beta = {cls.beta!r} (range [0, 0.6] below the isoclinic point 2/3)",
         )
     ]
-    seq = system.map_sequence(0.1)
-    trace = iterate_pair(seq, 0.3, 0.62, 80)
-    guard = isoclinic_guard(seq, trace)
+    trace = iterate_pair(along_orbit(system, 0.1), 0.3, 0.62, 80)
+    guard = isoclinic_guard(trace)
     gap = abs(trace.rows[-1].x - trace.rows[-1].y)
     claims.append(
         (
@@ -414,13 +420,12 @@ def _claims_product_hump(fast: bool) -> list[tuple[bool, str]]:
     unscaled = make_product(
         {"form": "quadratic-hump", "k": 4.0},
         {"form": "constant", "c": 1.0},
-        CircleRotation(CATALOG["keller"].params["omega"]),
+        CircleRotation(GOLDEN_ROTATION),
         label="full-hump",
     )
     cls2 = classify(unscaled, 8, grid_size=1024)
-    seq2 = unscaled.map_sequence(0.1)
-    trace2 = iterate_pair(seq2, 0.2, 0.21, 40)
-    guard2 = isoclinic_guard(seq2, trace2)
+    trace2 = iterate_pair(along_orbit(unscaled, 0.1), 0.2, 0.21, 40)
+    guard2 = isoclinic_guard(trace2)
     claims.append(
         (
             cls2.kind == "unclassified" and not guard2.hypothesis_ok,

@@ -9,6 +9,7 @@ through repr).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,6 +37,22 @@ class SystemConfig(NamedTuple):
 def _require(cond: bool, field: str, msg: str) -> None:
     if not cond:
         raise ConfigError(f"field {field}: {msg}")
+
+
+def _positive(field: str, v, integral: bool = False):
+    """v if it is a positive finite number, as an int when ``integral``.
+
+    A bool, a non-finite number and, when ``integral``, a non-integral one
+    are refused with a message naming the field.
+    """
+    ok = (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and 0 < v <= sys.float_info.max  # also refuses NaN
+        and (not integral or v == int(v))
+    )
+    kind = "integer" if integral else "number"
+    _require(ok, field, f"must be a positive {kind}, got {v!r}")
+    return int(v) if integral else v
 
 
 def parse_config(doc) -> SystemConfig:
@@ -74,11 +91,7 @@ def parse_config(doc) -> SystemConfig:
             preset == "noinvattr", "base.preset",
             f"only the 'noinvattr' preset is supported, got {preset!r}",
         )
-        window = base.get("window", 64)
-        _require(
-            isinstance(window, int) and window >= 1,
-            "base.window", f"must be a positive integer, got {window!r}",
-        )
+        window = _positive("base.window", base.get("window", 64), integral=True)
         base = {"variant": variant, "preset": preset, "window": window}
     else:
         sided = base.get("sided")
@@ -91,22 +104,14 @@ def parse_config(doc) -> SystemConfig:
     _require(isinstance(fiber, dict), "fiber", "must be an object")
     _require("form" in fiber, "fiber.form", "is required")
 
-    a = doc.get("a", 1.0)
-    _require(
-        isinstance(a, (int, float)) and a > 0.0,
-        "a", f"must be a positive number, got {a!r}",
-    )
+    a = _positive("a", doc.get("a", 1.0))
 
     defaults = dict(_DEFAULTS)
     user_defaults = doc.get("defaults", {})
     _require(isinstance(user_defaults, dict), "defaults", "must be an object")
     for k, v in user_defaults.items():
         _require(k in _DEFAULTS, f"defaults.{k}", "unknown analysis default")
-        _require(
-            isinstance(v, (int, float)) and v > 0,
-            f"defaults.{k}", f"must be a positive number, got {v!r}",
-        )
-        defaults[k] = int(v) if k in ("grid", "depth", "steps") else v
+        defaults[k] = _positive(f"defaults.{k}", v, integral=k != "tol")
 
     return SystemConfig(base=base, fiber=dict(fiber), a=float(a), defaults=defaults)
 

@@ -56,7 +56,7 @@ class FiberMap(NamedTuple):
 
     def scaled(self, c: float) -> "FiberMap":
         """The map x -> c * f(x); analytic data rescales along."""
-        if c < 0.0:
+        if not c >= 0.0:  # also refuses NaN
             raise DomainError(f"scale factor must be nonnegative, got {c!r}")
         base = self.f
         if c == 0.0:
@@ -137,16 +137,6 @@ def _second_differences(vals: list[float]):
     return (vals[i - 1] - 2.0 * vals[i] + vals[i + 1] for i in range(1, len(vals) - 1))
 
 
-def concavity_holds(
-    fm: FiberMap, alpha: float, grid_size: int, slack: float = CONCAVITY_SLACK
-) -> bool:
-    """Grid test: are all second differences of f(x) + alpha*x^2 <= slack?"""
-    _, vals = grid_values(fm, grid_size)
-    h = fm.a / grid_size
-    bump = 2.0 * alpha * h * h
-    return all(d2 + bump <= slack for d2 in _second_differences(vals))
-
-
 def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     """Certify the largest grid-level concavity of a fiber map.
 
@@ -197,25 +187,21 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     )
 
 
-def left_derivative(fm: FiberMap, x: float, h: float) -> float:
-    """Backward difference quotient (f(x) - f(x-h)) / h."""
-    if not (0.0 < x <= fm.a):
-        raise DomainError(f"x must lie in (0, {fm.a!r}], got {x!r}")
-    if not (0.0 < h < x):
-        raise DomainError(f"need 0 < h < x, got h = {h!r}, x = {x!r}")
-    return (fm(x) - fm(x - h)) / h
-
-
 def left_derivative_limit(fm: FiberMap, x: float) -> float:
-    """Backward quotient at the step h = min(a/1e4, x/2) / 4^5.
+    """Backward quotient (f(x) - f(x-h)) / h at the step h = min(a/1e4, x/2) / 4^5.
 
     For concave maps the quotient is monotone in h, so a small step gives a
     tight estimate of the left derivative.  h is scaled by 1/4 five times,
     one rounding each; that equals one division by 4^5 except where h is
-    subnormal.
+    subnormal.  x must lie in (0, a], and an x so small that h rounds to 0
+    is refused.
     """
+    if not (0.0 < x <= fm.a):
+        raise DomainError(f"x must lie in (0, {fm.a!r}], got {x!r}")
     h = min(fm.a * _H0_FRACTION, x / 2.0) * 0.25 * 0.25 * 0.25 * 0.25 * 0.25
-    return left_derivative(fm, x, h)
+    if not (0.0 < h < x):
+        raise DomainError(f"need 0 < h < x, got h = {h!r}, x = {x!r}")
+    return (fm(x) - fm(x - h)) / h
 
 
 def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:

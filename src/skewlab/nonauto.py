@@ -10,9 +10,9 @@ does not; ties (equal images) and coordinates pinned at 0 leave blanks.
 from __future__ import annotations
 
 import csv
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_positive
 from .fiber import (
     ZERO_TOL,
     ConcavityCertificate,
@@ -22,6 +22,9 @@ from .fiber import (
     kappa,
     monotone_bound,
 )
+
+if TYPE_CHECKING:
+    from .skew import SkewSystem
 
 _BOUND_SLACK = 1e-9
 # Relative gaps below this are dominated by the rounding error of the two
@@ -86,6 +89,18 @@ class MapSequence(NamedTuple):
         return fm
 
 
+def along_orbit(sys: SkewSystem, theta) -> MapSequence:
+    """The fiber maps met along the forward orbit of theta, as a sequence."""
+    orbit_cache = [theta]
+
+    def supplier(n: int) -> FiberMap:
+        while len(orbit_cache) < n:
+            orbit_cache.append(sys.base.step(orbit_cache[-1]))
+        return sys.fiber_at(orbit_cache[n - 1])
+
+    return MapSequence(supplier=supplier, a=sys.a, declared_beta=sys.beta)
+
+
 def check_equiconcavity(
     seq: MapSequence, indices: Iterable[int], grid_size: int = 2048,
     tol: float = 1e-9,
@@ -119,9 +134,6 @@ class OrbitPairTrace(NamedTuple):
     reason: str  # merged | pinched | completed
     a: float
     beta: float | None
-
-    def gaps(self) -> list[float]:
-        return [abs(r.x - r.y) for r in self.rows]
 
     def first_gap_below(self, tol: float) -> int | None:
         for r in self.rows:
@@ -214,12 +226,13 @@ def iterate_pair(
     return OrbitPairTrace(rows, reason, a, seq.declared_beta)
 
 
-def bound_violations(trace: OrbitPairTrace, slack: float = _BOUND_SLACK) -> list[int]:
+def bound_violations(trace: OrbitPairTrace) -> list[int]:
     """Row indices whose recorded ratio exceeds the recorded bound."""
     return [
         r.n
         for r in trace.rows
-        if r.ratio is not None and r.bound is not None and r.ratio > r.bound + slack
+        if r.ratio is not None and r.bound is not None
+        and r.ratio > r.bound + _BOUND_SLACK
     ]
 
 
@@ -246,8 +259,8 @@ def convergence_certificate(
     the recorded per-step bounds gives a geometric envelope
     a * kappa_0 * prod(bounds) that dominates |x_n - y_n|.
     """
-    if eps <= 0.0 or beta <= 0.0:
-        raise DomainError("beta and eps must be positive")
+    check_positive("beta", beta)
+    check_positive("eps", eps)
     recorded = [r for r in trace.rows if r.bound is not None]
     if not recorded:
         raise PreconditionError("trace lacks bound records")
@@ -307,14 +320,14 @@ class GuardReport(NamedTuple):
     verdict: str
 
 
-def isoclinic_guard(seq: MapSequence, trace: OrbitPairTrace) -> GuardReport:
+def isoclinic_guard(trace: OrbitPairTrace) -> GuardReport:
     """Verify the confinement hypothesis x_n, y_n < b and the flip bounds.
 
     At order-flipping steps the ratio is additionally checked against the
-    normalized bound 1 - beta*a*(b - min(x,y))/2 (requires a declared beta).
-    Reports, never raises, on hypothesis failure.
+    normalized bound 1 - beta*a*(b - min(x,y))/2 (requires the trace's
+    sequence to declare beta).  Reports, never raises, on hypothesis failure.
     """
-    beta = seq.declared_beta
+    beta = trace.beta
     first_violation = None
     flips = 0
     flip_violations = []

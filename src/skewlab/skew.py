@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .bases import CircleRotation, SymbolicShift
 from .errors import DomainError, SkewlabError, check_at_least
 from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
-
-if TYPE_CHECKING:
-    from .nonauto import MapSequence
 
 
 class SkewSystem(NamedTuple):
@@ -33,19 +30,6 @@ class SkewSystem(NamedTuple):
     beta: float | None = None
     label: str = ""
     product_parts: tuple | None = None
-
-    def map_sequence(self, theta) -> MapSequence:
-        """The fiber maps met along the forward orbit of theta, as a sequence."""
-        from .nonauto import MapSequence
-
-        orbit_cache = [theta]
-
-        def supplier(n: int) -> FiberMap:
-            while len(orbit_cache) < n:
-                orbit_cache.append(self.base.step(orbit_cache[-1]))
-            return self.fiber_at(orbit_cache[n - 1])
-
-        return MapSequence(supplier=supplier, a=self.a, declared_beta=self.beta)
 
 
 class SymbolFibers:

@@ -199,7 +199,7 @@ def test_c07_nonmonotone_contraction_and_guard():
         if abs(x0 - y0) < 1e-3:
             y0 = min(0.65, x0 + 0.05)
         tr = iterate_pair(seq, x0, y0, 200)
-        rep = isoclinic_guard(seq, tr)
+        rep = isoclinic_guard(tr)
         assert rep.hypothesis_ok and not rep.flip_violations
         assert abs(tr.rows[-1].x - tr.rows[-1].y) < 1e-6
         total_flips += rep.flips
@@ -209,7 +209,7 @@ def test_c07_nonmonotone_contraction_and_guard():
                     gamma=1.0, alpha=4.0, b=2.0 / 3.0, monotone=False)
     seq_full = MapSequence(lambda n: full, 1.0, declared_beta=4.0)
     tr_full = iterate_pair(seq_full, 0.2, 0.25, 40)
-    rep_full = isoclinic_guard(seq_full, tr_full)
+    rep_full = isoclinic_guard(tr_full)
     assert not rep_full.hypothesis_ok
     _report(7, f"30 confined hump sequences converge with {total_flips} bounded "
                "flips; the unconfined hump is reported hypothesis-violating at "

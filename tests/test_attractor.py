@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -460,6 +461,9 @@ class TestBuildPreinvariant:
         assert graph.value(zero) == graph.value(zero.shifted()) == 0.0
 
 
+NO_PREDECESSOR = "^no pullback at {}: the point has no unique predecessor$"
+
+
 class TestPullbackPhi:
     def test_noinvattr_halves(self):
         sys_ = make_noinvattr(64)
@@ -478,16 +482,21 @@ class TestPullbackPhi:
         fm = FiberMap(1.0, lambda x: 0.9 * x * (2 - x), monotone=True)
         sys_ = SkewSystem(base=CircleRotation(0.43), fiber_at=lambda t: fm, a=1.0)
         seq = pullback_phi(sys_, 0.2, 2000)
-        assert seq.limit() == pytest.approx(largest_fixed_point(fm), abs=1e-8)
+        assert seq.values[-1] == pytest.approx(largest_fixed_point(fm), abs=1e-8)
 
     def test_one_sided_shift_refused(self):
         sys_ = make_coinflip("one")
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match=NO_PREDECESSOR.format(re.escape("|0"))):
             pullback_phi(sys_, OneSidedWord((), (0,)), 5)
+
+    def test_point_with_two_preimages_refused(self):
+        # the fixed point 1.0 and the absorbed end of the chain both map to 1.0
+        with pytest.raises(CapabilityError, match=NO_PREDECESSOR.format(r"1\.0")):
+            pullback_phi(make_noinvattr(8), 1.0, 5)
 
     def test_truncated_backward_orbit(self):
         sys_ = make_noinvattr(8)
-        seq = pullback_phi(sys_, 0.0, 100, stop_delta=0.0, allow_partial=True)
+        seq = pullback_phi(sys_, 0.0, 100, stop_delta=0.0)
         assert seq.truncated and seq.depth_used < 100
 
 
@@ -533,8 +542,11 @@ class TestPullbackSweep:
                 values, truncated = reference_pullback(sys_, p, depth, stop_delta)
                 assert graph.table[p] == (values[-1] if values else sys_.a)
                 assert depths[repr(p)] == len(values)
-                seq = pullback_phi(sys_, p, depth, stop_delta=stop_delta,
-                                   allow_partial=True)
+                if not values:
+                    with pytest.raises(CapabilityError, match="no unique predecessor"):
+                        pullback_phi(sys_, p, depth, stop_delta=stop_delta)
+                    continue
+                seq = pullback_phi(sys_, p, depth, stop_delta=stop_delta)
                 assert seq.values == values
                 assert seq.truncated == truncated
 

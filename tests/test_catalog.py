@@ -13,7 +13,7 @@ from skewlab.catalog import (
     make_noinvattr,
     make_product,
 )
-from skewlab.errors import RegistryError
+from skewlab.errors import CapabilityError, RegistryError
 from skewlab.fiber import grid_max
 from skewlab.skew import classify, orbit, step
 
@@ -30,7 +30,8 @@ class TestNoinvattr:
         assert base.step(-1.0) == -1.0 and base.step(1.0) == 1.0
         assert base.step(0.0) == 0.5  # collision point moves up the chain
         assert base.step(base.points[-1]) == 1.0  # absorbed truncation
-        assert not base.invertible
+        with pytest.raises(CapabilityError):
+            base.predecessor(1.0)  # both 1.0 and the absorbed chain end map there
 
     def test_forward_orbit_reaches_top(self):
         sys_ = make_noinvattr(16)
@@ -50,8 +51,12 @@ class TestCoinflip:
         assert step(sys_, (w, 0.0))[1] == 1.0
 
     def test_one_sided_not_invertible(self):
-        assert not make_coinflip("one").base.invertible
-        assert make_coinflip("two").base.invertible
+        w = OneSidedWord((1, 0), (0,))
+        with pytest.raises(CapabilityError):
+            make_coinflip("one").base.predecessor(w)
+        two = make_coinflip("two").base
+        v = two.parse_point("1~001~0@0")
+        assert two.predecessor(two.step(v)) == v
 
     def test_canonical_graph_reads_previous_bit(self):
         g = coinflip_attractor_graph()
@@ -130,7 +135,7 @@ class TestProduct:
             return real(fm, grid_size)
 
         monkeypatch.setattr(nonauto, "map_profile", counting)
-        trace = nonauto.iterate_pair(sys_.map_sequence(0.1), 0.3, 0.62, 40)
+        trace = nonauto.iterate_pair(nonauto.along_orbit(sys_, 0.1), 0.3, 0.62, 40)
         assert len(trace.rows) > 2 and calls == [sys_.fiber_at(0.1)]
 
     def test_distinct_factors_give_distinct_maps(self):
@@ -143,8 +148,7 @@ class TestProduct:
 class TestCatalogEntries:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_declared_classification_verified(self, name):
-        entry = CATALOG[name]
-        sys_ = entry.build(**entry.params) if entry.params else entry.build()
+        sys_ = CATALOG[name]()
         cls = classify(sys_, 8, grid_size=1024, rng=random.Random(1))
         assert cls.kind == sys_.classification
         if sys_.beta is not None:

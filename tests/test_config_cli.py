@@ -78,6 +78,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "field defaults.eps: unknown analysis default" in err
 
+    @pytest.mark.parametrize("doc, field, value", [
+        (dict(KELLER_CFG, defaults={"depth": float("inf")}), "defaults.depth", "inf"),
+        (dict(KELLER_CFG, defaults={"depth": 2.9}), "defaults.depth", "2.9"),
+        (dict(KELLER_CFG, defaults={"grid": True}), "defaults.grid", "True"),
+        (dict(KELLER_CFG, defaults={"steps": float("nan")}), "defaults.steps", "nan"),
+        (dict(KELLER_CFG, defaults={"tol": True}), "defaults.tol", "True"),
+        (dict(KELLER_CFG, defaults={"tol": float("inf")}), "defaults.tol", "inf"),
+        (dict(KELLER_CFG, a=float("inf")), "a", "inf"),
+        (dict(KELLER_CFG, a=True), "a", "True"),
+        (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=True)), "base.window", "True"),
+        (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=float("inf"))),
+         "base.window", "inf"),
+    ])
+    def test_bad_number_exits_2_naming_the_field(self, cfg_file, capsys, doc, field, value):
+        # json writes inf and nan as Infinity and NaN, which it also reads back
+        assert cli.main(["certify", "--config", cfg_file(doc)]) == 2
+        kind = "number" if field in ("a", "defaults.tol") else "integer"
+        assert capsys.readouterr().err == (
+            f"config error: field {field}: must be a positive {kind}, got {value}\n"
+        )
+
+    def test_integral_float_count_accepted(self):
+        defaults = parse_config(dict(KELLER_CFG, defaults={"depth": 3.0})).defaults
+        assert defaults["depth"] == 3 and type(defaults["depth"]) is int
+
     def test_build_keller_like(self):
         sys_ = build_system(parse_config(KELLER_CFG))
         assert sys_.classification == "monotone-equiconcave"

@@ -1,10 +1,13 @@
 import csv
 import io
 import random
+import re
 
 import pytest
 
 from skewlab import nonauto
+from skewlab.bases import CircleRotation
+from skewlab.catalog import CATALOG, GOLDEN_ROTATION, make_product
 from skewlab.errors import DomainError, PreconditionError
 from skewlab.fiber import FiberMap, ratio_bound_monotone, ratio_bound_nonmonotone
 from skewlab.nonauto import (
@@ -60,7 +63,7 @@ class TestIteratePair:
     def test_contraction_logistic_half(self):
         seq = constant_sequence(HALF, beta=1.0)
         tr = iterate_pair(seq, 0.2, 0.8, 300)
-        gaps = tr.gaps()
+        gaps = [abs(r.x - r.y) for r in tr.rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         ks = [r.kappa for r in tr.rows if r.kappa is not None]
         assert all(b < a for a, b in zip(ks, ks[1:]))
@@ -180,13 +183,25 @@ class TestConvergenceCertificate:
         with pytest.raises(PreconditionError):
             convergence_certificate(tr, beta=1.0, eps=0.1)
 
+    @pytest.mark.parametrize("beta, eps, message", [
+        (float("nan"), 0.1, "beta must be > 0, got nan"),
+        (1.0, float("nan"), "eps must be > 0, got nan"),
+        (0.0, 0.1, "beta must be > 0, got 0.0"),
+        (1.0, -0.1, "eps must be > 0, got -0.1"),
+    ])
+    def test_bad_beta_or_eps_named(self, beta, eps, message):
+        # a NaN once passed as verdict "consistent" with per_step_cap nan
+        tr = iterate_pair(constant_sequence(HALF, beta=1.0), 0.2, 0.8, 50)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            convergence_certificate(tr, beta=beta, eps=eps)
+
 
 class TestIsoclinicGuard:
     def test_scaled_humps_pass_with_flips(self):
         rng = random.Random(3)
         seq = scaled_hump_sequence(rng)
         tr = iterate_pair(seq, 0.3, 0.62, 120)
-        rep = isoclinic_guard(seq, tr)
+        rep = isoclinic_guard(tr)
         assert rep.hypothesis_ok and not rep.flip_violations
         assert rep.flips > 0
         assert abs(tr.rows[-1].x - tr.rows[-1].y) < 1e-6
@@ -198,15 +213,35 @@ class TestIsoclinicGuard:
         )
         seq = constant_sequence(full, beta=4.0)
         tr = iterate_pair(seq, 0.2, 0.21, 30)
-        rep = isoclinic_guard(seq, tr)
+        rep = isoclinic_guard(tr)
         assert not rep.hypothesis_ok
         assert rep.first_violation is not None
         assert "violated" in rep.verdict
 
+    def test_product_hump_demo_traces(self):
+        # the demo's two traces; the guard reads beta off the trace
+        scaled = CATALOG["product-hump"]()
+        unscaled = make_product(
+            {"form": "quadratic-hump", "k": 4.0}, {"form": "constant", "c": 1.0},
+            CircleRotation(GOLDEN_ROTATION),
+        )
+        tr = iterate_pair(nonauto.along_orbit(scaled, 0.1), 0.3, 0.62, 80)
+        assert tr.beta == 4.0
+        assert isoclinic_guard(tr) == (
+            True, None, 36, [], [], "hypothesis holds, flip bounds respected"
+        )
+        tr = iterate_pair(nonauto.along_orbit(unscaled, 0.1), 0.2, 0.21, 40)
+        assert tr.beta == 4.0
+        violation = (2, 0.9215999999999999, 0.6666666666666666)
+        assert isoclinic_guard(tr) == (
+            False, violation, 18, [], [],
+            "hypothesis violated at n = 2: 0.9215999999999999 >= b = 0.6666666666666666",
+        )
+
     def test_monotone_trivially_passes(self):
         seq = constant_sequence(HALF, beta=1.0)
         tr = iterate_pair(seq, 0.2, 0.8, 40)
-        rep = isoclinic_guard(seq, tr)
+        rep = isoclinic_guard(tr)
         assert rep.hypothesis_ok and rep.flips == 0 and not rep.unverifiable
 
 

@@ -5,6 +5,7 @@ from skewlab.bases import CircleRotation, FiniteOrbitBase, OneSidedWord
 from skewlab.catalog import make_coinflip, make_keller, make_noinvattr, make_product
 from skewlab.errors import DomainError
 from skewlab.fiber import FiberMap
+from skewlab.nonauto import along_orbit
 from skewlab.skew import SkewSystem, classify, detect_pinching, orbit, step
 
 
@@ -156,7 +157,7 @@ class TestDetectPinching:
 class TestMapSequence:
     def test_sequence_follows_base_orbit(self):
         sys_ = make_noinvattr(8)
-        seq = sys_.map_sequence(0.0)
+        seq = along_orbit(sys_, 0.0)
         assert seq.declared_beta == 1.0
         # every map on the forward orbit of the collision point is the strong one
         for n in range(1, 6):

@@ -10,12 +10,14 @@ only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
 the nonauto module, nor the demos that build preinvariant graphs
 (`noinvattr`, `coinflip-one`); resolving `skewlab.advance` or
-`skewlab.SymbolFibers` runs the skew layer alone.  No command imports `dataclasses`: every
+`skewlab.SymbolFibers` runs the skew layer alone, and `skewlab.skew`
+imports nothing from `skewlab.nonauto`.  No command imports `dataclasses`: every
 result and value type is a NamedTuple, which runs no generated code when
 its class is created.  Each child process below starts fresh, so no earlier
 test has loaded a module for it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -177,6 +179,19 @@ def test_stream_walk_exports_run_no_attractor_or_nonauto():
     assert "skewlab.skew" in loaded
     assert not {"skewlab.attractor", "skewlab.nonauto"} & loaded
     assert not [k for k in loaded if k.startswith("numpy.")]
+
+
+def test_skew_imports_no_nonauto():
+    # the layers import downward: nonauto builds map sequences over skew systems
+    code = "import json, sys, skewlab.skew; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "skewlab.nonauto" not in json.loads(proc.stdout)
+    source = Path(skewlab.__file__).with_name("skew.py").read_text()
+    imported = {node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)}
+    assert not {"nonauto", "skewlab.nonauto"} & imported, imported
 
 
 def test_each_command_runs_only_its_layers(tmp_path):
