@@ -27,7 +27,15 @@ from .errors import (
 )
 from .fiber import ZERO_TOL, FiberMap, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
-from .skew import SkewSystem, advance, orbits, step  # noqa: F401
+from .skew import (  # noqa: F401
+    SkewSystem,
+    SymbolTable,
+    advance,
+    orbits,
+    step,
+    symbol_walk,
+    walks_symbols,
+)
 
 GRAPH_COLUMNS = ("point", "value")
 PULLBACK_STOP_DELTA = 1e-12
@@ -37,7 +45,7 @@ MONOTONE_SLACK = 1e-12
 POSITIVE_THRESHOLD = 1e-9
 # Starts walked together by match_fraction.  For demo coinflip-one's 10^4
 # shift words, advancing all of them at once on their symbol streams peaks
-# 0.3 MB higher (21.0 against 20.7 MB) and is no faster; through `orbits`,
+# 1.4 MB higher (22.1 against 20.7 MB) and is no faster; through `orbits`,
 # with a word per point-step, it peaked 6.3 MB higher.
 MATCH_BLOCK = 32
 # Scan nodes of largest_fixed_point before its bisection.
@@ -599,15 +607,19 @@ def verify_attractor(
     if not starts:
         raise DomainError("verify_attractor needs at least one start")
     check_positive("tol", tol)
-    walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps)
+    thetas, xs = [t for t, _ in starts], [x for _, x in starts]
+    if walks_symbols(sys) and isinstance(graph.func, SymbolTable):
+        walk = _checked(symbol_walk(sys, thetas, xs, steps, graph.func), graph, thetas)
+    else:
+        walk = ((x, graph.values(t)) for t, x in orbits(sys, thetas, xs, steps))
     first = next(walk)
     walk = itertools.chain([first], walk)
     # A per-point walk yields lists and is reduced step by step; the circle
     # product's array walk is reduced as one (steps + 1) x N array.
-    if isinstance(first[1], list):
-        achieved, tail = _reduce_lists(walk, graph, tol, len(starts))
+    if isinstance(first[0], list):
+        achieved, tail = _reduce_lists(walk, tol, len(starts))
     else:
-        achieved, tail = _reduce_arrays(walk, graph, tol, steps, len(starts))
+        achieved, tail = _reduce_arrays(walk, tol, steps, len(starts))
     records = [
         SampleRecord(sys.base.format_point(theta0), x0, None, None)
         if n > steps
@@ -620,13 +632,28 @@ def verify_attractor(
     )
 
 
-def _reduce_lists(walk, graph: GraphFunction, tol: float, count: int) -> tuple:
-    """(achieved, tail) per start: one past the last step whose deviation is
-    >= tol (0 when none is), and the largest deviation from that step on."""
+def _checked(walk, graph: GraphFunction, words: Sequence) -> Iterator[tuple]:
+    """A `symbol_walk` over ``graph``'s table, each graph value checked as
+    `GraphFunction.values` checks it.  A value outside [0, a] is named by
+    its word, which is built only then."""
+    lo, hi = -ZERO_TOL, graph.a + ZERO_TOL
+    in_range = all(lo <= v <= hi for v in graph.func.values)
+    for n, (xs, values) in enumerate(walk):
+        if not in_range:
+            for w, v in zip(words, values):
+                if not lo <= v <= hi:
+                    graph._check_value(v, w.advanced(n))
+        yield xs, values
+
+
+def _reduce_lists(walk, tol: float, count: int) -> tuple:
+    """(achieved, tail) per start from (xs, graph values) per step: one past
+    the last step whose deviation is >= tol (0 when none is), and the
+    largest deviation from that step on."""
     achieved = [0] * count
     tail = [-math.inf] * count
-    for n, (thetas, xs) in enumerate(walk):
-        for i, (x, v) in enumerate(zip(xs, graph.values(thetas))):
+    for n, (xs, values) in enumerate(walk):
+        for i, (x, v) in enumerate(zip(xs, values)):
             dev = abs(x - v)
             if dev >= tol:
                 achieved[i] = n + 1
@@ -636,13 +663,11 @@ def _reduce_lists(walk, graph: GraphFunction, tol: float, count: int) -> tuple:
     return achieved, tail
 
 
-def _reduce_arrays(
-    walk, graph: GraphFunction, tol: float, steps: int, count: int
-) -> tuple:
+def _reduce_arrays(walk, tol: float, steps: int, count: int) -> tuple:
     """`_reduce_lists` for array steps, over all steps at once."""
     devs = np.empty((steps + 1, count))  # devs[n, i]: start i at step n
-    for n, (thetas, xs) in enumerate(walk):
-        devs[n] = np.abs(xs - graph.values(thetas))
+    for n, (xs, values) in enumerate(walk):
+        devs[n] = np.abs(xs - values)
     missed = devs >= tol
     # One past the last step that misses tol, or 0 when none does.
     achieved = np.where(

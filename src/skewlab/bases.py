@@ -70,6 +70,22 @@ def fair_bits(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+def _index(i: int) -> int:
+    """i as a symbol position: any integer, a bool included."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise DomainError(f"symbol index {i!r} is not an integer") from None
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _text(symbols: tuple[int, ...]) -> str:
+    """The symbols as a string of 0s and 1s."""
+    return bytes(symbols).translate(_DIGITS).decode()
+
+
 def _count(n: int) -> int:
     """n as a count of symbols or shifts: an integer >= 0."""
     try:
@@ -128,6 +144,7 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
     __hash__ = tuple.__hash__
 
     def symbol(self, i: int) -> int:
+        i = _index(i)
         if i < 0:
             raise DomainError("one-sided words have no negative coordinates")
         transient = self.transient
@@ -136,11 +153,16 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
         cycle = self.cycle
         return cycle[(i - len(transient)) % len(cycle)]
 
-    def symbols(self, n: int) -> tuple[int, ...]:
-        """symbol(0) .. symbol(n - 1) as one tuple."""
-        n = _count(n)
+    def symbols(self, n: int, start: int = 0) -> tuple[int, ...]:
+        """symbol(start) .. symbol(start + n - 1) as one tuple."""
+        n, start = _count(n), _index(start)
+        if start < 0:
+            raise DomainError("one-sided words have no negative coordinates")
         transient, cycle = self
-        return transient[:n] + _cyclic(cycle, 0, n - len(transient))
+        if start > len(transient):
+            return _cyclic(cycle, (start - len(transient)) % len(cycle), n)
+        out = transient[start:start + n]
+        return out + _cyclic(cycle, 0, n - len(out))
 
     def advanced(self, n: int) -> "OneSidedWord":
         """The word shifted n >= 0 times, built once: ``shifted()`` n times."""
@@ -161,7 +183,7 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
         return _new_word(OneSidedWord, ((), cycle[1:] + cycle[:1]))
 
     def __str__(self) -> str:
-        return "".join(map(str, self.transient)) + "|" + "".join(map(str, self.cycle))
+        return f"{_text(self.transient)}|{_text(self.cycle)}"
 
     @staticmethod
     def parse(s: str) -> "OneSidedWord":
@@ -203,7 +225,7 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
         return _new_word(cls, (_symbols(left), _symbols(buf), _symbols(right), origin))
 
     def symbol(self, i: int) -> int:
-        j = i + self.origin
+        j = _index(i) + self.origin
         buf = self.buf
         if 0 <= j < len(buf):
             return buf[j]
@@ -213,10 +235,11 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
         left = self.left_cycle
         return left[j % len(left)]
 
-    def symbols(self, n: int) -> tuple[int, ...]:
-        """symbol(0) .. symbol(n - 1) as one tuple: the left tail's part, the
-        window's and the right tail's, each one slice."""
+    def symbols(self, n: int, start: int = 0) -> tuple[int, ...]:
+        """symbol(start) .. symbol(start + n - 1) as one tuple: the left tail's
+        part, the window's and the right tail's, each one slice."""
         left, buf, right, origin = self
+        origin += _index(start)
         end = origin + _count(n)
         out = ()
         if origin < 0:
@@ -285,12 +308,8 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
         return _new_word(TwoSidedWord, (left, buf, right, origin - 1))
 
     def __str__(self) -> str:
-        return "{}~{}~{}@{}".format(
-            "".join(map(str, self.left_cycle)),
-            "".join(map(str, self.buf)),
-            "".join(map(str, self.right_cycle)),
-            self.origin,
-        )
+        left, buf, right, origin = self
+        return f"{_text(left)}~{_text(buf)}~{_text(right)}@{origin}"
 
     @staticmethod
     def parse(s: str) -> "TwoSidedWord":

@@ -14,7 +14,7 @@ from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
 from .errors import DomainError, RegistryError, check_at_least
 from .fiber import FiberMap
 from .registry import build_base_function, build_fiber
-from .skew import SkewSystem, SymbolFibers
+from .skew import SkewSystem, SymbolTable
 
 if TYPE_CHECKING:
     from .attractor import GraphFunction
@@ -65,9 +65,10 @@ def make_coinflip(sided: str = "one") -> SkewSystem:
     this system exists to exercise orbit and attractor verification only.
     """
     base = SymbolicShift(sided)
-    fiber_at = SymbolFibers(
-        FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})", analyzable=False)
-        for bit in (0.0, 1.0)
+    fiber_at = SymbolTable(
+        0,
+        (FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})", analyzable=False)
+         for bit in (0.0, 1.0)),
     )
     return SkewSystem(
         base=base, fiber_at=fiber_at, a=1.0,
@@ -80,7 +81,7 @@ def coinflip_attractor_graph() -> GraphFunction:
     """The canonical graph of the two-sided coin model: read the bit at -1."""
     from .attractor import GraphFunction
 
-    return GraphFunction.from_callable(1.0, lambda w: float(w.symbol(-1)))
+    return GraphFunction.from_callable(1.0, SymbolTable(-1, (0.0, 1.0)))
 
 
 def make_keller(

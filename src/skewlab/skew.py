@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
-from .bases import CircleRotation, SymbolicShift
+from .bases import CircleRotation, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
 from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
 
@@ -32,23 +33,30 @@ class SkewSystem(NamedTuple):
     product_parts: tuple | None = None
 
 
-class SymbolFibers:
-    """A fibre family over a shift keyed by the word's leading symbol:
-    word w gets ``maps[w.symbol(0)]``.
+class SymbolTable:
+    """A function of a shift word through one coordinate:
+    w |-> ``values[w.symbol(offset)]``, one value per symbol 0 and 1.
 
-    It is the system's ``fiber_at`` itself, so the declaration that the
-    fibre depends on symbol 0 alone goes wherever the contract goes, and
-    replacing ``fiber_at`` drops it.  `advance` reads it to walk words on
-    their symbol streams.
+    As a system's ``fiber_at`` (offset 0 in `coinflip-one/two`) it declares
+    the fibre map a symbol selects; as a graph's ``func`` (offset -1 in
+    `catalog.coinflip_attractor_graph`) it declares a graph value the same
+    way.  The declaration goes wherever the callable goes, and replacing the
+    callable drops it.  `advance` and `attractor.verify_attractor` read it
+    to walk words on their symbol streams (`symbol_walk`).
     """
 
-    __slots__ = ("maps",)
+    __slots__ = ("offset", "values")
 
-    def __init__(self, maps: Iterable[FiberMap]):
-        self.maps = tuple(maps)
+    def __init__(self, offset: int, values: Iterable):
+        self.offset = _index(offset)
+        self.values = tuple(values)
+        if len(self.values) != 2:
+            raise DomainError(
+                f"a symbol table needs one value per symbol 0 and 1, got {len(self.values)}"
+            )
 
-    def __call__(self, word) -> FiberMap:
-        return self.maps[word.symbol(0)]
+    def __call__(self, word):
+        return self.values[word.symbol(self.offset)]
 
 
 def _outside(x: float, a: float) -> DomainError:
@@ -111,28 +119,74 @@ def orbits(
         yield thetas, xs
 
 
-def advance(sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int) -> tuple:
-    """The last points that `orbits` yields, (thetas_steps, xs_steps).
+def walks_symbols(sys: SkewSystem) -> bool:
+    """Whether `symbol_walk` walks sys: a `SymbolicShift` whose ``fiber_at``
+    is a `SymbolTable` that the shift's words can be read at.
 
-    Over a `SymbolicShift` whose ``fiber_at`` is a `SymbolFibers`, each
-    start's first ``steps`` symbols are read once, the fiber coordinates step
-    together by table lookup with the checks and float operations of
-    `orbits`, and each word is shifted ``steps`` times in one move.  Any
-    other system runs `orbits` to its end.
+    A one-sided word has no negative coordinates, so its fibres at a
+    negative offset fail at their first read, which `orbits` makes only
+    after the step-0 checks: such a system walks through `orbits`.
     """
-    fibers = sys.fiber_at
-    if not (isinstance(fibers, SymbolFibers) and isinstance(sys.base, SymbolicShift)):
-        for thetas, xs in orbits(sys, thetas, xs, steps):
-            pass
-        return thetas, xs
-    fs, a = [fm.f for fm in fibers.maps], sys.a
-    thetas, xs = list(thetas), list(xs)
-    # column n: every start's symbol n
-    for column in zip(*[w.symbols(steps) for w in thetas]):
+    base, fibers = sys.base, sys.fiber_at
+    return (
+        isinstance(base, SymbolicShift)
+        and isinstance(fibers, SymbolTable)
+        and (fibers.offset >= 0 or base.sided == "two")
+    )
+
+
+def symbol_walk(
+    sys: SkewSystem,
+    words: Sequence,
+    xs: Sequence[float],
+    steps: int,
+    graph: SymbolTable | None = None,
+) -> Iterator[tuple]:
+    """The fiber coordinates of `orbits` over a system that `walks_symbols`.
+
+    Yields (xs_n, values_n) for n = 0..steps: values_n lists ``graph`` at
+    each start shifted n times, or is None without a graph.  Each start's
+    window of symbols, from the lowest position that the fibres or the graph
+    read to the highest, is read once; the fiber coordinates step together by
+    table lookup, with the [0, a] check and the float operations of `orbits`.
+    No word is built.
+    """
+    fibers, a = sys.fiber_at, sys.a
+    fs = tuple(fm.f for fm in fibers.values)
+    lo, hi = fibers.offset, fibers.offset + steps - 1
+    if graph is not None:
+        lo, hi = min(lo, graph.offset), max(hi, graph.offset + steps)
+    width = hi - lo + 1
+    # column k: every start's symbol lo + k
+    columns = list(zip(*[w.symbols(width, lo) for w in words])) if words else [()] * width
+    if graph is None:
+        values = itertools.repeat(None)
+    else:
+        table = graph.values
+        values = ([table[s] for s in column] for column in columns[graph.offset - lo:])
+    xs = list(xs)
+    yield xs, next(values)
+    for column in columns[fibers.offset - lo:][:steps]:
         for x in xs:
             if not (0.0 <= x <= a):
                 raise _outside(x, a)
         xs = [fs[s](x) for s, x in zip(column, xs)]
+        yield xs, next(values)
+
+
+def advance(sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int) -> tuple:
+    """The last points that `orbits` yields, (thetas_steps, xs_steps).
+
+    A system that `walks_symbols` steps its fiber coordinates through
+    `symbol_walk` and shifts each word ``steps`` times in one move.  Any
+    other system runs `orbits` to its end.
+    """
+    if not walks_symbols(sys):
+        for thetas, xs in orbits(sys, thetas, xs, steps):
+            pass
+        return thetas, xs
+    for xs, _ in symbol_walk(sys, thetas, xs, steps):
+        pass
     return [w.advanced(steps) for w in thetas], xs
 
 

@@ -50,7 +50,7 @@ from skewlab.fiber import FiberMap
 from skewlab.registry import build_fiber
 from skewlab.skew import (
     SkewSystem,
-    SymbolFibers,
+    SymbolTable,
     advance,
     classify,
     detect_pinching,
@@ -786,7 +786,7 @@ def last_of_orbits(sys_, thetas, xs, steps):
 
 
 def generic(sys_):
-    """sys_ with its fibre family hidden behind a lambda: no SymbolFibers."""
+    """sys_ with its fibre family hidden behind a lambda: no SymbolTable."""
     return sys_._replace(fiber_at=lambda t: sys_.fiber_at(t))
 
 
@@ -810,7 +810,7 @@ class TestAdvance:
     @settings(max_examples=80, deadline=None)
     def test_shift_walks_match_orbits(self, sided, wrapped, steps, data):
         sys_ = make_coinflip(sided)
-        assert isinstance(sys_.fiber_at, SymbolFibers)
+        assert isinstance(sys_.fiber_at, SymbolTable)
         if wrapped:  # the generic path
             sys_ = generic(sys_)
         starts = shift_starts(sided, data)
@@ -847,7 +847,7 @@ class TestAdvance:
     @pytest.mark.parametrize("sided", ["one", "two"])
     def test_exiting_symbol_map_fails_as_step_does(self, sided):
         # symbol 1 sends x to x + 1.5, which the next step refuses
-        fibers = SymbolFibers([FiberMap(1.0, lambda x: 0.5 * x, form="half"), EXIT])
+        fibers = SymbolTable(0, [FiberMap(1.0, lambda x: 0.5 * x, form="half"), EXIT])
         sys_ = make_coinflip(sided)._replace(fiber_at=fibers)
         starts = [(sys_.base.zero_word(), 0.5)]
         if sided == "one":
@@ -894,6 +894,112 @@ class TestAdvance:
                     assert fraction == match_fraction(generic(sys_), graph, n, starts, tol)
                     assert len(calls) == n * len(starts)
                     calls.clear()
+
+
+HALF = FiberMap(1.0, lambda x: 0.5 * x, form="half")
+
+
+def hidden(graph):
+    """graph with its symbol table hidden behind a lambda: no SymbolTable."""
+    return GraphFunction.from_callable(graph.a, lambda w: graph.func(w))
+
+
+def verify_outcome(sys_, graph, starts, steps, tol):
+    """verify_attractor's verdict, or the type and message of what it raised."""
+    try:
+        return verify_attractor(sys_, graph, starts, steps, tol)
+    except (DomainError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+class TestVerifyOnSymbolStreams:
+    """A shift system and graph declared as `SymbolTable`s verify on symbol
+    streams with the records and failures of the generic `orbits` walk."""
+
+    @given(sided=st.sampled_from(["one", "two"]), catalog_graph=st.booleans(),
+           steps=st.integers(1, 25), tol=st.sampled_from([1e-15, 0.5, 0.75]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_records_match_generic_path(self, sided, catalog_graph, steps, tol, data):
+        sys_ = make_coinflip(sided)
+        if sided == "two" and catalog_graph:
+            graph = coinflip_attractor_graph()
+        else:
+            offset = data.draw(st.integers(0 if sided == "one" else -3, 3), label="offset")
+            values = data.draw(st.tuples(*[st.sampled_from([0.0, 0.25, 1.0])] * 2))
+            graph = GraphFunction.from_callable(1.0, SymbolTable(offset, values))
+        starts = shift_starts(sided, data)
+        got = verify_attractor(sys_, graph, starts, steps, tol)
+        assert got == verify_attractor(generic(sys_), hidden(graph), starts, steps, tol)
+
+    @given(sided=st.sampled_from(["one", "two"]), steps=st.integers(1, 12), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_failures_match_generic_path(self, sided, steps, data):
+        # maps that leave [0, 1], graph values outside it, negative offsets
+        # on one-sided words: the first failure of the generic walk, or none
+        maps = data.draw(st.tuples(*[st.sampled_from([HALF, EXIT])] * 2), label="maps")
+        fibers = SymbolTable(data.draw(st.integers(-1, 2), label="fibre offset"), maps)
+        values = data.draw(st.tuples(*[st.sampled_from(
+            [0.0, 0.5, 1.0, 1.5, -0.25, float("nan")])] * 2), label="graph values")
+        table = SymbolTable(data.draw(st.integers(-2, 2), label="graph offset"), values)
+        sys_ = make_coinflip(sided)._replace(fiber_at=fibers)
+        graph = GraphFunction.from_callable(1.0, table)
+        starts = shift_starts(sided, data)
+        got = verify_outcome(sys_, graph, starts, steps, 1e-3)
+        assert got == verify_outcome(generic(sys_), hidden(graph), starts, steps, 1e-3)
+
+    @pytest.mark.parametrize("sided, fibers, graph, error", [
+        # start 1's symbol 2 selects EXIT at step 3: x = 0.5 / 8 + 1.5 is
+        # refused at step 4, before start 2 meets EXIT
+        ("two", SymbolTable(0, [HALF, EXIT]), coinflip_attractor_graph(),
+         (DomainError, "fiber coordinate 1.625 outside [0, 1.0]")),
+        # start 1's symbol 2 is the graph's symbol -1 at step 3, start 2's at step 4
+        ("two", None, GraphFunction.from_callable(1.0, SymbolTable(-1, (0.0, 2.0))),
+         (InvariantError, "graph value 2.0 at 0~0011~0@3 leaves [0, 1.0]")),
+        ("one", None, coinflip_attractor_graph(),
+         (DomainError, "one-sided words have no negative coordinates")),
+        # fibres at a negative offset are first read at step 1, after the
+        # graph's step-0 values
+        ("one", SymbolTable(-1, [HALF, HALF]),
+         GraphFunction.from_callable(1.0, SymbolTable(0, (1.5, 0.0))),
+         (InvariantError, "graph value 1.5 at |0 leaves [0, 1.0]")),
+    ], ids=["map-leaves", "graph-value-outside", "one-sided-negative-offset",
+            "one-sided-negative-fibre-offset"])
+    def test_each_failure_as_on_the_generic_path(self, sided, fibers, graph, error):
+        sys_ = make_coinflip(sided)
+        if fibers is not None:
+            sys_ = sys_._replace(fiber_at=fibers)
+        zero = sys_.base.zero_word()
+        if sided == "one":
+            starts = [(zero, 0.5), (OneSidedWord((0, 0, 0, 1), (0,)), 0.5)]
+        else:
+            starts = [(zero, 0.5), (TwoSidedWord((0,), (0, 0, 1, 1), (0,), 0), 0.5),
+                      (TwoSidedWord((0,), (0, 0, 0, 1), (0,), 0), 0.5)]
+        assert verify_outcome(sys_, graph, starts, 6, 1e-3) == error
+        assert verify_outcome(generic(sys_), hidden(graph), starts, 6, 1e-3) == error
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_stream_path_makes_no_base_step(self, sided):
+        sys_ = make_coinflip(sided)
+        calls = []
+        shift = sys_.base.step
+        sys_.base.step = lambda w: calls.append(w) or shift(w)
+        graph = GraphFunction.from_callable(1.0, SymbolTable(2, (0.0, 1.0)))
+        starts = [(w, x) for w in sys_.base.sample_points(20, random.Random(5))
+                  for x in (0.0, 1.0)]
+        verdict = verify_attractor(sys_, graph, starts, 25, 1e-15)
+        assert calls == []
+        assert verdict == verify_attractor(generic(sys_), hidden(graph), starts, 25, 1e-15)
+        assert len(calls) == 25 * len(starts)
+
+    @pytest.mark.parametrize("offset, values, message", [
+        (0, (HALF,), "a symbol table needs one value per symbol 0 and 1, got 1"),
+        (0, (0.0, 0.5, 1.0), "a symbol table needs one value per symbol 0 and 1, got 3"),
+        (0.5, (0.0, 1.0), "symbol index 0.5 is not an integer"),
+    ])
+    def test_table_declaration_checked(self, offset, values, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            SymbolTable(offset, values)
 
 
 class TestVerifyPreinvariance:

@@ -215,6 +215,65 @@ class TestSymbolStreams:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 read(n)
 
+    @given(bits, cycles, st.integers(0, 12), st.integers(0, 12))
+    @example((1, 0, 1), (1, 1, 0), 4, 2)  # from inside the transient into the cycle
+    @example((1, 0, 1), (1, 1, 0), 3, 5)  # from inside the cycle
+    def test_one_sided_window(self, t, c, n, start):
+        w = OneSidedWord(t, c)
+        assert w.symbols(n, start) == tuple(w.symbol(i) for i in range(start, start + n))
+
+    @given(two_sided_words, st.integers(0, 12), st.integers(-8, 8))
+    @example(TwoSidedWord((0, 1), (1, 1, 0), (1, 0), 0), 6, -1)  # the left tail's last symbol on
+    def test_two_sided_window(self, w, n, start):
+        assert w.symbols(n, start) == tuple(w.symbol(i) for i in range(start, start + n))
+
+    def test_one_sided_window_has_no_negative_start(self):
+        w = OneSidedWord((1,), (0,))
+        for read in (lambda: w.symbol(-1), lambda: w.symbols(3, -1)):
+            with pytest.raises(DomainError, match="^one-sided words have no negative coordinates$"):
+                read()
+
+
+class TestSymbolIndex:
+    WORDS = [OneSidedWord((1, 0), (1,)), TwoSidedWord((0,), (1, 1), (1,), 0)]
+
+    @pytest.mark.parametrize("w", WORDS, ids=str)
+    @pytest.mark.parametrize("i", [0.5, 1.0, "1", None], ids=repr)
+    def test_index_must_be_an_integer(self, w, i):
+        # an index, like a count, is refused by name: no bare TypeError
+        message = re.escape(f"symbol index {i!r} is not an integer")
+        for read in (w.symbol, lambda i: w.symbols(2, i)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                read(i)
+
+    @pytest.mark.parametrize("w", WORDS, ids=str)
+    def test_bool_and_index_types_accepted(self, w):
+        class Index:
+            def __index__(self):
+                return 2
+
+        assert [w.symbol(True), w.symbol(False), w.symbol(Index())] == [
+            w.symbol(1), w.symbol(0), w.symbol(2)
+        ]
+
+
+def old_text(w) -> str:
+    """Word text as formatted before the bytes.translate helper: the reference."""
+    if isinstance(w, OneSidedWord):
+        return "".join(map(str, w.transient)) + "|" + "".join(map(str, w.cycle))
+    return "{}~{}~{}@{}".format(
+        "".join(map(str, w.left_cycle)), "".join(map(str, w.buf)),
+        "".join(map(str, w.right_cycle)), w.origin,
+    )
+
+
+@given(st.one_of(st.builds(OneSidedWord, bits, cycles), two_sided_words))
+@example(OneSidedWord((), (0,)))
+@example(TwoSidedWord((1,), (), (0,), -3))
+def test_word_text_is_unchanged(w):
+    assert str(w) == old_text(w)
+    assert type(w).parse(str(w)) == w
+
 
 class TestFairBits:
     @pytest.mark.parametrize("n", [0, 1, 2, 21, 1000, 4097])

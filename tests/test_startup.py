@@ -10,7 +10,7 @@ only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
 the nonauto module, nor the demos that build preinvariant graphs
 (`noinvattr`, `coinflip-one`); resolving `skewlab.advance` or
-`skewlab.SymbolFibers` runs the skew layer alone, and `skewlab.skew`
+`skewlab.SymbolTable` runs the skew layer alone, and `skewlab.skew`
 imports nothing from `skewlab.nonauto`.  No command imports `dataclasses`: every
 result and value type is a NamedTuple, which runs no generated code when
 its class is created.  Each child process below starts fresh, so no earlier
@@ -170,7 +170,7 @@ def test_import_runs_no_layer_module():
 
 
 def test_stream_walk_exports_run_no_attractor_or_nonauto():
-    code = ("import json, sys, skewlab; skewlab.advance; skewlab.SymbolFibers; "
+    code = ("import json, sys, skewlab; skewlab.advance; skewlab.SymbolTable; "
             "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
