@@ -199,8 +199,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"cannot read --phi file {args.phi!r}: {exc.strerror}") from None
     with fh:
         graph = GraphFunction.from_csv(fh, system.base, system.a)
-    if args.samples < 1:
-        raise DomainError(f"--samples must be >= 1, got {args.samples}")
+    check_at_least("--samples", args.samples, 1)
     check_at_least("horizon", args.horizon, 1)
     rng = random.Random(args.seed)
     thetas = system.base.sample_points(args.samples, rng)

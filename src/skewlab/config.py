@@ -9,15 +9,14 @@ through repr).
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import NamedTuple
 
 from .bases import CircleRotation, SymbolicShift
 from .catalog import declared_classification, make_noinvattr, make_product
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .fiber import FiberMap
-from .registry import build_fiber
+from .registry import build_fiber, check_spec
 from .skew import SkewSystem
 
 _BASE_VARIANTS = ("circle-rotation", "finite-orbit", "shift")
@@ -39,24 +38,8 @@ def _require(cond: bool, field: str, msg: str) -> None:
         raise ConfigError(f"field {field}: {msg}")
 
 
-def _positive(field: str, v, integral: bool = False):
-    """v if it is a positive finite number, as an int when ``integral``.
-
-    A bool, a non-finite number and, when ``integral``, a non-integral one
-    are refused with a message naming the field.
-    """
-    ok = (
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        and 0 < v <= sys.float_info.max  # also refuses NaN
-        and (not integral or v == int(v))
-    )
-    kind = "integer" if integral else "number"
-    _require(ok, field, f"must be a positive {kind}, got {v!r}")
-    return int(v) if integral else v
-
-
 def parse_config(doc) -> SystemConfig:
-    """Validate a config document (dict, JSON string, or path)."""
+    """Validate a config document (dict, JSON string, or path), every number included."""
     if isinstance(doc, Path):
         doc = str(doc)
     if isinstance(doc, str):
@@ -80,18 +63,14 @@ def parse_config(doc) -> SystemConfig:
         f"must be one of {_BASE_VARIANTS}, got {variant!r}",
     )
     if variant == "circle-rotation":
-        omega = base.get("omega")
-        _require(
-            isinstance(omega, (int, float)) and 0.0 < omega < 1.0,
-            "base.omega", f"must be a number in (0, 1), got {omega!r}",
-        )
+        check_number("field base.omega", base.get("omega"), "a number in (0, 1)")
     elif variant == "finite-orbit":
         preset = base.get("preset")
         _require(
             preset == "noinvattr", "base.preset",
             f"only the 'noinvattr' preset is supported, got {preset!r}",
         )
-        window = _positive("base.window", base.get("window", 64), integral=True)
+        window = check_number("field base.window", base.get("window", 64), "a positive integer")
         base = {"variant": variant, "preset": preset, "window": window}
     else:
         sided = base.get("sided")
@@ -104,49 +83,42 @@ def parse_config(doc) -> SystemConfig:
     _require(isinstance(fiber, dict), "fiber", "must be an object")
     _require("form" in fiber, "fiber.form", "is required")
 
-    a = _positive("a", doc.get("a", 1.0))
+    a = check_number("field a", doc.get("a", 1.0))
 
     defaults = dict(_DEFAULTS)
     user_defaults = doc.get("defaults", {})
     _require(isinstance(user_defaults, dict), "defaults", "must be an object")
     for k, v in user_defaults.items():
         _require(k in _DEFAULTS, f"defaults.{k}", "unknown analysis default")
-        defaults[k] = _positive(f"defaults.{k}", v, integral=k != "tol")
+        kind = "a positive number" if k == "tol" else "a positive integer"
+        defaults[k] = check_number(f"field defaults.{k}", v, kind)
+
+    if variant == "finite-orbit":
+        _require(fiber["form"] == "noinvattr-split", "fiber.form",
+                 "finite-orbit preset systems use 'noinvattr-split'")
+    elif fiber["form"] == "product":
+        check_spec("fiber", fiber.get("f"), "fiber.f")
+        check_spec("base function", fiber.get("g"), "fiber.g")
+        _require(variant == "circle-rotation" or fiber["g"]["form"] != "sin-squared",
+                 "fiber.g", "sin-squared base functions need a circle-rotation base")
+    else:
+        check_spec("fiber", fiber, "fiber")
 
     return SystemConfig(base=base, fiber=dict(fiber), a=float(a), defaults=defaults)
 
 
-def _build_base(cfg: SystemConfig):
-    v = cfg.base["variant"]
-    if v == "circle-rotation":
-        return CircleRotation(float(cfg.base["omega"]))
-    if v == "shift":
-        return SymbolicShift(cfg.base["sided"])
-    return None  # finite-orbit presets build the whole system
-
-
 def build_system(cfg: SystemConfig) -> SkewSystem:
     """Instantiate the configured skew system."""
-    if cfg.base["variant"] == "finite-orbit":
-        form = cfg.fiber.get("form", "noinvattr-split")
-        if form != "noinvattr-split":
-            raise ConfigError(
-                "field fiber.form: finite-orbit preset systems use 'noinvattr-split'"
-            )
+    variant = cfg.base["variant"]
+    if variant == "finite-orbit":  # the preset builds the whole system
         return make_noinvattr(cfg.base["window"])
-
-    base = _build_base(cfg)
-    form = cfg.fiber["form"]
-    if form == "product":
-        f_spec = cfg.fiber.get("f")
-        g_spec = cfg.fiber.get("g")
-        _require(isinstance(f_spec, dict), "fiber.f", "must be a fiber form object")
-        _require(isinstance(g_spec, dict), "fiber.g", "must be a base function object")
-        if cfg.base["variant"] != "circle-rotation" and g_spec.get("form") == "sin-squared":
-            raise ConfigError(
-                "field fiber.g: sin-squared base functions need a circle-rotation base"
-            )
-        return make_product(f_spec, g_spec, base, a=cfg.a, label="config-product")
+    if variant == "circle-rotation":
+        base = CircleRotation(float(cfg.base["omega"]))
+    else:
+        base = SymbolicShift(cfg.base["sided"])
+    if cfg.fiber["form"] == "product":
+        return make_product(cfg.fiber["f"], cfg.fiber["g"], base, a=cfg.a,
+                            label="config-product")
 
     fm = build_fiber(cfg.fiber, cfg.a)
 

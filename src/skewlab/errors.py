@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import sys
 
 
 class SkewlabError(Exception):
@@ -41,3 +43,26 @@ def check_positive(name: str, value: float) -> None:
 def check_at_least(name: str, value: int, low: int) -> None:
     if value < low:
         raise DomainError(f"{name} must be >= {low}, got {value!r}")
+
+
+# Each domain a number can be asked to lie in: its words, and its test on a finite value.
+_DOMAINS = {
+    "a positive number": lambda v: v > 0,
+    "a positive integer": lambda v: v > 0 and v == int(v),
+    "a nonnegative number": lambda v: v >= 0,
+    "a finite number": lambda v: True,
+    "a number in [0, 1]": lambda v: 0 <= v <= 1,
+    "a number in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def check_number(where: str, v, domain: str = "a positive number", error: type = ConfigError):
+    """v if it is a finite number in ``domain``, as an int for an integer domain.
+
+    Anything else, a bool, NaN or infinity included, raises ``error`` naming ``where``.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+        abs(v) <= sys.float_info.max and _DOMAINS[domain](v)  # abs: also refuses NaN
+    ):
+        raise error(f"{where}: must be {domain}, got {v!r}")
+    return int(v) if domain.endswith("integer") else v

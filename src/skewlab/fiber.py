@@ -26,7 +26,7 @@ _H0_FRACTION = 1e-4
 
 def kappa(u: float, v: float) -> float:
     """Relative gap |v - u| / min(u, v) between two positive reals."""
-    if u <= 0.0 or v <= 0.0:
+    if not (u > 0.0 and v > 0.0):  # also refuses NaN
         raise DomainError(f"kappa needs positive arguments, got ({u!r}, {v!r})")
     return abs(v - u) / min(u, v)
 
@@ -213,7 +213,7 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     Undefined for the zero map.
     """
     _check_grid_size(scan)
-    if tol <= 0.0:
+    if not tol > 0.0:  # also refuses NaN
         raise DomainError(f"tol must be positive, got {tol!r}")
     a = fm.a
     xs = _grid(a, scan)[1:]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .errors import DomainError, PreconditionError, check_positive
+from .errors import DomainError, PreconditionError, check_at_least, check_positive
 from .fiber import (
     ZERO_TOL,
     ConcavityCertificate,
@@ -161,8 +161,7 @@ def iterate_pair(
     with reason "pinched" when the acting map is identically zero on its
     certification grid (both coordinates then sit at 0 for good).
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    check_at_least("steps", steps, 1)
     a = seq.a
     for name, v in (("x0", x0), ("y0", y0)):
         if not (0.0 < v <= a):

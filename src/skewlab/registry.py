@@ -1,10 +1,11 @@
 """Closed-form fiber maps and base functions, addressable by name.
 
-Every fiber form satisfies f(0) = 0 and keeps its range inside [0, a] for
-the declared parameter domain (checked numerically at build time).  Where
-the algebra allows — quadratics and the tanh form — the built map carries
-exact supremum, concavity level, isoclinic point and monotonicity, so that
-grid certification has an analytic cross-check.
+`FORMS` declares each form's parameters and their domains once.  Every fiber
+form satisfies f(0) = 0 and keeps its range inside [0, a] for the declared
+parameter domain (checked numerically at build time).  Where the algebra allows — quadratics
+and the tanh form — the built map carries exact supremum, concavity level,
+isoclinic point and monotonicity, so that grid certification has an analytic
+cross-check.
 
 Each fiber form and base function is one expression that takes a float or
 a numpy array: polynomials through Horner's rule, and sin and tanh through
@@ -19,11 +20,8 @@ import math
 from typing import Callable
 
 from ._numpy import np
-from .errors import RegistryError
+from .errors import RegistryError, check_number
 from .fiber import FiberMap
-
-FIBER_FORMS = ("poly", "logistic-scaled", "quadratic-hump", "tanh-like")
-BASE_FUNCTION_FORMS = ("constant", "sin-squared")
 
 _VALIDATE_GRID = 257
 
@@ -75,98 +73,104 @@ def _poly_metadata(c1: float, c2: float, a: float) -> dict:
     return {"alpha": alpha, "monotone": monotone, "gamma": max(0.0, gamma), "b": b}
 
 
+def _polynomial(a: float, coeffs: tuple, label: str | None = None) -> FiberMap:
+    """f(x) = coeffs[0]*x + coeffs[1]*x^2 + ..., with exact data up to degree 2."""
+
+    def f(x, _c=coeffs):
+        acc = 0.0
+        for c in reversed(_c):
+            acc = (acc + c) * x
+        return acc
+
+    c1, c2 = (*coeffs, 0.0)[:2]
+    meta = _poly_metadata(c1, c2, a) if len(coeffs) <= 2 else {}
+    label = label or "poly[{}]".format(",".join(repr(c) for c in coeffs))
+    return _validate_range(FiberMap(a=a, f=f, form=label, **meta))
+
+
+def _tanh_like(a: float, k: float, s: float) -> FiberMap:
+    def f(x, _k=k, _s=s):
+        return _k * _tanh(_s * x)
+
+    # Curvature vanishes at 0, so no strictly positive level certifies.
+    return _validate_range(
+        FiberMap(
+            a=a, f=f, form=f"tanh-like(k={k!r},s={s!r})",
+            gamma=k * math.tanh(s * a), alpha=0.0, b=a, monotone=True,
+        )
+    )
+
+
+def _sin_squared(c: float, eps: float) -> tuple[Callable, float, str]:
+    def g(theta, _c=c, _e=eps):
+        s = _sin(math.pi * theta)
+        return _c * (_e + (1.0 - _e) * s * s)
+
+    return g, c, f"sin-squared(c={c!r},eps={eps!r})"
+
+
+# Each closed form, by kind and name: its builder, which takes (a, *params) for a
+# fiber form and (*params) for a base function, then its parameters as (name,
+# domain of `errors.check_number`) with a default when it may be left out.
+FORMS = {
+    "fiber": {
+        "poly": (_polynomial, ("coeffs", "a finite number")),  # a nonempty list of them
+        "logistic-scaled": (
+            lambda a, k: _polynomial(a, (2.0 * k, -k), f"logistic-scaled(k={k!r})"),
+            ("k", "a nonnegative number"),
+        ),
+        "quadratic-hump": (
+            lambda a, k: _polynomial(a, (k, -k), f"quadratic-hump(k={k!r})"),
+            ("k", "a nonnegative number"),
+        ),
+        "tanh-like": (_tanh_like, ("k", "a positive number"), ("s", "a positive number")),
+    },
+    "base function": {
+        "constant": (
+            lambda c: ((lambda theta: c), c, f"constant({c!r})"), ("c", "a nonnegative number")
+        ),
+        "sin-squared": (
+            _sin_squared, ("c", "a positive number", 1.0), ("eps", "a number in [0, 1]", 0.0)
+        ),
+    },
+}
+
+
+def check_spec(kind: str, spec, field: str | None = None) -> tuple[Callable, list]:
+    """The builder of a ``kind`` spec's form, and its parameters checked, as floats.
+
+    A bad spec raises RegistryError naming ``field``, a config's path to the
+    spec, and the parameter, or else the form and the parameter.
+    """
+    known = tuple(FORMS[kind])
+    form = spec.get("form") if isinstance(spec, dict) else None
+    if form not in known:
+        place = f"{kind} spec" if field is None else f"field {field}"
+        if form is None:
+            raise RegistryError(f"{place}: must be a {kind} form object, got {spec!r}")
+        raise RegistryError(f"{place}: unknown {kind} form {form!r} (known: {known})")
+    build, *params = FORMS[kind][form]
+    values = []
+    for name, domain, *default in params:
+        where = f"form {form}, parameter {name}" if field is None else f"field {field}.{name}"
+        v = spec.get(name, *default)
+        if name != "coeffs":
+            values.append(float(check_number(where, v, domain, RegistryError)))
+        elif isinstance(v, (list, tuple)) and v:
+            values.append(tuple(float(check_number(f"{where}[{i}]", c, domain, RegistryError))
+                                for i, c in enumerate(v)))
+        else:
+            raise RegistryError(f"{where}: must be a nonempty list of numbers, got {v!r}")
+    return build, values
+
+
 def build_fiber(spec: dict, a: float) -> FiberMap:
     """Instantiate a registry fiber form on [0, a]."""
-    if not isinstance(spec, dict) or "form" not in spec:
-        raise RegistryError(f"fiber spec must be a dict with a 'form' key, got {spec!r}")
-    form = spec["form"]
-
-    if form == "poly":
-        coeffs = spec.get("coeffs")
-        if not isinstance(coeffs, (list, tuple)) or not coeffs or not all(
-            isinstance(c, (int, float)) for c in coeffs
-        ):
-            raise RegistryError("poly form needs a nonempty numeric 'coeffs' list")
-        coeffs = [float(c) for c in coeffs]
-
-        def f(x, _c=tuple(coeffs)):
-            acc = 0.0
-            for c in reversed(_c):
-                acc = (acc + c) * x
-            return acc
-
-        meta = {}
-        if len(coeffs) == 1:
-            meta = _poly_metadata(coeffs[0], 0.0, a)
-        elif len(coeffs) == 2:
-            meta = _poly_metadata(coeffs[0], coeffs[1], a)
-        label = "poly[{}]".format(",".join(repr(c) for c in coeffs))
-        return _validate_range(FiberMap(a=a, f=f, form=label, **meta))
-
-    if form == "logistic-scaled":
-        k = spec.get("k")
-        if not isinstance(k, (int, float)) or k < 0:
-            raise RegistryError("logistic-scaled form needs nonnegative 'k'")
-        k = float(k)
-        fm = build_fiber({"form": "poly", "coeffs": [2.0 * k, -k]}, a)
-        return fm._replace(form=f"logistic-scaled(k={k!r})")
-
-    if form == "quadratic-hump":
-        k = spec.get("k")
-        if not isinstance(k, (int, float)) or k < 0:
-            raise RegistryError("quadratic-hump form needs nonnegative 'k'")
-        k = float(k)
-        fm = build_fiber({"form": "poly", "coeffs": [k, -k]}, a)
-        return fm._replace(form=f"quadratic-hump(k={k!r})")
-
-    if form == "tanh-like":
-        k, s = spec.get("k"), spec.get("s")
-        for name, v in (("k", k), ("s", s)):
-            if not isinstance(v, (int, float)) or v <= 0:
-                raise RegistryError(f"tanh-like form needs positive {name!r}")
-        k, s = float(k), float(s)
-
-        def f(x, _k=k, _s=s):
-            return _k * _tanh(_s * x)
-
-        # Curvature vanishes at 0, so no strictly positive level certifies.
-        return _validate_range(
-            FiberMap(
-                a=a, f=f, form=f"tanh-like(k={k!r},s={s!r})",
-                gamma=k * math.tanh(s * a), alpha=0.0, b=a, monotone=True,
-            )
-        )
-
-    raise RegistryError(f"unknown fiber form {form!r} (known: {FIBER_FORMS})")
+    build, values = check_spec("fiber", spec)
+    return build(a, *values)
 
 
 def build_base_function(spec: dict) -> tuple[Callable, float, str]:
     """A named function theta -> [0, sup]: (g, sup, label)."""
-    if not isinstance(spec, dict) or "form" not in spec:
-        raise RegistryError(
-            f"base function spec must be a dict with a 'form' key, got {spec!r}"
-        )
-    form = spec["form"]
-    if form == "constant":
-        c = spec.get("c")
-        if not isinstance(c, (int, float)) or c < 0:
-            raise RegistryError("constant form needs nonnegative 'c'")
-        c = float(c)
-        return (lambda theta: c), c, f"constant({c!r})"
-    if form == "sin-squared":
-        c = spec.get("c", 1.0)
-        eps = spec.get("eps", 0.0)
-        if not isinstance(c, (int, float)) or c <= 0:
-            raise RegistryError("sin-squared form needs positive 'c'")
-        if not isinstance(eps, (int, float)) or not (0.0 <= eps <= 1.0):
-            raise RegistryError("sin-squared form needs 'eps' in [0, 1]")
-        c, eps = float(c), float(eps)
-
-        def g(theta, _c=c, _e=eps):
-            s = _sin(math.pi * theta)
-            return _c * (_e + (1.0 - _e) * s * s)
-
-        return g, c, f"sin-squared(c={c!r},eps={eps!r})"
-    raise RegistryError(
-        f"unknown base function form {form!r} (known: {BASE_FUNCTION_FORMS})"
-    )
+    build, values = check_spec("base function", spec)
+    return build(*values)

@@ -132,6 +132,15 @@ def test_exit_code_and_streams_match_main(cfg, tmp_path, capsysbinary, code, arg
         assert out == b"" and err == message.encode()
 
 
+def test_infinite_parameter_exits_2_before_any_sweep(cfg):
+    doc = json.loads(json.dumps(KELLER_CFG))
+    doc["fiber"]["g"]["c"] = float("inf")  # json writes it as Infinity
+    proc = _spawn(["pullback", "--config", cfg(doc, "inf.json"), "--grid", "64"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"config error: field fiber.g.c: must be a positive number, got inf\n"
+
+
 @pytest.mark.parametrize("entry", ["console-script", "module"])
 def test_both_entry_points_skip_teardown(cfg, entry):
     """An exit hook never runs: the process leaves by `os._exit`."""

@@ -45,6 +45,11 @@ class TestKappa:
         with pytest.raises(DomainError):
             kappa(u, v)
 
+    @pytest.mark.parametrize("u,v", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_nan_refused(self, u, v):
+        with pytest.raises(DomainError, match=r"^kappa needs positive arguments, got \("):
+            kappa(u, v)
+
     @given(
         st.floats(min_value=1e-6, max_value=1e6),
         st.floats(min_value=1e-6, max_value=1e6),
@@ -190,6 +195,10 @@ class TestIsoclinicPoint:
     def test_zero_map_refused(self):
         with pytest.raises(PreconditionError):
             isoclinic_point(ZERO)
+
+    def test_nan_tol_refused(self):
+        with pytest.raises(DomainError, match=r"^tol must be positive, got nan$"):
+            isoclinic_point(LOGISTIC.scaled(0.5), tol=float("nan"))
 
     def test_scale_free(self, rng):
         # scaling the map does not move the isoclinic point

@@ -89,6 +89,11 @@ class TestIteratePair:
         with pytest.raises(DomainError):
             iterate_pair(constant_sequence(HALF), 0.5, 0.7, 0)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_refused_with_the_value(self, steps):
+        with pytest.raises(DomainError, match=rf"^steps must be >= 1, got {steps}$"):
+            iterate_pair(constant_sequence(HALF), 0.5, 0.7, steps)
+
     def test_repeated_map_profiled_once(self, monkeypatch):
         calls = []
         real = nonauto.map_profile

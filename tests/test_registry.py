@@ -1,12 +1,25 @@
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab import cli
-from skewlab.errors import DomainError, RegistryError
-from skewlab.fiber import certify
+from skewlab.config import parse_config
+from skewlab.errors import ConfigError, DomainError, RegistryError
+from skewlab.fiber import FiberMap, certify
 from skewlab.nonauto import MapSequence
-from skewlab.registry import build_base_function, build_fiber
+from skewlab.registry import (
+    FORMS,
+    _poly_metadata,
+    _sin,
+    _tanh,
+    _validate_range,
+    build_base_function,
+    build_fiber,
+)
 
 
 class TestFiberForms:
@@ -132,3 +145,171 @@ class TestCliCertifyExamples:
         assert cli.main(["certify", "--config", str(p)]) == 0
         cert = json.loads(capsys.readouterr().out)["certificate"]
         assert cert["alpha_star"] == 0.0 and cert["gamma"] == 0.0
+
+
+# A valid spec of every closed form, and for each of its parameters the values
+# just outside the parameter's domain.
+VALID = {
+    "poly": {"form": "poly", "coeffs": [1.0, -0.5]},
+    "logistic-scaled": {"form": "logistic-scaled", "k": 1.0},
+    "quadratic-hump": {"form": "quadratic-hump", "k": 4.0},
+    "tanh-like": {"form": "tanh-like", "k": 0.8, "s": 2.0},
+    "constant": {"form": "constant", "c": 0.6},
+    "sin-squared": {"form": "sin-squared", "c": 1.0, "eps": 0.5},
+}
+OUTSIDE = {
+    ("poly", "coeffs"): [[], [1.0, True], [float("nan")], [1.0, float("-inf")]],
+    ("logistic-scaled", "k"): [-0.1],
+    ("quadratic-hump", "k"): [-0.1],
+    ("tanh-like", "k"): [0, -0.1],
+    ("tanh-like", "s"): [0, -0.1],
+    ("constant", "c"): [-0.1],
+    ("sin-squared", "c"): [0, -0.1],
+    ("sin-squared", "eps"): [1.5, -0.1],
+}
+NOT_NUMBERS = [float("nan"), float("inf"), float("-inf"), True, "1", None]
+REFUSALS = [
+    (form, name, value)
+    for (form, name), outside in OUTSIDE.items()
+    for value in NOT_NUMBERS + outside
+]
+CIRCLE = {"variant": "circle-rotation", "omega": 0.3}
+LOGISTIC = {"form": "logistic-scaled", "k": 1.0}
+
+
+def test_refusals_cover_every_parameter_of_the_table():
+    declared = {
+        (form, name)
+        for forms in FORMS.values()
+        for form, (_, *params) in forms.items()
+        for name, *_ in params
+    }
+    assert declared == set(OUTSIDE)
+
+
+@pytest.mark.parametrize("form, name, value", REFUSALS)
+def test_bad_parameter_refused_at_parse_time_by_its_field(form, name, value, tmp_path, capsys):
+    spec = dict(VALID[form], **{name: value})
+    if form in FORMS["fiber"]:
+        placements = {"fiber": spec, "fiber.f": {"form": "product", "f": spec,
+                                                  "g": {"form": "constant", "c": 1.0}}}
+    else:
+        placements = {"fiber.g": {"form": "product", "f": LOGISTIC, "g": spec}}
+    index = r"(\[\d+\])?" if name == "coeffs" else ""
+    for path, fiber in placements.items():
+        doc = {"base": CIRCLE, "fiber": fiber}
+        field = re.escape(f"{path}.{name}") + index
+        with pytest.raises(ConfigError, match=rf"^field {field}: must be "):
+            parse_config(doc)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--config", str(config)]) == 2
+        assert re.match(rf"config error: field {field}: must be ", capsys.readouterr().err)
+    with pytest.raises(RegistryError, match=rf"^form {form}, parameter {name}{index}: must be "):
+        build_fiber(spec, 1.0) if form in FORMS["fiber"] else build_base_function(spec)
+
+
+# The builders as they were before the table: the reference that every valid
+# spec must still build, field for field and value for value.
+
+
+def _reference_fiber(spec, a):
+    form = spec["form"]
+    if form == "poly":
+        coeffs = [float(c) for c in spec["coeffs"]]
+
+        def f(x, _c=tuple(coeffs)):
+            acc = 0.0
+            for c in reversed(_c):
+                acc = (acc + c) * x
+            return acc
+
+        meta = {}
+        if len(coeffs) == 1:
+            meta = _poly_metadata(coeffs[0], 0.0, a)
+        elif len(coeffs) == 2:
+            meta = _poly_metadata(coeffs[0], coeffs[1], a)
+        label = "poly[{}]".format(",".join(repr(c) for c in coeffs))
+        return _validate_range(FiberMap(a=a, f=f, form=label, **meta))
+    if form == "logistic-scaled":
+        k = float(spec["k"])
+        fm = _reference_fiber({"form": "poly", "coeffs": [2.0 * k, -k]}, a)
+        return fm._replace(form=f"logistic-scaled(k={k!r})")
+    if form == "quadratic-hump":
+        k = float(spec["k"])
+        fm = _reference_fiber({"form": "poly", "coeffs": [k, -k]}, a)
+        return fm._replace(form=f"quadratic-hump(k={k!r})")
+    k, s = float(spec["k"]), float(spec["s"])
+
+    def f(x, _k=k, _s=s):
+        return _k * _tanh(_s * x)
+
+    return _validate_range(
+        FiberMap(
+            a=a, f=f, form=f"tanh-like(k={k!r},s={s!r})",
+            gamma=k * math.tanh(s * a), alpha=0.0, b=a, monotone=True,
+        )
+    )
+
+
+def _reference_base_function(spec):
+    if spec["form"] == "constant":
+        c = float(spec["c"])
+        return (lambda theta: c), c, f"constant({c!r})"
+    c, eps = float(spec.get("c", 1.0)), float(spec.get("eps", 0.0))
+
+    def g(theta, _c=c, _e=eps):
+        s = _sin(math.pi * theta)
+        return _c * (_e + (1.0 - _e) * s * s)
+
+    return g, c, f"sin-squared(c={c!r},eps={eps!r})"
+
+
+def _number(low, high, positive=False):
+    """A float or an int in [low, high], above low when ``positive``."""
+    return st.one_of(
+        st.floats(low, high, exclude_min=positive),
+        st.integers(math.floor(low) + positive, math.floor(high)),
+    )
+
+
+FIBER_SPECS = st.one_of(
+    st.builds(lambda c: {"form": "poly", "coeffs": c}, st.lists(_number(-3, 3), min_size=1,
+                                                               max_size=4)),
+    st.builds(lambda k: {"form": "logistic-scaled", "k": k}, _number(0, 2)),
+    st.builds(lambda k: {"form": "quadratic-hump", "k": k}, _number(0, 6)),
+    st.builds(lambda k, s: {"form": "tanh-like", "k": k, "s": s},
+              _number(0, 2, positive=True), _number(0, 8, positive=True)),
+)
+BASE_SPECS = st.one_of(
+    st.builds(lambda c: {"form": "constant", "c": c}, _number(0, 3)),
+    st.builds(lambda c, eps: {"form": "sin-squared", "c": c, "eps": eps},
+              _number(0, 3, positive=True), _number(0, 1)),
+    st.just({"form": "sin-squared"}),
+    st.builds(lambda eps: {"form": "sin-squared", "eps": eps}, _number(0, 1)),
+)
+GRID = [i / 256 for i in range(257)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIBER_SPECS, st.one_of(st.floats(0.25, 2.0), st.just(1)))
+def test_valid_fiber_spec_builds_the_reference_map(spec, a):
+    try:
+        ref = _reference_fiber(spec, a)
+    except RegistryError:  # its range leaves [0, a]
+        with pytest.raises(RegistryError, match="leaves"):
+            build_fiber(spec, a)
+        return
+    fm = build_fiber(spec, a)
+    assert fm._replace(f=None) == ref._replace(f=None)
+    xs = [a * x for x in GRID]
+    assert [fm.f(x) for x in xs] == [ref.f(x) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(BASE_SPECS)
+def test_valid_base_function_spec_builds_the_reference(spec):
+    g, sup, label = build_base_function(spec)
+    ref_g, ref_sup, ref_label = _reference_base_function(spec)
+    assert (sup, label) == (ref_sup, ref_label)
+    assert [g(t) for t in GRID] == [ref_g(t) for t in GRID]
