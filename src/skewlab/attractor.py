@@ -10,7 +10,6 @@ attraction, preinvariance, and pairwise agreement of candidate graphs.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -34,6 +33,7 @@ from .skew import (  # noqa: F401
     orbits,
     step,
     symbol_walk,
+    walks_arrays,
     walks_symbols,
 )
 
@@ -379,15 +379,14 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
     The node sets are a circle grid, where ``pred`` is an index permutation,
     and a finite base, where ``pred[i] = -1`` ends node i's backward orbit.
     live_n marks the nodes with at least n preimages, the ones sweep n moves;
-    every other node keeps its last value.  A circle product sweeps as numpy
-    arrays; any other system holds phi_n and live_n as lists and applies each
-    live node's predecessor map through ``fiber_at``, so it never loads numpy.
+    every other node keeps its last value.  A `walks_arrays` system sweeps as
+    numpy arrays; any other system holds phi_n and live_n as lists and applies
+    each live node's predecessor map through ``fiber_at``, so it never loads numpy.
     """
     a = float(sys.a)
-    if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
-        f, g = sys.product_parts
-        pred_idx = np.asarray(pred, dtype=int)
-        g_pred = np.asarray(g(np.asarray(nodes, dtype=float)[pred_idx]), dtype=float)
+    if walks_arrays(sys):
+        family, pred_idx = sys.fiber_at, np.asarray(pred, dtype=int)
+        f, g_pred = family.fm.f, family.factors(np.asarray(nodes, dtype=float)[pred_idx])
         live = np.ones(len(nodes), dtype=bool)
         vals = np.full(len(nodes), a)
         while True:
@@ -507,8 +506,8 @@ def pullback_grid(
     base = sys.base
     if not isinstance(base, CircleRotation):
         raise CapabilityError("grid pullback is defined for circle rotation bases")
+    check_at_least("grid_size", grid_size, 8)
     m = int(grid_size)
-    check_at_least("grid_size", m, 8)
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
     perm = (np.arange(m) - shift) % m
@@ -519,7 +518,7 @@ def pullback_grid(
 
     sweeps = 0
     for s, (row, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
-        new = np.asarray(row)  # a list for a circle system without product_parts
+        new = np.asarray(row)  # a list for a system that does not walk arrays
         diff = new - values
         # a NaN rise compares False, so max keeps the running value
         max_increase = max(max_increase, float(np.max(diff)))
@@ -612,14 +611,8 @@ def verify_attractor(
         walk = _checked(symbol_walk(sys, thetas, xs, steps, graph.func), graph, thetas)
     else:
         walk = ((x, graph.values(t)) for t, x in orbits(sys, thetas, xs, steps))
-    first = next(walk)
-    walk = itertools.chain([first], walk)
-    # A per-point walk yields lists and is reduced step by step; the circle
-    # product's array walk is reduced as one (steps + 1) x N array.
-    if isinstance(first[0], list):
-        achieved, tail = _reduce_lists(walk, tol, len(starts))
-    else:
-        achieved, tail = _reduce_arrays(walk, tol, steps, len(starts))
+    reduce = _reduce_arrays if walks_arrays(sys) else _reduce_lists
+    achieved, tail = reduce(walk, tol, steps, len(starts))
     records = [
         SampleRecord(sys.base.format_point(theta0), x0, None, None)
         if n > steps
@@ -646,10 +639,10 @@ def _checked(walk, graph: GraphFunction, words: Sequence) -> Iterator[tuple]:
         yield xs, values
 
 
-def _reduce_lists(walk, tol: float, count: int) -> tuple:
-    """(achieved, tail) per start from (xs, graph values) per step: one past
-    the last step whose deviation is >= tol (0 when none is), and the
-    largest deviation from that step on."""
+def _reduce_lists(walk, tol: float, steps: int, count: int) -> tuple:
+    """(achieved, tail) per start from the (xs, graph values) lists of each
+    step 0..steps: one past the last step whose deviation is >= tol (0 when
+    none is), and the largest deviation from that step on."""
     achieved = [0] * count
     tail = [-math.inf] * count
     for n, (xs, values) in enumerate(walk):
@@ -664,7 +657,7 @@ def _reduce_lists(walk, tol: float, count: int) -> tuple:
 
 
 def _reduce_arrays(walk, tol: float, steps: int, count: int) -> tuple:
-    """`_reduce_lists` for array steps, over all steps at once."""
+    """`_reduce_lists` for the arrays of a `walks_arrays` walk, all steps at once."""
     devs = np.empty((steps + 1, count))  # devs[n, i]: start i at step n
     for n, (xs, values) in enumerate(walk):
         devs[n] = np.abs(xs - values)

@@ -144,17 +144,10 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
     __hash__ = tuple.__hash__
 
     def symbol(self, i: int) -> int:
-        i = _index(i)
-        if i < 0:
-            raise DomainError("one-sided words have no negative coordinates")
-        transient = self.transient
-        if i < len(transient):
-            return transient[i]
-        cycle = self.cycle
-        return cycle[(i - len(transient)) % len(cycle)]
+        return self.symbols(1, i)[0]
 
     def symbols(self, n: int, start: int = 0) -> tuple[int, ...]:
-        """symbol(start) .. symbol(start + n - 1) as one tuple."""
+        """The symbols at positions start .. start + n - 1 as one tuple."""
         n, start = _count(n), _index(start)
         if start < 0:
             raise DomainError("one-sided words have no negative coordinates")
@@ -165,7 +158,7 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
         return out + _cyclic(cycle, 0, n - len(out))
 
     def advanced(self, n: int) -> "OneSidedWord":
-        """The word shifted n >= 0 times, built once: ``shifted()`` n times."""
+        """The word shifted n >= 0 times, built once."""
         n = _count(n)
         transient, cycle = self
         if n <= len(transient):
@@ -174,13 +167,7 @@ class OneSidedWord(namedtuple("_OneSidedFields", "transient cycle")):
         return _new_word(OneSidedWord, ((), cycle[k:] + cycle[:k]))
 
     def shifted(self) -> "OneSidedWord":
-        # The shift of a normalised word is normalised: dropping a transient
-        # symbol keeps the transient's last symbol, and rotating a primitive
-        # cycle keeps it primitive.  So skip the normalisation in __new__.
-        transient, cycle = self
-        if transient:
-            return _new_word(OneSidedWord, (transient[1:], cycle))
-        return _new_word(OneSidedWord, ((), cycle[1:] + cycle[:1]))
+        return self.advanced(1)
 
     def __str__(self) -> str:
         return f"{_text(self.transient)}|{_text(self.cycle)}"
@@ -225,19 +212,11 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
         return _new_word(cls, (_symbols(left), _symbols(buf), _symbols(right), origin))
 
     def symbol(self, i: int) -> int:
-        j = _index(i) + self.origin
-        buf = self.buf
-        if 0 <= j < len(buf):
-            return buf[j]
-        if j >= len(buf):
-            right = self.right_cycle
-            return right[(j - len(buf)) % len(right)]
-        left = self.left_cycle
-        return left[j % len(left)]
+        return self.symbols(1, i)[0]
 
     def symbols(self, n: int, start: int = 0) -> tuple[int, ...]:
-        """symbol(start) .. symbol(start + n - 1) as one tuple: the left tail's
-        part, the window's and the right tail's, each one slice."""
+        """The symbols at positions start .. start + n - 1 as one tuple: the
+        left tail's part, the window's and the right tail's, each one slice."""
         left, buf, right, origin = self
         origin += _index(start)
         end = origin + _count(n)
@@ -298,11 +277,10 @@ class TwoSidedWord(namedtuple("_TwoSidedFields", "left_cycle buf right_cycle ori
     def __hash__(self) -> int:
         return hash(self._key())
 
-    # The fields of a built word are checked already: the shifts skip __new__.
     def shifted(self) -> "TwoSidedWord":
-        left, buf, right, origin = self
-        return _new_word(TwoSidedWord, (left, buf, right, origin + 1))
+        return self.advanced(1)
 
+    # The fields of a built word are checked already: the shift skips __new__.
     def shifted_back(self) -> "TwoSidedWord":
         left, buf, right, origin = self
         return _new_word(TwoSidedWord, (left, buf, right, origin - 1))

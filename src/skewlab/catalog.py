@@ -14,7 +14,7 @@ from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
 from .errors import DomainError, RegistryError, check_at_least
 from .fiber import FiberMap
 from .registry import build_base_function, build_fiber
-from .skew import SkewSystem, SymbolTable
+from .skew import ProductFamily, SkewSystem, SymbolTable
 
 if TYPE_CHECKING:
     from .attractor import GraphFunction
@@ -146,22 +146,11 @@ def make_product(
     def factor(theta):
         return scale * g(theta)
 
-    # Consecutive calls with the same factor (a constant g) get the same
-    # FiberMap, so per-map caches keyed by it hit; only the latest is kept.
-    last = [None, None]
-
-    def fiber_at(theta) -> FiberMap:
-        c = factor(theta)
-        if c != last[0]:
-            last[:] = c, fm.scaled(c)
-        return last[1]
-
     classification, beta = declared_classification(fm, fm.gamma * g_sup * scale)
     return SkewSystem(
-        base=base, fiber_at=fiber_at, a=a,
+        base=base, fiber_at=ProductFamily(fm, factor), a=a,
         classification=classification, beta=beta,
         label=f"{label}[{fm.form} x {g_label}]",
-        product_parts=(fm.f, factor),
     )
 
 

@@ -115,6 +115,7 @@ def cmd_orbit_pair(args) -> int:
         TRACE_COLUMNS,
         along_orbit,
         bound_violations,
+        check_starts,
         iterate_pair,
         trace_to_csv,
     )
@@ -122,7 +123,8 @@ def cmd_orbit_pair(args) -> int:
     cfg, system = load_system(args.config)
     theta = _resolve_theta(system.base, args.theta)
     steps = cfg.defaults["steps"] if args.steps is None else args.steps
-    if steps == 0:
+    if steps == 0:  # no step is taken, but the starts are checked all the same
+        check_starts(args.x0, args.y0, system.a)
         with _out_stream(args.out) as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         return EXIT_OK

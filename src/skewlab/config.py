@@ -15,9 +15,8 @@ from typing import NamedTuple
 from .bases import CircleRotation, SymbolicShift
 from .catalog import declared_classification, make_noinvattr, make_product
 from .errors import ConfigError, check_number
-from .fiber import FiberMap
 from .registry import build_fiber, check_spec
-from .skew import SkewSystem
+from .skew import ProductFamily, SkewSystem
 
 _BASE_VARIANTS = ("circle-rotation", "finite-orbit", "shift")
 _DEFAULTS = {"grid": 4096, "tol": 1e-9, "depth": 1000, "steps": 100}
@@ -121,16 +120,11 @@ def build_system(cfg: SystemConfig) -> SkewSystem:
                             label="config-product")
 
     fm = build_fiber(cfg.fiber, cfg.a)
-
-    def fiber_at(theta, _fm=fm) -> FiberMap:
-        return _fm
-
     # A single form's range is f's own: its bound is gamma.
     classification, beta = declared_classification(fm, fm.gamma)
     return SkewSystem(
-        base=base, fiber_at=fiber_at, a=cfg.a,
-        classification=classification, beta=beta,
-        label=f"config[{fm.form}]", product_parts=(fm.f, lambda theta: 1.0),
+        base=base, fiber_at=ProductFamily(fm), a=cfg.a,
+        classification=classification, beta=beta, label=f"config[{fm.form}]",
     )
 
 

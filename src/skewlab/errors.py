@@ -38,9 +38,14 @@ class RegistryError(ConfigError):
 def check_positive(name: str, value: float) -> None:
     if not value > 0.0:  # also refuses NaN: no deviation or gap is ever >= NaN
         raise DomainError(f"{name} must be > 0, got {value!r}")
+    if value > sys.float_info.max:  # every finite deviation or gap is below it
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def check_at_least(name: str, value: int, low: int) -> None:
+    # integer types, numpy's included, have __index__ and floats never; a bool is refused
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise DomainError(f"{name} must be >= {low}, got {value!r}")
 

@@ -148,6 +148,13 @@ def _kappa_or_none(x: float, y: float) -> float | None:
     return None
 
 
+def check_starts(x0: float, y0: float, a: float) -> None:
+    """Refuse a start pair that `iterate_pair` refuses: each in (0, a]."""
+    for name, v in (("x0", x0), ("y0", y0)):
+        if not (0.0 < v <= a):
+            raise DomainError(f"{name} must lie in (0, {a!r}], got {v!r}")
+
+
 def iterate_pair(
     seq: MapSequence,
     x0: float,
@@ -163,9 +170,7 @@ def iterate_pair(
     """
     check_at_least("steps", steps, 1)
     a = seq.a
-    for name, v in (("x0", x0), ("y0", y0)):
-        if not (0.0 < v <= a):
-            raise DomainError(f"{name} must lie in (0, {a!r}], got {v!r}")
+    check_starts(x0, y0, a)
 
     k = _kappa_or_none(x0, y0)
     if x0 == y0:

@@ -17,11 +17,10 @@ class SkewSystem(NamedTuple):
 
     ``classification`` and ``beta`` are declarations (from the catalog or a
     config); `classify` re-derives them from grid certification so the two
-    can be cross-checked.  ``product_parts``, when present, holds the (f, g)
-    of a product family psi_theta(x) = f(x) * g(theta): the callables that
-    ``fiber_at`` composes, each taking a float or a numpy array.  Grid sweeps
-    and `orbits` apply them to every node at once, with the float operations
-    of the one-point path; all contracts go through ``fiber_at``.
+    can be cross-checked.  ``fiber_at`` may declare a batch form of its
+    own: a `ProductFamily` over a circle steps as numpy arrays
+    (`walks_arrays`), a `SymbolTable` over a shift on symbol streams
+    (`walks_symbols`).  Replacing ``fiber_at`` replaces the declaration.
     """
 
     base: object
@@ -30,7 +29,34 @@ class SkewSystem(NamedTuple):
     classification: str = "unclassified"
     beta: float | None = None
     label: str = ""
-    product_parts: tuple | None = None
+
+
+class ProductFamily:
+    """The fibres theta |-> ``fm.scaled(g(theta))`` of a product system, or
+    fm itself without g: the ``fiber_at`` of `catalog.make_product` and of
+    single-form configs.  ``fm.f`` and ``g`` each take a float or a numpy
+    array: the family declares its batch form, which `walks_arrays` reads,
+    as a `SymbolTable` declares its symbol walk.
+    """
+
+    __slots__ = ("fm", "g", "_last")
+
+    def __init__(self, fm: FiberMap, g: Callable | None = None):
+        # Consecutive calls with the same factor (a constant g) get the same
+        # FiberMap, so per-map caches keyed by it hit; only the latest is kept.
+        self.fm, self.g, self._last = fm, g, (None, fm)
+
+    def __call__(self, theta) -> FiberMap:
+        if self.g is None:
+            return self.fm
+        c = self.g(theta)
+        if c != self._last[0]:
+            self._last = c, self.fm.scaled(c)
+        return self._last[1]
+
+    def factors(self, thetas):
+        """g at every point of the array ``thetas`` (1.0 without g), the batch factor."""
+        return 1.0 if self.g is None else self.g(thetas)
 
 
 class SymbolTable:
@@ -85,16 +111,15 @@ def orbits(
     """Walk the forward orbits of many starts together, one step at a time.
 
     Yields (thetas_n, xs_n) for n = 0..steps and holds only the current
-    points.  A circle rotation with ``product_parts`` steps every start at
-    once as numpy arrays; any other system yields lists, built per step by
-    one base step and one call of the fiber map's ``f`` per point, the
-    values `step` makes.
+    points.  A system that `walks_arrays` steps every start at once as
+    numpy arrays; any other system yields lists, built per step by one base
+    step and one call of the fiber map's ``f`` per point, the values `step`
+    makes.
     Either way a fiber coordinate outside [0, a] raises DomainError before
     it is stepped.
     """
-    if isinstance(sys.base, CircleRotation) and sys.product_parts is not None:
-        f, g = sys.product_parts
-        omega, a = sys.base.omega, sys.a
+    if walks_arrays(sys):
+        family, omega, a = sys.fiber_at, sys.base.omega, sys.a
         thetas = np.asarray(thetas, dtype=float)
         xs = np.asarray(xs, dtype=float)
         yield thetas, xs
@@ -102,7 +127,7 @@ def orbits(
             bad = ~((xs >= 0.0) & (xs <= a))
             if bad.any():
                 raise _outside(float(xs[np.argmax(bad)]), a)
-            xs = f(xs) * g(thetas)
+            xs = family.fm.f(xs) * family.factors(thetas)
             thetas = (thetas + omega) % 1.0
             yield thetas, xs
         return
@@ -117,6 +142,12 @@ def orbits(
         xs = [fiber_at(t).f(x) for t, x in zip(thetas, xs)]
         thetas = stepped
         yield thetas, xs
+
+
+def walks_arrays(sys: SkewSystem) -> bool:
+    """Whether `orbits` and the grid sweeps step sys as numpy arrays: a circle
+    rotation whose ``fiber_at`` is a `ProductFamily`."""
+    return isinstance(sys.base, CircleRotation) and isinstance(sys.fiber_at, ProductFamily)
 
 
 def walks_symbols(sys: SkewSystem) -> bool:

@@ -49,6 +49,7 @@ from skewlab.errors import (
 from skewlab.fiber import FiberMap
 from skewlab.registry import build_fiber
 from skewlab.skew import (
+    ProductFamily,
     SkewSystem,
     SymbolTable,
     advance,
@@ -57,6 +58,7 @@ from skewlab.skew import (
     orbit,
     orbits,
     step,
+    walks_arrays,
 )
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
@@ -521,7 +523,7 @@ class TestPullbackGrid:
         # the sweep applies the (f, g) that fiber_at composes: same floats
         for sys_ in (make_keller(), keller_k07()):
             scalar = SkewSystem(
-                base=sys_.base, fiber_at=sys_.fiber_at, a=sys_.a, product_parts=None
+                base=sys_.base, fiber_at=lambda t: sys_.fiber_at(t), a=sys_.a
             )
             r_fast = pullback_grid(sys_, grid_size=128, depth=60, stop_delta=0.0)
             r_scalar = pullback_grid(scalar, grid_size=128, depth=60, stop_delta=0.0)
@@ -665,7 +667,7 @@ class TestVerifyAttractor:
     @settings(max_examples=60, deadline=None)
     def test_batched_orbits_match_scalar_path(self, eps, starts, steps, tol):
         batched = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": eps})
-        scalar = batched._replace(product_parts=None)
+        scalar = batched._replace(fiber_at=lambda t: batched.fiber_at(t))
         graph = pullback_grid(batched, grid_size=256, depth=300).graph
         fast = verify_attractor(batched, graph, starts, steps, tol)
         slow = verify_attractor(scalar, graph, starts, steps, tol)
@@ -757,7 +759,7 @@ class TestVerifyAttractor:
 
     def test_batched_records_equal_scalar_records(self):
         batched = keller_k07()
-        scalar = batched._replace(product_parts=None)
+        scalar = batched._replace(fiber_at=lambda t: batched.fiber_at(t))
         graph = pullback_grid(batched, grid_size=256, depth=300).graph
         rng = random.Random(7)
         starts = [(rng.random(), rng.random()) for _ in range(200)]
@@ -769,7 +771,7 @@ class TestVerifyAttractor:
     @pytest.mark.parametrize("x0", [-0.25, 1.5])
     def test_start_outside_fiber_raises_on_both_paths(self, x0):
         batched = make_keller()
-        scalar = batched._replace(product_parts=None)
+        scalar = batched._replace(fiber_at=lambda t: batched.fiber_at(t))
         graph = GraphFunction.from_callable(1.0, lambda t: 0.5)
         messages = []
         for sys_ in (batched, scalar):
@@ -788,6 +790,38 @@ def last_of_orbits(sys_, thetas, xs, steps):
 def generic(sys_):
     """sys_ with its fibre family hidden behind a lambda: no SymbolTable."""
     return sys_._replace(fiber_at=lambda t: sys_.fiber_at(t))
+
+
+class TestSwappedFibreFamily:
+    """A product system's batch form is its ``fiber_at``: replacing the
+    family walks the new one, batched or not."""
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["family", "lambda"])
+    def test_keller_with_other_fibres_walks_them(self, batched):
+        eps3 = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": 0.3})
+        family = eps3.fiber_at
+        assert isinstance(family, ProductFamily)
+        swapped = make_keller()._replace(
+            fiber_at=family if batched else lambda t: family(t)
+        )
+        assert walks_arrays(swapped) is batched
+
+        got, ref = (pullback_grid(s, grid_size=128, depth=300) for s in (swapped, eps3))
+        assert got.graph.grid.tolist() == ref.graph.grid.tolist()
+        assert got._replace(graph=None) == ref._replace(graph=None)
+
+        rng = random.Random(5)
+        starts = [(rng.random(), rng.random()) for _ in range(40)]
+        thetas, xs = [t for t, _ in starts], [x for _, x in starts]
+        ends = (
+            [list(map(float, v)) for v in last_of_orbits(s, thetas, xs, 60)]
+            for s in (swapped, eps3)
+        )
+        assert next(ends) == next(ends)
+        graph = ref.graph
+        assert verify_attractor(swapped, graph, starts, 60, 1e-3) == verify_attractor(
+            eps3, graph, starts, 60, 1e-3
+        )
 
 
 def shift_starts(sided, data):
@@ -1003,12 +1037,12 @@ class TestVerifyOnSymbolStreams:
 
 
 class TestVerifyPreinvariance:
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, math.inf])
     def test_tol_must_be_positive(self, tol):
-        # against a NaN tol every deviation passes; against tol <= 0 none does
+        # against a NaN or infinite tol every deviation passes; against tol <= 0 none does
         sys_ = make_noinvattr(8)
         graph = build_preinvariant(sys_)
-        message = f"tol must be > 0, got {tol!r}"
+        message = f"tol must be {'finite' if tol == math.inf else '> 0'}, got {tol!r}"
         with pytest.raises(DomainError, match=message):
             verify_preinvariance(sys_, graph, 0.0, 5, tol)
         with pytest.raises(DomainError, match=message):
@@ -1167,6 +1201,22 @@ def test_range_errors_state_the_value(check):
     for value in (low - 1, -3):
         with pytest.raises(DomainError, match=f"^{name} must be >= {low}, got {value}$"):
             run(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, True])
+@pytest.mark.parametrize("check", range(11))
+def test_counts_must_be_integers(check, value):
+    # range() would refuse these with a bare TypeError, and True would run as 1
+    name, _, run = _range_checks()[check]
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run(value)
+
+
+@pytest.mark.parametrize("check", range(11))
+def test_numpy_integer_counts_accepted(check):
+    _, low, run = _range_checks()[check]
+    run(np.int64(low))
 
 
 class TestHelpers:

@@ -15,7 +15,7 @@ from skewlab.catalog import make_product
 from skewlab.config import SystemConfig, build_system, load_system, parse_config
 from skewlab.errors import ConfigError
 from skewlab.fiber import ConcavityCertificate, certify
-from skewlab.skew import classify
+from skewlab.skew import ProductFamily, classify
 
 KELLER_CFG = {
     "base": {"variant": "circle-rotation", "omega": 0.6180339887498949},
@@ -106,7 +106,7 @@ class TestConfig:
     def test_build_keller_like(self):
         sys_ = build_system(parse_config(KELLER_CFG))
         assert sys_.classification == "monotone-equiconcave"
-        assert sys_.product_parts is not None
+        assert isinstance(sys_.fiber_at, ProductFamily)
 
     def test_build_simple_registry_map(self):
         doc = {"base": {"variant": "circle-rotation", "omega": 0.3},
@@ -215,6 +215,23 @@ class TestOrbitPairCommand:
                   "--steps", "0", "--out", str(out)])
         lines = out.read_text().strip().splitlines()
         assert lines == ["n,x,y,kappa,ratio,bound,b"]
+
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--x0", "-5", "-5.0"), ("--x0", "nan", "nan"), ("--y0", "1.5", "1.5"),
+    ])
+    def test_bad_start_exits_3_at_any_step_count(self, cfg_file, tmp_path, capsys,
+                                                 steps, flag, value, shown):
+        # zero steps used to write the header and exit 0 without checking the starts
+        out = tmp_path / "trace.csv"
+        starts = dict({"--x0": "0.2", "--y0": "0.8"}, **{flag: value})
+        rc = cli.main(["orbit-pair", "--config", cfg_file(NOINV_CFG), "--theta", "0.0",
+                       *(arg for pair in starts.items() for arg in pair),
+                       "--steps", steps, "--out", str(out)])
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"invariant violation: {flag[2:]} must lie in (0, 1.0], got {shown}\n"
+        )
 
 
 class TestJsonLayout:
@@ -359,14 +376,15 @@ class TestVerifyInput:
         (KELLER_CFG, ["0.0,0.5", "0.5,0.5"]),
         (NOINV_CFG, ["1.0,1.0"]),
     ], ids=["grid", "table"])
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_bad_tol_exits_3(self, cfg_file, tmp_path, capsys, cfg, rows, tol):
         phi = self.graph_csv(tmp_path, rows)
         rc = cli.main(["verify", "--config", cfg_file(cfg), "--phi", str(phi),
                        "--samples", "2", "--steps", "5", "--tol", tol])
         assert rc == 3
         out, err = capsys.readouterr()
-        assert out == "" and f"tol must be > 0, got {float(tol)!r}" in err
+        bound = "finite" if tol == "inf" else "> 0"
+        assert out == "" and f"tol must be {bound}, got {float(tol)!r}" in err
 
     def test_missing_phi_exits_2(self, cfg_file, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -9,7 +9,8 @@ from skewlab import nonauto
 from skewlab.bases import CircleRotation
 from skewlab.catalog import CATALOG, GOLDEN_ROTATION, make_product
 from skewlab.errors import DomainError, PreconditionError
-from skewlab.fiber import FiberMap, ratio_bound_monotone, ratio_bound_nonmonotone
+from skewlab.fiber import FiberMap, certify, ratio_bound_monotone, ratio_bound_nonmonotone
+from skewlab.registry import build_fiber
 from skewlab.nonauto import (
     MapSequence,
     bound_violations,
@@ -201,6 +202,17 @@ class TestConvergenceCertificate:
             convergence_certificate(tr, beta=beta, eps=eps)
 
 
+def test_black_box_map_profiled_by_certification():
+    # the cubic declares no analytic data, so its profile is its certificate
+    cubic = build_fiber({"form": "poly", "coeffs": [2.4, -1.2, -0.6]}, 1.0)
+    assert (cubic.gamma, cubic.alpha, cubic.monotone) == (None, None, None)
+    cert = certify(cubic, 2048)
+    assert nonauto.map_profile(cubic) == (
+        cert.gamma, cert.alpha_star, cert.b, cert.monotone, False
+    )
+    assert cert.gamma == pytest.approx(8 / 9) and not cert.monotone
+
+
 class TestIsoclinicGuard:
     def test_scaled_humps_pass_with_flips(self):
         rng = random.Random(3)
@@ -248,6 +260,23 @@ class TestIsoclinicGuard:
         tr = iterate_pair(seq, 0.2, 0.8, 40)
         rep = isoclinic_guard(tr)
         assert rep.hypothesis_ok and rep.flips == 0 and not rep.unverifiable
+
+    def test_steps_without_b_unverifiable(self):
+        # a nonmonotone map that declares no isoclinic point: no step can be checked
+        hump = FiberMap(1.0, lambda x: 2.0 * x * (1.0 - x),
+                        gamma=0.5, alpha=2.0, b=None, monotone=False)
+        tr = iterate_pair(constant_sequence(hump, beta=4.0), 0.2, 0.7, 6)
+        rep = isoclinic_guard(tr)
+        assert rep.unverifiable == [r.n for r in tr.rows[:-1]]
+        assert rep.hypothesis_ok and rep.first_violation is None
+        assert rep.verdict == "hypothesis holds where b is defined; some steps unverifiable"
+
+    def test_flip_ratio_over_normalized_bound_reported(self):
+        # 1 - beta * a * (b - min(x, y)) / 2 = 1 - (0.8 - 0.3) / 2 = 0.75 < 0.9
+        rows = [nonauto.PairStep(0, 0.3, 0.5, None, ratio=0.9, b=0.8, case="dec"),
+                nonauto.PairStep(1, 0.4, 0.35, None)]
+        rep = isoclinic_guard(nonauto.OrbitPairTrace(rows, "completed", 1.0, 1.0))
+        assert rep == (True, None, 1, [0], [], "flip bound violated at n = 0")
 
 
 class TestEquiconcavityCheck:

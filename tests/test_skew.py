@@ -98,6 +98,24 @@ class TestClassify:
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
         assert any("zero map" in d for d in cls.diagnostics)
 
+    def test_linear_member_not_strictly_concave(self):
+        sys_ = autonomous(FiberMap(1.0, lambda x: 0.5 * x, form="x/2"))
+        cls = classify(sys_, 3, grid_size=512)
+        assert (cls.kind, cls.beta, cls.samples) == ("unclassified", None, 3)
+        [diagnostic] = cls.diagnostics
+        assert diagnostic.startswith("no certified strict concavity at theta = ")
+
+    def test_all_zero_members_leave_beta_undefined(self):
+        zero = FiberMap(1.0, lambda x: 0.0, form="zero")
+        base = FiniteOrbitBase([0.0, 1.0], {0.0: 1.0, 1.0: 0.0})
+        cls = classify(autonomous(zero, base), 2, grid_size=512)
+        assert (cls.kind, cls.beta) == ("monotone-equiconcave", None)
+        assert cls.diagnostics == [
+            "zero map at theta = 0.0 (0-concave)",
+            "zero map at theta = 1.0 (0-concave)",
+            "all sampled maps vanish; concavity constant undefined",
+        ]
+
     def test_coinflip_unclassified_with_diagnostics(self):
         cls = classify(make_coinflip("one"), 4, grid_size=64)
         assert cls.kind == "unclassified"
