@@ -30,8 +30,8 @@ _EXPORTS = {
     "left_derivative_limit ratio_bound_monotone ratio_bound_nonmonotone",
     "nonauto": "MapSequence OrbitPairTrace along_orbit bound_violations "
     "check_equiconcavity convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
-    "skew": "ProductFamily SkewSystem SymbolTable advance classify detect_pinching orbit "
-    "orbits step",
+    "skew": "ProductFamily SkewSystem SymbolTable advance classify declared detect_pinching "
+    "orbit orbits step",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

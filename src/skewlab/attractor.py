@@ -801,6 +801,8 @@ def match_fraction(
     check_at_least("n", n, 1)
     if not tol >= 0.0:  # also refuses NaN, which no deviation is ever <=
         raise DomainError(f"tol must be >= 0, got {tol!r}")
+    if tol == math.inf:  # every deviation is <= it
+        raise DomainError(f"tol must be finite, got {tol!r}")
     if not starts:
         raise DomainError("match_fraction needs at least one start")
     hits = 0

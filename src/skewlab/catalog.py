@@ -1,8 +1,8 @@
 """Ready-made skew systems: the worked examples shipped with the package.
 
 `CATALOG` maps each name to a zero-argument builder of an immutable
-SkewSystem whose declared classification and concavity constant can be
-re-derived with `skew.classify`.
+SkewSystem.  Its fibres declare its classification and concavity constant
+(`skew.declared`), which `skew.classify` re-derives from the maps.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ def make_noinvattr(window: int = 64) -> SkewSystem:
         return strong if theta >= 0.0 else weak
 
     return SkewSystem(
-        base=base, fiber_at=fiber_at, a=1.0,
-        classification="monotone-equiconcave", beta=1.0,
-        label=f"noinvattr(window={window})",
+        base=base, fiber_at=fiber_at, a=1.0, label=f"noinvattr(window={window})"
     )
 
 
@@ -70,11 +68,7 @@ def make_coinflip(sided: str = "one") -> SkewSystem:
         (FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})", analyzable=False)
          for bit in (0.0, 1.0)),
     )
-    return SkewSystem(
-        base=base, fiber_at=fiber_at, a=1.0,
-        classification="unclassified", beta=None,
-        label=f"coinflip-{sided}",
-    )
+    return SkewSystem(base=base, fiber_at=fiber_at, a=1.0, label=f"coinflip-{sided}")
 
 
 def coinflip_attractor_graph() -> GraphFunction:
@@ -102,36 +96,15 @@ def make_keller(
     return make_product(p_spec, q_spec, CircleRotation(omega), label="keller")
 
 
-def declared_classification(
-    fm: FiberMap, sup_range: float | None
-) -> tuple[str, float | None]:
-    """(classification, beta) of a family of nonnegative multiples of fm.
-
-    Read off fm's analytic data: beta = alpha/gamma is its scale-normalized
-    concavity, and the family is monotone-equiconcave for monotone fm, or
-    isoclinic-equiconcave when its range bound ``sup_range`` stays strictly
-    below fm's isoclinic point b.  A map without a strictly positive alpha
-    and gamma (a black-box map has neither) declares unclassified, no beta.
-    """
-    alpha, gamma = fm.alpha or 0.0, fm.gamma or 0.0
-    if not (alpha > 0.0 and gamma > 0.0):
-        return "unclassified", None
-    beta = alpha / gamma
-    if fm.monotone:
-        return "monotone-equiconcave", beta
-    if fm.b is not None and sup_range < fm.b:
-        return "isoclinic-equiconcave", beta
-    return "unclassified", beta
-
-
 def make_product(
     f_spec: dict, g_spec: dict, base, a: float = 1.0, label: str = "product"
 ) -> SkewSystem:
     """General product family psi_theta(x) = f(x) * g(theta) over any base.
 
     g is normalized so that sup(f)*sup(g) <= a.  The family inherits f's
-    scale-normalized concavity and f's isoclinic point; its declaration is
-    `declared_classification` of f with range bound sup(f)*sup(g).
+    scale-normalized concavity and f's isoclinic point: its `ProductFamily`
+    holds the normalized sup(g), so `skew.declared` bounds its range by
+    sup(f)*sup(g).
     """
     fm = build_fiber(f_spec, a)
     g, g_sup, g_label = build_base_function(g_spec)
@@ -146,10 +119,8 @@ def make_product(
     def factor(theta):
         return scale * g(theta)
 
-    classification, beta = declared_classification(fm, fm.gamma * g_sup * scale)
     return SkewSystem(
-        base=base, fiber_at=ProductFamily(fm, factor), a=a,
-        classification=classification, beta=beta,
+        base=base, fiber_at=ProductFamily(fm, factor, g_sup * scale), a=a,
         label=f"{label}[{fm.form} x {g_label}]",
     )
 

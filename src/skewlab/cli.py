@@ -188,6 +188,9 @@ def cmd_pullback(args) -> int:
             json.dumps({"depth_used": depths}, sort_keys=True), file=_sys.stderr
         )
         return EXIT_OK
+    if getattr(base, "sided", None) == "two":  # invertible, but its words are no node set
+        raise CapabilityError("a pullback over all points needs a circle grid or a finite "
+                              "base: give --theta to pull back at one point")
     raise CapabilityError("base not invertible: no pullback for this system")
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .bases import CircleRotation, SymbolicShift
-from .catalog import declared_classification, make_noinvattr, make_product
+from .catalog import make_noinvattr, make_product
 from .errors import ConfigError, check_number
 from .registry import build_fiber, check_spec
 from .skew import ProductFamily, SkewSystem
@@ -120,12 +120,7 @@ def build_system(cfg: SystemConfig) -> SkewSystem:
                             label="config-product")
 
     fm = build_fiber(cfg.fiber, cfg.a)
-    # A single form's range is f's own: its bound is gamma.
-    classification, beta = declared_classification(fm, fm.gamma)
-    return SkewSystem(
-        base=base, fiber_at=ProductFamily(fm), a=cfg.a,
-        classification=classification, beta=beta, label=f"config[{fm.form}]",
-    )
+    return SkewSystem(base=base, fiber_at=ProductFamily(fm), a=cfg.a, label=f"config[{fm.form}]")
 
 
 def load_system(doc) -> tuple[SystemConfig, SkewSystem]:

@@ -10,7 +10,7 @@ does not; ties (equal images) and coordinates pinned at 0 leave blanks.
 from __future__ import annotations
 
 import csv
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, PreconditionError, check_at_least, check_positive
 from .fiber import (
@@ -22,9 +22,7 @@ from .fiber import (
     kappa,
     monotone_bound,
 )
-
-if TYPE_CHECKING:
-    from .skew import SkewSystem
+from .skew import SkewSystem, declared
 
 _BOUND_SLACK = 1e-9
 # Relative gaps below this are dominated by the rounding error of the two
@@ -98,7 +96,7 @@ def along_orbit(sys: SkewSystem, theta) -> MapSequence:
             orbit_cache.append(sys.base.step(orbit_cache[-1]))
         return sys.fiber_at(orbit_cache[n - 1])
 
-    return MapSequence(supplier=supplier, a=sys.a, declared_beta=sys.beta)
+    return MapSequence(supplier=supplier, a=sys.a, declared_beta=declared(sys)[1])
 
 
 def check_equiconcavity(
@@ -265,6 +263,7 @@ def convergence_certificate(
     """
     check_positive("beta", beta)
     check_positive("eps", eps)
+    check_positive("tol", tol)
     recorded = [r for r in trace.rows if r.bound is not None]
     if not recorded:
         raise PreconditionError("trace lacks bound records")

@@ -7,7 +7,7 @@ import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
-from .bases import CircleRotation, SymbolicShift, _index
+from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
 from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
 
@@ -15,19 +15,17 @@ from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
 class SkewSystem(NamedTuple):
     """F(theta, x) = (R(theta), psi_theta(x)) on base x [0, a].
 
-    ``classification`` and ``beta`` are declarations (from the catalog or a
-    config); `classify` re-derives them from grid certification so the two
-    can be cross-checked.  ``fiber_at`` may declare a batch form of its
-    own: a `ProductFamily` over a circle steps as numpy arrays
-    (`walks_arrays`), a `SymbolTable` over a shift on symbol streams
-    (`walks_symbols`).  Replacing ``fiber_at`` replaces the declaration.
+    The fibres declare what is known of them.  `declared` reads the
+    classification and beta off their maps' analytic data, and `classify`
+    re-derives both from grid certification, so the two can be
+    cross-checked.  A `ProductFamily` over a circle also steps as numpy
+    arrays (`walks_arrays`), a `SymbolTable` over a shift on symbol streams
+    (`walks_symbols`).  Replacing ``fiber_at`` replaces every declaration.
     """
 
     base: object
     fiber_at: Callable[[object], FiberMap]
     a: float
-    classification: str = "unclassified"
-    beta: float | None = None
     label: str = ""
 
 
@@ -36,15 +34,16 @@ class ProductFamily:
     fm itself without g: the ``fiber_at`` of `catalog.make_product` and of
     single-form configs.  ``fm.f`` and ``g`` each take a float or a numpy
     array: the family declares its batch form, which `walks_arrays` reads,
-    as a `SymbolTable` declares its symbol walk.
+    as a `SymbolTable` declares its symbol walk.  ``sup`` is the supremum
+    of g (1.0 without g), for the range bound `declared` reads.
     """
 
-    __slots__ = ("fm", "g", "_last")
+    __slots__ = ("fm", "g", "sup", "_last")
 
-    def __init__(self, fm: FiberMap, g: Callable | None = None):
+    def __init__(self, fm: FiberMap, g: Callable | None = None, sup: float = 1.0):
         # Consecutive calls with the same factor (a constant g) get the same
         # FiberMap, so per-map caches keyed by it hit; only the latest is kept.
-        self.fm, self.g, self._last = fm, g, (None, fm)
+        self.fm, self.g, self.sup, self._last = fm, g, sup, (None, fm)
 
     def __call__(self, theta) -> FiberMap:
         if self.g is None:
@@ -219,6 +218,36 @@ def advance(sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int) 
     for xs, _ in symbol_walk(sys, thetas, xs, steps):
         pass
     return [w.advanced(steps) for w in thetas], xs
+
+
+def declared(sys: SkewSystem) -> tuple[str, float | None]:
+    """(classification, beta) read off the analytic data of sys's fibre maps:
+    a `ProductFamily`'s form, with range bound gamma * ``sup``, a
+    `SymbolTable`'s values, or the maps at a finite base's points, with range
+    bound their largest gamma.  Any other callable declares nothing.  beta is
+    the least alpha/gamma; the family is monotone-equiconcave when every map
+    is monotone, or isoclinic-equiconcave when the range bound stays strictly
+    below every map's isoclinic point b.  A map without a strictly positive
+    alpha and gamma (a black-box map has neither) declares unclassified.
+    """
+    fibers, sup = sys.fiber_at, 1.0
+    if isinstance(fibers, ProductFamily):
+        maps, sup = (fibers.fm,), fibers.sup
+    elif isinstance(fibers, SymbolTable):
+        maps = fibers.values
+    elif isinstance(sys.base, FiniteOrbitBase):
+        maps = [fibers(p) for p in sys.base.points]
+    else:
+        return "unclassified", None
+    if not maps or not all((fm.alpha or 0.0) > 0.0 and (fm.gamma or 0.0) > 0.0 for fm in maps):
+        return "unclassified", None
+    beta = min(fm.alpha / fm.gamma for fm in maps)
+    if all(fm.monotone for fm in maps):
+        return "monotone-equiconcave", beta
+    bound = max(fm.gamma for fm in maps) * sup
+    if all(fm.b is not None and bound < fm.b for fm in maps):
+        return "isoclinic-equiconcave", beta
+    return "unclassified", beta
 
 
 class Classification(NamedTuple):

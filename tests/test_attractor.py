@@ -1236,14 +1236,18 @@ class TestHelpers:
         assert 0.35 <= freq <= 0.65
         assert freq == sum(orbit(sys_, s, 6)[-1][1] == 0.0 for s in starts) / len(starts)
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_match_fraction_tol_must_be_nonnegative(self, tol):
-        # against either tol no deviation counts as a match, silently
+        # against a negative or NaN tol no deviation counts as a match, silently,
+        # and against inf every deviation does
         sys_ = make_coinflip("one")
         flat = GraphFunction.from_callable(1.0, lambda w: 0.0)
         starts = [(OneSidedWord((), (0,)), 0.0)]
         assert match_fraction(sys_, flat, 3, starts, tol=0.0) == 1.0
-        with pytest.raises(DomainError, match=f"tol must be >= 0, got {tol!r}"):
+        message = f"tol must be >= 0, got {tol!r}"
+        if tol == math.inf:
+            message = "tol must be finite, got inf"
+        with pytest.raises(DomainError, match=message):
             match_fraction(sys_, flat, 3, starts, tol=tol)
 
     def test_finite_pullback_graph(self):

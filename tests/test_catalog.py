@@ -15,7 +15,7 @@ from skewlab.catalog import (
 )
 from skewlab.errors import CapabilityError, RegistryError
 from skewlab.fiber import grid_max
-from skewlab.skew import classify, orbit, step
+from skewlab.skew import classify, declared, orbit, step
 
 
 class TestNoinvattr:
@@ -71,8 +71,8 @@ class TestKeller:
         sys_ = make_keller(q_spec={"form": "constant", "c": 1.0})
         for theta in (0.0, 0.3, 0.77):
             assert sys_.fiber_at(theta)(0.5) == pytest.approx(0.75)
-        assert sys_.classification == "monotone-equiconcave"
-        assert sys_.beta == pytest.approx(1.0)
+        assert declared(sys_)[0] == "monotone-equiconcave"
+        assert declared(sys_)[1] == pytest.approx(1.0)
 
     def test_vanishing_forcing_pinches_exactly_at_zero(self):
         sys_ = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": 0.0})
@@ -95,8 +95,8 @@ class TestProduct:
             {"form": "constant", "c": 0.6},
             CircleRotation(GOLDEN_ROTATION),
         )
-        assert sys_.classification == "isoclinic-equiconcave"
-        assert sys_.beta == pytest.approx(4.0)
+        assert declared(sys_)[0] == "isoclinic-equiconcave"
+        assert declared(sys_)[1] == pytest.approx(4.0)
 
     def test_hump_at_full_height_unclassified(self):
         sys_ = make_product(
@@ -104,7 +104,7 @@ class TestProduct:
             {"form": "constant", "c": 1.0},
             CircleRotation(GOLDEN_ROTATION),
         )
-        assert sys_.classification == "unclassified"
+        assert declared(sys_)[0] == "unclassified"
 
     def test_monotone_product(self):
         sys_ = make_product(
@@ -112,13 +112,13 @@ class TestProduct:
             {"form": "constant", "c": 0.9},
             CircleRotation(GOLDEN_ROTATION),
         )
-        assert sys_.classification == "unclassified"  # no strict concavity level
+        assert declared(sys_)[0] == "unclassified"  # no strict concavity level
         sys2 = make_product(
             {"form": "logistic-scaled", "k": 0.7},
             {"form": "constant", "c": 0.9},
             CircleRotation(GOLDEN_ROTATION),
         )
-        assert sys2.classification == "monotone-equiconcave"
+        assert declared(sys2)[0] == "monotone-equiconcave"
 
     def test_same_factor_gives_the_same_map(self, monkeypatch):
         sys_ = make_product(
@@ -150,9 +150,10 @@ class TestCatalogEntries:
     def test_declared_classification_verified(self, name):
         sys_ = CATALOG[name]()
         cls = classify(sys_, 8, grid_size=1024, rng=random.Random(1))
-        assert cls.kind == sys_.classification
-        if sys_.beta is not None:
-            assert cls.beta == pytest.approx(sys_.beta, abs=1e-3)
+        kind, beta = declared(sys_)
+        assert cls.kind == kind
+        if beta is not None:
+            assert cls.beta == pytest.approx(beta, abs=1e-3)
 
     def test_pullback_halving_claim(self):
         from skewlab.attractor import pullback_phi

@@ -15,7 +15,7 @@ from skewlab.catalog import make_product
 from skewlab.config import SystemConfig, build_system, load_system, parse_config
 from skewlab.errors import ConfigError
 from skewlab.fiber import ConcavityCertificate, certify
-from skewlab.skew import ProductFamily, classify
+from skewlab.skew import ProductFamily, classify, declared
 
 KELLER_CFG = {
     "base": {"variant": "circle-rotation", "omega": 0.6180339887498949},
@@ -105,7 +105,7 @@ class TestConfig:
 
     def test_build_keller_like(self):
         sys_ = build_system(parse_config(KELLER_CFG))
-        assert sys_.classification == "monotone-equiconcave"
+        assert declared(sys_)[0] == "monotone-equiconcave"
         assert isinstance(sys_.fiber_at, ProductFamily)
 
     def test_build_simple_registry_map(self):
@@ -128,23 +128,21 @@ class TestDeclaredClassification:
         base = {"variant": "circle-rotation", "omega": 0.3}
         single = build_system(parse_config({"base": base, "fiber": spec}))
         product = make_product(spec, {"form": "constant", "c": 1.0}, CircleRotation(0.3))
-        assert (single.classification, single.beta) == (
-            product.classification, product.beta
-        )
+        assert declared(single) == declared(product)
 
     def test_half_hump_is_isoclinic(self):
         # 2x(1-x) peaks at 1/2, below its isoclinic point 2/3
         doc = {"base": {"variant": "circle-rotation", "omega": 0.3},
                "fiber": {"form": "quadratic-hump", "k": 2.0}}
         sys_ = build_system(parse_config(doc))
-        assert sys_.classification == "isoclinic-equiconcave"
-        assert classify(sys_, 8, grid_size=1024).kind == sys_.classification
+        assert declared(sys_)[0] == "isoclinic-equiconcave"
+        assert classify(sys_, 8, grid_size=1024).kind == declared(sys_)[0]
 
     def test_black_box_cubic_unclassified(self):
         doc = {"base": {"variant": "shift", "sided": "two"},
                "fiber": {"form": "poly", "coeffs": [2.4, -1.2, -0.6]}}
         sys_ = build_system(parse_config(doc))
-        assert (sys_.classification, sys_.beta) == ("unclassified", None)
+        assert declared(sys_) == ("unclassified", None)
 
 
 class TestCliExitCodes:
@@ -172,6 +170,16 @@ class TestCliExitCodes:
     def test_one_sided_pullback_exits_5(self, cfg_file):
         assert cli.main(["pullback", "--config", cfg_file(SHIFT_CFG),
                          "--depth", "5"]) == 5
+
+    def test_two_sided_pullback_without_theta_names_theta(self, cfg_file, capsys):
+        path = cfg_file(dict(SHIFT_CFG, base={"variant": "shift", "sided": "two"}))
+        assert cli.main(["pullback", "--config", path, "--depth", "5"]) == 5
+        err = capsys.readouterr().err
+        assert "not invertible" not in err
+        assert "circle grid or a finite base" in err and "--theta" in err
+        # the base is invertible: a pullback at one word runs
+        assert cli.main(["pullback", "--config", path, "--depth", "5",
+                         "--theta", "0~1~0@0"]) == 0
 
     def test_bound_violation_exits_4(self, cfg_file, monkeypatch):
         real = nonauto.iterate_pair

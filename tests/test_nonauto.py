@@ -201,6 +201,20 @@ class TestConvergenceCertificate:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             convergence_certificate(tr, beta=beta, eps=eps)
 
+    @pytest.mark.parametrize("tol, message", [
+        (float("nan"), "tol must be > 0, got nan"),
+        (-1.0, "tol must be > 0, got -1.0"),
+        (0.0, "tol must be > 0, got 0.0"),
+        (float("inf"), "tol must be finite, got inf"),
+    ])
+    def test_bad_tol_named(self, tol, message):
+        # a NaN or negative tol once passed as verdict "consistent", never within it
+        keller = CATALOG["keller"]()
+        tr = iterate_pair(nonauto.along_orbit(keller, 0.1), 0.2, 0.8, 30)
+        assert convergence_certificate(tr, beta=1.0, eps=0.1).verdict == "consistent"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            convergence_certificate(tr, beta=1.0, eps=0.1, tol=tol)
+
 
 def test_black_box_map_profiled_by_certification():
     # the cubic declares no analytic data, so its profile is its certificate

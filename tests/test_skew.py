@@ -1,12 +1,29 @@
 import pytest
 
 from skewlab import skew
-from skewlab.bases import CircleRotation, FiniteOrbitBase, OneSidedWord
-from skewlab.catalog import make_coinflip, make_keller, make_noinvattr, make_product
+from skewlab.bases import CircleRotation, FiniteOrbitBase, OneSidedWord, SymbolicShift
+from skewlab.catalog import (
+    CATALOG,
+    GOLDEN_ROTATION,
+    make_coinflip,
+    make_keller,
+    make_noinvattr,
+    make_product,
+)
+from skewlab.config import load_system
 from skewlab.errors import DomainError
 from skewlab.fiber import FiberMap
-from skewlab.nonauto import along_orbit
-from skewlab.skew import SkewSystem, classify, detect_pinching, orbit, step
+from skewlab.nonauto import along_orbit, bound_violations, iterate_pair
+from skewlab.registry import build_fiber
+from skewlab.skew import (
+    SkewSystem,
+    SymbolTable,
+    classify,
+    declared,
+    detect_pinching,
+    orbit,
+    step,
+)
 
 
 def autonomous(fm: FiberMap, base=None) -> SkewSystem:
@@ -150,6 +167,110 @@ class TestClassify:
         calls.clear()
         classify(make_keller(), 6, grid_size=1024)
         assert len(calls) == 6 and len(set(calls)) == 6
+
+
+def symbol_table_system(form, ks):
+    """Fibres k*f keyed by the leading symbol of a two-sided word."""
+    maps = [build_fiber({"form": form, "k": k}, 1.0) for k in ks]
+    return SkewSystem(base=SymbolicShift("two"), fiber_at=SymbolTable(0, maps), a=1.0)
+
+
+class TestDeclared:
+    """The fibres declare the classification and beta: replacing ``fiber_at``
+    replaces both, whatever the builder declared."""
+
+    def test_replaced_fibres_declare_their_own_beta(self):
+        keller = make_keller()
+        sys_ = CATALOG["product-hump"]()._replace(base=keller.base, fiber_at=keller.fiber_at)
+        assert declared(sys_) == ("monotone-equiconcave", 1.0)
+        # bounds built on the hump's beta = 4 would be broken 50 times here
+        trace = iterate_pair(along_orbit(sys_, 0.3), 0.2, 0.9, 200)
+        assert len(trace.rows) > 50 and bound_violations(trace) == []
+
+    def test_keller_with_hump_fibres_is_isoclinic(self):
+        sys_ = make_keller()._replace(fiber_at=CATALOG["product-hump"]().fiber_at)
+        kind, beta = declared(sys_)
+        assert (kind, beta) == ("isoclinic-equiconcave", pytest.approx(4.0))
+        cls = classify(sys_, 8, grid_size=1024)
+        assert cls.kind == kind and cls.beta == pytest.approx(beta, abs=1e-3)
+
+    def test_finite_base_declares_through_its_points(self):
+        sys_ = make_noinvattr(8)
+        wrapped = sys_._replace(fiber_at=lambda t: sys_.fiber_at(t))
+        assert declared(wrapped) == ("monotone-equiconcave", 1.0)
+        empty = SkewSystem(base=FiniteOrbitBase([], {}), fiber_at=sys_.fiber_at, a=1.0)
+        assert declared(empty) == ("unclassified", None)  # no map, no declaration
+
+    def test_other_callables_declare_nothing(self):
+        keller = make_keller()
+        assert declared(keller) == ("monotone-equiconcave", 1.0)
+        wrapped = keller._replace(fiber_at=lambda t: keller.fiber_at(t))
+        assert declared(wrapped) == ("unclassified", None)
+
+    def test_symbol_table_of_logistic_maps(self):
+        sys_ = symbol_table_system("logistic-scaled", (0.7, 0.9))
+        assert declared(sys_) == ("monotone-equiconcave", 1.0)
+        cls = classify(sys_, 8, grid_size=1024)
+        assert cls.kind == "monotone-equiconcave"
+        assert cls.beta == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("ks, kind", [
+        ((2.0, 2.4), "isoclinic-equiconcave"),  # peaks 0.5 and 0.6, both below b = 2/3
+        ((2.0, 4.0), "unclassified"),  # the second peak, 1, is above every b
+    ])
+    def test_symbol_table_range_bound_is_the_largest_peak(self, ks, kind):
+        sys_ = symbol_table_system("quadratic-hump", ks)
+        assert declared(sys_) == (kind, pytest.approx(4.0))
+        assert classify(sys_, 8, grid_size=1024).kind == kind
+
+    @pytest.mark.parametrize("k, kind", [
+        # peaks 0.5 and 0.5: below the hump's b = 2/3 and the parabola's b = 1
+        (0.5, "isoclinic-equiconcave"),
+        # the parabola's peak 0.7 is above the hump's b
+        (0.7, "unclassified"),
+    ])
+    def test_mixed_maps_take_the_least_beta_and_every_b(self, k, kind):
+        logistic = build_fiber({"form": "logistic-scaled", "k": k}, 1.0)  # beta 1
+        hump = build_fiber({"form": "quadratic-hump", "k": 2.0}, 1.0)  # beta 4
+        table = SkewSystem(base=SymbolicShift("two"), fiber_at=SymbolTable(0, (logistic, hump)),
+                           a=1.0)
+        chain = SkewSystem(base=FiniteOrbitBase([0.0, 1.0], {0.0: 1.0, 1.0: 0.0}),
+                           fiber_at=lambda t: hump if t else logistic, a=1.0)
+        assert declared(table) == declared(chain) == (kind, 1.0)
+
+    def test_a_map_without_analytic_data_declares_nothing(self):
+        hump = build_fiber({"form": "quadratic-hump", "k": 2.0}, 1.0)
+        cubic = build_fiber({"form": "poly", "coeffs": [2.4, -1.2, -0.6]}, 1.0)
+        no_gamma = hump._replace(gamma=None)
+        for other in (cubic, no_gamma):
+            sys_ = SkewSystem(base=SymbolicShift("two"), fiber_at=SymbolTable(0, (hump, other)),
+                              a=1.0)
+            assert declared(sys_) == ("unclassified", None)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("coinflip-one", ("unclassified", None)),
+        ("coinflip-two", ("unclassified", None)),
+        ("keller", ("monotone-equiconcave", 1.0)),
+        ("noinvattr", ("monotone-equiconcave", 1.0)),
+        ("product-hump", ("isoclinic-equiconcave", 4.0)),
+    ])
+    def test_catalog_declarations(self, name, expected):
+        assert declared(CATALOG[name]()) == expected
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"base": {"variant": "circle-rotation", "omega": GOLDEN_ROTATION},
+          "fiber": {"form": "product", "f": {"form": "logistic-scaled", "k": 1.0},
+                    "g": {"form": "sin-squared", "c": 1.0, "eps": eps}}, "a": 1.0},
+         ("monotone-equiconcave", 1.0))
+        for eps in (0.3, 0.5, 0.7)
+    ] + [
+        ({"base": {"variant": "finite-orbit", "preset": "noinvattr", "window": 64},
+          "fiber": {"form": "noinvattr-split"}}, ("monotone-equiconcave", 1.0)),
+        ({"base": {"variant": "shift", "sided": "two"},
+          "fiber": {"form": "poly", "coeffs": [2.4, -1.2, -0.6]}}, ("unclassified", None)),
+    ], ids=["keller-eps0.3", "keller-eps0.5", "keller-eps0.7", "noinvattr", "cubic-hump"])
+    def test_benchmark_config_declarations(self, doc, expected):
+        assert declared(load_system(doc)[1]) == expected
 
 
 class TestDetectPinching:
