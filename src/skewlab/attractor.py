@@ -10,6 +10,7 @@ attraction, preinvariance, and pairwise agreement of candidate graphs.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -295,20 +296,8 @@ def build_preinvariant(
     limit = max(64, 4 * len(pts)) if orbit_limit is None else orbit_limit
     table: dict = {}
     # Keyed by the fiber map, so each distinct map is scanned once.
-    zero_cache: dict[FiberMap, bool] = {}
-    anchor_cache: dict[FiberMap, bool] = {}
-
-    def is_zero(theta) -> bool:
-        fm = sys.fiber_at(theta)
-        if fm not in zero_cache:
-            zero_cache[fm] = grid_max(fm, grid_size) <= ZERO_TOL
-        return zero_cache[fm]
-
-    def fixes_zero(theta) -> bool:
-        fm = sys.fiber_at(theta)
-        if fm not in anchor_cache:
-            anchor_cache[fm] = abs(fm(0.0)) <= ZERO_TOL
-        return anchor_cache[fm]
+    is_zero = functools.cache(lambda fm: grid_max(fm, grid_size) <= ZERO_TOL)
+    fixes_zero = functools.cache(lambda fm: abs(fm(0.0)) <= ZERO_TOL)
 
     for p in pts:
         if p in table:
@@ -319,7 +308,8 @@ def build_preinvariant(
         if joined is not None:
             path = path[:joined]
 
-        pinned = any(is_zero(t) for t in path) and all(fixes_zero(t) for t in path)
+        pinned = (any(is_zero(sys.fiber_at(t)) for t in path)
+                  and all(fixes_zero(sys.fiber_at(t)) for t in path))
         if pinned:
             for t in path:
                 table[t] = 0.0
@@ -426,7 +416,8 @@ def pullback_phi(
     backward orbit ends at a point with no unique predecessor, which sets
     ``truncated``.  A theta with no unique predecessor raises.
 
-    Each fiber map is built when the composition first reaches it, and phi_n
+    Each preimage is read, and its fiber map built, when the composition
+    first reaches it, so a query that stops early walks no further back; phi_n
     applies the k maps built so far to phi_{n-k}: n^2/2 calls up to the
     stopping depth n.  An orbit that closes after p steps ends at theta
     itself, so past it phi_n applies the period to phi_{n-p}: about n*p
@@ -435,34 +426,25 @@ def pullback_phi(
     check_at_least("depth", depth, 1)
     if not hasattr(sys.base, "predecessor"):
         raise CapabilityError("base provides no predecessor map")
-    back: list = []  # back[k-1] = k-th preimage of theta
-    cur = theta
-    truncated = False
-    for _ in range(depth):
-        try:
-            cur = sys.base.predecessor(cur)
-        except CapabilityError:
-            truncated = True
-            break
-        back.append(cur)
-        # predecessor inverts step, so a backward orbit can only close at theta
-        if cur == theta:
-            break
-    theta_repr = sys.base.format_point(theta)
-    if not back:
-        raise CapabilityError(
-            f"no pullback at {theta_repr}: the point has no unique predecessor"
-        )
-    closed = back[-1] == theta
-
-    maps: list[FiberMap] = []
+    maps: list[FiberMap] = []  # maps[k-1]: the fiber map at the k-th preimage of theta
     phis = [sys.a]  # phis[n] = phi_n
+    cur, closed, truncated = theta, False, False
     delta = math.inf
     for n in range(1, depth + 1):
-        if n <= len(back):
-            maps.append(sys.fiber_at(back[n - 1]))
-        elif not closed:
-            break
+        if not closed:
+            try:
+                cur = sys.base.predecessor(cur)
+            except CapabilityError:
+                if n == 1:
+                    raise CapabilityError(
+                        f"no pullback at {sys.base.format_point(theta)}: "
+                        "the point has no unique predecessor"
+                    ) from None
+                truncated = True
+                break
+            maps.append(sys.fiber_at(cur))
+            # predecessor inverts step, so a backward orbit can only close at theta
+            closed = cur == theta
         v = phis[n - len(maps)]
         for fm in reversed(maps):
             v = fm(v)
@@ -472,7 +454,7 @@ def pullback_phi(
             if stop_delta > 0.0 and delta < stop_delta:
                 break
     return PullbackSequence(
-        theta_repr=theta_repr,
+        theta_repr=sys.base.format_point(theta),
         values=phis[1:],
         delta=delta,
         depth_used=len(phis) - 1,
@@ -704,14 +686,9 @@ def verify_preinvariance(
         here = graph.value(nxt)
         residuals.append(abs(image - here))
         cur = nxt
-    first_violation = next(
-        (n for n, r in enumerate(residuals) if r > tol), None
-    )
-    first_good = 0
-    for n in range(horizon - 1, -1, -1):
-        if residuals[n] > tol:
-            first_good = n + 1
-            break
+    bad = [n for n, r in enumerate(residuals) if r > tol]
+    first_violation = bad[0] if bad else None
+    first_good = bad[-1] + 1 if bad else 0
     if first_good >= horizon:
         return PreinvarianceReport(False, None, first_violation, None, horizon, tol)
     return PreinvarianceReport(

@@ -308,6 +308,8 @@ class FiniteOrbitBase:
 
     def __init__(self, points: Sequence[float], successor: dict[float, float]):
         self.points = tuple(points)
+        if not self.points:
+            raise ConfigError("a finite base needs at least one point")
         pts = set(self.points)
         for p in self.points:
             if p not in successor or successor[p] not in pts:

@@ -18,7 +18,9 @@ from .errors import ConfigError, check_number
 from .registry import build_fiber, check_spec
 from .skew import ProductFamily, SkewSystem
 
-_BASE_VARIANTS = ("circle-rotation", "finite-orbit", "shift")
+# Each base variant, and the fields its descriptor may carry.
+_BASE_FIELDS = {"circle-rotation": ("variant", "omega"),
+                "finite-orbit": ("variant", "preset", "window"), "shift": ("variant", "sided")}
 _DEFAULTS = {"grid": 4096, "tol": 1e-9, "depth": 1000, "steps": 100}
 
 
@@ -37,6 +39,11 @@ def _require(cond: bool, field: str, msg: str) -> None:
         raise ConfigError(f"field {field}: {msg}")
 
 
+def _only(obj: dict, prefix: str, known: tuple) -> None:
+    for k in obj:
+        _require(k in known, f"{prefix}{k}", f"unknown field (known: {known})")
+
+
 def parse_config(doc) -> SystemConfig:
     """Validate a config document (dict, JSON string, or path), every number included."""
     if isinstance(doc, Path):
@@ -53,14 +60,16 @@ def parse_config(doc) -> SystemConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<root>", "config must be a JSON object")
+    _only(doc, "", ("base", "fiber", "a", "defaults"))
 
     base = doc.get("base")
     _require(isinstance(base, dict), "base", "must be an object")
     variant = base.get("variant")
     _require(
-        variant in _BASE_VARIANTS, "base.variant",
-        f"must be one of {_BASE_VARIANTS}, got {variant!r}",
+        variant in _BASE_FIELDS, "base.variant",
+        f"must be one of {tuple(_BASE_FIELDS)}, got {variant!r}",
     )
+    _only(base, "base.", _BASE_FIELDS[variant])
     if variant == "circle-rotation":
         check_number("field base.omega", base.get("omega"), "a number in (0, 1)")
     elif variant == "finite-orbit":
@@ -91,11 +100,14 @@ def parse_config(doc) -> SystemConfig:
         _require(k in _DEFAULTS, f"defaults.{k}", "unknown analysis default")
         kind = "a positive number" if k == "tol" else "a positive integer"
         defaults[k] = check_number(f"field defaults.{k}", v, kind)
+    _require(defaults["grid"] >= 8, "defaults.grid", f"must be >= 8, got {defaults['grid']!r}")
 
     if variant == "finite-orbit":
         _require(fiber["form"] == "noinvattr-split", "fiber.form",
                  "finite-orbit preset systems use 'noinvattr-split'")
+        _only(fiber, "fiber.", ("form",))
     elif fiber["form"] == "product":
+        _only(fiber, "fiber.", ("form", "f", "g"))
         check_spec("fiber", fiber.get("f"), "fiber.f")
         check_spec("base function", fiber.get("g"), "fiber.g")
         _require(variant == "circle-rotation" or fiber["g"]["form"] != "sin-squared",

@@ -42,12 +42,12 @@ def check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def check_at_least(name: str, value: int, low: int) -> None:
+def check_at_least(name: str, value: int, low: int, error: type = DomainError) -> None:
     # integer types, numpy's included, have __index__ and floats never; a bool is refused
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value!r}")
+        raise error(f"{name} must be >= {low}, got {value!r}")
 
 
 # Each domain a number can be asked to lie in: its words, and its test on a finite value.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, InvariantError, PreconditionError
+from .errors import DomainError, InvariantError, PreconditionError, check_at_least
 
 # Grid values below this count as identically zero.
 ZERO_TOL = 1e-12
@@ -96,8 +96,7 @@ class RatioBound(NamedTuple):
 
 
 def _check_grid_size(n: int) -> None:
-    if n < 8:
-        raise PreconditionError(f"grid_size must be >= 8, got {n}")
+    check_at_least("grid_size", n, 8, PreconditionError)
 
 
 def _grid(a: float, n: int) -> list[float]:

@@ -10,6 +10,7 @@ does not; ties (equal images) and coordinates pinned at 0 leave blanks.
 from __future__ import annotations
 
 import csv
+import functools
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, PreconditionError, check_at_least, check_positive
@@ -178,12 +179,11 @@ def iterate_pair(
     rows: list[PairStep] = []
     x, y = x0, y0
     reason = "completed"
-    profiles: dict[FiberMap, MapProfile] = {}  # a map met again is not re-certified
+    # a map met again is not re-certified
+    profile = functools.cache(lambda fm: map_profile(fm, grid_size))
     for n in range(1, steps + 1):
         fm = seq.map_at(n)
-        prof = profiles.get(fm)
-        if prof is None:
-            prof = profiles[fm] = map_profile(fm, grid_size)
+        prof = profile(fm)
 
         if prof.zero:
             rows.append(PairStep(n - 1, x, y, k, b=prof.b))

@@ -140,7 +140,8 @@ def check_spec(kind: str, spec, field: str | None = None) -> tuple[Callable, lis
     """The builder of a ``kind`` spec's form, and its parameters checked, as floats.
 
     A bad spec raises RegistryError naming ``field``, a config's path to the
-    spec, and the parameter, or else the form and the parameter.
+    spec, and the parameter, or else the form and the parameter.  A key that
+    is neither ``form`` nor a declared parameter makes the spec bad.
     """
     known = tuple(FORMS[kind])
     form = spec.get("form") if isinstance(spec, dict) else None
@@ -150,9 +151,14 @@ def check_spec(kind: str, spec, field: str | None = None) -> tuple[Callable, lis
             raise RegistryError(f"{place}: must be a {kind} form object, got {spec!r}")
         raise RegistryError(f"{place}: unknown {kind} form {form!r} (known: {known})")
     build, *params = FORMS[kind][form]
+    names = tuple(name for name, *_ in params)
+    prefix = f"form {form}, parameter " if field is None else f"field {field}."
+    unknown = [k for k in spec if k not in ("form", *names)]
+    if unknown:
+        raise RegistryError(f"{prefix}{unknown[0]}: unknown parameter (known: {names})")
     values = []
     for name, domain, *default in params:
-        where = f"form {form}, parameter {name}" if field is None else f"field {field}.{name}"
+        where = prefix + name
         v = spec.get(name, *default)
         if name != "coeffs":
             values.append(float(check_number(where, v, domain, RegistryError)))

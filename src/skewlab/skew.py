@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -9,7 +10,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from ._numpy import np
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
-from .fiber import ZERO_TOL, ConcavityCertificate, FiberMap, certify, grid_max
+from .fiber import ZERO_TOL, FiberMap, certify, grid_max
 
 
 class SkewSystem(NamedTuple):
@@ -239,7 +240,7 @@ def declared(sys: SkewSystem) -> tuple[str, float | None]:
         maps = [fibers(p) for p in sys.base.points]
     else:
         return "unclassified", None
-    if not maps or not all((fm.alpha or 0.0) > 0.0 and (fm.gamma or 0.0) > 0.0 for fm in maps):
+    if not all((fm.alpha or 0.0) > 0.0 and (fm.gamma or 0.0) > 0.0 for fm in maps):
         return "unclassified", None
     beta = min(fm.alpha / fm.gamma for fm in maps)
     if all(fm.monotone for fm in maps):
@@ -278,12 +279,8 @@ def classify(
     betas: list[float] = []
     all_monotone = True
     range_ok = True
-    certs: dict[FiberMap, ConcavityCertificate] = {}  # a map met again is not re-certified
-
-    def certified(fm: FiberMap) -> ConcavityCertificate:
-        if fm not in certs:
-            certs[fm] = certify(fm, grid_size)
-        return certs[fm]
+    # a map met again is not re-certified
+    certified = functools.cache(lambda fm: certify(fm, grid_size))
 
     for theta in thetas:
         try:

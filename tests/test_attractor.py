@@ -139,7 +139,8 @@ def reference_pullback(sys_, theta, depth, stop_delta):
     """(phi_1..phi_N, truncated): every phi_n composed afresh along the backward orbit.
 
     N is the first n >= 2 with |phi_n - phi_{n-1}| < stop_delta, else the depth
-    or the length of the backward orbit, whichever is shorter.
+    or the length of the backward orbit, whichever is shorter.  truncated: the
+    orbit ended before the depth and the stop rule did not end the query first.
     """
     back = []
     cur = theta
@@ -156,8 +157,22 @@ def reference_pullback(sys_, theta, depth, stop_delta):
             v = sys_.fiber_at(t)(v)
         values.append(v)
         if n >= 2 and abs(values[-1] - values[-2]) < stop_delta:
-            break
+            return values, False
     return values, len(back) < depth
+
+
+class CountingPredecessors:
+    """A base that counts its predecessor calls and delegates everything else."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+
+    def predecessor(self, p):
+        self.calls += 1
+        return self.base.predecessor(p)
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
 
 
 @st.composite
@@ -500,6 +515,28 @@ class TestPullbackPhi:
         sys_ = make_noinvattr(8)
         seq = pullback_phi(sys_, 0.0, 100, stop_delta=0.0)
         assert seq.truncated and seq.depth_used < 100
+
+    def test_stop_rule_before_orbit_end_is_not_truncated(self):
+        # phi_1 = phi_2 = 1 stops the query at depth 2, within the chain
+        seq = pullback_phi(make_noinvattr(64), 0.9, 1000)
+        assert seq.values == [1.0, 1.0]
+        assert seq.depth_used == 2 and not seq.truncated
+
+    @pytest.mark.parametrize("sys_, theta", [
+        (make_keller(), 0.3),
+        (SkewSystem(SymbolicShift("two"),
+                    ProductFamily(build_fiber({"form": "logistic-scaled", "k": 0.9}, 1.0)),
+                    1.0),
+         TwoSidedWord.parse("0~0110101~1@3")),
+        (make_noinvattr(8), 0.0),
+    ], ids=["keller", "two-sided-shift", "noinvattr-chain"])
+    def test_backward_orbit_read_only_as_far_as_composed(self, sys_, theta):
+        base = CountingPredecessors(sys_.base)
+        seq = pullback_phi(sys_._replace(base=base), theta, 4000)
+        assert seq.depth_used < 4000
+        # one predecessor per composed map, and one more where the orbit ends
+        assert base.calls == seq.depth_used + seq.truncated
+        assert seq.values == pullback_phi(sys_, theta, 4000).values
 
 
 class TestPullbackGrid:

@@ -385,6 +385,10 @@ class TestFiniteOrbitBase:
         with pytest.raises(ConfigError):
             FiniteOrbitBase([0.0], {0.0: 2.0})
 
+    def test_empty_point_set_refused(self):
+        with pytest.raises(ConfigError, match="^a finite base needs at least one point$"):
+            FiniteOrbitBase([], {})
+
     def test_predecessors_where_unique(self):
         base = FiniteOrbitBase(
             [0.0, 1.0, 2.0], {0.0: 1.0, 1.0: 2.0, 2.0: 2.0}

@@ -99,6 +99,36 @@ class TestConfig:
             f"config error: field {field}: must be a positive {kind}, got {value}\n"
         )
 
+    @pytest.mark.parametrize("doc, field", [
+        (dict(KELLER_CFG, label="keller"), "label"),
+        (dict(KELLER_CFG, base=dict(KELLER_CFG["base"], sided="two")), "base.sided"),
+        (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], omega=0.5)), "base.omega"),
+        (dict(SHIFT_CFG, base=dict(SHIFT_CFG["base"], omega=0.5)), "base.omega"),
+        (dict(KELLER_CFG, fiber=dict(KELLER_CFG["fiber"], h={"form": "constant"})), "fiber.h"),
+        (dict(NOINV_CFG, fiber={"form": "noinvattr-split", "k": 1.0}), "fiber.k"),
+    ], ids=["top-level", "circle-base", "finite-orbit-base", "shift-base", "product-fiber",
+            "noinvattr-split-fiber"])
+    def test_unknown_field_exits_2_naming_it(self, cfg_file, capsys, doc, field):
+        assert cli.main(["certify", "--config", cfg_file(doc)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: field {field}: unknown field")
+
+    def test_unknown_form_parameter_exits_2_naming_it(self, cfg_file, capsys):
+        # eps misspelt: the default eps = 0 would flip Keller's lambda to -log 2
+        fiber = dict(KELLER_CFG["fiber"], g={"form": "sin-squared", "epsilon": 0.3})
+        assert cli.main(["certify", "--config", cfg_file(dict(KELLER_CFG, fiber=fiber))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field fiber.g.epsilon: unknown parameter (known: ('c', 'eps'))\n"
+        )
+
+    @pytest.mark.parametrize("command", ["certify", "pullback"])
+    def test_small_default_grid_exits_2_naming_it(self, cfg_file, capsys, command):
+        doc = dict(KELLER_CFG, defaults={"grid": 4})
+        assert cli.main([command, "--config", cfg_file(doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field defaults.grid: must be >= 8, got 4\n"
+        )
+        assert parse_config(dict(KELLER_CFG, defaults={"grid": 8})).defaults["grid"] == 8
+
     def test_integral_float_count_accepted(self):
         defaults = parse_config(dict(KELLER_CFG, defaults={"depth": 3.0})).defaults
         assert defaults["depth"] == 3 and type(defaults["depth"]) is int

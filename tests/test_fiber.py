@@ -154,6 +154,13 @@ class TestCertify:
             assert cert.alpha_star >= case["alpha"] - 1e-7
             assert cert.alpha_star == pytest.approx(case["alpha"], rel=0.05, abs=5e-3)
 
+    def test_second_difference_at_the_slack_accepted(self):
+        # a grid-indexed black box whose one kink, at the last interior node,
+        # has a second difference of exactly CONCAVITY_SLACK
+        fm = FiberMap(1.0, lambda x: CONCAVITY_SLACK * max(0, round(8 * x) - 7), form="kink")
+        cert = certify(fm, 8)
+        assert cert.alpha_star == 0.0 and cert.monotone and cert.b == 1.0
+
 
 class TestLeftDerivative:
     def test_linear_exact(self):
@@ -216,6 +223,14 @@ class TestIsoclinicPoint:
             b = isoclinic_point(fm, tol=1e-7, scan=512)
             assert b >= fm.a / 2.0 - 1e-6
 
+    def test_bisection_stops_at_width_tol(self):
+        # the scan brackets b = 2/3 in a cell of width 2^-3; seven halvings reach
+        # the width tol = 2^-10 exactly and stop, so b is the midpoint of a cell
+        # of that width: an odd multiple of 2^-11
+        b = isoclinic_point(HUMP4, tol=2.0**-10, scan=8)
+        assert abs(b - 2 / 3) < 2.0**-10
+        assert b * 2**11 % 2 == 1
+
 
 class TestGridSize:
     """Every grid-based fibre test refuses fewer than 8 cells, as certify does."""
@@ -236,6 +251,15 @@ class TestGridSize:
         for grid in (grid_values, grid_max):
             with pytest.raises(PreconditionError, match=rf"^grid_size must be >= 8, got {n}$"):
                 grid(LOGISTIC, n)
+
+    @pytest.mark.parametrize("call, n", [
+        (lambda n: certify(LOGISTIC, n), 10.5),
+        (lambda n: grid_max(LOGISTIC, n), float("nan")),
+        (lambda n: isoclinic_point(HUMP4, scan=n), "16"),
+    ], ids=["certify", "grid_max", "isoclinic_point"])
+    def test_non_integer_refused(self, call, n):
+        with pytest.raises(PreconditionError, match=rf"^grid_size must be an integer, got {n!r}$"):
+            call(n)
 
     def test_smallest_grid_accepted(self):
         assert grid_max(LOGISTIC, 8) == 1.0
@@ -264,6 +288,12 @@ class TestRatioBoundMonotone:
             ratio_bound_monotone(HUMP4, 4.0, 0.4, 0.6)  # f(0.4) > f(0.6) fails order
         with pytest.raises(DomainError):
             ratio_bound_monotone(LOGISTIC, -1.0, 0.2, 0.5)
+
+    @pytest.mark.parametrize("x, y", [(0.5, 0.5), (0.0, 0.5)], ids=["x=y", "x=0"])
+    def test_boundary_pairs_refused(self, x, y):
+        # each pair fails only the strict side of 0 < x < y
+        with pytest.raises(PreconditionError, match=r"^precondition 0 < x < y <= a failed"):
+            ratio_bound_monotone(LOGISTIC, 1.0, x, y)
 
     def test_randomized(self, rng):
         checked = 0
@@ -297,6 +327,11 @@ class TestRatioBoundNonmonotone:
             ratio_bound_nonmonotone(HUMP4, 4.0, 2 / 3, 0.5, 0.7)
         with pytest.raises(PreconditionError, match=r"f\(y\) < f\(x\)"):
             ratio_bound_nonmonotone(HUMP4, 4.0, 2 / 3, 0.1, 0.2)
+
+    def test_y_at_b_refused(self):
+        # f(0.6) < f(0.5) and f(b) > 0 hold: only y < b refuses the pair
+        with pytest.raises(PreconditionError, match="x, y < b"):
+            ratio_bound_nonmonotone(HUMP4, 4.0, 0.6, 0.5, 0.6)
 
     def test_randomized_strict(self, rng):
         checked = 0

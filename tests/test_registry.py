@@ -70,6 +70,11 @@ class TestFiberForms:
         with pytest.raises(RegistryError):
             build_fiber({"coeffs": [1.0]}, 1.0)
 
+    def test_unknown_parameter(self):
+        message = r"^form tanh-like, parameter z: unknown parameter \(known: \('k', 's'\)\)$"
+        with pytest.raises(RegistryError, match=message):
+            build_fiber({"form": "tanh-like", "k": 1.0, "s": 1.0, "z": 0.0}, 1.0)
+
     def test_vectorized_matches_scalar(self):
         # a form's own map takes an array; the polynomial forms then do the
         # float operations of one-point calls, while numpy's tanh and

@@ -11,7 +11,7 @@ from skewlab.catalog import (
     make_product,
 )
 from skewlab.config import load_system
-from skewlab.errors import DomainError
+from skewlab.errors import ConfigError, DomainError
 from skewlab.fiber import FiberMap
 from skewlab.nonauto import along_orbit, bound_violations, iterate_pair
 from skewlab.registry import build_fiber
@@ -198,8 +198,9 @@ class TestDeclared:
         sys_ = make_noinvattr(8)
         wrapped = sys_._replace(fiber_at=lambda t: sys_.fiber_at(t))
         assert declared(wrapped) == ("monotone-equiconcave", 1.0)
-        empty = SkewSystem(base=FiniteOrbitBase([], {}), fiber_at=sys_.fiber_at, a=1.0)
-        assert declared(empty) == ("unclassified", None)  # no map, no declaration
+        # a finite base without points, which would declare no map, is refused
+        with pytest.raises(ConfigError, match="at least one point"):
+            FiniteOrbitBase([], {})
 
     def test_other_callables_declare_nothing(self):
         keller = make_keller()
