@@ -25,7 +25,7 @@ from .errors import (
     check_at_least,
     check_positive,
 )
-from .fiber import ZERO_TOL, FiberMap, grid_max
+from .fiber import ZERO_TOL, FiberMap, _bisect_last, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
 from .skew import (  # noqa: F401
     SkewSystem,
@@ -237,32 +237,19 @@ def largest_fixed_point(g: FiberMap) -> float:
     Returns a when g(a) = a (to 1e-12).  Otherwise scans g(x) - x at the
     nodes a*j/FIXED_POINT_SCAN from the right: the first node where
     g(x) >= x and its right neighbour bracket the largest fixed point, and
-    80 bisections close the bracket to rounding.  The bracket needs neither
-    monotonicity nor a contraction, so this serves every cycle composition,
-    and a neutral fixed point (g'(x) = 1) costs no more than an attracting
-    one.  Roots below 1e-9 are snapped to 0; with no node where g(x) >= x
-    the result is 0.
+    `fiber._bisect_last` closes the bracket to rounding in at most 80 steps.
+    The bracket needs neither monotonicity nor a contraction, so this serves
+    every cycle composition, and a neutral fixed point (g'(x) = 1) costs no
+    more than an attracting one.  Roots below 1e-9 are snapped to 0; with no
+    node where g(x) >= x the result is 0.
     """
     a = g.a
     if abs(g(a) - a) <= 1e-12:
         return a
-    hi = None
-    lo = None
-    for j in range(FIXED_POINT_SCAN, -1, -1):
-        x = a * j / FIXED_POINT_SCAN
-        if g(x) - x >= 0.0:
-            lo, hi = x, a * (j + 1) / FIXED_POINT_SCAN
-            break
-    if lo is None:
-        return 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) - mid >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    return 0.0 if x < 1e-9 else x
+    # the node past a only closes the bracket of a map that overshoots g(a) > a
+    nodes = [a * j / FIXED_POINT_SCAN for j in range(FIXED_POINT_SCAN + 2)]
+    x = _bisect_last(lambda x: g(x) - x >= 0.0, nodes, 80)
+    return 0.0 if x is None or x < 1e-9 else x
 
 
 def build_preinvariant(
@@ -362,6 +349,16 @@ class PullbackSequence(NamedTuple):
         )
 
 
+def _settled(n: int, delta: float, stop_delta: float, first: int = 2) -> bool:
+    """The stop rule of every pullback: n >= ``first`` and ``delta`` < ``stop_delta``.
+
+    ``stop_delta`` = 0 turns it off, and a NaN delta never stops.  `pullback_phi`
+    and `pullback_graph_finite` pass delta = |phi_n - phi_{n-1}| from n = 2;
+    `pullback_grid` its largest change over the nodes (phi_0 = a) from sweep 1.
+    """
+    return stop_delta > 0.0 and n >= first and delta < stop_delta
+
+
 def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]:
     """(phi_n, live_n) at every node for n = 1, 2, ...: one backward step each.
 
@@ -411,10 +408,10 @@ def pullback_phi(
 
     phi_n(theta) applies, to the endpoint a, the fiber maps met from the n-th
     preimage of theta forward to theta.  For monotone fiber families the
-    sequence is nonincreasing; iteration stops early once consecutive values
-    differ by less than ``stop_delta`` (pass 0 to disable), or where the
-    backward orbit ends at a point with no unique predecessor, which sets
-    ``truncated``.  A theta with no unique predecessor raises.
+    sequence is nonincreasing; iteration stops early by the rule of
+    `_settled`, or where the backward orbit ends at a point with no unique
+    predecessor, which sets ``truncated``.  A theta with no unique
+    predecessor raises.
 
     Each preimage is read, and its fiber map built, when the composition
     first reaches it, so a query that stops early walks no further back; phi_n
@@ -451,8 +448,8 @@ def pullback_phi(
         phis.append(v)
         if n >= 2:
             delta = abs(v - phis[-2])
-            if stop_delta > 0.0 and delta < stop_delta:
-                break
+        if _settled(n, delta, stop_delta):
+            break
     return PullbackSequence(
         theta_repr=sys.base.format_point(theta),
         values=phis[1:],
@@ -481,8 +478,10 @@ def pullback_grid(
     Nodes are j/m; the predecessor of a node is its nearest node under the
     exact rotation, which for a uniform grid is a fixed index shift.  Each
     sweep transports the whole grid one step, so sweep s holds phi_s at every
-    node.  ``max_increase`` is the largest rise of any node over any sweep
-    (0 when none rises), and ``monotone_ok`` says it stays within MONOTONE_SLACK.
+    node.  Sweeps stop by the rule of `_settled`, on the largest change of
+    any node, from its first depth 1 on.  ``max_increase`` is the largest
+    rise of any node over any sweep (0 when none rises), and ``monotone_ok``
+    says it stays within MONOTONE_SLACK.
     """
     check_at_least("depth", depth, 1)
     base = sys.base
@@ -496,18 +495,14 @@ def pullback_grid(
 
     values = np.full(m, float(sys.a))
     max_increase = 0.0
-    delta = math.inf
-
-    sweeps = 0
-    for s, (row, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
+    for sweeps, (row, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
         new = np.asarray(row)  # a list for a system that does not walk arrays
         diff = new - values
         # a NaN rise compares False, so max keeps the running value
         max_increase = max(max_increase, float(np.max(diff)))
         delta = float(np.max(np.abs(diff)))
         values = new
-        sweeps = s
-        if stop_delta > 0.0 and delta < stop_delta:
+        if _settled(sweeps, delta, stop_delta, first=1):
             break
 
     return PullbackGridResult(
@@ -522,10 +517,9 @@ def pullback_graph_finite(
     """Pointwise pullback over every point of a finite base.
 
     One `_sweeps` run over ``base.points`` serves every point; a point with
-    no unique predecessor ends its chain.  Each point stops at the first
-    n >= 2 with |phi_n - phi_{n-1}| < ``stop_delta``, or where its backward
-    orbit leaves the represented set; the summary maps every point to the
-    depth it used.
+    no unique predecessor ends its chain.  Each point stops by the rule of
+    `_settled`, as `pullback_phi` does, or where its backward orbit leaves
+    the represented set; the summary maps every point to the depth it used.
     """
     check_at_least("depth", depth, 1)
     base = sys.base
@@ -541,6 +535,7 @@ def pullback_graph_finite(
             pred.append(-1)
     running = list(range(len(pts)))  # chain not used up and not stopped yet
     final = [float(sys.a)] * len(pts)
+    prev = final.copy()  # phi_0 = a; `_settled` never stops a point at n = 1
     used = [0] * len(pts)
     for n, (vals, live) in zip(range(1, depth + 1), _sweeps(sys, pts, pred)):
         running = [i for i in running if live[i]]
@@ -549,8 +544,7 @@ def pullback_graph_finite(
         for i in running:
             final[i] = vals[i]
             used[i] = n
-        if n >= 2 and stop_delta > 0.0:
-            running = [i for i in running if not abs(vals[i] - prev[i]) < stop_delta]
+        running = [i for i in running if not _settled(n, abs(vals[i] - prev[i]), stop_delta)]
         prev = vals
     table = dict(zip(pts, final))
     depths = {base.format_point(p): d for p, d in zip(pts, used)}

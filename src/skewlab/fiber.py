@@ -9,6 +9,7 @@ against their closed-form bounds.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InvariantError, PreconditionError, check_at_least
@@ -203,55 +204,58 @@ def left_derivative_limit(fm: FiberMap, x: float) -> float:
     return (fm(x) - fm(x - h)) / h
 
 
+def _bisect_last(pred: Callable, nodes: list, steps: int, tol: float = 0.0) -> float | None:
+    """Bisect the bracket of the last node where ``pred`` holds, scanning from
+    nodes[-2] leftwards (nodes[-1] only closes a bracket); None if none holds.
+
+    Up to ``steps`` bisections stop once the width is at most ``tol``: with
+    tol = 0, once the bracket can no longer move, so the float is unchanged.
+    """
+    i = next((i for i in reversed(range(len(nodes) - 1)) if pred(nodes[i])), None)
+    if i is None:
+        return None
+    lo, hi = nodes[i], nodes[i + 1]
+    for _ in range(steps):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     """Supremum of the points where |left derivative| < chord slope f(x)/x.
 
     Works by scanning the predicate on a coarse grid from the right and
-    bisecting the first sign change it meets.  Returns a when the predicate
-    holds at the right endpoint (in particular for nondecreasing maps).
-    Undefined for the zero map.
+    bisecting the first sign change it meets (`_bisect_last`, 60 steps to
+    width ``tol``).  Returns a when the predicate holds at the right endpoint
+    (in particular for nondecreasing maps).  Undefined for the zero map.
     """
     _check_grid_size(scan)
     if not tol > 0.0:  # also refuses NaN
         raise DomainError(f"tol must be positive, got {tol!r}")
     a = fm.a
     xs = _grid(a, scan)[1:]
-    vals = [fm(x) for x in xs]
+    f = functools.cache(fm)  # the scan reads each node's value from the grid pass
+    vals = [f(x) for x in xs]
     if max(vals) <= ZERO_TOL:
         raise PreconditionError(
             "isoclinic point undefined: map is identically 0 on the scan grid"
         )
 
-    def pred(x: float, fx: float) -> bool:
-        if fx <= 0.0:
-            return False
-        return abs(left_derivative_limit(fm, x)) < fx / x - _ISO_TIE
+    def pred(x: float) -> bool:
+        fx = f(x)
+        return fx > 0.0 and abs(left_derivative_limit(fm, x)) < fx / x - _ISO_TIE
 
-    last_true = next(
-        (i for i in reversed(range(len(xs))) if pred(xs[i], vals[i])), None
-    )
-    if last_true == len(xs) - 1:
-        return a
-    if last_true is None:
-        # Exactly-linear initial segments defeat the strict predicate; the
-        # monotone convention still applies.
-        if _nondecreasing(vals):
-            return a
+    b = a if pred(a) else _bisect_last(pred, xs, 60, tol)
+    # Exactly-linear initial segments defeat the strict predicate; the
+    # monotone convention still applies.
+    if b is None and not _nondecreasing(vals):
         raise PreconditionError(
             "isoclinic predicate never holds on the scan grid; "
             "map does not look strictly concave"
         )
-
-    lo, hi = xs[last_true], xs[last_true + 1]
-    for _ in range(60):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if pred(mid, fm(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return a if b is None else b
 
 
 def monotone_bound(alpha: float, y: float, fy: float) -> float:

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.attractor import (
+    FIXED_POINT_SCAN,
+    PULLBACK_STOP_DELTA,
     GraphFunction,
     OrbitGapRecord,
     UniquenessReport,
@@ -208,7 +210,54 @@ def counting_noinvattr():
     return sys_, calls
 
 
+def _ref_largest_fixed_point(g):
+    a = g.a
+    if abs(g(a) - a) <= 1e-12:
+        return a
+    hi = None
+    lo = None
+    for j in range(FIXED_POINT_SCAN, -1, -1):
+        x = a * j / FIXED_POINT_SCAN
+        if g(x) - x >= 0.0:
+            lo, hi = x, a * (j + 1) / FIXED_POINT_SCAN
+            break
+    if lo is None:
+        return 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) - mid >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    return 0.0 if x < 1e-9 else x
+
+
+@st.composite
+def fixed_point_maps(draw):
+    """A quadratic hump k x(1 - x), a logistic-scaled k x(2 - x) with k in (0, 1],
+    or the cycle composition of two or three logistic-scaled maps, on [0, 1]."""
+    if draw(st.booleans()):
+        k = draw(st.floats(0.0, 4.0, exclude_min=True))
+        return build_fiber({"form": "quadratic-hump", "k": k}, 1.0)
+    ks = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3))
+    maps = [build_fiber({"form": "logistic-scaled", "k": k}, 1.0) for k in ks]
+    if len(maps) == 1:
+        return maps[0]
+
+    def comp(x):
+        for fm in maps:
+            x = fm(x)
+        return x
+    return FiberMap(1.0, comp, form=f"cycle-composition(k={len(maps)})")
+
+
 class TestLargestFixedPoint:
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_point_maps())
+    def test_matches_reference_exactly(self, g):
+        assert largest_fixed_point(g) == _ref_largest_fixed_point(g)
+
     def test_strong_map(self):
         assert largest_fixed_point(STRONG) == 1.0
 
@@ -588,6 +637,27 @@ class TestPullbackSweep:
                 seq = pullback_phi(sys_, p, depth, stop_delta=stop_delta)
                 assert seq.values == values
                 assert seq.truncated == truncated
+
+    @pytest.mark.parametrize("stop_delta", [PULLBACK_STOP_DELTA, 0.0],
+                             ids=["early-stop", "no-early-stop"])
+    def test_finite_and_pointwise_agree_on_noinvattr(self, stop_delta):
+        # both pullbacks stop by the one rule, so each point's finite value and
+        # depth are those of its own pointwise query
+        sys_ = make_noinvattr(64)
+        graph, depths = pullback_graph_finite(sys_, 1000, stop_delta=stop_delta)
+        queried = 0
+        for p in sys_.base.points:
+            used = depths[sys_.base.format_point(p)]
+            if used == 0:  # no unique predecessor: the point keeps a, and a query raises
+                assert graph.table[p] == sys_.a
+                with pytest.raises(CapabilityError, match="no unique predecessor"):
+                    pullback_phi(sys_, p, 1000, stop_delta=stop_delta)
+                continue
+            seq = pullback_phi(sys_, p, 1000, stop_delta=stop_delta)
+            assert seq.values[-1] == graph.table[p]
+            assert seq.depth_used == used
+            queried += 1
+        assert queried == len(sys_.base.points) - 2
 
     def test_closed_circle_orbit_matches_composition(self):
         # omega = 1/4: the backward orbit of 1/8 closes after four exact steps
