@@ -163,6 +163,13 @@ class GraphFunction:
 
     @classmethod
     def from_csv(cls, stream, base, a, provenance="user-supplied"):
+        """Read a graph written by `to_csv`: a header, then (point, value) rows.
+
+        Over a circle base the m rows must name each node j/m of a uniform
+        m-grid (to 1e-9); over any other base each row's point is parsed by
+        the base.  Either way a CSV names each point once: a second row for
+        a node or point is refused with the line that set it first.
+        """
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or tuple(header) != GRAPH_COLUMNS:
@@ -178,38 +185,32 @@ class GraphFunction:
             rows.append((line, row[0], _csv_number(row[1], line, "value")))
         if not rows:
             raise ConfigError("graph CSV has a header but no rows")
-        if isinstance(base, CircleRotation):
-            m = len(rows)
-            values = np.empty(m)
-            filled: dict[int, int] = {}  # node -> line that set it
-            for line, k, v in rows:
+        grid = isinstance(base, CircleRotation)
+        m = len(rows)
+        values: dict = {}  # node index or point -> value
+        lines: dict = {}  # node index or point -> line that set it
+        for line, k, v in rows:
+            if grid:
                 theta = _csv_number(k, line, "point")
-                j = int(round(theta * m)) if math.isfinite(theta) else -1
-                if not 0 <= j < m or abs(theta - j / m) > 1e-9:
+                key = int(round(theta * m)) if math.isfinite(theta) else -1
+                if not 0 <= key < m or abs(theta - key / m) > 1e-9:
                     raise ConfigError(
                         f"grid CSV line {line}: point {k!r} is not a node of a "
                         f"uniform {m}-grid"
                     )
-                if j in filled:
-                    raise ConfigError(
-                        f"grid CSV line {line}: point {k!r} repeats the node of "
-                        f"line {filled[j]}"
-                    )
-                filled[j] = line
-                values[j] = v
-            return cls(a, provenance, grid=values)
-        table = {}
-        lines: dict = {}  # point -> line that set it
-        for line, k, v in rows:
-            p = base.parse_point(k)
-            if p in lines:
+            else:
+                key = base.parse_point(k)
+            if key in lines:
+                kind, what = ("grid", "node") if grid else ("graph", "point")
                 raise ConfigError(
-                    f"graph CSV line {line}: point {k!r} repeats the point of "
-                    f"line {lines[p]}"
+                    f"{kind} CSV line {line}: point {k!r} repeats the {what} of "
+                    f"line {lines[key]}"
                 )
-            lines[p] = line
-            table[p] = v
-        return cls(a, provenance, table=table)
+            lines[key] = line
+            values[key] = v
+        if grid:  # m rows and no node twice: every node is set
+            return cls(a, provenance, grid=[values[j] for j in range(m)])
+        return cls(a, provenance, table=values)
 
 
 def _csv_number(cell: str, line: int, column: str) -> float:
@@ -234,20 +235,23 @@ def positive_fraction(graph: GraphFunction) -> float:
 def largest_fixed_point(g: FiberMap) -> float:
     """Largest solution of g(x) = x on [0, a], by downward scan and bisection.
 
-    Returns a when g(a) = a (to 1e-12).  Otherwise scans g(x) - x at the
-    nodes a*j/FIXED_POINT_SCAN from the right: the first node where
-    g(x) >= x and its right neighbour bracket the largest fixed point, and
-    `fiber._bisect_last` closes the bracket to rounding in at most 80 steps.
-    The bracket needs neither monotonicity nor a contraction, so this serves
-    every cycle composition, and a neutral fixed point (g'(x) = 1) costs no
-    more than an attracting one.  Roots below 1e-9 are snapped to 0; with no
-    node where g(x) >= x the result is 0.
+    Returns a when g(a) = a (to 1e-12), and refuses a map with g(a) > a,
+    which leaves [0, a].  Otherwise scans g(x) - x at the nodes
+    a*j/FIXED_POINT_SCAN, j = 0..FIXED_POINT_SCAN, from the right: the first
+    node where g(x) >= x and its right neighbour bracket the largest fixed
+    point, and `fiber._bisect_last` closes the bracket to rounding in at most
+    80 steps.  The bracket needs neither monotonicity nor a contraction, so
+    this serves every cycle composition, and a neutral fixed point
+    (g'(x) = 1) costs no more than an attracting one.  Roots below 1e-9 are
+    snapped to 0; with no node where g(x) >= x the result is 0.
     """
     a = g.a
-    if abs(g(a) - a) <= 1e-12:
+    ga = g(a)
+    if abs(ga - a) <= 1e-12:
         return a
-    # the node past a only closes the bracket of a map that overshoots g(a) > a
-    nodes = [a * j / FIXED_POINT_SCAN for j in range(FIXED_POINT_SCAN + 2)]
+    if ga > a:
+        raise InvariantError(f"f({a!r}) = {ga!r} leaves [0, {a!r}] (map {g.form})")
+    nodes = [a * j / FIXED_POINT_SCAN for j in range(FIXED_POINT_SCAN + 1)]
     x = _bisect_last(lambda x: g(x) - x >= 0.0, nodes, 80)
     return 0.0 if x is None or x < 1e-9 else x
 
@@ -260,17 +264,17 @@ def build_preinvariant(
 ) -> GraphFunction:
     """Construct a preinvariant graph orbit class by orbit class.
 
-    Per walked orbit: a class containing an identically-zero fiber map (in a
-    family whose maps all fix 0, so the zero propagates) gets the zero graph;
-    a class closing into a cycle anchors at the largest fixed point of the
-    cycle's composed fiber map, which `largest_fixed_point` brackets whether
-    or not the maps are monotone, and pushes it forward around the cycle,
-    with the off-cycle points set to a; a class that never closes (no cycle
-    within the walk limit) takes the forward images of (theta_0, a).  A walk visits at most
-    ``orbit_limit`` points (default max(64, 4 x the point count)).  Points
-    outside every walk fall back to a.  Walks that run into an
-    already-assigned class keep the existing values and fill their new
-    upstream points with a (0 if the new segment pins orbits at 0).
+    A walk visits at most ``orbit_limit`` points (default max(64, 4 x the
+    point count)) and is cut where it joins an already-assigned class, whose
+    values it keeps.  Every point of the walk is first set to 0 if it pins
+    orbits at 0 (it contains an identically-zero fiber map, in a family whose
+    maps all fix 0, so the zero propagates), and to a otherwise.  Then an
+    unpinned walk that did not join overwrites either its cycle or its open
+    chain.  A cycle anchors at the largest fixed point of its composed fiber
+    map, which `largest_fixed_point` brackets whether or not the maps are
+    monotone, and is pushed forward around the cycle.  A walk that never
+    closes (no cycle within the walk limit) takes the forward images of
+    (theta_0, a).  Points outside every walk fall back to a.
     """
     if orbit_limit is not None:
         check_at_least("orbit_limit", orbit_limit, 1)
@@ -297,13 +301,10 @@ def build_preinvariant(
 
         pinned = (any(is_zero(sys.fiber_at(t)) for t in path)
                   and all(fixes_zero(sys.fiber_at(t)) for t in path))
-        if pinned:
-            for t in path:
-                table[t] = 0.0
-            continue
-        if joined is not None:
-            for t in path:
-                table[t] = sys.a
+        fill = 0.0 if pinned else sys.a
+        for t in path:
+            table[t] = fill
+        if pinned or joined is not None:
             continue
         if cycle is not None:
             k = len(cycle)
@@ -315,17 +316,14 @@ def build_preinvariant(
                 return x
 
             g = FiberMap(a=sys.a, f=comp, form=f"cycle-composition(k={k})")
-            for t in path:
-                table[t] = sys.a
             v = largest_fixed_point(g)
             table[cycle[0]] = v
             for j in range(1, k):
                 v = maps[j - 1](v)
                 table[cycle[j]] = v
             continue
-        # open chain: anchor at the first (lowest-index) representable point
+        # open chain: path[0] keeps a, and the later points take its forward images
         v = sys.a
-        table[path[0]] = v
         for prev, t in zip(path, path[1:]):
             v = sys.fiber_at(prev)(v)
             table[t] = v
@@ -729,34 +727,29 @@ def uniqueness_probe(
     check_positive("eps", eps)
     base_step = sys.base.step
     records = []
-    max_gap = 0.0
-    flagged = 0
     for theta0 in thetas:
         path = [theta0]
         for _ in range(steps):
             path.append(base_step(path[-1]))
         gaps = [abs(u - v) for u, v in zip(g1.values(path), g2.values(path))]
         exceed = [n for n, gap in enumerate(gaps) if gap >= eps]
-        gmax = float(max(gaps))  # a grid graph's values are numpy floats
-        is_flagged = any(n >= steps // 2 for n in exceed)
-        flagged += is_flagged
-        max_gap = max(max_gap, gmax)
         records.append(
             OrbitGapRecord(
                 theta=sys.base.format_point(theta0),
-                max_gap=gmax,
+                max_gap=float(max(gaps)),  # a grid graph's values are numpy floats
                 exceed_count=len(exceed),
                 last_exceed=exceed[-1] if exceed else None,
-                flagged=is_flagged,
+                flagged=any(n >= steps // 2 for n in exceed),
             )
         )
+    flagged = sum(r.flagged for r in records)
     verdict = (
         "consistent with a single attractor"
         if flagged == 0
         else f"both cannot be attractors (gap persists on {flagged} orbits)"
     )
     return UniquenessReport(
-        verdict=verdict, eps=eps, steps=steps, max_gap=max_gap,
+        verdict=verdict, eps=eps, steps=steps, max_gap=max(r.max_gap for r in records),
         flagged_orbits=flagged, records=records,
     )
 

@@ -110,7 +110,7 @@ def make_product(
     g, g_sup, g_label = build_base_function(g_spec)
     if fm.gamma is None:
         raise RegistryError(
-            f"product fiber form {fm.form} lacks an analytic supremum"
+            f"field fiber.f: product fiber form {fm.form} lacks an analytic supremum"
         )
     scale = 1.0
     if fm.gamma * g_sup > a:

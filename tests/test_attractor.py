@@ -43,6 +43,7 @@ from skewlab.catalog import (
 )
 from skewlab.errors import (
     CapabilityError,
+    ConfigError,
     CoverageError,
     DomainError,
     InvariantError,
@@ -294,6 +295,12 @@ class TestLargestFixedPoint:
         fm = build_fiber({"form": "logistic-scaled", "k": 0.75}, 1.0)
         assert abs(largest_fixed_point(fm) - 2.0 / 3.0) <= 1e-15
 
+    def test_map_leaving_the_interval_refused(self):
+        # 1.1x leaves [0, 1] at 1; bracketing past a once returned 1.000244140625
+        with pytest.raises(InvariantError,
+                           match=r"^f\(1\.0\) = 1\.1 leaves \[0, 1\.0\] \(map blackbox\)$"):
+            largest_fixed_point(FiberMap(1.0, lambda x: 1.1 * x))
+
 
 def csv_text(graph, base=None):
     """What `GraphFunction.to_csv` writes, as a string."""
@@ -369,6 +376,19 @@ class TestGraphFunction:
     def test_fallback(self):
         g = GraphFunction.from_table(1.0, {0.5: 0.3}, fallback=1.0)
         assert g.value(0.123) == 1.0
+
+    def test_exactly_one_representation(self):
+        with pytest.raises(DomainError, match="exactly one of table/grid/func"):
+            GraphFunction(1.0, "user-supplied", table={0.0: 0.5}, func=lambda t: 0.5)
+
+    def test_callable_graph_has_no_csv(self):
+        with pytest.raises(CapabilityError, match="callable graphs have no CSV"):
+            csv_text(GraphFunction.from_callable(1.0, lambda t: 0.5))
+
+    @pytest.mark.parametrize("text", ["", "theta,value\n0.0,0.5\n"], ids=["empty", "renamed"])
+    def test_csv_header_required(self, text):
+        with pytest.raises(ConfigError, match=r"must start with header \('point', 'value'\)"):
+            GraphFunction.from_csv(io.StringIO(text), CircleRotation(0.3), 1.0)
 
     def test_empty_representations_refused(self):
         # an empty table has no positive fraction: it used to divide by zero
@@ -554,6 +574,15 @@ class TestPullbackPhi:
         sys_ = make_coinflip("one")
         with pytest.raises(CapabilityError, match=NO_PREDECESSOR.format(re.escape("|0"))):
             pullback_phi(sys_, OneSidedWord((), (0,)), 5)
+
+    def test_base_without_predecessor_refused(self):
+        class ForwardOnly:  # a base that steps forward and never back
+            def step(self, t):
+                return t
+
+        sys_ = SkewSystem(base=ForwardOnly(), fiber_at=lambda t: STRONG, a=1.0)
+        with pytest.raises(CapabilityError, match="^base provides no predecessor map$"):
+            pullback_phi(sys_, 0.0, 5)
 
     def test_point_with_two_preimages_refused(self):
         # the fixed point 1.0 and the absorbed end of the chain both map to 1.0
@@ -1331,6 +1360,12 @@ class TestHelpers:
         g = GraphFunction.from_grid(1.0, [0.0, 0.5, 1e-12, 0.7])
         assert positive_fraction(g) == 0.5
 
+    def test_positive_fraction_of_table_and_callable(self):
+        g = GraphFunction.from_table(1.0, {0.0: 1e-12, 0.25: 0.5, 0.5: 0.7, 0.75: 0.9})
+        assert positive_fraction(g) == 0.75
+        with pytest.raises(DomainError, match="needs a stored representation"):
+            positive_fraction(GraphFunction.from_callable(1.0, lambda t: 0.5))
+
     def test_match_fraction_coinflip(self):
         sys_ = make_coinflip("one")
         flat = GraphFunction.from_callable(1.0, lambda w: 0.0)
@@ -1356,6 +1391,10 @@ class TestHelpers:
             message = "tol must be finite, got inf"
         with pytest.raises(DomainError, match=message):
             match_fraction(sys_, flat, 3, starts, tol=tol)
+
+    def test_finite_pullback_needs_a_point_set(self):
+        with pytest.raises(CapabilityError, match="needs an enumerable base"):
+            pullback_graph_finite(make_keller(), 5)
 
     def test_finite_pullback_graph(self):
         sys_ = make_noinvattr(32)

@@ -51,6 +51,8 @@ class TestOneSidedWord:
             OneSidedWord.parse("101")
         with pytest.raises(ConfigError):
             OneSidedWord.parse("10|2")
+        with pytest.raises(ConfigError, match=re.escape("one-sided word '10|' has an empty cycle")):
+            OneSidedWord.parse("10|")
 
     @given(bits, cycles)
     def test_shift_agrees_with_symbols(self, t, c):
@@ -376,6 +378,8 @@ class TestTwoSidedWord:
             assert str(TwoSidedWord.parse(s)) == s
         with pytest.raises(ConfigError):
             TwoSidedWord.parse("0~1")
+        with pytest.raises(ConfigError, match="both cycles must be nonempty"):
+            TwoSidedWord.parse("~1~0@0")
 
 
 class TestFiniteOrbitBase:
@@ -407,8 +411,12 @@ class TestFiniteOrbitBase:
     def test_parse_point(self):
         base = FiniteOrbitBase([0.5, 1.0], {0.5: 1.0, 1.0: 1.0})
         assert base.parse_point("0.5") == 0.5
+        # within 1e-12 of a point reads as that point
+        assert base.parse_point("0.5000000000001") == 0.5
         with pytest.raises(ConfigError):
             base.parse_point("0.7")
+        with pytest.raises(ConfigError, match="^cannot parse 'half' as a finite-base point$"):
+            base.parse_point("half")
 
 
 class TestCircleRotation:
@@ -427,6 +435,13 @@ class TestCircleRotation:
         pts = base.sample_points(5, random.Random(0))
         assert len(pts) == 5 and all(0.0 <= p < 1.0 for p in pts)
         assert base.parse_point("1.25") == pytest.approx(0.25)
+        with pytest.raises(ConfigError, match="^cannot parse 'half' as a circle point$"):
+            base.parse_point("half")
+
+
+def test_shift_sides_refused():
+    with pytest.raises(ConfigError, match="^sided must be 'one' or 'two', got 'three'$"):
+        SymbolicShift("three")
 
 
 @pytest.mark.parametrize("base", [

@@ -13,7 +13,7 @@ from skewlab.catalog import (
     make_noinvattr,
     make_product,
 )
-from skewlab.errors import CapabilityError, RegistryError
+from skewlab.errors import CapabilityError, DomainError, RegistryError
 from skewlab.fiber import grid_max
 from skewlab.skew import classify, declared, orbit, step
 
@@ -86,6 +86,11 @@ class TestKeller:
     def test_unknown_form_rejected(self):
         with pytest.raises(RegistryError):
             make_keller(p_spec={"form": "mystery"})
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 1.5])
+    def test_rotation_number_refused(self, omega):
+        with pytest.raises(DomainError, match=r"^omega must lie in \(0, 1\)$"):
+            make_keller(omega=omega)
 
 
 class TestProduct:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,12 @@ class TestConfig:
     def test_unknown_base_variant(self):
         with pytest.raises(ConfigError, match="base.variant"):
             parse_config({"base": {"variant": "torus"}, "fiber": {"form": "poly"}})
+
+    def test_path_and_missing_file(self, cfg_file, tmp_path):
+        assert parse_config(Path(cfg_file(KELLER_CFG))) == parse_config(KELLER_CFG)
+        missing = str(tmp_path / "absent.json")
+        with pytest.raises(ConfigError, match=f"^config file {re.escape(repr(missing))} not found$"):
+            parse_config(missing)
 
     def test_bad_omega_names_field(self):
         doc = {"base": {"variant": "circle-rotation", "omega": 1.5},
@@ -118,6 +125,15 @@ class TestConfig:
         assert cli.main(["certify", "--config", cfg_file(dict(KELLER_CFG, fiber=fiber))]) == 2
         assert capsys.readouterr().err == (
             "config error: field fiber.g.epsilon: unknown parameter (known: ('c', 'eps'))\n"
+        )
+
+    def test_product_f_without_supremum_exits_2_naming_it(self, cfg_file, capsys):
+        # a three-coefficient poly is a black box: nothing bounds f to scale g by
+        fiber = dict(KELLER_CFG["fiber"], f={"form": "poly", "coeffs": [2.4, -1.2, -0.6]})
+        assert cli.main(["certify", "--config", cfg_file(dict(KELLER_CFG, fiber=fiber))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field fiber.f: product fiber form poly[2.4,-1.2,-0.6] "
+            "lacks an analytic supremum\n"
         )
 
     @pytest.mark.parametrize("command", ["certify", "pullback"])
@@ -182,6 +198,21 @@ class TestCliExitCodes:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["alpha_star"] == pytest.approx(0.75, abs=1e-3)
+
+    @pytest.mark.parametrize("cfg, theta, form", [
+        # the first point of the noinvattr chain
+        (NOINV_CFG, "-1.0", "logistic-scaled(k=0.25)"),
+        (SHIFT_CFG, "|0", "logistic-scaled(k=1.0)"),
+    ], ids=["finite", "shift"])
+    def test_certify_without_theta_takes_the_base_default(self, cfg_file, capsys, cfg,
+                                                          theta, form):
+        assert cli.main(["certify", "--config", cfg_file(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["theta"], doc["form"]) == (theta, form)
+
+    def test_no_subcommand_exits_2_with_usage(self, capsys):
+        assert cli.main([]) == 2
+        assert capsys.readouterr().out.startswith("usage: skewlab")
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

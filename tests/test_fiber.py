@@ -102,6 +102,12 @@ class TestCertify:
         assert cert.alpha_star == 0.0 and cert.gamma == 0.0
         assert cert.monotone and cert.b is None
 
+    def test_nonmonotone_without_strict_concavity_has_no_b(self):
+        # the tent min(x, 1 - x) is concave but linear on each side of its peak
+        cert = certify(FiberMap(1.0, lambda x: min(x, 1.0 - x), form="tent"), 64)
+        assert (cert.alpha_star, cert.gamma, cert.monotone) == (0.0, 0.5, False)
+        assert cert.b is None
+
     def test_grid_too_small(self):
         with pytest.raises(PreconditionError):
             certify(LOGISTIC, 4)
@@ -202,6 +208,12 @@ class TestIsoclinicPoint:
     def test_zero_map_refused(self):
         with pytest.raises(PreconditionError):
             isoclinic_point(ZERO)
+
+    def test_predicate_never_holding_refused(self):
+        # x^2 up to 1/2, then a drop of slope -10: |f'| >= f/x wherever f > 0
+        fm = FiberMap(1.0, lambda x: x * x if x <= 0.5 else max(0.0, 0.25 - 10.0 * (x - 0.5)))
+        with pytest.raises(PreconditionError, match="isoclinic predicate never holds"):
+            isoclinic_point(fm)
 
     def test_nan_tol_refused(self):
         with pytest.raises(DomainError, match=r"^tol must be positive, got nan$"):
@@ -323,10 +335,15 @@ class TestRatioBoundNonmonotone:
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="alpha > 0"):
             ratio_bound_nonmonotone(HUMP4, 0.0, 2 / 3, 0.5, 0.6)
+        with pytest.raises(PreconditionError, match="0 < x < y"):
+            ratio_bound_nonmonotone(HUMP4, 4.0, 2 / 3, 0.6, 0.5)
         with pytest.raises(PreconditionError, match="x, y < b"):
             ratio_bound_nonmonotone(HUMP4, 4.0, 2 / 3, 0.5, 0.7)
         with pytest.raises(PreconditionError, match=r"f\(y\) < f\(x\)"):
             ratio_bound_nonmonotone(HUMP4, 4.0, 2 / 3, 0.1, 0.2)
+        # b = 1 is where the hump returns to 0
+        with pytest.raises(PreconditionError, match=r"f\(b\) > 0"):
+            ratio_bound_nonmonotone(HUMP4, 4.0, 1.0, 0.6, 0.7)
 
     def test_y_at_b_refused(self):
         # f(0.6) < f(0.5) and f(b) > 0 hold: only y < b refuses the pair

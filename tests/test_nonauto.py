@@ -90,6 +90,12 @@ class TestIteratePair:
         with pytest.raises(DomainError):
             iterate_pair(constant_sequence(HALF), 0.5, 0.7, 0)
 
+    def test_sequence_index_starts_at_one(self):
+        seq = constant_sequence(HALF)
+        assert seq.map_at(1) is HALF
+        with pytest.raises(DomainError, match=r"^sequence index must be >= 1, got 0$"):
+            seq.map_at(0)
+
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_refused_with_the_value(self, steps):
         with pytest.raises(DomainError, match=rf"^steps must be >= 1, got {steps}$"):
@@ -183,6 +189,16 @@ class TestConvergenceCertificate:
         tr.rows[4] = tr.rows[4]._replace(ratio=tr.rows[4].bound + 1e-3)  # doctored record
         rep = convergence_certificate(tr, beta=1.0, eps=0.1)
         assert rep.verdict == "violation" and rep.violation_step == 4
+
+    def test_cap_violation_within_the_bounds(self):
+        # cap 1/(1 + 0.01) < 0.995 <= each bound: only the cap is broken, at n = 1
+        rows = [nonauto.PairStep(0, 0.3, 0.5, 0.4, ratio=0.98, bound=0.999, case="inc"),
+                nonauto.PairStep(1, 0.31, 0.49, 0.39, ratio=0.995, bound=0.999, case="inc"),
+                nonauto.PairStep(2, 0.32, 0.48, 0.38)]
+        trace = nonauto.OrbitPairTrace(rows, "completed", 1.0, 1.0)
+        assert bound_violations(trace) == []
+        rep = convergence_certificate(trace, beta=1.0, eps=0.1)
+        assert (rep.verdict, rep.violation_step, rep.cap_violations) == ("violation", 1, [1])
 
     def test_needs_bounds(self):
         tr = iterate_pair(constant_sequence(HALF), 0.5, 0.5, 5)
@@ -284,6 +300,17 @@ class TestIsoclinicGuard:
         assert rep.unverifiable == [r.n for r in tr.rows[:-1]]
         assert rep.hypothesis_ok and rep.first_violation is None
         assert rep.verdict == "hypothesis holds where b is defined; some steps unverifiable"
+
+    def test_pinched_step_skipped(self):
+        # the step into a zero map records no transition: nothing to check there,
+        # and nothing unverifiable either
+        hump = FiberMap(1.0, lambda x: 2.0 * x * (1.0 - x),
+                        gamma=0.5, alpha=2.0, b=2.0 / 3.0, monotone=False)
+        seq = MapSequence(lambda n: hump if n == 1 else ZERO, 1.0, declared_beta=4.0)
+        tr = iterate_pair(seq, 0.2, 0.3, 5)
+        assert tr.reason == "pinched" and [r.case for r in tr.rows] == ["inc", None, None]
+        rep = isoclinic_guard(tr)
+        assert rep.hypothesis_ok and rep.unverifiable == [] and rep.flips == 0
 
     def test_flip_ratio_over_normalized_bound_reported(self):
         # 1 - beta * a * (b - min(x, y)) / 2 = 1 - (0.8 - 0.3) / 2 = 0.75 < 0.9

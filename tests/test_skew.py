@@ -133,6 +133,27 @@ class TestClassify:
             "all sampled maps vanish; concavity constant undefined",
         ]
 
+    @pytest.mark.parametrize("successor, diagnostics", [
+        # x^2 is convex: certify refuses it, here and again when it is sampled
+        (FiberMap(1.0, lambda x: x * x, form="x^2"),
+         ["successor map at theta = 0.0 not certifiable: ",
+          "isoclinic range condition unverifiable after theta = 0.0",
+          "certification failed at theta = 1.0: "]),
+        # the zero map certifies with no isoclinic point b
+        (FiberMap(1.0, lambda x: 0.0, form="zero"),
+         ["isoclinic range condition unverifiable after theta = 0.0",
+          "zero map at theta = 1.0 (0-concave)"]),
+    ], ids=["not-certifiable", "no-b"])
+    def test_successor_without_isoclinic_point_unclassified(self, successor, diagnostics):
+        hump = FiberMap(1.0, lambda x: 2.0 * x * (1.0 - x), form="2x(1-x)")
+        base = FiniteOrbitBase([0.0, 1.0], {0.0: 1.0, 1.0: 1.0})
+        sys_ = SkewSystem(base=base, fiber_at=lambda t: hump if t == 0.0 else successor,
+                          a=1.0)
+        cls = classify(sys_, 2, grid_size=512)
+        assert cls.kind == "unclassified"
+        assert len(cls.diagnostics) == len(diagnostics)
+        assert all(d.startswith(p) for d, p in zip(cls.diagnostics, diagnostics))
+
     def test_coinflip_unclassified_with_diagnostics(self):
         cls = classify(make_coinflip("one"), 4, grid_size=64)
         assert cls.kind == "unclassified"
