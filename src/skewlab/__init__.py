@@ -5,7 +5,7 @@ Library layout:
 - ``fiber``: single-map analysis (relative gap, concavity certificates,
   one-sided derivatives, isoclinic points, contraction-ratio inequalities)
 - ``nonauto``: map sequences, paired-orbit traces and their bounds
-- ``bases`` / ``skew``: base spaces, the skew map, classification, pinching
+- ``bases`` / ``skew``: base spaces, the skew map, classification
 - ``attractor``: graph construction (preinvariant, pullback) and verification
 - ``registry`` / ``config`` / ``catalog``: closed forms, configs, examples
 - ``cli``: the ``skewlab`` command
@@ -29,9 +29,8 @@ _EXPORTS = {
     "fiber": "ConcavityCertificate FiberMap certify isoclinic_point kappa "
     "left_derivative_limit ratio_bound_monotone ratio_bound_nonmonotone",
     "nonauto": "MapSequence OrbitPairTrace along_orbit bound_violations "
-    "check_equiconcavity convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
-    "skew": "ProductFamily SkewSystem SymbolTable advance classify declared detect_pinching "
-    "orbit orbits step",
+    "convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
+    "skew": "ProductFamily SkewSystem SymbolTable advance classify declared orbit orbits step",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -51,6 +51,8 @@ POSITIVE_THRESHOLD = 1e-9
 MATCH_BLOCK = 32
 # Scan nodes of largest_fixed_point before its bisection.
 FIXED_POINT_SCAN = 4096
+# Grid nodes on which build_preinvariant tests a fiber map for vanishing.
+ZERO_SCAN = 512
 
 
 class GraphFunction:
@@ -65,7 +67,7 @@ class GraphFunction:
     def __init__(
         self,
         a: float,
-        provenance: str,
+        provenance: str = "user-supplied",
         table: dict | None = None,
         grid: np.ndarray | None = None,
         func: Callable | None = None,
@@ -101,21 +103,12 @@ class GraphFunction:
             )
         return v
 
-    @classmethod
-    def from_table(cls, a, table, provenance="user-supplied", fallback=None):
-        return cls(a, provenance, table=table, fallback=fallback)
-
-    @classmethod
-    def from_grid(cls, a, values, provenance="user-supplied"):
-        return cls(a, provenance, grid=values)
-
-    @classmethod
-    def from_callable(cls, a, func, provenance="user-supplied"):
-        return cls(a, provenance, func=func)
-
     def node_index(self, theta: float) -> int:
         m = len(self.grid)
-        return int(round((theta % 1.0) * m)) % m
+        try:
+            return int(round((theta % 1.0) * m)) % m
+        except ValueError:  # round(NaN): theta % 1.0 is NaN for NaN and infinities
+            raise _not_finite(theta) from None
 
     def value(self, theta) -> float:
         if self.grid is not None:
@@ -127,9 +120,12 @@ class GraphFunction:
         array; a table or callable graph gives a list."""
         if self.grid is not None:
             m = len(self.grid)
+            ts = np.asarray(thetas, dtype=float)
+            finite = np.isfinite(ts)
+            if not finite.all():
+                raise _not_finite(float(ts[~finite][0]))
             # np.rint rounds ties to even, like round in node_index
-            idx = np.rint((np.asarray(thetas, dtype=float) % 1.0) * m).astype(int) % m
-            return self.grid[idx]
+            return self.grid[np.rint((ts % 1.0) * m).astype(int) % m]
         if self.func is not None:
             func, check = self.func, self._check_value
             lo, hi = -ZERO_TOL, self.a + ZERO_TOL
@@ -213,6 +209,10 @@ class GraphFunction:
         return cls(a, provenance, table=values)
 
 
+def _not_finite(theta: float) -> DomainError:
+    return DomainError(f"grid graph lookup needs a finite point, got {theta!r}")
+
+
 def _csv_number(cell: str, line: int, column: str) -> float:
     try:
         return float(cell)
@@ -259,16 +259,14 @@ def largest_fixed_point(g: FiberMap) -> float:
 def build_preinvariant(
     sys: SkewSystem,
     points: Sequence | None = None,
-    orbit_limit: int | None = None,
-    grid_size: int = 512,
 ) -> GraphFunction:
     """Construct a preinvariant graph orbit class by orbit class.
 
-    A walk visits at most ``orbit_limit`` points (default max(64, 4 x the
-    point count)) and is cut where it joins an already-assigned class, whose
-    values it keeps.  Every point of the walk is first set to 0 if it pins
-    orbits at 0 (it contains an identically-zero fiber map, in a family whose
-    maps all fix 0, so the zero propagates), and to a otherwise.  Then an
+    A walk visits at most max(64, 4 x the point count) points and is cut
+    where it joins an already-assigned class, whose values it keeps.  Every
+    point of the walk is first set to 0 if it pins orbits at 0 (it contains a
+    fiber map that vanishes on the ZERO_SCAN grid, in a family whose maps all
+    fix 0, so the zero propagates), and to a otherwise.  Then an
     unpinned walk that did not join overwrites either its cycle or its open
     chain.  A cycle anchors at the largest fixed point of its composed fiber
     map, which `largest_fixed_point` brackets whether or not the maps are
@@ -276,18 +274,16 @@ def build_preinvariant(
     closes (no cycle within the walk limit) takes the forward images of
     (theta_0, a).  Points outside every walk fall back to a.
     """
-    if orbit_limit is not None:
-        check_at_least("orbit_limit", orbit_limit, 1)
     base = sys.base
     pts = list(points) if points is not None else list(getattr(base, "points", ()))
     if not pts:
         raise CapabilityError(
             "build_preinvariant needs an enumerable point set for this base"
         )
-    limit = max(64, 4 * len(pts)) if orbit_limit is None else orbit_limit
+    limit = max(64, 4 * len(pts))
     table: dict = {}
     # Keyed by the fiber map, so each distinct map is scanned once.
-    is_zero = functools.cache(lambda fm: grid_max(fm, grid_size) <= ZERO_TOL)
+    is_zero = functools.cache(lambda fm: grid_max(fm, ZERO_SCAN) <= ZERO_TOL)
     fixes_zero = functools.cache(lambda fm: abs(fm(0.0)) <= ZERO_TOL)
 
     for p in pts:

@@ -314,6 +314,9 @@ class FiniteOrbitBase:
         for p in self.points:
             if p not in successor or successor[p] not in pts:
                 raise ConfigError(f"successor map is not total at point {p!r}")
+        for p in successor:
+            if p not in pts:
+                raise ConfigError(f"successor map has an entry for {p!r}, not a point of the base")
         self.succ = dict(successor)
         preimages: dict[float, list[float]] = {}
         for p, q in self.succ.items():

@@ -75,7 +75,7 @@ def coinflip_attractor_graph() -> GraphFunction:
     """The canonical graph of the two-sided coin model: read the bit at -1."""
     from .attractor import GraphFunction
 
-    return GraphFunction.from_callable(1.0, SymbolTable(-1, (0.0, 1.0)))
+    return GraphFunction(1.0, func=SymbolTable(-1, (0.0, 1.0)))
 
 
 def make_keller(

@@ -330,7 +330,7 @@ def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:
 
     system = make_coinflip("one")
     n_words = 2000 if fast else 10 ** 4
-    flat = GraphFunction.from_callable(1.0, lambda w: 0.0)
+    flat = GraphFunction(1.0, func=lambda w: 0.0)
     starts = [(w, 0.0) for w in _coin_words(random.Random(20260809), n_words)]
     freq = match_fraction(system, flat, 20, starts, tol=0.0)
     claims = [

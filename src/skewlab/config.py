@@ -1,9 +1,9 @@
-"""System configuration documents: parse, validate, emit, build.
+"""System configuration documents: parse, validate, build.
 
 A config is a JSON object with a base descriptor, a fiber descriptor, the
 fiber interval endpoint, and analysis defaults.  Parsing keeps the normalized
-document so emit(parse(x)) round-trips parameters bit-exactly (floats go
-through repr).
+document, so ``json.dumps(cfg._asdict())`` parses back to an equal config
+with every parameter bit-exact (floats go through repr).
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class SystemConfig(NamedTuple):
     fiber: dict
     a: float
     defaults: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True, indent=2)
 
 
 def _require(cond: bool, field: str, msg: str) -> None:

@@ -10,6 +10,7 @@ against their closed-form bounds.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InvariantError, PreconditionError, check_at_least
@@ -59,6 +60,8 @@ class FiberMap(NamedTuple):
         """The map x -> c * f(x); analytic data rescales along."""
         if not c >= 0.0:  # also refuses NaN
             raise DomainError(f"scale factor must be nonnegative, got {c!r}")
+        if math.isinf(c):  # inf * f(0) is NaN: the map would no longer fix 0
+            raise DomainError(f"scale factor must be finite, got {c!r}")
         base = self.f
         if c == 0.0:
             return FiberMap(

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import functools
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, PreconditionError, check_at_least, check_positive
 from .fiber import (
     ZERO_TOL,
-    ConcavityCertificate,
     FiberMap,
     certify,
     flip_bound,
@@ -98,21 +97,6 @@ def along_orbit(sys: SkewSystem, theta) -> MapSequence:
         return sys.fiber_at(orbit_cache[n - 1])
 
     return MapSequence(supplier=supplier, a=sys.a, declared_beta=declared(sys)[1])
-
-
-def check_equiconcavity(
-    seq: MapSequence, indices: Iterable[int], grid_size: int = 2048,
-    tol: float = 1e-9,
-) -> list[tuple[int, ConcavityCertificate, bool]]:
-    """Spot-check alpha_star >= beta * gamma_n - tol on the given indices."""
-    if seq.declared_beta is None:
-        raise PreconditionError("sequence declares no beta to check against")
-    out = []
-    for n in indices:
-        cert = certify(seq.map_at(n), grid_size)
-        ok = cert.alpha_star >= seq.declared_beta * cert.gamma - tol
-        out.append((n, cert, ok))
-    return out
 
 
 class PairStep(NamedTuple):

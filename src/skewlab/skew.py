@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from ._numpy import np
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
-from .fiber import ZERO_TOL, FiberMap, certify, grid_max
+from .fiber import ZERO_TOL, FiberMap, certify
 
 
 class SkewSystem(NamedTuple):
@@ -262,19 +262,19 @@ def classify(
     sys: SkewSystem,
     sample_count: int,
     grid_size: int = 2048,
-    rng: random.Random | None = None,
 ) -> Classification:
     """Certify sampled fiber maps and derive the system's classification.
 
-    beta is estimated as the minimum of alpha_star/gamma over the nonzero
-    sampled maps.  The verdict is monotone-equiconcave when every sample is
-    nondecreasing, isoclinic-equiconcave when instead every nonmonotone
-    sample's range stays strictly below the isoclinic point of its successor
-    map, and unclassified otherwise (with diagnostics, never an exception).
+    The sample points are drawn by ``random.Random(0)``, so every run on a
+    system certifies the same maps.  beta is estimated as the minimum of
+    alpha_star/gamma over the nonzero sampled maps.  The verdict is
+    monotone-equiconcave when every sample is nondecreasing,
+    isoclinic-equiconcave when instead every nonmonotone sample's range stays
+    strictly below the isoclinic point of its successor map, and unclassified
+    otherwise (with diagnostics, never an exception).
     """
     check_at_least("sample_count", sample_count, 1)
-    rng = rng or random.Random(0)
-    thetas = sys.base.sample_points(sample_count, rng)
+    thetas = sys.base.sample_points(sample_count, random.Random(0))
     diagnostics: list[str] = []
     betas: list[float] = []
     all_monotone = True
@@ -329,37 +329,3 @@ def classify(
     else:
         kind = "unclassified"
     return Classification(kind, beta, len(thetas), diagnostics)
-
-
-class PinchReport(NamedTuple):
-    theta: str
-    horizon: int
-    zero_steps: list[int]
-    verdict: str
-
-
-def detect_pinching(
-    sys: SkewSystem, theta, horizon: int, grid_size: int = 2048
-) -> PinchReport:
-    """List the orbit steps whose fiber map vanishes on the whole grid.
-
-    An empty list never certifies the point as non-pinching: vanishing maps
-    could appear past any finite horizon.
-    """
-    check_at_least("horizon", horizon, 1)
-    zero_steps = []
-    cur = theta
-    for n in range(horizon + 1):
-        if grid_max(sys.fiber_at(cur), grid_size) <= ZERO_TOL:
-            zero_steps.append(n)
-        cur = sys.base.step(cur)
-    if zero_steps:
-        verdict = f"zero fiber maps at steps {zero_steps[:16]} (showing first 16)"
-    else:
-        verdict = "no pinching observed within horizon"
-    return PinchReport(
-        theta=sys.base.format_point(theta),
-        horizon=horizon,
-        zero_steps=zero_steps,
-        verdict=verdict,
-    )

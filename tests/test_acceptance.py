@@ -235,7 +235,7 @@ def test_c08_chain_example():
 
 def test_c09_coin_model():
     two = make_coinflip("two")
-    graph_two = GraphFunction.from_callable(1.0, lambda w: float(w.symbol(-1)))
+    graph_two = GraphFunction(1.0, func=lambda w: float(w.symbol(-1)))
     starts = []
     for length in range(1, 11):
         for code in range(2 ** length):
@@ -249,7 +249,7 @@ def test_c09_coin_model():
         assert rec.achieved_step <= 1 and rec.max_dev_after == 0.0
 
     one = make_coinflip("one")
-    flat = GraphFunction.from_callable(1.0, lambda w: 0.0)
+    flat = GraphFunction(1.0, func=lambda w: 0.0)
     rng = random.Random(909)
     word_starts = [
         (OneSidedWord(tuple(rng.randrange(2) for _ in range(20)), (0,)), 0.0)

@@ -389,6 +389,13 @@ class TestFiniteOrbitBase:
         with pytest.raises(ConfigError):
             FiniteOrbitBase([0.0], {0.0: 2.0})
 
+    def test_successor_entry_off_the_base_refused(self):
+        # step(5.0) would answer for a point the base does not hold, and the
+        # stray preimage would leave 0.0 without a unique predecessor
+        message = r"^successor map has an entry for 5\.0, not a point of the base$"
+        with pytest.raises(ConfigError, match=message):
+            FiniteOrbitBase([0.0], {0.0: 0.0, 5.0: 0.0})
+
     def test_empty_point_set_refused(self):
         with pytest.raises(ConfigError, match="^a finite base needs at least one point$"):
             FiniteOrbitBase([], {})

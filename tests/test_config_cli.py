@@ -13,7 +13,7 @@ from skewlab import cli, nonauto
 from skewlab.bases import CircleRotation, OneSidedWord
 from skewlab.attractor import AttractorVerdict, PreinvarianceReport, SampleRecord
 from skewlab.catalog import make_product
-from skewlab.config import SystemConfig, build_system, load_system, parse_config
+from skewlab.config import build_system, load_system, parse_config
 from skewlab.errors import ConfigError
 from skewlab.fiber import ConcavityCertificate, certify
 from skewlab.skew import ProductFamily, classify, declared
@@ -55,7 +55,7 @@ def cfg_file(tmp_path):
 class TestConfig:
     def test_roundtrip_is_identity(self):
         cfg = parse_config(KELLER_CFG)
-        assert parse_config(cfg.to_json()) == cfg
+        assert parse_config(json.dumps(cfg._asdict())) == cfg
 
     def test_unknown_base_variant(self):
         with pytest.raises(ConfigError, match="base.variant"):
@@ -339,10 +339,6 @@ class TestJsonLayout:
         for entry in doc["preinvariance"]:
             assert set(entry) == _field_names(PreinvarianceReport)
 
-    def test_config_json_is_an_object_of_its_fields(self):
-        doc = json.loads(parse_config(KELLER_CFG).to_json())
-        assert isinstance(doc, dict)
-        assert set(doc) == _field_names(SystemConfig)
 
 
 def _field_names(cls) -> set[str]:

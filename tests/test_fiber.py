@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,6 +382,11 @@ class TestFiberMap:
         # NaN compares False with 0, so only a check written as not c >= 0 sees it
         with pytest.raises(DomainError, match="^scale factor must be nonnegative, got nan$"):
             LOGISTIC.scaled(float("nan"))
+
+    def test_scaled_infinite_rejected(self):
+        # inf * f(0) is NaN, so the scaled map would no longer fix 0
+        with pytest.raises(DomainError, match="^scale factor must be finite, got inf$"):
+            LOGISTIC.scaled(math.inf)
 
 
 # Reference versions that evaluate the predicate at every scan point, the

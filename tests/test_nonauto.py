@@ -14,7 +14,6 @@ from skewlab.registry import build_fiber
 from skewlab.nonauto import (
     MapSequence,
     bound_violations,
-    check_equiconcavity,
     convergence_certificate,
     isoclinic_guard,
     iterate_pair,
@@ -318,18 +317,6 @@ class TestIsoclinicGuard:
                 nonauto.PairStep(1, 0.4, 0.35, None)]
         rep = isoclinic_guard(nonauto.OrbitPairTrace(rows, "completed", 1.0, 1.0))
         assert rep == (True, None, 1, [0], [], "flip bound violated at n = 0")
-
-
-class TestEquiconcavityCheck:
-    def test_declared_family_passes(self):
-        rng = random.Random(5)
-        seq = strong_monotone_sequence(rng)
-        for n, cert, ok in check_equiconcavity(seq, [1, 2, 3], grid_size=512):
-            assert ok, (n, cert)
-
-    def test_undeclared_rejected(self):
-        with pytest.raises(PreconditionError):
-            check_equiconcavity(constant_sequence(HALF), [1])
 
 
 class TestTraceCsv:

@@ -20,7 +20,6 @@ from skewlab.skew import (
     SymbolTable,
     classify,
     declared,
-    detect_pinching,
     orbit,
     step,
 )
@@ -293,26 +292,6 @@ class TestDeclared:
     ], ids=["keller-eps0.3", "keller-eps0.5", "keller-eps0.7", "noinvattr", "cubic-hump"])
     def test_benchmark_config_declarations(self, doc, expected):
         assert declared(load_system(doc)[1]) == expected
-
-
-class TestDetectPinching:
-    def test_positive_family_has_no_zero_maps(self):
-        rep = detect_pinching(make_keller(), 0.1, horizon=50, grid_size=256)
-        assert rep.zero_steps == []
-        assert "no pinching observed" in rep.verdict
-
-    def test_vanishing_point_never_hit_by_irrational_orbit(self):
-        sys_ = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": 0.0})
-        rep = detect_pinching(sys_, 0.1234, horizon=500, grid_size=128)
-        assert rep.zero_steps == []
-
-    def test_zero_map_at_fixed_point_reported_everywhere(self):
-        base = FiniteOrbitBase([0.0], {0.0: 0.0})
-        sys_ = SkewSystem(
-            base=base, fiber_at=lambda t: FiberMap(1.0, lambda x: 0.0), a=1.0
-        )
-        rep = detect_pinching(sys_, 0.0, horizon=20, grid_size=64)
-        assert rep.zero_steps == list(range(21))
 
 
 class TestMapSequence:
