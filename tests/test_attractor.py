@@ -1315,11 +1315,12 @@ def _range_checks():
         ("horizon", 1, lambda v: verify_preinvariance(noinv, graph, 0.0, v, 0.1)),
         ("n", 1, lambda v: match_fraction(noinv, graph, v, starts)),
         ("sample_count", 1, lambda v: classify(noinv, v)),
+        ("sample count", 1, lambda v: keller.base.sample_points(v, random.Random(0))),
         ("window", 1, lambda v: make_noinvattr(v)),
     ]
 
 
-@pytest.mark.parametrize("check", range(10))
+@pytest.mark.parametrize("check", range(11))
 def test_range_errors_state_the_value(check):
     name, low, run = _range_checks()[check]
     for value in (low - 1, -3):
@@ -1328,7 +1329,7 @@ def test_range_errors_state_the_value(check):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, True])
-@pytest.mark.parametrize("check", range(10))
+@pytest.mark.parametrize("check", range(11))
 def test_counts_must_be_integers(check, value):
     # range() would refuse these with a bare TypeError, and True would run as 1
     name, _, run = _range_checks()[check]
@@ -1337,7 +1338,7 @@ def test_counts_must_be_integers(check, value):
         run(value)
 
 
-@pytest.mark.parametrize("check", range(10))
+@pytest.mark.parametrize("check", range(11))
 def test_numpy_integer_counts_accepted(check):
     _, low, run = _range_checks()[check]
     run(np.int64(low))
