@@ -1,7 +1,8 @@
 """Command-line surface: certify, orbit-pair, pullback, verify, demo.
 
-Exit codes: 0 success, 1 a demo claim failed, 2 malformed configuration,
-3 invariant or precondition violation, 4 a recorded contraction ratio
+Exit codes: 0 success, 1 a demo claim failed, 2 malformed configuration, a
+setting the command would ignore, or a file it cannot read or write, 3
+invariant or precondition violation, 4 a recorded contraction ratio
 exceeded its bound, 5 the base lacks the requested capability.
 
 Each handler imports the layers it runs when it runs, so `certify` never
@@ -45,8 +46,9 @@ from .errors import (
     InvariantError,
     PreconditionError,
     check_at_least,
+    file_error,
 )
-from .fiber import certify
+from .fiber import CERTIFY_GRID, certify
 from .skew import classify, orbit
 
 EXIT_OK = 0
@@ -62,7 +64,11 @@ def _out_stream(path: str | None):
     if path is None or path == "-":
         yield _sys.stdout
     else:
-        with open(path, "w", newline="") as fh:
+        try:
+            fh = open(path, "w", newline="")
+        except OSError as exc:
+            raise file_error("write --out file", path, exc) from None
+        with fh:
             yield fh
 
 
@@ -94,11 +100,10 @@ def __getattr__(name: str):
 
 
 def cmd_certify(args) -> int:
-    cfg, system = load_system(args.config)
-    grid = cfg.defaults["grid"] if args.grid is None else args.grid
+    system = load_system(args.config)
     theta = _resolve_theta(system.base, args.theta)
     fm = system.fiber_at(theta)
-    cert = certify(fm, grid)
+    cert = certify(fm, args.grid)
     _emit_json(
         {
             "system": system.label,
@@ -120,16 +125,15 @@ def cmd_orbit_pair(args) -> int:
         trace_to_csv,
     )
 
-    cfg, system = load_system(args.config)
+    system = load_system(args.config)
     theta = _resolve_theta(system.base, args.theta)
-    steps = cfg.defaults["steps"] if args.steps is None else args.steps
-    if steps == 0:  # no step is taken, but the starts are checked all the same
+    if args.steps == 0:  # no step is taken, but the starts are checked all the same
         check_starts(args.x0, args.y0, system.a)
         with _out_stream(args.out) as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         return EXIT_OK
     seq = along_orbit(system, theta)
-    trace = iterate_pair(seq, args.x0, args.y0, steps, grid_size=cfg.defaults["grid"])
+    trace = iterate_pair(seq, args.x0, args.y0, args.steps)
     with _out_stream(args.out) as fh:
         trace_to_csv(trace, fh)
     bad = bound_violations(trace)
@@ -151,13 +155,16 @@ def cmd_pullback(args) -> int:
         pullback_phi,
     )
 
-    cfg, system = load_system(args.config)
-    depth = cfg.defaults["depth"] if args.depth is None else args.depth
+    system = load_system(args.config)
     stop_delta = 0.0 if args.no_early_stop else PULLBACK_STOP_DELTA
 
     if args.theta is not None:
+        for flag, value in (("--grid", args.grid), ("--out", args.out)):
+            if value is not None:
+                raise ConfigError(f"{flag} cannot be combined with --theta, which pulls "
+                                  "back at one point and prints its values")
         theta = system.base.parse_point(args.theta)
-        seq = pullback_phi(system, theta, depth, stop_delta=stop_delta)
+        seq = pullback_phi(system, theta, args.depth, stop_delta=stop_delta)
         _emit_json(
             {
                 "theta": seq.theta_repr,
@@ -172,8 +179,8 @@ def cmd_pullback(args) -> int:
 
     base = system.base
     if isinstance(base, CircleRotation):
-        grid = cfg.defaults["grid"] if args.grid is None else args.grid
-        res = pullback_grid(system, grid_size=grid, depth=depth, stop_delta=stop_delta)
+        grid = 4096 if args.grid is None else args.grid
+        res = pullback_grid(system, grid_size=grid, depth=args.depth, stop_delta=stop_delta)
         with _out_stream(args.out) as fh:
             res.graph.to_csv(fh, base=base)
         summary = res._asdict()
@@ -181,7 +188,10 @@ def cmd_pullback(args) -> int:
         print(json.dumps(summary, sort_keys=True), file=_sys.stderr)
         return EXIT_OK
     if isinstance(base, FiniteOrbitBase):
-        graph, depths = pullback_graph_finite(system, depth, stop_delta=stop_delta)
+        if args.grid is not None:
+            raise ConfigError("--grid sets the nodes of a circle base: a finite base "
+                              "pulls back at each of its points")
+        graph, depths = pullback_graph_finite(system, args.depth, stop_delta=stop_delta)
         with _out_stream(args.out) as fh:
             graph.to_csv(fh, base=base)
         print(
@@ -197,13 +207,12 @@ def cmd_pullback(args) -> int:
 def cmd_verify(args) -> int:
     from .attractor import GraphFunction, verify_attractor, verify_preinvariance
 
-    cfg, system = load_system(args.config)
+    system = load_system(args.config)
     try:
-        fh = open(args.phi, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read --phi file {args.phi!r}: {exc.strerror}") from None
-    with fh:
-        graph = GraphFunction.from_csv(fh, system.base, system.a)
+        with open(args.phi, newline="", encoding="utf-8") as fh:
+            graph = GraphFunction.from_csv(fh, system.base, system.a)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise file_error("read --phi file", args.phi, exc) from None
     check_at_least("--samples", args.samples, 1)
     check_at_least("horizon", args.horizon, 1)
     rng = random.Random(args.seed)
@@ -211,11 +220,9 @@ def cmd_verify(args) -> int:
     starts = [
         (theta, rng.uniform(0.05 * system.a, 0.95 * system.a)) for theta in thetas
     ]
-    steps = cfg.defaults["steps"] if args.steps is None else args.steps
-    tol = args.tol if args.tol is not None else cfg.defaults["tol"]
-    verdict = verify_attractor(system, graph, starts, steps, tol)
+    verdict = verify_attractor(system, graph, starts, args.steps, args.tol)
     preinv = [
-        verify_preinvariance(system, graph, theta, args.horizon, tol)._asdict()
+        verify_preinvariance(system, graph, theta, args.horizon, args.tol)._asdict()
         for theta in thetas[: min(3, len(thetas))]
     ]
     _emit_json(
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="concavity certificate of a fiber map")
     p.add_argument("--config", required=True)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=CERTIFY_GRID)
     p.add_argument("--theta", default=None)
     p.set_defaults(handler=cmd_certify)
 
@@ -480,14 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--y0", type=float, required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_orbit_pair)
 
     p = sub.add_parser("pullback", help="pullback graph over the base, as CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=1000)
     p.add_argument("--theta", default=None)
     p.add_argument("--no-early-stop", action="store_true")
     p.add_argument("--out", default=None)
@@ -497,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--phi", required=True, help="graph CSV to verify")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)

@@ -1,9 +1,10 @@
 """System configuration documents: parse, validate, build.
 
-A config is a JSON object with a base descriptor, a fiber descriptor, the
-fiber interval endpoint, and analysis defaults.  Parsing keeps the normalized
-document, so ``json.dumps(cfg._asdict())`` parses back to an equal config
-with every parameter bit-exact (floats go through repr).
+A config is a JSON object that describes a system: a base descriptor, a
+fiber descriptor and the fiber interval endpoint.  The analysis (grids,
+depths, step counts, tolerances) is set on the command line.  Parsing keeps
+the normalized document, so ``json.dumps(cfg._asdict())`` parses back to an
+equal config with every parameter bit-exact (floats go through repr).
 """
 
 from __future__ import annotations
@@ -14,21 +15,19 @@ from typing import NamedTuple
 
 from .bases import CircleRotation, SymbolicShift
 from .catalog import make_noinvattr, make_product
-from .errors import ConfigError, check_number
+from .errors import ConfigError, check_number, file_error
 from .registry import build_fiber, check_spec
 from .skew import ProductFamily, SkewSystem
 
 # Each base variant, and the fields its descriptor may carry.
 _BASE_FIELDS = {"circle-rotation": ("variant", "omega"),
                 "finite-orbit": ("variant", "preset", "window"), "shift": ("variant", "sided")}
-_DEFAULTS = {"grid": 4096, "tol": 1e-9, "depth": 1000, "steps": 100}
 
 
 class SystemConfig(NamedTuple):
     base: dict
     fiber: dict
     a: float
-    defaults: dict
 
 
 def _require(cond: bool, field: str, msg: str) -> None:
@@ -51,13 +50,16 @@ def parse_config(doc) -> SystemConfig:
             p = Path(doc)
             if not p.exists():
                 raise ConfigError(f"config file {doc!r} not found")
-            text = p.read_text()
+            try:
+                text = p.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise file_error("read config file", doc, exc) from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<root>", "config must be a JSON object")
-    _only(doc, "", ("base", "fiber", "a", "defaults"))
+    _only(doc, "", ("base", "fiber", "a"))
 
     base = doc.get("base")
     _require(isinstance(base, dict), "base", "must be an object")
@@ -90,16 +92,9 @@ def parse_config(doc) -> SystemConfig:
 
     a = check_number("field a", doc.get("a", 1.0))
 
-    defaults = dict(_DEFAULTS)
-    user_defaults = doc.get("defaults", {})
-    _require(isinstance(user_defaults, dict), "defaults", "must be an object")
-    for k, v in user_defaults.items():
-        _require(k in _DEFAULTS, f"defaults.{k}", "unknown analysis default")
-        kind = "a positive number" if k == "tol" else "a positive integer"
-        defaults[k] = check_number(f"field defaults.{k}", v, kind)
-    _require(defaults["grid"] >= 8, "defaults.grid", f"must be >= 8, got {defaults['grid']!r}")
-
     if variant == "finite-orbit":
+        _require(a == 1.0, "a", "must be 1.0 over a finite-orbit base, whose preset "
+                 f"fibres live on [0, 1], got {a!r}")
         _require(fiber["form"] == "noinvattr-split", "fiber.form",
                  "finite-orbit preset systems use 'noinvattr-split'")
         _only(fiber, "fiber.", ("form",))
@@ -112,7 +107,7 @@ def parse_config(doc) -> SystemConfig:
     else:
         check_spec("fiber", fiber, "fiber")
 
-    return SystemConfig(base=base, fiber=dict(fiber), a=float(a), defaults=defaults)
+    return SystemConfig(base=base, fiber=dict(fiber), a=float(a))
 
 
 def build_system(cfg: SystemConfig) -> SkewSystem:
@@ -132,6 +127,5 @@ def build_system(cfg: SystemConfig) -> SkewSystem:
     return SkewSystem(base=base, fiber_at=ProductFamily(fm), a=cfg.a, label=f"config[{fm.form}]")
 
 
-def load_system(doc) -> tuple[SystemConfig, SkewSystem]:
-    cfg = parse_config(doc)
-    return cfg, build_system(cfg)
+def load_system(doc) -> SkewSystem:
+    return build_system(parse_config(doc))

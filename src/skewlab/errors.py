@@ -42,6 +42,12 @@ def check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def file_error(doing: str, path: str, exc: OSError | UnicodeDecodeError) -> ConfigError:
+    """The error for a file that cannot be opened or is not UTF-8: `cannot <doing> 'path': why`."""
+    why = f"not UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+    return ConfigError(f"cannot {doing} {path!r}: {why}")
+
+
 def check_at_least(name: str, value: int, low: int, error: type = DomainError) -> None:
     # integer types, numpy's included, have __index__ and floats never; a bool is refused
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):

@@ -19,6 +19,8 @@ from .errors import DomainError, InvariantError, PreconditionError, check_at_lea
 ZERO_TOL = 1e-12
 # Allowed slack in the grid second-difference concavity test.
 CONCAVITY_SLACK = 1e-9
+# Grid of `certify` for a map without analytic data, and `certify --grid`'s default.
+CERTIFY_GRID = 4096
 # Tie-breaker for the strict inequality in the isoclinic predicate.
 _ISO_TIE = 1e-12
 

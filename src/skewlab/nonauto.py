@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, PreconditionError, check_at_least, check_positive
 from .fiber import (
+    CERTIFY_GRID,
     ZERO_TOL,
     FiberMap,
     certify,
@@ -40,8 +41,8 @@ class MapProfile(NamedTuple):
     zero: bool
 
 
-def map_profile(fm: FiberMap, grid_size: int = 2048) -> MapProfile:
-    """Analytic metadata when the map carries it, grid certification otherwise."""
+def map_profile(fm: FiberMap) -> MapProfile:
+    """Analytic metadata when the map carries it, certification on CERTIFY_GRID otherwise."""
     if (
         fm.gamma is not None
         and fm.alpha is not None
@@ -56,7 +57,7 @@ def map_profile(fm: FiberMap, grid_size: int = 2048) -> MapProfile:
         else:
             b = fm.b
     else:
-        cert = certify(fm, grid_size)
+        cert = certify(fm, CERTIFY_GRID)
         gamma, alpha, monotone = cert.gamma, cert.alpha_star, cert.monotone
         zero = gamma <= ZERO_TOL
         b = cert.b
@@ -138,13 +139,7 @@ def check_starts(x0: float, y0: float, a: float) -> None:
             raise DomainError(f"{name} must lie in (0, {a!r}], got {v!r}")
 
 
-def iterate_pair(
-    seq: MapSequence,
-    x0: float,
-    y0: float,
-    steps: int,
-    grid_size: int = 2048,
-) -> OrbitPairTrace:
+def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPairTrace:
     """Push a pair of points through the sequence, recording gap contraction.
 
     Terminates early with reason "merged" when the coordinates coincide and
@@ -164,7 +159,7 @@ def iterate_pair(
     x, y = x0, y0
     reason = "completed"
     # a map met again is not re-certified
-    profile = functools.cache(lambda fm: map_profile(fm, grid_size))
+    profile = functools.cache(map_profile)
     for n in range(1, steps + 1):
         fm = seq.map_at(n)
         prof = profile(fm)

@@ -133,9 +133,9 @@ class TestProduct:
         calls = []
         real = nonauto.map_profile
 
-        def counting(fm, grid_size):
+        def counting(fm):
             calls.append(fm)
-            return real(fm, grid_size)
+            return real(fm)
 
         monkeypatch.setattr(nonauto, "map_profile", counting)
         trace = nonauto.iterate_pair(nonauto.along_orbit(sys_, 0.1), 0.3, 0.62, 40)

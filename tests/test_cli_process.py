@@ -29,7 +29,6 @@ KELLER_CFG = {
         "g": {"form": "sin-squared", "c": 1.0, "eps": 0.5},
     },
     "a": 1.0,
-    "defaults": {"depth": 400},
 }
 SHIFT_CFG = {
     "base": {"variant": "shift", "sided": "one"},
@@ -85,7 +84,7 @@ def cfg(tmp_path):
 
 def test_piped_grid_csv_is_the_bytes_main_writes(cfg, capsysbinary):
     argv = ["pullback", "--config", cfg(KELLER_CFG, "keller.json"), "--grid", "4096",
-            "--out", "-"]
+            "--depth", "400", "--out", "-"]
     proc = _spawn(argv)
     rc, out, err = _in_process(capsysbinary, argv)
     assert proc.returncode == rc == 0
@@ -95,7 +94,8 @@ def test_piped_grid_csv_is_the_bytes_main_writes(cfg, capsysbinary):
 
 
 def test_out_file_is_the_bytes_main_writes(cfg, tmp_path, capsysbinary):
-    argv = ["pullback", "--config", cfg(KELLER_CFG, "keller.json"), "--grid", "4096"]
+    argv = ["pullback", "--config", cfg(KELLER_CFG, "keller.json"), "--grid", "4096",
+            "--depth", "400"]
     proc = _spawn(argv + ["--out", str(tmp_path / "child.csv")])
     rc, out, err = _in_process(capsysbinary, argv + ["--out", str(tmp_path / "here.csv")])
     assert proc.returncode == rc == 0
@@ -158,8 +158,9 @@ def test_both_entry_points_skip_teardown(cfg, entry):
 
 @pytest.mark.parametrize("argv, code, tail", [
     (["certify"], 2, b"the following arguments are required: --config\n"),
+    # a write that fails after the file opened (an unwritable --out exits 2)
     (["orbit-pair", "--config", "keller.json", "--x0", "0.2", "--y0", "0.8",
-      "--out", "missing/trace.csv"], 1, b"No such file or directory: 'missing/trace.csv'\n"),
+      "--out", "/dev/full"], 1, b"OSError: [Errno 28] No space left on device\n"),
 ], ids=["argparse-exit", "uncaught-exception"])
 def test_a_raising_main_takes_the_normal_path(cfg, argv, code, tail):
     """argparse's SystemExit and an uncaught exception still run the exit hooks."""

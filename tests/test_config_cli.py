@@ -26,7 +26,6 @@ KELLER_CFG = {
         "g": {"form": "sin-squared", "c": 1.0, "eps": 0.5},
     },
     "a": 1.0,
-    "defaults": {"grid": 512, "depth": 400},
 }
 
 NOINV_CFG = {
@@ -73,25 +72,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="base.omega"):
             parse_config(doc)
 
-    def test_bad_defaults_named(self):
-        doc = dict(KELLER_CFG, defaults={"grid": -1})
-        with pytest.raises(ConfigError, match="defaults.grid"):
-            parse_config(doc)
-
-    def test_defaults_eps_refused(self, cfg_file, capsys):
-        # no command reads an eps default
-        doc = dict(KELLER_CFG, defaults={"eps": 0.1})
+    def test_bad_defaults_named(self, cfg_file, capsys):
+        # the analysis is set by flags alone: a config's defaults block is refused, not read
+        doc = dict(KELLER_CFG, defaults={"grid": 512})
         assert cli.main(["certify", "--config", cfg_file(doc)]) == 2
-        err = capsys.readouterr().err
-        assert "field defaults.eps: unknown analysis default" in err
+        assert capsys.readouterr().err.startswith("config error: field defaults: unknown field")
+
+    @pytest.mark.parametrize("a", [2.0, 0.5])
+    def test_finite_orbit_a_other_than_1_exits_2_naming_it(self, cfg_file, capsys, a):
+        # the preset builds fibres on [0, 1] and would ignore any other a
+        assert cli.main(["certify", "--config", cfg_file(dict(NOINV_CFG, a=a))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field a: must be 1.0 over a finite-orbit base, whose preset "
+            f"fibres live on [0, 1], got {a!r}\n"
+        )
+        assert parse_config(dict(NOINV_CFG, a=1.0)) == parse_config(NOINV_CFG)
 
     @pytest.mark.parametrize("doc, field, value", [
-        (dict(KELLER_CFG, defaults={"depth": float("inf")}), "defaults.depth", "inf"),
-        (dict(KELLER_CFG, defaults={"depth": 2.9}), "defaults.depth", "2.9"),
-        (dict(KELLER_CFG, defaults={"grid": True}), "defaults.grid", "True"),
-        (dict(KELLER_CFG, defaults={"steps": float("nan")}), "defaults.steps", "nan"),
-        (dict(KELLER_CFG, defaults={"tol": True}), "defaults.tol", "True"),
-        (dict(KELLER_CFG, defaults={"tol": float("inf")}), "defaults.tol", "inf"),
+        (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=2.9)), "base.window", "2.9"),
+        (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=float("nan"))),
+         "base.window", "nan"),
+        (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=0)), "base.window", "0"),
+        (dict(KELLER_CFG, a=float("nan")), "a", "nan"),
+        (dict(KELLER_CFG, a=0.0), "a", "0.0"),
+        (dict(KELLER_CFG, a=-1.0), "a", "-1.0"),
         (dict(KELLER_CFG, a=float("inf")), "a", "inf"),
         (dict(KELLER_CFG, a=True), "a", "True"),
         (dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=True)), "base.window", "True"),
@@ -101,7 +105,7 @@ class TestConfig:
     def test_bad_number_exits_2_naming_the_field(self, cfg_file, capsys, doc, field, value):
         # json writes inf and nan as Infinity and NaN, which it also reads back
         assert cli.main(["certify", "--config", cfg_file(doc)]) == 2
-        kind = "number" if field in ("a", "defaults.tol") else "integer"
+        kind = "number" if field == "a" else "integer"
         assert capsys.readouterr().err == (
             f"config error: field {field}: must be a positive {kind}, got {value}\n"
         )
@@ -136,18 +140,25 @@ class TestConfig:
             "lacks an analytic supremum\n"
         )
 
-    @pytest.mark.parametrize("command", ["certify", "pullback"])
-    def test_small_default_grid_exits_2_naming_it(self, cfg_file, capsys, command):
-        doc = dict(KELLER_CFG, defaults={"grid": 4})
-        assert cli.main([command, "--config", cfg_file(doc)]) == 2
-        assert capsys.readouterr().err == (
-            "config error: field defaults.grid: must be >= 8, got 4\n"
-        )
-        assert parse_config(dict(KELLER_CFG, defaults={"grid": 8})).defaults["grid"] == 8
-
     def test_integral_float_count_accepted(self):
-        defaults = parse_config(dict(KELLER_CFG, defaults={"depth": 3.0})).defaults
-        assert defaults["depth"] == 3 and type(defaults["depth"]) is int
+        base = parse_config(dict(NOINV_CFG, base=dict(NOINV_CFG["base"], window=3.0))).base
+        assert base["window"] == 3 and type(base["window"]) is int
+
+    @pytest.mark.parametrize("contents, reason", [
+        (None, "Is a directory"),
+        (b'{"a": 1.0\xff}', "not UTF-8 (invalid start byte)"),
+    ], ids=["directory", "not-utf-8"])
+    def test_unreadable_config_exits_2_naming_the_file(self, tmp_path, capsys, contents,
+                                                       reason):
+        path = tmp_path / "cfg.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        assert cli.main(["certify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {str(path)!r}: {reason}\n"
+        )
 
     def test_build_keller_like(self):
         sys_ = build_system(parse_config(KELLER_CFG))
@@ -315,7 +326,7 @@ class TestJsonLayout:
         rc = cli.main(["certify", "--config", cfg, "--grid", "512", "--theta", "0.25"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        _, system = load_system(cfg)
+        system = load_system(cfg)
         assert doc["certificate"] == certify(system.fiber_at(0.25), 512)._asdict()
         assert set(doc) == {"system", "theta", "form", "certificate"}
         assert set(doc["certificate"]) == _field_names(ConcavityCertificate)
@@ -323,7 +334,8 @@ class TestJsonLayout:
     def test_verify_records_have_the_result_fields(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(KELLER_CFG)
         phi = tmp_path / "phi.csv"
-        assert cli.main(["pullback", "--config", cfg, "--out", str(phi)]) == 0
+        assert cli.main(["pullback", "--config", cfg, "--grid", "512", "--depth", "400",
+                         "--out", str(phi)]) == 0
         capsys.readouterr()
         rc = cli.main(["verify", "--config", cfg, "--phi", str(phi), "--samples", "5",
                        "--steps", "30", "--tol", "0.05", "--horizon", "3"])
@@ -387,6 +399,44 @@ class TestPullbackVerifyPipeline:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["nonincreasing"] and len(doc["values"]) == 40
+
+    @pytest.mark.parametrize("cfg, argv, message", [
+        (KELLER_CFG, ["--theta", "0.3", "--grid", "64"],
+         "--grid cannot be combined with --theta, which pulls back at one point and "
+         "prints its values"),
+        (KELLER_CFG, ["--theta", "0.3", "--out", "out.csv"],
+         "--out cannot be combined with --theta, which pulls back at one point and "
+         "prints its values"),
+        (NOINV_CFG, ["--grid", "64", "--out", "out.csv"],
+         "--grid sets the nodes of a circle base: a finite base pulls back at each of "
+         "its points"),
+    ], ids=["theta-grid", "theta-out", "finite-grid"])
+    def test_ignored_setting_exits_2_before_any_work(self, cfg_file, tmp_path, capsys,
+                                                     monkeypatch, cfg, argv, message):
+        def work(*args, **kwargs):
+            raise AssertionError("a pullback ran")
+
+        for name in ("pullback_phi", "pullback_graph_finite", "pullback_grid"):
+            monkeypatch.setattr(f"skewlab.attractor.{name}", work)
+        out = tmp_path / "out.csv"
+        argv = [str(out) if a == "out.csv" else a for a in argv]
+        assert cli.main(["pullback", "--config", cfg_file(cfg), *argv]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["pullback", "--config", "keller.json", "--grid", "64", "--depth", "50"],
+         "missing/x.csv", "No such file or directory"),
+        (["orbit-pair", "--config", "keller.json", "--x0", "0.2", "--y0", "0.8",
+          "--steps", "5"], ".", "Is a directory"),
+    ], ids=["pullback-missing-dir", "orbit-pair-directory"])
+    def test_unwritable_out_exits_2_naming_it(self, cfg_file, tmp_path, capsys, argv,
+                                              target, reason):
+        argv = [cfg_file(KELLER_CFG) if a == "keller.json" else a for a in argv]
+        out = str(tmp_path / target)
+        assert cli.main([*argv, "--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write --out file {out!r}: {reason}\n")
 
 
 class TestVerifyInput:
@@ -455,6 +505,13 @@ class TestVerifyInput:
         missing = tmp_path / "missing.csv"
         assert self.verify(cfg_file(KELLER_CFG), missing) == 2
         assert repr(str(missing)) in capsys.readouterr().err
+
+    def test_non_utf8_phi_exits_2_naming_it(self, cfg_file, tmp_path, capsys):
+        phi = tmp_path / "phi.csv"
+        phi.write_bytes(b"point,value\n0.0,0.5\n0.5,\xff\n")
+        assert self.verify(cfg_file(KELLER_CFG), phi) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot read --phi file "
+                                           f"{str(phi)!r}: not UTF-8 (invalid start byte)\n")
 
     @pytest.mark.parametrize("cfg, rows, samples", [
         (KELLER_CFG, ["0.0,0.5", "0.5,0.5"], 0),
@@ -536,6 +593,34 @@ class TestNonFiniteCirclePoint:
         out, err = capsys.readouterr()
         assert out == "" and f"circle point {theta!r} is not a finite number" in err
         assert not out_path.exists()
+
+
+class TestFlagDefaults:
+    """A run that leaves out the analysis flags is the run that spells out their defaults."""
+
+    @pytest.mark.parametrize("cfg, argv, spelled", [
+        (KELLER_CFG, ["certify", "--theta", "0.25"], ["--grid", "4096"]),
+        (KELLER_CFG, ["pullback"], ["--grid", "4096", "--depth", "1000"]),
+        # a black box: each map of the trace is certified
+        ({"base": {"variant": "shift", "sided": "two"},
+          "fiber": {"form": "poly", "coeffs": [2.4, -1.2, -0.6]}},
+         ["orbit-pair", "--x0", "0.2", "--y0", "0.8"], ["--steps", "100"]),
+        (KELLER_CFG, ["verify", "--phi", "phi.csv"], ["--steps", "100", "--tol", "1e-9"]),
+    ], ids=["certify", "pullback", "orbit-pair", "verify"])
+    def test_spelled_out_defaults_change_nothing(self, cfg_file, tmp_path, capsys, cfg,
+                                                 argv, spelled):
+        phi = tmp_path / "phi.csv"
+        phi.write_text("point,value\n0.0,0.5\n0.5,0.5\n")
+        argv = [argv[0], "--config", cfg_file(cfg),
+                *(str(phi) if a == "phi.csv" else a for a in argv[1:])]
+        writes = argv[0] in ("pullback", "orbit-pair")
+        runs = []
+        for run, extra in enumerate(([], spelled)):
+            out = tmp_path / f"out{run}"
+            rc = cli.main(argv + extra + (["--out", str(out)] if writes else []))
+            runs.append((rc, *capsys.readouterr(), out.read_bytes() if writes else None))
+        assert runs[0][0] == 0 and any(runs[0][1:])  # each run wrote something
+        assert runs[0] == runs[1]
 
 
 class TestDeterminism:

@@ -104,9 +104,9 @@ class TestIteratePair:
         calls = []
         real = nonauto.map_profile
 
-        def counting(fm, grid_size):
+        def counting(fm):
             calls.append(fm)
-            return real(fm, grid_size)
+            return real(fm)
 
         monkeypatch.setattr(nonauto, "map_profile", counting)
         trace = iterate_pair(constant_sequence(HALF), 0.2, 0.9, 30)
@@ -235,7 +235,7 @@ def test_black_box_map_profiled_by_certification():
     # the cubic declares no analytic data, so its profile is its certificate
     cubic = build_fiber({"form": "poly", "coeffs": [2.4, -1.2, -0.6]}, 1.0)
     assert (cubic.gamma, cubic.alpha, cubic.monotone) == (None, None, None)
-    cert = certify(cubic, 2048)
+    cert = certify(cubic, 4096)  # certify --grid's default
     assert nonauto.map_profile(cubic) == (
         cert.gamma, cert.alpha_star, cert.b, cert.monotone, False
     )

@@ -291,7 +291,7 @@ class TestDeclared:
           "fiber": {"form": "poly", "coeffs": [2.4, -1.2, -0.6]}}, ("unclassified", None)),
     ], ids=["keller-eps0.3", "keller-eps0.5", "keller-eps0.7", "noinvattr", "cubic-hump"])
     def test_benchmark_config_declarations(self, doc, expected):
-        assert declared(load_system(doc)[1]) == expected
+        assert declared(load_system(doc)) == expected
 
 
 class TestMapSequence:
