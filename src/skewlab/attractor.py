@@ -343,53 +343,81 @@ class PullbackSequence(NamedTuple):
         )
 
 
-def _settled(n: int, delta: float, stop_delta: float, first: int = 2) -> bool:
-    """The stop rule of every pullback: n >= ``first`` and ``delta`` < ``stop_delta``.
+def _settled(n: int, delta: float, stop_delta: float) -> bool:
+    """The stop rule of every pullback: n >= 2 and ``delta`` < ``stop_delta``.
 
-    ``stop_delta`` = 0 turns it off, and a NaN delta never stops.  `pullback_phi`
-    and `pullback_graph_finite` pass delta = |phi_n - phi_{n-1}| from n = 2;
-    `pullback_grid` its largest change over the nodes (phi_0 = a) from sweep 1.
+    delta is the largest change |phi_n - phi_{n-1}|, with phi_0 = a, at the
+    point of a `pullback_phi` query or over the nodes a sweep moved.
+    ``stop_delta`` = 0 turns the rule off, and a NaN delta never stops.
     """
-    return stop_delta > 0.0 and n >= first and delta < stop_delta
+    return stop_delta > 0.0 and n >= 2 and delta < stop_delta
 
 
 def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]:
-    """(phi_n, live_n) at every node for n = 1, 2, ...: one backward step each.
+    """(phi_n, moved_n, delta_n, rise_n) for n = 1, 2, ...: one backward step each.
 
     phi_n(node) = psi_p(phi_{n-1}(p)) for p = nodes[pred[node]], and phi_0 = a.
     The node sets are a circle grid, where ``pred`` is an index permutation,
     and a finite base, where ``pred[i] = -1`` ends node i's backward orbit.
-    live_n marks the nodes with at least n preimages, the ones sweep n moves;
-    every other node keeps its last value.  A `walks_arrays` system sweeps as
-    numpy arrays; any other system holds phi_n and live_n as lists and applies
-    each live node's predecessor map through ``fiber_at``, so it never loads numpy.
+    moved_n holds the indices sweep n moves: those with a predecessor, then
+    those whose predecessor moved in sweep n - 1; every other node keeps its
+    value.  delta_n and rise_n are the largest |change| and the largest change
+    over moved_n, NaN when a change is NaN.  A `walks_arrays` system sweeps
+    as numpy arrays and moves every node; any other system holds phi_n as a
+    list, applies each moving node's predecessor map through ``fiber_at``,
+    so it never loads numpy, and ends when no node moves.
     """
     a = float(sys.a)
     if walks_arrays(sys):
         family, pred_idx = sys.fiber_at, np.asarray(pred, dtype=int)
         f, g_pred = family.fm.f, family.factors(np.asarray(nodes, dtype=float)[pred_idx])
-        live = np.ones(len(nodes), dtype=bool)
+        every = range(len(nodes))
         vals = np.full(len(nodes), a)
         while True:
-            vals = f(vals[pred_idx]) * g_pred
-            yield vals, live
+            new = f(vals[pred_idx]) * g_pred
+            diff, vals = new - vals, new
+            yield vals, every, float(np.max(np.abs(diff))), float(np.max(diff))
     maps = [sys.fiber_at(nodes[p]) if p >= 0 else None for p in pred]
-    live = [p >= 0 for p in pred]
-    # A sweep walks only the live indices: the noinvattr chain keeps one of
-    # its 130 nodes live through all sweeps of a depth-1000 pullback.
-    idx = [i for i, moves in enumerate(live) if moves]
+    # A sweep walks only the moving indices: the noinvattr chain keeps one of
+    # its 130 nodes moving through all sweeps of a depth-1000 pullback.
+    moved = [i for i, p in enumerate(pred) if p >= 0]
     vals = [a] * len(nodes)
-    while True:
+    while moved:
         new = vals.copy()
-        for i in idx:
+        for i in moved:
             # float() stores what an array of floats would
             new[i] = float(maps[i](vals[pred[i]]))
-        vals = new
-        yield vals, live
-        idx = [i for i in idx if live[pred[i]]]
-        live = [False] * len(nodes)
-        for i in idx:
-            live[i] = True
+        diff, vals = [new[i] - vals[i] for i in moved], new
+        if any(map(math.isnan, diff)):  # unlike numpy's, Python's max can skip a NaN
+            yield vals, moved, math.nan, math.nan
+        else:
+            yield vals, moved, max(map(abs, diff)), max(diff)
+        was = set(moved)
+        moved = [i for i in moved if pred[i] in was]
+
+
+def _pull_back(
+    sys: SkewSystem, nodes: Sequence, pred: Sequence, depth: int, stop_delta: float
+) -> tuple:
+    """Sweep a node set until `_settled` stops it, no node moves, or ``depth``.
+
+    Returns (phi, stopped, sweeps, delta, max_increase): the last values; the
+    last sweep that moved each node that stopped moving before the last
+    sweep, every other node having moved in all ``sweeps``; the last sweep's
+    delta; and the largest rise of any node over any sweep (0 when none rises).
+    """
+    check_at_least("depth", depth, 1)
+    phi, sweeps, delta, max_increase = [float(sys.a)] * len(nodes), 0, math.nan, 0.0
+    moving, stopped = range(len(nodes)), {}
+    for sweeps, (phi, moved, delta, rise) in zip(range(1, depth + 1), _sweeps(sys, nodes, pred)):
+        if len(moved) < len(moving):  # the nodes left behind last moved in the sweep before
+            stopped.update(dict.fromkeys(set(moving).difference(moved), sweeps - 1))
+        moving = moved
+        # a NaN rise compares False, so max keeps the running value
+        max_increase = max(max_increase, rise)
+        if _settled(sweeps, delta, stop_delta):
+            break
+    return phi, stopped, sweeps, delta, max_increase
 
 
 def pullback_phi(
@@ -420,7 +448,6 @@ def pullback_phi(
     maps: list[FiberMap] = []  # maps[k-1]: the fiber map at the k-th preimage of theta
     phis = [sys.a]  # phis[n] = phi_n
     cur, closed, truncated = theta, False, False
-    delta = math.inf
     for n in range(1, depth + 1):
         if not closed:
             try:
@@ -440,8 +467,7 @@ def pullback_phi(
         for fm in reversed(maps):
             v = fm(v)
         phis.append(v)
-        if n >= 2:
-            delta = abs(v - phis[-2])
+        delta = abs(v - phis[-2])
         if _settled(n, delta, stop_delta):
             break
     return PullbackSequence(
@@ -472,12 +498,10 @@ def pullback_grid(
     Nodes are j/m; the predecessor of a node is its nearest node under the
     exact rotation, which for a uniform grid is a fixed index shift.  Each
     sweep transports the whole grid one step, so sweep s holds phi_s at every
-    node.  Sweeps stop by the rule of `_settled`, on the largest change of
-    any node, from its first depth 1 on.  ``max_increase`` is the largest
-    rise of any node over any sweep (0 when none rises), and ``monotone_ok``
-    says it stays within MONOTONE_SLACK.
+    node.  Sweeps stop by the rule of `_settled`.  ``max_increase`` is the
+    largest rise of any node over any sweep (0 when none rises), and
+    ``monotone_ok`` says it stays within MONOTONE_SLACK.
     """
-    check_at_least("depth", depth, 1)
     base = sys.base
     if not isinstance(base, CircleRotation):
         raise CapabilityError("grid pullback is defined for circle rotation bases")
@@ -486,21 +510,9 @@ def pullback_grid(
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
     perm = (np.arange(m) - shift) % m
-
-    values = np.full(m, float(sys.a))
-    max_increase = 0.0
-    for sweeps, (row, _) in zip(range(1, depth + 1), _sweeps(sys, thetas, perm)):
-        new = np.asarray(row)  # a list for a system that does not walk arrays
-        diff = new - values
-        # a NaN rise compares False, so max keeps the running value
-        max_increase = max(max_increase, float(np.max(diff)))
-        delta = float(np.max(np.abs(diff)))
-        values = new
-        if _settled(sweeps, delta, stop_delta, first=1):
-            break
-
+    phi, _, sweeps, delta, max_increase = _pull_back(sys, thetas, perm, depth, stop_delta)
     return PullbackGridResult(
-        graph=GraphFunction(sys.a, "pullback", grid=values), sweeps=sweeps, delta=delta,
+        graph=GraphFunction(sys.a, "pullback", grid=phi), sweeps=sweeps, delta=delta,
         monotone_ok=max_increase <= MONOTONE_SLACK, max_increase=max_increase,
     )
 
@@ -508,14 +520,13 @@ def pullback_grid(
 def pullback_graph_finite(
     sys: SkewSystem, depth: int, stop_delta: float = PULLBACK_STOP_DELTA
 ) -> tuple[GraphFunction, dict]:
-    """Pointwise pullback over every point of a finite base.
+    """Pullback over every point of a finite base, as one node set.
 
-    One `_sweeps` run over ``base.points`` serves every point; a point with
-    no unique predecessor ends its chain.  Each point stops by the rule of
-    `_settled`, as `pullback_phi` does, or where its backward orbit leaves
-    the represented set; the summary maps every point to the depth it used.
+    A point with no unique predecessor ends its chain, and a point stops
+    moving where its backward orbit ends; the sweeps stop by the rule of
+    `_settled`.  The summary maps every point to the last sweep that moved
+    it, the depth its value was pulled back from.
     """
-    check_at_least("depth", depth, 1)
     base = sys.base
     pts = getattr(base, "points", None)
     if pts is None:
@@ -527,22 +538,9 @@ def pullback_graph_finite(
             pred.append(index[base.predecessor(p)])
         except CapabilityError:
             pred.append(-1)
-    running = list(range(len(pts)))  # chain not used up and not stopped yet
-    final = [float(sys.a)] * len(pts)
-    prev = final.copy()  # phi_0 = a; `_settled` never stops a point at n = 1
-    used = [0] * len(pts)
-    for n, (vals, live) in zip(range(1, depth + 1), _sweeps(sys, pts, pred)):
-        running = [i for i in running if live[i]]
-        if not running:
-            break
-        for i in running:
-            final[i] = vals[i]
-            used[i] = n
-        running = [i for i in running if not _settled(n, abs(vals[i] - prev[i]), stop_delta)]
-        prev = vals
-    table = dict(zip(pts, final))
-    depths = {base.format_point(p): d for p, d in zip(pts, used)}
-    return GraphFunction(sys.a, "pullback", table=table), depths
+    phi, stopped, sweeps, *_ = _pull_back(sys, pts, pred, depth, stop_delta)
+    depths = {base.format_point(p): stopped.get(i, sweeps) for i, p in enumerate(pts)}
+    return GraphFunction(sys.a, "pullback", table=dict(zip(pts, phi))), depths
 
 
 class SampleRecord(NamedTuple):

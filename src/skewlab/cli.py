@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os as _os
 import random
 import sys as _sys
@@ -64,12 +63,11 @@ def _out_stream(path: str | None):
     if path is None or path == "-":
         yield _sys.stdout
     else:
-        try:
-            fh = open(path, "w", newline="")
+        try:  # the open, a write, or the flush at close
+            with open(path, "w", newline="") as fh:
+                yield fh
         except OSError as exc:
             raise file_error("write --out file", path, exc) from None
-        with fh:
-            yield fh
 
 
 def _default_theta(base):
@@ -169,7 +167,7 @@ def cmd_pullback(args) -> int:
             {
                 "theta": seq.theta_repr,
                 "depth_used": seq.depth_used,
-                "delta": None if math.isinf(seq.delta) else seq.delta,
+                "delta": seq.delta,
                 "nonincreasing": seq.nonincreasing(),
                 "truncated": seq.truncated,
                 "values": seq.values,

@@ -58,6 +58,8 @@ def parse_config(doc) -> SystemConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("JSON nests too deeply to parse") from None
     _require(isinstance(doc, dict), "<root>", "config must be a JSON object")
     _only(doc, "", ("base", "fiber", "a"))
 

@@ -163,6 +163,29 @@ def reference_pullback(sys_, theta, depth, stop_delta):
     return values, len(back) < depth
 
 
+def reference_node_set(sys_, depth, stop_delta):
+    """{point: (value, depth used)} of a pullback over every point of a finite base.
+
+    Each point's phi_1, phi_2, ... are composed afresh to the depth with no
+    stop.  The node set stops at the first n >= 2 where the largest
+    |phi_n - phi_{n-1}| (phi_0 = a) over the points with n values is below
+    stop_delta, or before the first n that no point has; each point keeps
+    its last value up to there.
+    """
+    seqs = {p: [sys_.a, *reference_pullback(sys_, p, depth, 0.0)[0]]
+            for p in sys_.base.points}
+    stop = depth
+    for n in range(1, depth + 1):
+        moving = [vs for vs in seqs.values() if len(vs) > n]
+        if not moving:
+            stop = n - 1
+            break
+        if n >= 2 and max(abs(vs[n] - vs[n - 1]) for vs in moving) < stop_delta:
+            stop = n
+            break
+    return {p: (vs[min(len(vs) - 1, stop)], min(len(vs) - 1, stop)) for p, vs in seqs.items()}
+
+
 class CountingPredecessors:
     """A base that counts its predecessor calls and delegates everything else."""
 
@@ -633,6 +656,15 @@ class TestPullbackGrid:
             r_scalar = pullback_grid(scalar, grid_size=128, depth=60, stop_delta=0.0)
             assert r_fast.graph.grid.tolist() == r_scalar.graph.grid.tolist()
 
+    def test_first_sweep_never_stops(self):
+        # f = x(2 - x) fixes 1 and g = 1, so phi_1 = a at every node: the rule
+        # measures that change from a and stops at sweep 2, never at sweep 1
+        sys_ = make_product({"form": "logistic-scaled", "k": 1.0}, {"form": "constant", "c": 1.0},
+                            CircleRotation(GOLDEN_ROTATION))
+        res = pullback_grid(sys_, grid_size=64, depth=100)
+        assert (res.sweeps, res.delta) == (2, 0.0)
+        assert res.graph.grid.tolist() == [1.0] * 64
+
     def test_requires_circle(self):
         with pytest.raises(CapabilityError):
             pullback_grid(make_noinvattr(8), grid_size=64, depth=5)
@@ -644,10 +676,10 @@ class TestPullbackSweep:
     def test_sweep_matches_composition(self, sys_, depth):
         for stop_delta in (0.0, 1e-12):
             graph, depths = pullback_graph_finite(sys_, depth, stop_delta=stop_delta)
+            for p, (value, used) in reference_node_set(sys_, depth, stop_delta).items():
+                assert (graph.table[p], depths[repr(p)]) == (value, used)
             for p in sys_.base.points:
                 values, truncated = reference_pullback(sys_, p, depth, stop_delta)
-                assert graph.table[p] == (values[-1] if values else sys_.a)
-                assert depths[repr(p)] == len(values)
                 if not values:
                     with pytest.raises(CapabilityError, match="no unique predecessor"):
                         pullback_phi(sys_, p, depth, stop_delta=stop_delta)
@@ -659,8 +691,10 @@ class TestPullbackSweep:
     @pytest.mark.parametrize("stop_delta", [PULLBACK_STOP_DELTA, 0.0],
                              ids=["early-stop", "no-early-stop"])
     def test_finite_and_pointwise_agree_on_noinvattr(self, stop_delta):
-        # both pullbacks stop by the one rule, so each point's finite value and
-        # depth are those of its own pointwise query
+        # the node set stops once the largest change of its moving points is
+        # below the stop delta, so each point runs at least as deep as its own
+        # query, and its value is its composition to the depth it used; with no
+        # stop, each point's finite value and depth are its query's
         sys_ = make_noinvattr(64)
         graph, depths = pullback_graph_finite(sys_, 1000, stop_delta=stop_delta)
         queried = 0
@@ -672,10 +706,46 @@ class TestPullbackSweep:
                     pullback_phi(sys_, p, 1000, stop_delta=stop_delta)
                 continue
             seq = pullback_phi(sys_, p, 1000, stop_delta=stop_delta)
-            assert seq.values[-1] == graph.table[p]
-            assert seq.depth_used == used
+            if stop_delta:
+                assert seq.depth_used <= used
+                assert pullback_phi(sys_, p, used, stop_delta=0.0).values[-1] == graph.table[p]
+            else:
+                assert seq.values[-1] == graph.table[p]
+                assert seq.depth_used == used
             queried += 1
         assert queried == len(sys_.base.points) - 2
+
+    def test_default_finite_pullback_is_the_no_early_stop_one_on_noinvattr(self):
+        # the strong map fixes 1, so phi_1 = phi_2 = 1 at the upper chain points;
+        # the node set moves on while its lower points still change
+        sys_ = make_noinvattr(64)
+        fmt = sys_.base.format_point
+        (graph, depths), (full, full_depths) = (
+            pullback_graph_finite(sys_, 1000, stop_delta=s) for s in (PULLBACK_STOP_DELTA, 0.0)
+        )
+        differ = [p for p in sys_.base.points
+                  if (graph.table[p], depths[fmt(p)]) != (full.table[p], full_depths[fmt(p)])]
+        assert differ == [-1.0]
+        # the closed orbit at -1 goes on contracting: both values are nearly 0
+        assert 0.0 < full.table[-1.0] <= graph.table[-1.0] < 1e-30
+        assert depths[fmt(-1.0)] < full_depths[fmt(-1.0)] == 1000
+
+    def test_nan_change_never_stops_the_sweeps(self):
+        # the moving nodes change by [0, 0, NaN] in every sweep: a max that
+        # skipped the NaN would read 0 and stop at sweep 2
+        calls = [0]
+
+        def nan_map(x):
+            calls[0] += 1
+            return math.nan
+
+        maps = {0.0: FiberMap(1.0, lambda x: x), 1.0: FiberMap(1.0, nan_map),
+                2.0: FiberMap(1.0, lambda x: 1.0)}
+        base = FiniteOrbitBase([0.0, 1.0, 2.0], {0.0: 0.0, 1.0: 2.0, 2.0: 1.0})
+        sys_ = SkewSystem(base=base, fiber_at=maps.__getitem__, a=1.0)
+        with pytest.raises(InvariantError, match=r"^graph value nan at 2\.0 leaves"):
+            pullback_graph_finite(sys_, 50)
+        assert calls[0] == 50
 
     def test_closed_circle_orbit_matches_composition(self):
         # omega = 1/4: the backward orbit of 1/8 closes after four exact steps

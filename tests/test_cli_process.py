@@ -51,6 +51,15 @@ MODULE = (
     "runpy.run_module('skewlab.cli', run_name='__main__', alter_sys=True)\n"
 )
 
+# `python -m skewlab.cli` whose `load_system` raises an error that no handler maps
+# to an exit code, with an exit hook registered first.
+RAISING = (
+    "import skewlab.config\n"
+    "def load_system(doc):\n"
+    "    raise RuntimeError('load_system failed')\n"
+    "skewlab.config.load_system = load_system\n"
+) + MODULE
+
 
 def _env():
     env = dict(os.environ)
@@ -156,15 +165,37 @@ def test_both_entry_points_skip_teardown(cfg, entry):
     assert proc.stderr == b""
 
 
-@pytest.mark.parametrize("argv, code, tail", [
-    (["certify"], 2, b"the following arguments are required: --config\n"),
-    # a write that fails after the file opened (an unwritable --out exits 2)
-    (["orbit-pair", "--config", "keller.json", "--x0", "0.2", "--y0", "0.8",
-      "--out", "/dev/full"], 1, b"OSError: [Errno 28] No space left on device\n"),
+@pytest.mark.parametrize("argv, launcher, code, tail", [
+    (["certify"], MODULE, 2, b"the following arguments are required: --config\n"),
+    (["certify", "--config", "keller.json"], RAISING, 1,
+     b"RuntimeError: load_system failed\n"),
 ], ids=["argparse-exit", "uncaught-exception"])
-def test_a_raising_main_takes_the_normal_path(cfg, argv, code, tail):
+def test_a_raising_main_takes_the_normal_path(cfg, argv, launcher, code, tail):
     """argparse's SystemExit and an uncaught exception still run the exit hooks."""
     argv = [cfg(KELLER_CFG, "keller.json") if a == "keller.json" else a for a in argv]
-    proc = _spawn(argv, "-c", MODULE)
+    proc = _spawn(argv, "-c", launcher)
     assert proc.returncode == code
     assert proc.stderr.endswith(tail + b"teardown\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit-pair", "--config", "keller.json", "--x0", "0.2", "--y0", "0.8"],
+    ["pullback", "--config", "keller.json", "--grid", "64", "--depth", "50"],
+], ids=["orbit-pair", "pullback"])
+def test_failed_out_write_exits_2_naming_out(cfg, argv):
+    # the file opens, and the write or the flush at close fails
+    argv = [cfg(KELLER_CFG, "keller.json") if a == "keller.json" else a for a in argv]
+    proc = _spawn([*argv, "--out", "/dev/full"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (b"config error: cannot write --out file '/dev/full': "
+                           b"No space left on device\n")
+
+
+def test_deeply_nested_config_exits_2(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text('{"base": ' + "[" * 100000 + "]" * 100000 + "}")
+    proc = _spawn(["certify", "--config", str(path)])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"config error: JSON nests too deeply to parse\n"

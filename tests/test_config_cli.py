@@ -400,6 +400,14 @@ class TestPullbackVerifyPipeline:
         doc = json.loads(capsys.readouterr().out)
         assert doc["nonincreasing"] and len(doc["values"]) == 40
 
+    def test_single_point_delta_at_depth_1_is_measured_from_a(self, cfg_file, capsys):
+        rc = cli.main(["pullback", "--config", cfg_file(KELLER_CFG), "--theta", "0.3",
+                       "--depth", "1"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["depth_used"] == 1
+        assert doc["delta"] == abs(doc["values"][0] - 1.0) > 0.0
+
     @pytest.mark.parametrize("cfg, argv, message", [
         (KELLER_CFG, ["--theta", "0.3", "--grid", "64"],
          "--grid cannot be combined with --theta, which pulls back at one point and "
