@@ -44,11 +44,6 @@ PULLBACK_STOP_DELTA = 1e-12
 MONOTONE_SLACK = 1e-12
 # Graph values above this count as positive.
 POSITIVE_THRESHOLD = 1e-9
-# Starts walked together by match_fraction.  For demo coinflip-one's 10^4
-# shift words, advancing all of them at once on their symbol streams peaks
-# 1.4 MB higher (22.1 against 20.7 MB) and is no faster; through `orbits`,
-# with a word per point-step, it peaked 6.3 MB higher.
-MATCH_BLOCK = 32
 # Scan nodes of largest_fixed_point before its bisection.
 FIXED_POINT_SCAN = 4096
 # Grid nodes on which build_preinvariant tests a fiber map for vanishing.
@@ -103,28 +98,19 @@ class GraphFunction:
             )
         return v
 
-    def node_index(self, theta: float) -> int:
-        m = len(self.grid)
-        try:
-            return int(round((theta % 1.0) * m)) % m
-        except ValueError:  # round(NaN): theta % 1.0 is NaN for NaN and infinities
-            raise _not_finite(theta) from None
-
     def value(self, theta) -> float:
-        if self.grid is not None:
-            return float(self.grid[self.node_index(theta)])
-        return self.values((theta,))[0]
+        return float(self.values((theta,))[0])
 
     def values(self, thetas: Sequence) -> Sequence[float]:
-        """`value` at every point: a grid looks up all nodes at once into an
-        array; a table or callable graph gives a list."""
+        """The graph at every point: a grid reads each point's nearest node,
+        all at once into an array; a table or callable graph gives a list."""
         if self.grid is not None:
             m = len(self.grid)
             ts = np.asarray(thetas, dtype=float)
             finite = np.isfinite(ts)
             if not finite.all():
                 raise _not_finite(float(ts[~finite][0]))
-            # np.rint rounds ties to even, like round in node_index
+            # the nearest node; np.rint rounds ties to even
             return self.grid[np.rint((ts % 1.0) * m).astype(int) % m]
         if self.func is not None:
             func, check = self.func, self._check_value
@@ -158,7 +144,7 @@ class GraphFunction:
         raise CapabilityError("callable graphs have no CSV serialization")
 
     @classmethod
-    def from_csv(cls, stream, base, a, provenance="user-supplied"):
+    def from_csv(cls, stream, base, a):
         """Read a graph written by `to_csv`: a header, then (point, value) rows.
 
         Over a circle base the m rows must name each node j/m of a uniform
@@ -205,8 +191,8 @@ class GraphFunction:
             lines[key] = line
             values[key] = v
         if grid:  # m rows and no node twice: every node is set
-            return cls(a, provenance, grid=[values[j] for j in range(m)])
-        return cls(a, provenance, table=values)
+            return cls(a, grid=[values[j] for j in range(m)])
+        return cls(a, table=values)
 
 
 def _not_finite(theta: float) -> DomainError:
@@ -580,7 +566,7 @@ def verify_attractor(
     else:
         walk = ((x, graph.values(t)) for t, x in orbits(sys, thetas, xs, steps))
     reduce = _reduce_arrays if walks_arrays(sys) else _reduce_lists
-    achieved, tail = reduce(walk, tol, steps, len(starts))
+    achieved, tail = reduce(walk, tol, len(starts))
     records = [
         SampleRecord(sys.base.format_point(theta0), x0, None, None)
         if n > steps
@@ -607,7 +593,7 @@ def _checked(walk, graph: GraphFunction, words: Sequence) -> Iterator[tuple]:
         yield xs, values
 
 
-def _reduce_lists(walk, tol: float, steps: int, count: int) -> tuple:
+def _reduce_lists(walk, tol: float, count: int) -> tuple:
     """(achieved, tail) per start from the (xs, graph values) lists of each
     step 0..steps: one past the last step whose deviation is >= tol (0 when
     none is), and the largest deviation from that step on."""
@@ -624,18 +610,17 @@ def _reduce_lists(walk, tol: float, steps: int, count: int) -> tuple:
     return achieved, tail
 
 
-def _reduce_arrays(walk, tol: float, steps: int, count: int) -> tuple:
-    """`_reduce_lists` for the arrays of a `walks_arrays` walk, all steps at once."""
-    devs = np.empty((steps + 1, count))  # devs[n, i]: start i at step n
+def _reduce_arrays(walk, tol: float, count: int) -> tuple:
+    """`_reduce_lists` for the arrays of a `walks_arrays` walk, holding one step.
+    A NaN deviation never misses tol, and np.maximum keeps it in the tail."""
+    achieved = np.zeros(count, dtype=int)
+    tail = np.full(count, -np.inf)
     for n, (xs, values) in enumerate(walk):
-        devs[n] = np.abs(xs - values)
-    missed = devs >= tol
-    # One past the last step that misses tol, or 0 when none does.
-    achieved = np.where(
-        missed.any(axis=0), steps + 1 - np.argmax(missed[::-1], axis=0), 0
-    )
-    devs[np.arange(steps + 1)[:, None] < achieved] = -np.inf
-    return achieved, devs.max(axis=0)
+        devs = np.abs(xs - values)
+        missed = devs >= tol
+        achieved[missed] = n + 1
+        tail = np.where(missed, -np.inf, np.maximum(tail, devs))
+    return achieved, tail
 
 
 class PreinvarianceReport(NamedTuple):
@@ -647,39 +632,51 @@ class PreinvarianceReport(NamedTuple):
     tol: float
 
 
+def _along_orbits(sys: SkewSystem, thetas: Sequence, steps: int, *graphs) -> list:
+    """[orbits, *reads]: each start's orbit theta, R theta, .., R^steps theta,
+    then each graph's values along each orbit as Python floats.  All orbits
+    are walked first; each graph reads them in one `GraphFunction.values` call."""
+    base_step, width = sys.base.step, steps + 1
+    path = []
+    for theta in thetas:
+        path.append(theta)
+        for _ in range(steps):
+            path.append(base_step(path[-1]))
+    rows = [path] + [g.values(path).tolist() if g.grid is not None else g.values(path)
+                     for g in graphs]
+    return [[row[i:i + width] for i in range(0, len(path), width)] for row in rows]
+
+
 def verify_preinvariance(
     sys: SkewSystem,
     graph: GraphFunction,
-    theta,
+    thetas: Sequence,
     horizon: int,
     tol: float,
-) -> PreinvarianceReport:
-    """Smallest N from which the graph commutes with the dynamics along theta.
+) -> list[PreinvarianceReport]:
+    """One report per start theta, in order: the smallest N from which the
+    graph commutes with the dynamics along theta's orbit.
 
     Checks |psi_{R^n theta}(phi(R^n theta)) - phi(R^{n+1} theta)| <= tol for
     all N <= n < horizon; failure reports the first violating step instead.
+    Every orbit is walked before the graph is read, so a start off the base
+    raises DomainError before an earlier orbit's CoverageError (both exit 3).
     """
     check_at_least("horizon", horizon, 1)
     check_positive("tol", tol)
-    residuals = []
-    cur, here = theta, None  # here: the graph value at cur, read once
-    for _ in range(horizon):
-        nxt = sys.base.step(cur)
-        psi = sys.fiber_at(cur)
-        if here is None:
-            here = graph.value(cur)
-        image = psi(here)
-        here = graph.value(nxt)
-        residuals.append(abs(image - here))
-        cur = nxt
-    bad = [n for n, r in enumerate(residuals) if r > tol]
-    first_violation = bad[0] if bad else None
-    first_good = bad[-1] + 1 if bad else 0
-    if first_good >= horizon:
-        return PreinvarianceReport(False, None, first_violation, None, horizon, tol)
-    return PreinvarianceReport(
-        True, first_good, first_violation, max(residuals[first_good:]), horizon, tol
-    )
+    if len(thetas) == 0:
+        raise DomainError("verify_preinvariance needs at least one theta")
+    orbits_, phis = _along_orbits(sys, thetas, horizon, graph)
+    fiber_at, reports = sys.fiber_at, []
+    for path, phi in zip(orbits_, phis):
+        residuals = [abs(fiber_at(t)(here) - nxt) for t, here, nxt in zip(path, phi, phi[1:])]
+        bad = [n for n, r in enumerate(residuals) if r > tol]
+        first_good = bad[-1] + 1 if bad else 0
+        tail = residuals[first_good:]  # empty when the last step fails
+        reports.append(PreinvarianceReport(bool(tail), first_good if tail else None,
+                                           bad[0] if bad else None, max(tail, default=None),
+                                           horizon, tol))
+    return reports
 
 
 class OrbitGapRecord(NamedTuple):
@@ -712,25 +709,20 @@ def uniqueness_probe(
     An orbit whose gap still exceeds eps in the second half of the window is
     flagged: two graphs with a persistent gap along a common orbit cannot
     both be attractors, since forward fiber orbits would have to shadow both.
-    Each orbit's steps + 1 base points are read from both graphs with one
-    `GraphFunction.values` call each.
     """
     check_at_least("steps", steps, 1)
     if len(thetas) == 0:
         raise DomainError("uniqueness_probe needs at least one theta")
     check_positive("eps", eps)
-    base_step = sys.base.step
+    _, reads1, reads2 = _along_orbits(sys, thetas, steps, g1, g2)
     records = []
-    for theta0 in thetas:
-        path = [theta0]
-        for _ in range(steps):
-            path.append(base_step(path[-1]))
-        gaps = [abs(u - v) for u, v in zip(g1.values(path), g2.values(path))]
+    for theta0, values1, values2 in zip(thetas, reads1, reads2):
+        gaps = [abs(u - v) for u, v in zip(values1, values2)]
         exceed = [n for n, gap in enumerate(gaps) if gap >= eps]
         records.append(
             OrbitGapRecord(
                 theta=sys.base.format_point(theta0),
-                max_gap=float(max(gaps)),  # a grid graph's values are numpy floats
+                max_gap=max(gaps),
                 exceed_count=len(exceed),
                 last_exceed=exceed[-1] if exceed else None,
                 flagged=any(n >= steps // 2 for n in exceed),
@@ -763,9 +755,6 @@ def match_fraction(
         raise DomainError(f"tol must be finite, got {tol!r}")
     if not starts:
         raise DomainError("match_fraction needs at least one start")
-    hits = 0
-    for i in range(0, len(starts), MATCH_BLOCK):
-        block = starts[i:i + MATCH_BLOCK]
-        thetas, xs = advance(sys, [t for t, _ in block], [x for _, x in block], n)
-        hits += sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
+    thetas, xs = advance(sys, [t for t, _ in starts], [x for _, x in starts], n)
+    hits = sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
     return hits / len(starts)

@@ -219,17 +219,14 @@ def cmd_verify(args) -> int:
         (theta, rng.uniform(0.05 * system.a, 0.95 * system.a)) for theta in thetas
     ]
     verdict = verify_attractor(system, graph, starts, args.steps, args.tol)
-    preinv = [
-        verify_preinvariance(system, graph, theta, args.horizon, args.tol)._asdict()
-        for theta in thetas[: min(3, len(thetas))]
-    ]
+    preinv = verify_preinvariance(system, graph, thetas[:3], args.horizon, args.tol)
     _emit_json(
         {
             # json writes a bare NamedTuple as an array: convert the nested records too.
             "attractor": dict(
                 verdict._asdict(), records=[r._asdict() for r in verdict.records]
             ),
-            "preinvariance": preinv,
+            "preinvariance": [r._asdict() for r in preinv],
             "graph_provenance": graph.provenance,
         }
     )
@@ -273,7 +270,7 @@ def _claims_noinvattr(fast: bool) -> list[tuple[bool, str]]:
     )
 
     theta = system.base.parse_point("-0.5")  # chain point at index -2
-    rep = verify_preinvariance(system, graph, theta, 80, 1e-9)
+    (rep,) = verify_preinvariance(system, graph, [theta], 80, 1e-9)
     claims.append(
         (rep.ok, f"graph is preinvariant along the chain (residual-free from n = {rep.first_good_n})")
     )
@@ -385,10 +382,7 @@ def _claims_keller(fast: bool) -> list[tuple[bool, str]]:
     ]
     rng = random.Random(7)
     nodes = [rng.randrange(grid) / grid for _ in range(1000)]
-    bad = 0
-    for theta in nodes:
-        rep = verify_preinvariance(system, res.graph, theta, 1, 1e-6)
-        bad += not rep.ok
+    bad = sum(not rep.ok for rep in verify_preinvariance(system, res.graph, nodes, 1, 1e-6))
     claims.append(
         (bad == 0, "preinvariance residual < 1e-6 at 1000 sampled grid nodes")
     )

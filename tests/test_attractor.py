@@ -3,6 +3,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,28 @@ def reference_records(sys_, graph, starts, steps, tol):
         achieved = max((n + 1 for n, d in enumerate(devs) if d >= tol), default=0)
         out.append((achieved, max(devs[achieved:])) if achieved <= steps else (None, None))
     return out
+
+
+def reduce_2d(walk, tol, steps, count):
+    """(achieved, tail) per start of `verify_attractor`'s array walk, from a
+    (steps + 1) x count array of every deviation."""
+    devs = np.empty((steps + 1, count))  # devs[n, i]: start i at step n
+    for n, (xs, values) in enumerate(walk):
+        devs[n] = np.abs(xs - values)
+    missed = devs >= tol
+    # One past the last step that misses tol, or 0 when none does.
+    achieved = np.where(missed.any(axis=0), steps + 1 - np.argmax(missed[::-1], axis=0), 0)
+    devs[np.arange(steps + 1)[:, None] < achieved] = -np.inf
+    return achieved, devs.max(axis=0)
+
+
+def reference_2d_records(sys_, graph, starts, steps, tol):
+    """(achieved_step, max_dev_after) per start through `reduce_2d`."""
+    thetas, xs = [t for t, _ in starts], [x for _, x in starts]
+    walk = ((x, graph.values(t)) for t, x in orbits(sys_, thetas, xs, steps))
+    achieved, tail = reduce_2d(walk, tol, steps, len(starts))
+    return [(int(n), float(dev)) if n <= steps else (None, None)
+            for n, dev in zip(achieved, tail)]
 
 
 def walk_error(sys_, starts, steps):
@@ -963,6 +986,39 @@ class TestVerifyAttractor:
         assert fast.records == slow.records
         assert any(r.max_dev_after for r in slow.records)
 
+    def test_circle_verification_holds_one_step(self):
+        sys_ = make_keller()
+        graph = pullback_grid(sys_, grid_size=256, depth=300).graph
+        rng = random.Random(8)
+        starts = [(rng.random(), rng.random()) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            verdict = verify_attractor(sys_, graph, starts, 5000, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 5001 x 200 deviations of the 2-D reduction alone take 8 MB
+        assert peak < 1_000_000
+        records = [(r.achieved_step, r.max_dev_after) for r in verdict.records]
+        assert records == reference_2d_records(sys_, graph, starts, 5000, 0.01)
+        assert len({n for n, _ in records}) > 10
+
+    def test_nan_deviation_stays_in_the_tail(self):
+        # a fibre map giving NaN: the last step's deviation is NaN, which
+        # never misses tol and stays in the tail, as in the 2-D reduction
+        sys_ = SkewSystem(CircleRotation(GOLDEN_ROTATION),
+                          ProductFamily(FiberMap(1.0, lambda x: x * math.nan)), 1.0)
+        assert walks_arrays(sys_)
+        graph = GraphFunction(1.0, grid=[0.0, 0.5, 0.25, 1.0])
+        starts = [(0.1, 0.0), (0.3, 0.5), (0.6, 0.25), (0.9, 0.75)]
+        for tol in (0.1, 0.3, 1.0):
+            verdict = verify_attractor(sys_, graph, starts, 1, tol)
+            records = [(r.achieved_step, r.max_dev_after) for r in verdict.records]
+            want = reference_2d_records(sys_, graph, starts, 1, tol)
+            assert repr(records) == repr(want)
+            assert any(n is not None for n, _ in want)
+            assert all(math.isnan(dev) for n, dev in want if n is not None)
+
     @pytest.mark.parametrize("x0", [-0.25, 1.5])
     def test_start_outside_fiber_raises_on_both_paths(self, x0):
         batched = make_keller()
@@ -1124,6 +1180,30 @@ class TestAdvance:
                     assert len(calls) == n * len(starts)
                     calls.clear()
 
+    @pytest.mark.parametrize("case", ["coinflip-one-words", "noinvattr"])
+    def test_match_fraction_equals_blocks_of_32(self, case):
+        # one pass over every start counts what walking them 32 at a time counts
+        if case == "coinflip-one-words":
+            sys_ = make_coinflip("one")
+            rng = random.Random(20260809)
+            starts = [(OneSidedWord(tuple(rng.randrange(2) for _ in range(20)), (0,)), 0.0)
+                      for _ in range(1000)]
+            graphs = [GraphFunction(1.0, func=lambda w: 0.0),
+                      GraphFunction(1.0, func=lambda w: float(w.symbol(3)))]
+        else:
+            sys_ = make_noinvattr(16)
+            rng = random.Random(4)
+            starts = [(rng.choice(sys_.base.points), rng.random()) for _ in range(300)]
+            graphs = [build_preinvariant(sys_), pullback_graph_finite(sys_, 5)[0]]
+        for graph in graphs:
+            for n, tol in [(1, 0.0), (5, 1e-3), (20, 0.0), (20, 0.25)]:
+                hits = 0
+                for i in range(0, len(starts), 32):
+                    block = starts[i:i + 32]
+                    thetas, xs = advance(sys_, [t for t, _ in block], [x for _, x in block], n)
+                    hits += sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
+                assert match_fraction(sys_, graph, n, starts, tol) == hits / len(starts)
+
 
 HALF = FiberMap(1.0, lambda x: 0.5 * x, form="half")
 
@@ -1231,7 +1311,85 @@ class TestVerifyOnSymbolStreams:
             SymbolTable(offset, values)
 
 
+def per_start_preinvariance(sys_, graph, theta, horizon, tol):
+    """One start's `verify_preinvariance` report, walked step by step with a
+    scalar read per point; a grid graph reads its nearest node by round."""
+    def value(t):
+        if graph.grid is None:
+            return graph.value(t)
+        m = len(graph.grid)
+        return float(graph.grid[round((t % 1.0) * m) % m])
+
+    residuals = []
+    cur, here = theta, None  # here: the graph value at cur, read once
+    for _ in range(horizon):
+        nxt = sys_.base.step(cur)
+        psi = sys_.fiber_at(cur)
+        if here is None:
+            here = value(cur)
+        image = psi(here)
+        here = value(nxt)
+        residuals.append(abs(image - here))
+        cur = nxt
+    bad = [n for n, r in enumerate(residuals) if r > tol]
+    first_violation = bad[0] if bad else None
+    first_good = bad[-1] + 1 if bad else 0
+    if first_good >= horizon:
+        return (False, None, first_violation, None, horizon, tol)
+    return (True, first_good, first_violation, max(residuals[first_good:]), horizon, tol)
+
+
+def preinvariance_cases():
+    """(system, graph, starts) for a Keller grid, the noinvattr table graph and
+    coinflip-two's `SymbolTable` graph."""
+    keller = make_keller()
+    m = 64
+    grid = pullback_grid(keller, grid_size=m, depth=200).graph
+    rng = random.Random(29)
+    # (j + 0.5)/m lies halfway between two nodes: ties go to the even node
+    circle = ([(j + 0.5) / m for j in range(m)] + [j / m for j in range(0, m, 5)]
+              + [rng.random() for _ in range(20)] + [0.999999, 1.0, 2.5, -0.3])
+    noinv = make_noinvattr(16)
+    two = make_coinflip("two")
+    words = [TwoSidedWord((rng.randrange(2),), tuple(rng.randrange(2) for _ in range(k)),
+                          (rng.randrange(2),), rng.randrange(-3, 4)) for k in range(12)]
+    return {
+        "keller-grid": (keller, grid, circle),
+        "noinvattr-table": (noinv, build_preinvariant(noinv), list(noinv.base.points)),
+        "coinflip-two-symbols": (two, coinflip_attractor_graph(), words),
+    }
+
+
 class TestVerifyPreinvariance:
+    @pytest.mark.parametrize("case, outcomes", [
+        ("keller-grid", {True, False}),
+        ("noinvattr-table", {True, False}),
+        ("coinflip-two-symbols", {True}),  # an exact attractor
+    ], ids=["keller-grid", "noinvattr-table", "coinflip-two-symbols"])
+    def test_batched_equals_per_start(self, case, outcomes):
+        sys_, graph, starts = preinvariance_cases()[case]
+        seen = set()
+        for horizon, tol in [(1, 1e-6), (7, 1e-3), (30, 0.05), (40, 1e-12)]:
+            reps = verify_preinvariance(sys_, graph, starts, horizon, tol)
+            assert len(reps) == len(starts)
+            for theta, rep in zip(starts, reps):
+                want = per_start_preinvariance(sys_, graph, theta, horizon, tol)
+                assert tuple(rep) == want
+                assert [type(v) for v in rep] == [type(v) for v in want]
+                seen.add(rep.ok)
+        assert seen == outcomes
+
+    def test_empty_thetas_refused(self):
+        sys_ = make_noinvattr(8)
+        graph = build_preinvariant(sys_)
+        with pytest.raises(DomainError, match="^verify_preinvariance needs at least one theta$"):
+            verify_preinvariance(sys_, graph, [], 5, 1e-9)
+        # horizon and tol are checked first
+        with pytest.raises(DomainError, match="^horizon must be >= 1, got 0$"):
+            verify_preinvariance(sys_, graph, [], 0, 1e-9)
+        with pytest.raises(DomainError, match="^tol must be > 0, got 0.0$"):
+            verify_preinvariance(sys_, graph, [], 5, 0.0)
+
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, math.inf])
     def test_tol_must_be_positive(self, tol):
         # against a NaN or infinite tol every deviation passes; against tol <= 0 none does
@@ -1239,7 +1397,7 @@ class TestVerifyPreinvariance:
         graph = build_preinvariant(sys_)
         message = f"tol must be {'finite' if tol == math.inf else '> 0'}, got {tol!r}"
         with pytest.raises(DomainError, match=message):
-            verify_preinvariance(sys_, graph, 0.0, 5, tol)
+            verify_preinvariance(sys_, graph, [0.0], 5, tol)
         with pytest.raises(DomainError, match=message):
             verify_attractor(sys_, graph, [(0.0, 0.5)], 5, tol)
 
@@ -1248,8 +1406,9 @@ class TestVerifyPreinvariance:
         # node lattice is exactly aligned with the nearest-node predecessor
         sys_ = make_keller()
         res = pullback_grid(sys_, grid_size=512, depth=2000)
-        for j in (0, 37, 255, 511):
-            rep = verify_preinvariance(sys_, res.graph, j / 512, 1, 1e-6)
+        reps = verify_preinvariance(sys_, res.graph, [j / 512 for j in (0, 37, 255, 511)], 1, 1e-6)
+        assert len(reps) == 4
+        for rep in reps:
             assert rep.ok and rep.first_good_n == 0
             assert rep.max_tail_residual <= 10 * max(res.delta, 1e-13)
 
@@ -1257,20 +1416,20 @@ class TestVerifyPreinvariance:
         sys_ = make_noinvattr(32)
         graph, _depths = pullback_graph_finite(sys_, 60)
         theta = sys_.base.parse_point("-0.5")
-        rep = verify_preinvariance(sys_, graph, theta, 40, 1e-6)
+        (rep,) = verify_preinvariance(sys_, graph, [theta], 40, 1e-6)
         assert rep.ok
 
     def test_constructed_graph_has_finite_transient(self):
         sys_ = make_noinvattr(16)
         g = build_preinvariant(sys_)
         theta = sys_.base.parse_point("-0.5")
-        rep = verify_preinvariance(sys_, g, theta, 60, 1e-9)
+        (rep,) = verify_preinvariance(sys_, g, [theta], 60, 1e-9)
         assert rep.ok and rep.first_good_n >= 1
 
     def test_top_constant_fails_where_maps_pull_down(self):
         sys_ = make_keller()
         top = GraphFunction(1.0, func=lambda theta: 1.0)
-        rep = verify_preinvariance(sys_, top, 0.2, 5, 1e-6)
+        (rep,) = verify_preinvariance(sys_, top, [0.2], 5, 1e-6)
         assert not rep.ok or rep.first_good_n > 0
         assert rep.first_violation == 0
 
@@ -1278,15 +1437,16 @@ class TestVerifyPreinvariance:
         sys_ = keller_k07()
         graph = GraphFunction(1.0, func=lambda t: 0.5 + 0.25 * math.sin(7 * t))
         calls = []
-        real = graph.value
-        graph.value = lambda t: calls.append(t) or real(t)
-        rep = verify_preinvariance(sys_, graph, 0.2, 50, 1.0)
-        assert len(calls) == 51
-        cur, residuals = 0.2, []
+        real = graph.values
+        graph.values = lambda ts: calls.append(list(ts)) or real(ts)
+        (rep,) = verify_preinvariance(sys_, graph, [0.2], 50, 1.0)
+        cur, path, residuals = 0.2, [0.2], []
         for _ in range(50):
             nxt = sys_.base.step(cur)
-            residuals.append(abs(sys_.fiber_at(cur)(real(cur)) - real(nxt)))
+            residuals.append(abs(sys_.fiber_at(cur)(graph.func(cur)) - graph.func(nxt)))
+            path.append(nxt)
             cur = nxt
+        assert calls == [path] and len(set(path)) == 51
         assert rep.ok and rep.max_tail_residual == max(residuals)
 
     def test_point_off_the_base_fails_in_the_base_step(self):
@@ -1294,7 +1454,13 @@ class TestVerifyPreinvariance:
         sys_ = make_noinvattr(8)
         graph = GraphFunction(1.0, table={1.0: 1.0})
         with pytest.raises(DomainError, match="not in the base"):
-            verify_preinvariance(sys_, graph, 0.123, 5, 1e-9)
+            verify_preinvariance(sys_, graph, [0.123], 5, 1e-9)
+        # every orbit is walked before the graph is read: 0.0 is missing
+        # from the table, but the later start fails first
+        with pytest.raises(CoverageError):
+            verify_preinvariance(sys_, graph, [0.0], 5, 1e-9)
+        with pytest.raises(DomainError, match="not in the base"):
+            verify_preinvariance(sys_, graph, [0.0, 0.123], 5, 1e-9)
 
 
 class TestUniquenessProbe:
@@ -1382,7 +1548,7 @@ def _range_checks():
         ("grid_size", 8, lambda v: pullback_grid(keller, v, depth=5)),
         ("steps", 1, lambda v: verify_attractor(noinv, graph, starts, v, 0.1)),
         ("steps", 1, lambda v: uniqueness_probe(noinv, graph, graph, [0.0], v, 0.1)),
-        ("horizon", 1, lambda v: verify_preinvariance(noinv, graph, 0.0, v, 0.1)),
+        ("horizon", 1, lambda v: verify_preinvariance(noinv, graph, [0.0], v, 0.1)),
         ("n", 1, lambda v: match_fraction(noinv, graph, v, starts)),
         ("sample_count", 1, lambda v: classify(noinv, v)),
         ("sample count", 1, lambda v: keller.base.sample_points(v, random.Random(0))),
