@@ -14,7 +14,6 @@ import functools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from ._numpy import np
 from .bases import CircleRotation, orbit_walk
 from .errors import (
     CapabilityError,
@@ -64,7 +63,7 @@ class GraphFunction:
         a: float,
         provenance: str = "user-supplied",
         table: dict | None = None,
-        grid: np.ndarray | None = None,
+        grid: Sequence[float] | None = None,
         func: Callable | None = None,
         fallback: float | None = None,
     ):
@@ -74,7 +73,7 @@ class GraphFunction:
         self.a = a
         self.provenance = provenance
         self.table = dict(table) if table is not None else None
-        self.grid = np.asarray(grid, dtype=float) if grid is not None else None
+        self.grid = None
         self.func = func
         self.fallback = fallback
         if self.table is not None:
@@ -82,7 +81,10 @@ class GraphFunction:
                 raise DomainError("table representation must hold at least one point")
             for k, v in self.table.items():
                 self._check_value(v, k)
-        if self.grid is not None:
+        if grid is not None:
+            import numpy as np
+
+            self.grid = np.asarray(grid, dtype=float)
             if self.grid.ndim != 1 or len(self.grid) < 1:
                 raise DomainError("grid representation must be a 1-d array")
             # written so that a NaN, which compares False, fails the check
@@ -105,6 +107,8 @@ class GraphFunction:
         """The graph at every point: a grid reads each point's nearest node,
         all at once into an array; a table or callable graph gives a list."""
         if self.grid is not None:
+            import numpy as np
+
             m = len(self.grid)
             ts = np.asarray(thetas, dtype=float)
             finite = np.isfinite(ts)
@@ -211,7 +215,7 @@ def _csv_number(cell: str, line: int, column: str) -> float:
 def positive_fraction(graph: GraphFunction) -> float:
     """Fraction of stored graph values above POSITIVE_THRESHOLD."""
     if graph.grid is not None:
-        return float(np.mean(graph.grid > POSITIVE_THRESHOLD))
+        return float((graph.grid > POSITIVE_THRESHOLD).mean())
     if graph.table is not None:
         vals = list(graph.table.values())
         return sum(v > POSITIVE_THRESHOLD for v in vals) / len(vals)
@@ -263,6 +267,8 @@ def build_preinvariant(
     base = sys.base
     pts = list(points) if points is not None else list(getattr(base, "points", ()))
     if not pts:
+        if points is not None:
+            raise DomainError("build_preinvariant needs at least one point")
         raise CapabilityError(
             "build_preinvariant needs an enumerable point set for this base"
         )
@@ -355,6 +361,8 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
     """
     a = float(sys.a)
     if walks_arrays(sys):
+        import numpy as np
+
         family, pred_idx = sys.fiber_at, np.asarray(pred, dtype=int)
         f, g_pred = family.fm.f, family.factors(np.asarray(nodes, dtype=float)[pred_idx])
         every = range(len(nodes))
@@ -492,6 +500,8 @@ def pullback_grid(
     if not isinstance(base, CircleRotation):
         raise CapabilityError("grid pullback is defined for circle rotation bases")
     check_at_least("grid_size", grid_size, 8)
+    import numpy as np
+
     m = int(grid_size)
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
@@ -613,6 +623,8 @@ def _reduce_lists(walk, tol: float, count: int) -> tuple:
 def _reduce_arrays(walk, tol: float, count: int) -> tuple:
     """`_reduce_lists` for the arrays of a `walks_arrays` walk, holding one step.
     A NaN deviation never misses tol, and np.maximum keeps it in the tail."""
+    import numpy as np
+
     achieved = np.zeros(count, dtype=int)
     tail = np.full(count, -np.inf)
     for n, (xs, values) in enumerate(walk):

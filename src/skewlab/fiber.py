@@ -13,7 +13,13 @@ import functools
 import math
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, InvariantError, PreconditionError, check_at_least
+from .errors import (
+    DomainError,
+    InvariantError,
+    PreconditionError,
+    check_at_least,
+    check_positive,
+)
 
 # Grid values below this count as identically zero.
 ZERO_TOL = 1e-12
@@ -237,8 +243,7 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
     (in particular for nondecreasing maps).  Undefined for the zero map.
     """
     _check_grid_size(scan)
-    if not tol > 0.0:  # also refuses NaN
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    check_positive("tol", tol)
     a = fm.a
     xs = _grid(a, scan)[1:]
     f = functools.cache(fm)  # the scan reads each node's value from the grid pass

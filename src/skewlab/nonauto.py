@@ -31,37 +31,17 @@ _BOUND_SLACK = 1e-9
 KAPPA_NOISE_FLOOR = 1e-13
 
 
-class MapProfile(NamedTuple):
-    """Per-map data consumed by the trace bound bookkeeping."""
-
-    gamma: float
-    alpha: float
-    b: float | None
-    monotone: bool
-    zero: bool
-
-
-def map_profile(fm: FiberMap) -> MapProfile:
-    """Analytic metadata when the map carries it, certification on CERTIFY_GRID otherwise."""
-    if (
-        fm.gamma is not None
-        and fm.alpha is not None
-        and fm.monotone is not None
-    ):
-        gamma, alpha, monotone = fm.gamma, fm.alpha, fm.monotone
-        zero = gamma <= ZERO_TOL
-        if zero:
-            b = None
-        elif monotone:
-            b = fm.a
-        else:
-            b = fm.b
-    else:
-        cert = certify(fm, CERTIFY_GRID)
-        gamma, alpha, monotone = cert.gamma, cert.alpha_star, cert.monotone
-        zero = gamma <= ZERO_TOL
-        b = cert.b
-    return MapProfile(gamma=gamma, alpha=alpha, b=b, monotone=monotone, zero=zero)
+def map_profile(fm: FiberMap) -> FiberMap:
+    """The map with the data the trace bounds read: fm itself when it carries
+    analytic gamma, alpha and monotonicity, taken as given (a hand-built map
+    whose data omits b keeps b = None), and otherwise fm with the gamma,
+    alpha, b and monotonicity that `certify` reads off CERTIFY_GRID."""
+    if fm.gamma is not None and fm.alpha is not None and fm.monotone is not None:
+        return fm
+    cert = certify(fm, CERTIFY_GRID)
+    return fm._replace(
+        gamma=cert.gamma, alpha=cert.alpha_star, b=cert.b, monotone=cert.monotone
+    )
 
 
 class MapSequence(NamedTuple):
@@ -164,8 +144,9 @@ def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPai
         fm = seq.map_at(n)
         prof = profile(fm)
 
-        if prof.zero:
-            rows.append(PairStep(n - 1, x, y, k, b=prof.b))
+        if prof.gamma <= ZERO_TOL:
+            # a map that vanishes has no isoclinic point
+            rows.append(PairStep(n - 1, x, y, k))
             x, y = fm(x), fm(y)
             k = _kappa_or_none(x, y)
             reason = "pinched"

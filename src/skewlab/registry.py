@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from ._numpy import np
 from .errors import RegistryError, check_number
 from .fiber import FiberMap
 
@@ -33,6 +32,8 @@ def _elementwise(name: str) -> Callable:
     def fn(x):
         if isinstance(x, (int, float)):
             return scalar(x)
+        import numpy as np
+
         return getattr(np, name)(x)
 
     return fn

@@ -7,7 +7,6 @@ import itertools
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._numpy import np
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
 from .fiber import ZERO_TOL, FiberMap, certify
@@ -119,6 +118,8 @@ def orbits(
     it is stepped.
     """
     if walks_arrays(sys):
+        import numpy as np
+
         family, omega, a = sys.fiber_at, sys.base.omega, sys.a
         thetas = np.asarray(thetas, dtype=float)
         xs = np.asarray(xs, dtype=float)

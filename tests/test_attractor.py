@@ -66,6 +66,13 @@ from skewlab.skew import (
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
 WEAK = FiberMap(1.0, lambda x: x * (2 - x) / 4.0, gamma=0.25, alpha=0.25, b=1.0, monotone=True)
+# The data of one graph per representation, for the lookup tests.
+GRID8 = np.linspace(0.0, 0.875, 8)
+TABLE = {0.5: 0.3, 0.25: 0.6}
+
+
+def square(t):
+    return (t % 1.0) ** 2
 
 
 def keller_k07():
@@ -454,17 +461,22 @@ class TestGraphFunction:
             GraphFunction(1.0, grid=[])
 
     @pytest.mark.parametrize(
-        "graph",
+        "graph, reference",
         [
-            GraphFunction(1.0, grid=np.linspace(0.0, 0.875, 8)),
-            GraphFunction(1.0, table={0.5: 0.3, 0.25: 0.6}, fallback=1.0),
-            GraphFunction(1.0, func=lambda t: (t % 1.0) ** 2),
+            # the nearest of the 8 nodes, Python's round also rounding ties to even
+            (GraphFunction(1.0, grid=GRID8), lambda t: GRID8[round((t % 1.0) * 8) % 8]),
+            (GraphFunction(1.0, table=TABLE, fallback=1.0), lambda t: TABLE.get(t, 1.0)),
+            (GraphFunction(1.0, func=square), square),
         ],
         ids=["grid", "table", "callable"],
     )
-    def test_values_match_value(self, graph):
+    def test_values_match_value(self, graph, reference):
+        # 1/16, 3/16 and 2.5625 fall halfway between two grid nodes
         thetas = [0.0, 1 / 16, 3 / 16, 0.25, 0.5, 0.7, 0.99, 0.999999, -0.3, 2.5625]
-        assert np.array_equal(graph.values(thetas), [graph.value(t) for t in thetas])
+        expected = [reference(t) for t in thetas]
+        assert list(graph.values(thetas)) == expected
+        assert [graph.value(t) for t in thetas] == expected
+        assert all(type(graph.value(t)) is float for t in thetas)
 
     def test_csv_roundtrip_grid(self):
         base = CircleRotation(0.3)
@@ -555,6 +567,11 @@ class TestBuildPreinvariant:
     def test_requires_point_set(self):
         with pytest.raises(CapabilityError):
             build_preinvariant(make_keller())
+
+    def test_empty_points_refused(self):
+        # a finite base has its points: an empty list is the caller's error
+        with pytest.raises(DomainError, match="^build_preinvariant needs at least one point$"):
+            build_preinvariant(make_noinvattr(16), points=[])
 
     def test_each_distinct_map_scanned_once(self, monkeypatch):
         import skewlab.attractor as attractor

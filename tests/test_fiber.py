@@ -218,8 +218,13 @@ class TestIsoclinicPoint:
             isoclinic_point(fm)
 
     def test_nan_tol_refused(self):
-        with pytest.raises(DomainError, match=r"^tol must be positive, got nan$"):
+        with pytest.raises(DomainError, match=r"^tol must be > 0, got nan$"):
             isoclinic_point(LOGISTIC.scaled(0.5), tol=float("nan"))
+
+    def test_infinite_tol_refused(self):
+        # an infinite tol once returned the scan bracket's midpoint, not b = 2/3
+        with pytest.raises(DomainError, match=r"^tol must be finite, got inf$"):
+            isoclinic_point(HUMP4, tol=float("inf"))
 
     def test_scale_free(self, rng):
         # scaling the map does not move the isoclinic point
@@ -426,7 +431,7 @@ def _ref_concavity_holds(fm, alpha, grid_size, slack=CONCAVITY_SLACK):
 
 def _ref_isoclinic_point(fm, tol=1e-9, scan=2048):
     if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+        raise DomainError(f"tol must be > 0, got {tol!r}")
     a = fm.a
     xs = [a * i / scan for i in range(scan + 1)]
     xs[-1] = a

@@ -236,9 +236,13 @@ def test_black_box_map_profiled_by_certification():
     cubic = build_fiber({"form": "poly", "coeffs": [2.4, -1.2, -0.6]}, 1.0)
     assert (cubic.gamma, cubic.alpha, cubic.monotone) == (None, None, None)
     cert = certify(cubic, 4096)  # certify --grid's default
-    assert nonauto.map_profile(cubic) == (
-        cert.gamma, cert.alpha_star, cert.b, cert.monotone, False
+    prof = nonauto.map_profile(cubic)
+    assert (prof.gamma, prof.alpha, prof.b, prof.monotone) == (
+        cert.gamma, cert.alpha_star, cert.b, cert.monotone
     )
+    assert (prof.a, prof.f, prof.form) == (cubic.a, cubic.f, cubic.form)
+    # a map with analytic data is read as given
+    assert nonauto.map_profile(HALF) is HALF
     assert cert.gamma == pytest.approx(8 / 9) and not cert.monotone
 
 

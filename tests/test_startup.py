@@ -1,11 +1,12 @@
 """Which commands run numpy, and which skewlab layers each command runs.
 
-numpy is bound lazily, and only work over a circle base uses it (grid
-graphs, grid sweeps, batched orbits).  A process that certifies fibres,
-traces orbit pairs, pulls back at one point (every pointwise query composes
-on lists; sweeps are for node sets), or pulls back, verifies and runs demos
-over a finite base or a shift must finish without executing numpy's import.
-Likewise `import skewlab` runs no layer module, and each command executes
+Only work over a circle base uses numpy (grid graphs, grid sweeps, batched
+orbits), and it imports numpy where it builds arrays.  A process that
+certifies fibres, traces orbit pairs, pulls back at one point (every
+pointwise query composes on lists; sweeps are for node sets), or pulls
+back, verifies and runs demos over a finite base or a shift must finish
+without executing numpy's import, and prints the same with numpy off its
+path.  Likewise `import skewlab` runs no layer module, and each command executes
 only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
 the nonauto module, nor the demos that build preinvariant graphs
@@ -131,6 +132,37 @@ def test_scalar_commands_never_run_numpy(tmp_path):
     child = (tmp_path / "child.csv").read_bytes()
     assert child.count(b"\n") == 65
     assert child == (tmp_path / "here.csv").read_bytes()
+
+
+def test_scalar_commands_need_only_the_standard_library(tmp_path):
+    # python -S leaves site-packages, and numpy with it, off sys.path
+    no_site = [sys.executable, "-S", "-c", "import numpy"]
+    assert subprocess.run(no_site, env=_child_env(), capture_output=True, timeout=120).returncode
+    keller = tmp_path / "keller.json"
+    keller.write_text(json.dumps(KELLER_CFG))
+    noinv = tmp_path / "noinv.json"
+    noinv.write_text(json.dumps(NOINV_CFG))
+    argvs = [
+        ["certify", "--config", str(keller), "--theta", "0.3"],
+        ["orbit-pair", "--config", str(keller), "--x0", "0.2", "--y0", "0.8", "--steps", "50"],
+        ["pullback", "--config", str(keller), "--theta", "0.3", "--depth", "400"],
+        ["pullback", "--config", str(noinv), "--depth", "300"],
+        ["demo", "noinvattr", "--fast"],
+        ["demo", "product-hump", "--fast"],
+    ]
+    # each command's stdout, then its exit code
+    code = ("import json, sys; from skewlab import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print('exit', cli.main(argv), flush=True)")
+    outs = []
+    for flags in (["-S"], []):
+        proc = subprocess.run([sys.executable, *flags, "-c", code, json.dumps(argvs)],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (flags, proc.stderr)
+        outs.append(proc.stdout)
+    exits = [ln for ln in outs[1].splitlines() if ln.startswith("exit")]
+    assert exits == ["exit 0"] * len(argvs)
+    assert outs[0] == outs[1]
 
 
 def test_closed_circle_orbit_never_runs_numpy(tmp_path):
