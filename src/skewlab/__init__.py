@@ -30,7 +30,7 @@ _EXPORTS = {
     "left_derivative_limit ratio_bound_monotone ratio_bound_nonmonotone",
     "nonauto": "MapSequence OrbitPairTrace along_orbit bound_violations "
     "convergence_certificate isoclinic_guard iterate_pair trace_to_csv",
-    "skew": "ProductFamily SkewSystem SymbolTable advance classify declared orbit orbits step",
+    "skew": "ProductFamily SkewSystem SymbolTable classify declared orbits step",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -26,16 +26,7 @@ from .errors import (
 )
 from .fiber import ZERO_TOL, FiberMap, _bisect_last, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
-from .skew import (  # noqa: F401
-    SkewSystem,
-    SymbolTable,
-    advance,
-    orbits,
-    step,
-    symbol_walk,
-    walks_arrays,
-    walks_symbols,
-)
+from .skew import SkewSystem, orbits, step, walks_arrays  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
 PULLBACK_STOP_DELTA = 1e-12
@@ -570,11 +561,7 @@ def verify_attractor(
     if not starts:
         raise DomainError("verify_attractor needs at least one start")
     check_positive("tol", tol)
-    thetas, xs = [t for t, _ in starts], [x for _, x in starts]
-    if walks_symbols(sys) and isinstance(graph.func, SymbolTable):
-        walk = _checked(symbol_walk(sys, thetas, xs, steps, graph.func), graph, thetas)
-    else:
-        walk = ((x, graph.values(t)) for t, x in orbits(sys, thetas, xs, steps))
+    walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps, graph)
     reduce = _reduce_arrays if walks_arrays(sys) else _reduce_lists
     achieved, tail = reduce(walk, tol, len(starts))
     records = [
@@ -589,27 +576,13 @@ def verify_attractor(
     )
 
 
-def _checked(walk, graph: GraphFunction, words: Sequence) -> Iterator[tuple]:
-    """A `symbol_walk` over ``graph``'s table, each graph value checked as
-    `GraphFunction.values` checks it.  A value outside [0, a] is named by
-    its word, which is built only then."""
-    lo, hi = -ZERO_TOL, graph.a + ZERO_TOL
-    in_range = all(lo <= v <= hi for v in graph.func.values)
-    for n, (xs, values) in enumerate(walk):
-        if not in_range:
-            for w, v in zip(words, values):
-                if not lo <= v <= hi:
-                    graph._check_value(v, w.advanced(n))
-        yield xs, values
-
-
 def _reduce_lists(walk, tol: float, count: int) -> tuple:
-    """(achieved, tail) per start from the (xs, graph values) lists of each
+    """(achieved, tail) per start from the (thetas, xs, graph values) of each
     step 0..steps: one past the last step whose deviation is >= tol (0 when
     none is), and the largest deviation from that step on."""
     achieved = [0] * count
     tail = [-math.inf] * count
-    for n, (xs, values) in enumerate(walk):
+    for n, (_, xs, values) in enumerate(walk):
         for i, (x, v) in enumerate(zip(xs, values)):
             dev = abs(x - v)
             if dev >= tol:
@@ -627,7 +600,7 @@ def _reduce_arrays(walk, tol: float, count: int) -> tuple:
 
     achieved = np.zeros(count, dtype=int)
     tail = np.full(count, -np.inf)
-    for n, (xs, values) in enumerate(walk):
+    for n, (_, xs, values) in enumerate(walk):
         devs = np.abs(xs - values)
         missed = devs >= tol
         achieved[missed] = n + 1
@@ -648,12 +621,8 @@ def _along_orbits(sys: SkewSystem, thetas: Sequence, steps: int, *graphs) -> lis
     """[orbits, *reads]: each start's orbit theta, R theta, .., R^steps theta,
     then each graph's values along each orbit as Python floats.  All orbits
     are walked first; each graph reads them in one `GraphFunction.values` call."""
-    base_step, width = sys.base.step, steps + 1
-    path = []
-    for theta in thetas:
-        path.append(theta)
-        for _ in range(steps):
-            path.append(base_step(path[-1]))
+    walk, width = [ts for ts, _ in orbits(sys, thetas, None, steps)], steps + 1
+    path = [t for orbit in zip(*walk) for t in orbit]
     rows = [path] + [g.values(path).tolist() if g.grid is not None else g.values(path)
                      for g in graphs]
     return [[row[i:i + width] for i in range(0, len(path), width)] for row in rows]
@@ -767,6 +736,7 @@ def match_fraction(
         raise DomainError(f"tol must be finite, got {tol!r}")
     if not starts:
         raise DomainError("match_fraction needs at least one start")
-    thetas, xs = advance(sys, [t for t, _ in starts], [x for _, x in starts], n)
+    for thetas, xs in orbits(sys, [t for t, _ in starts], [x for _, x in starts], n):
+        pass
     hits = sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
     return hits / len(starts)

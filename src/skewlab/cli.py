@@ -48,7 +48,7 @@ from .errors import (
     file_error,
 )
 from .fiber import CERTIFY_GRID, certify
-from .skew import classify, orbit
+from .skew import classify, orbits
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -240,8 +240,7 @@ def _claims_noinvattr(fast: bool) -> list[tuple[bool, str]]:
     system = make_noinvattr(64)
     claims = []
 
-    pts = orbit(system, (0.0, 0.5), 5)
-    x5 = pts[-1][1]
+    *_, (_, (x5,)) = orbits(system, [0.0], [0.5], 5)
     claims.append(
         (
             x5 >= 1.0 - 1e-9,

@@ -188,7 +188,7 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     elif monotone:
         b = fm.a
     elif alpha_star > 0.0:
-        b = isoclinic_point(fm, tol=1e-9, scan=min(grid_size, 2048))
+        b = isoclinic_point(fm, tol=1e-9 * fm.a, scan=min(grid_size, 2048))
     else:
         b = None  # nonmonotone with no certified strict concavity
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -18,9 +17,10 @@ class SkewSystem(NamedTuple):
     The fibres declare what is known of them.  `declared` reads the
     classification and beta off their maps' analytic data, and `classify`
     re-derives both from grid certification, so the two can be
-    cross-checked.  A `ProductFamily` over a circle also steps as numpy
-    arrays (`walks_arrays`), a `SymbolTable` over a shift on symbol streams
-    (`walks_symbols`).  Replacing ``fiber_at`` replaces every declaration.
+    cross-checked.  They also choose how `orbits` walks: a `ProductFamily`
+    over a circle steps as numpy arrays (`walks_arrays`), a `SymbolTable`
+    over a shift on symbol streams (`walks_symbols`), anything else as
+    lists.  Replacing ``fiber_at`` replaces every declaration.
     """
 
     base: object
@@ -33,9 +33,10 @@ class ProductFamily:
     """The fibres theta |-> ``fm.scaled(g(theta))`` of a product system, or
     fm itself without g: the ``fiber_at`` of `catalog.make_product` and of
     single-form configs.  ``fm.f`` and ``g`` each take a float or a numpy
-    array: the family declares its batch form, which `walks_arrays` reads,
-    as a `SymbolTable` declares its symbol walk.  ``sup`` is the supremum
-    of g (1.0 without g), for the range bound `declared` reads.
+    array: the family declares the array form of `orbits`, which
+    `walks_arrays` reads, as a `SymbolTable` declares the symbol form.
+    ``sup`` is the supremum of g (1.0 without g), for the range bound
+    `declared` reads.
     """
 
     __slots__ = ("fm", "g", "sup", "_last")
@@ -66,8 +67,8 @@ class SymbolTable:
     the fibre map a symbol selects; as a graph's ``func`` (offset -1 in
     `catalog.coinflip_attractor_graph`) it declares a graph value the same
     way.  The declaration goes wherever the callable goes, and replacing the
-    callable drops it.  `advance` and `attractor.verify_attractor` read it
-    to walk words on their symbol streams (`symbol_walk`).
+    callable drops it.  `orbits` reads both to walk words on their symbol
+    streams (`walks_symbols`), reading such a graph off the same window.
     """
 
     __slots__ = ("offset", "values")
@@ -84,65 +85,106 @@ class SymbolTable:
         return self.values[word.symbol(self.offset)]
 
 
-def _outside(x: float, a: float) -> DomainError:
-    return DomainError(f"fiber coordinate {x!r} outside [0, {a!r}]")
+def _check_fibers(xs, a: float) -> None:
+    """Refuse the first fiber coordinate of xs outside [0, a], a NaN
+    included: the one check of `orbits` and `step`.  A numpy array is
+    searched at once."""
+    if not isinstance(xs, list):
+        bad = ~((xs >= 0.0) & (xs <= a))
+        xs = [float(xs[bad.argmax()])] if bad.any() else []
+    for x in xs:
+        if not (0.0 <= x <= a):
+            raise DomainError(f"fiber coordinate {x!r} outside [0, {a!r}]")
 
 
 def step(sys: SkewSystem, point):
     """One application of the skew map to (base point, fiber coordinate)."""
     theta, x = point
-    if not (0.0 <= x <= sys.a):
-        raise _outside(x, sys.a)
+    _check_fibers([x], sys.a)
     return (sys.base.step(theta), sys.fiber_at(theta)(x))
 
 
-def orbit(sys: SkewSystem, point, steps: int) -> list:
-    """The points (theta_0, x_0) .. (theta_steps, x_steps)."""
-    pts = [point]
-    for _ in range(steps):
-        pts.append(step(sys, pts[-1]))
-    return pts
+class _Shifted(Sequence):
+    """The words ``w.advanced(n)`` for w in ``words``, each built when read."""
+
+    __slots__ = ("words", "n")
+
+    def __init__(self, words: list, n: int):
+        self.words, self.n = words, n
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i):
+        return self.words[i].advanced(self.n)
 
 
 def orbits(
-    sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int
+    sys: SkewSystem, thetas: Sequence, xs: Sequence[float] | None, steps: int, *graphs
 ) -> Iterator[tuple]:
     """Walk the forward orbits of many starts together, one step at a time.
 
-    Yields (thetas_n, xs_n) for n = 0..steps and holds only the current
-    points.  A system that `walks_arrays` steps every start at once as
-    numpy arrays; any other system yields lists, built per step by one base
-    step and one call of the fiber map's ``f`` per point, the values `step`
-    makes.
-    Either way a fiber coordinate outside [0, a] raises DomainError before
-    it is stepped.
+    Yields (thetas_n, xs_n, *values_n) for n = 0..steps and holds only the
+    current step; values_n is each graph's `GraphFunction.values` at
+    thetas_n.  Before each step every fiber coordinate is checked against
+    [0, a] (`_check_fibers`, the check of `step`).  The fibres choose the
+    batch form:
+
+    - a system that `walks_arrays` steps numpy arrays;
+    - a system that `walks_symbols` reads each start's window of symbols
+      once and steps the fiber coordinates by table lookup.  thetas_n builds
+      each word ``w.advanced(n)`` only when read, and a graph whose ``func``
+      is a `SymbolTable` with every value in [0, a] is read off the window;
+    - any other system steps lists: one base step and one call of the fiber
+      map's ``f`` per point, the values `step` makes.
+
+    With ``xs=None`` the base alone is walked, as lists, and xs_n is None.
     """
-    if walks_arrays(sys):
+    check_at_least("steps", steps, 0)
+    a = sys.a
+    if xs is not None and walks_arrays(sys):
         import numpy as np
 
-        family, omega, a = sys.fiber_at, sys.base.omega, sys.a
-        thetas = np.asarray(thetas, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        yield thetas, xs
-        for _ in range(steps):
-            bad = ~((xs >= 0.0) & (xs <= a))
-            if bad.any():
-                raise _outside(float(xs[np.argmax(bad)]), a)
-            xs = family.fm.f(xs) * family.factors(thetas)
-            thetas = (thetas + omega) % 1.0
-            yield thetas, xs
+        family, omega = sys.fiber_at, sys.base.omega
+        thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
+        for n in range(steps + 1):
+            if n:
+                _check_fibers(xs, a)
+                xs = family.fm.f(xs) * family.factors(thetas)
+                thetas = (thetas + omega) % 1.0
+            yield (thetas, xs, *[g.values(thetas) for g in graphs])
         return
-    base_step, fiber_at, a = sys.base.step, sys.fiber_at, sys.a
-    thetas, xs = list(thetas), list(xs)
-    yield thetas, xs
-    for _ in range(steps):
-        for x in xs:
-            if not (0.0 <= x <= a):
-                raise _outside(x, a)
-        stepped = [base_step(t) for t in thetas]
-        xs = [fiber_at(t).f(x) for t, x in zip(thetas, xs)]
-        thetas = stepped
-        yield thetas, xs
+    if xs is not None and walks_symbols(sys):
+        fibers, words, xs = sys.fiber_at, list(thetas), list(xs)
+        fs = tuple(fm.f for fm in fibers.values)
+        # tables[i]: graph i's symbol table when it is read off the window
+        tables = [g.func if isinstance(g.func, SymbolTable)
+                  and all(-ZERO_TOL <= v <= g.a + ZERO_TOL for v in g.func.values) else None
+                  for g in graphs]
+        lo, hi = fibers.offset, fibers.offset + steps - 1
+        for t in filter(None, tables):
+            lo, hi = min(lo, t.offset), max(hi, t.offset + steps)
+        # column k: every start's symbol lo + k
+        columns = (list(zip(*[w.symbols(hi - lo + 1, lo) for w in words])) if words
+                   else [()] * (hi - lo + 1))
+        for n in range(steps + 1):
+            if n:
+                _check_fibers(xs, a)
+                xs = [fs[s](x) for s, x in zip(columns[fibers.offset - lo + n - 1], xs)]
+            thetas = _Shifted(words, n)
+            yield (thetas, xs, *[g.values(thetas) if t is None
+                                 else [t.values[s] for s in columns[t.offset - lo + n]]
+                                 for g, t in zip(graphs, tables)])
+        return
+    base_step, fiber_at = sys.base.step, sys.fiber_at
+    thetas, xs = list(thetas), None if xs is None else list(xs)
+    for n in range(steps + 1):
+        if n:
+            if xs is not None:
+                _check_fibers(xs, a)
+                xs = [fiber_at(t).f(x) for t, x in zip(thetas, xs)]
+            thetas = [base_step(t) for t in thetas]
+        yield (thetas, xs, *[g.values(thetas) for g in graphs])
 
 
 def walks_arrays(sys: SkewSystem) -> bool:
@@ -152,12 +194,12 @@ def walks_arrays(sys: SkewSystem) -> bool:
 
 
 def walks_symbols(sys: SkewSystem) -> bool:
-    """Whether `symbol_walk` walks sys: a `SymbolicShift` whose ``fiber_at``
-    is a `SymbolTable` that the shift's words can be read at.
+    """Whether `orbits` steps sys on symbol streams: a `SymbolicShift` whose
+    ``fiber_at`` is a `SymbolTable` that the shift's words can be read at.
 
     A one-sided word has no negative coordinates, so its fibres at a
-    negative offset fail at their first read, which `orbits` makes only
-    after the step-0 checks: such a system walks through `orbits`.
+    negative offset fail at their first read, which the list walk makes
+    only after the step-0 graph reads: such a system walks as lists.
     """
     base, fibers = sys.base, sys.fiber_at
     return (
@@ -165,61 +207,6 @@ def walks_symbols(sys: SkewSystem) -> bool:
         and isinstance(fibers, SymbolTable)
         and (fibers.offset >= 0 or base.sided == "two")
     )
-
-
-def symbol_walk(
-    sys: SkewSystem,
-    words: Sequence,
-    xs: Sequence[float],
-    steps: int,
-    graph: SymbolTable | None = None,
-) -> Iterator[tuple]:
-    """The fiber coordinates of `orbits` over a system that `walks_symbols`.
-
-    Yields (xs_n, values_n) for n = 0..steps: values_n lists ``graph`` at
-    each start shifted n times, or is None without a graph.  Each start's
-    window of symbols, from the lowest position that the fibres or the graph
-    read to the highest, is read once; the fiber coordinates step together by
-    table lookup, with the [0, a] check and the float operations of `orbits`.
-    No word is built.
-    """
-    fibers, a = sys.fiber_at, sys.a
-    fs = tuple(fm.f for fm in fibers.values)
-    lo, hi = fibers.offset, fibers.offset + steps - 1
-    if graph is not None:
-        lo, hi = min(lo, graph.offset), max(hi, graph.offset + steps)
-    width = hi - lo + 1
-    # column k: every start's symbol lo + k
-    columns = list(zip(*[w.symbols(width, lo) for w in words])) if words else [()] * width
-    if graph is None:
-        values = itertools.repeat(None)
-    else:
-        table = graph.values
-        values = ([table[s] for s in column] for column in columns[graph.offset - lo:])
-    xs = list(xs)
-    yield xs, next(values)
-    for column in columns[fibers.offset - lo:][:steps]:
-        for x in xs:
-            if not (0.0 <= x <= a):
-                raise _outside(x, a)
-        xs = [fs[s](x) for s, x in zip(column, xs)]
-        yield xs, next(values)
-
-
-def advance(sys: SkewSystem, thetas: Sequence, xs: Sequence[float], steps: int) -> tuple:
-    """The last points that `orbits` yields, (thetas_steps, xs_steps).
-
-    A system that `walks_symbols` steps its fiber coordinates through
-    `symbol_walk` and shifts each word ``steps`` times in one move.  Any
-    other system runs `orbits` to its end.
-    """
-    if not walks_symbols(sys):
-        for thetas, xs in orbits(sys, thetas, xs, steps):
-            pass
-        return thetas, xs
-    for xs, _ in symbol_walk(sys, thetas, xs, steps):
-        pass
-    return [w.advanced(steps) for w in thetas], xs
 
 
 def declared(sys: SkewSystem) -> tuple[str, float | None]:

@@ -37,7 +37,7 @@ from skewlab.nonauto import (
     isoclinic_guard,
     iterate_pair,
 )
-from skewlab.skew import orbit
+from skewlab.skew import orbits
 
 from conftest import (
     admissible_flip_pair,
@@ -218,8 +218,8 @@ def test_c07_nonmonotone_contraction_and_guard():
 
 def test_c08_chain_example():
     system = make_noinvattr(64)
-    pts = orbit(system, (0.0, 0.5), 5)
-    assert pts[-1][1] >= 1.0 - 1e-9
+    *_, (_, (x5,)) = orbits(system, [0.0], [0.5], 5)
+    assert x5 >= 1.0 - 1e-9
 
     seq = pullback_phi(system, 0.0, 40, stop_delta=0.0)
     assert seq.depth_used == 40

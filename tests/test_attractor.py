@@ -56,12 +56,11 @@ from skewlab.skew import (
     ProductFamily,
     SkewSystem,
     SymbolTable,
-    advance,
     classify,
-    orbit,
     orbits,
     step,
     walks_arrays,
+    walks_symbols,
 )
 
 STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monotone=True)
@@ -86,11 +85,19 @@ def keller_k07():
     )
 
 
+def step_orbit(sys_, point, steps):
+    """The points (theta_0, x_0) .. (theta_steps, x_steps), one `step` at a time."""
+    points = [point]
+    for _ in range(steps):
+        points.append(step(sys_, points[-1]))
+    return points
+
+
 def reference_records(sys_, graph, starts, steps, tol):
     """(achieved_step, max_dev_after) per start, walked start by start with `step`."""
     out = []
     for point in starts:
-        devs = [abs(x - graph.value(theta)) for theta, x in orbit(sys_, point, steps)]
+        devs = [abs(x - graph.value(theta)) for theta, x in step_orbit(sys_, point, steps)]
         achieved = max((n + 1 for n, d in enumerate(devs) if d >= tol), default=0)
         out.append((achieved, max(devs[achieved:])) if achieved <= steps else (None, None))
     return out
@@ -147,7 +154,7 @@ def assert_verify_matches_reference(sys_, graph, starts, steps, tol):
     n = 1 + steps // 2
     error = walk_error(sys_, starts, n)
     if error is None:
-        ends = [orbit(sys_, point, n)[-1] for point in starts]
+        ends = [step_orbit(sys_, point, n)[-1] for point in starts]
         hits = sum(abs(x - graph.value(theta)) <= tol for theta, x in ends)
         assert match_fraction(sys_, graph, n, starts, tol) == hits / len(starts)
     else:
@@ -979,11 +986,11 @@ class TestVerifyAttractor:
         starts = [(good[0], 0.5), (bad, 0.25), (good[1], 0.75)]
         graph = GraphFunction(1.0, func=lambda t: 0.5)
         # the bad start meets the exit map at step 2 and is refused at step 3
-        theta2, x2 = orbit(sys_, (bad, 0.25), 2)[-1]
+        theta2, x2 = step_orbit(sys_, (bad, 0.25), 2)[-1]
         assert theta2 == exit_point
         message = f"fiber coordinate {x2 + 1.5!r} outside [0, 1.0]"
         with pytest.raises(DomainError) as ref:
-            orbit(sys_, (bad, 0.25), 4)
+            step_orbit(sys_, (bad, 0.25), 4)
         assert str(ref.value) == walk_error(sys_, starts, 4) == message
         assert verify_attractor(sys_, graph, starts, 3, 0.1).steps == 3
         for run in (lambda: verify_attractor(sys_, graph, starts, 4, 0.1),
@@ -1104,47 +1111,85 @@ def shift_starts(sided, data):
     ))
 
 
-class TestAdvance:
-    """`advance` returns the last points `orbits` yields, bit for bit."""
+def walk_outcome(sys_, thetas, xs, steps, *graphs):
+    """Every step that `orbits` yields, exactly: the points (as words and as
+    their fields), the fiber coordinates' hex and the graph values' repr;
+    then the type and message of what the walk raised, or None."""
+    seen = []
+    try:
+        for ts, xs_n, *values in orbits(sys_, thetas, xs, steps, *graphs):
+            seen.append((list(ts), [tuple(t) for t in ts], [x.hex() for x in xs_n],
+                         [[repr(v) for v in vs] for vs in values]))
+    except (DomainError, InvariantError) as exc:
+        return seen, (type(exc), str(exc))
+    return seen, None
 
-    @given(sided=st.sampled_from(["one", "two"]), wrapped=st.booleans(),
-           steps=st.integers(0, 25), data=st.data())
+
+class TestOrbits:
+    """Each batch form of `orbits` yields, at every step, what the list walk
+    of the same system with its fibres hidden (`generic`) yields."""
+
+    @given(sided=st.sampled_from(["one", "two"]), steps=st.integers(0, 25), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_shift_walks_match_orbits(self, sided, wrapped, steps, data):
+    def test_symbol_walk_matches_list_walk(self, sided, steps, data):
         sys_ = make_coinflip(sided)
-        assert isinstance(sys_.fiber_at, SymbolTable)
-        if wrapped:  # the generic path
-            sys_ = generic(sys_)
+        assert walks_symbols(sys_) and not walks_symbols(generic(sys_))
         starts = shift_starts(sided, data)
         thetas, xs = [t for t, _ in starts], [x for _, x in starts]
-        got_thetas, got_xs = advance(sys_, thetas, xs, steps)
-        want_thetas, want_xs = last_of_orbits(sys_, thetas, xs, steps)
-        assert [tuple(w) for w in got_thetas] == [tuple(w) for w in want_thetas]
-        assert got_thetas == want_thetas
-        assert [x.hex() for x in got_xs] == [x.hex() for x in want_xs]
+        offset = st.integers(-2, 3)
+        in_range = st.sampled_from([0.0, 0.25, 1.0])
+        outside = st.sampled_from([0.5, 1.5, -0.25, float("nan")])
+        graphs = [
+            GraphFunction(1.0, func=SymbolTable(data.draw(offset), data.draw(
+                st.tuples(in_range, in_range)))),
+            GraphFunction(1.0, func=SymbolTable(data.draw(offset), data.draw(
+                st.tuples(in_range, outside)))),
+            GraphFunction(1.0, func=lambda w: float(w.symbol(2))),
+        ]
+        for walked in ([], *([g] for g in graphs)):
+            got = walk_outcome(sys_, thetas, xs, steps, *walked)
+            assert got == walk_outcome(generic(sys_), thetas, xs, steps, *walked)
+            if got[1] is None:
+                assert len(got[0]) == steps + 1
 
-    def test_finite_walk_matches_orbits(self):
+    def test_finite_walk_matches_step(self):
         sys_ = make_noinvattr(8)
         rng = random.Random(3)
-        thetas = [rng.choice(sys_.base.points) for _ in range(40)]
-        xs = [rng.random() for _ in thetas]
-        for steps in (0, 1, 7, 30):
-            got = advance(sys_, thetas, xs, steps)
-            want = last_of_orbits(sys_, thetas, xs, steps)
-            assert got[0] == want[0]
-            assert [x.hex() for x in got[1]] == [x.hex() for x in want[1]]
+        starts = [(rng.choice(sys_.base.points), rng.random()) for _ in range(40)]
+        graph = build_preinvariant(sys_)
+        for n, (ts, xs, values) in enumerate(orbits(sys_, *zip(*starts), 30, graph)):
+            points = [step_orbit(sys_, point, n)[-1] for point in starts]
+            assert ts == [t for t, _ in points]
+            assert [x.hex() for x in xs] == [x.hex() for _, x in points]
+            assert values == [graph.value(t) for t in ts]
 
-    def test_circle_product_walk_matches_orbits(self):
+    def test_array_walk_matches_list_walk(self):
         sys_ = keller_k07()
         rng = random.Random(4)
         thetas = [rng.random() for _ in range(40)]
         xs = [rng.random() for _ in thetas]
-        for steps in (0, 1, 50):
-            got = advance(sys_, thetas, xs, steps)
-            want = last_of_orbits(sys_, thetas, xs, steps)
-            assert isinstance(got[1], np.ndarray)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+        graphs = (GraphFunction(1.0, grid=GRID8), GraphFunction(1.0, func=square))
+        walks = zip(orbits(sys_, thetas, xs, 50, *graphs),
+                    orbits(generic(sys_), thetas, xs, 50, *graphs))
+        for (ts, xs_n, grid, func), (lts, lxs, lgrid, lfunc) in walks:
+            assert isinstance(xs_n, np.ndarray)
+            assert ts.tobytes() == np.array(lts).tobytes()
+            assert xs_n.tobytes() == np.array(lxs).tobytes()
+            assert grid.tobytes() == lgrid.tobytes()
+            assert [v.hex() for v in func] == [v.hex() for v in lfunc]
+
+    def test_base_alone(self):
+        sys_ = make_coinflip("two")
+        words = sys_.base.sample_points(5, random.Random(2))
+        walk = list(orbits(sys_, words, None, 6))
+        assert [xs for _, xs in walk] == [None] * 7
+        assert [list(ts) for ts, _ in walk] == [[w.advanced(n) for w in words] for n in range(7)]
+
+    @pytest.mark.parametrize("steps", [-1, 1.0, True])
+    def test_steps_must_be_a_count(self, steps):
+        # a negative count would yield no step at all, not even the starts
+        with pytest.raises(DomainError, match="^steps must be"):
+            next(orbits(make_noinvattr(8), [1.0], [0.5], steps))
 
     @pytest.mark.parametrize("sided", ["one", "two"])
     def test_exiting_symbol_map_fails_as_step_does(self, sided):
@@ -1157,23 +1202,23 @@ class TestAdvance:
         else:
             starts += [(TwoSidedWord((1,), (0, 0, 1), (0,), 0), 0.25),
                        (TwoSidedWord((0,), (1,), (0,), 0), 1.0)]
-        assert advance(sys_, *zip(*starts), 1)[1] == [0.25, 0.125, 2.5]
+        assert last_of_orbits(sys_, *zip(*starts), 1)[1] == [0.25, 0.125, 2.5]
         graph = GraphFunction(1.0, func=lambda w: 0.0)
         # the third start is refused at step 1, the second at step 3
         for starts, bad in ((starts, 2.5), (starts[:2], 1.5625)):
             message = walk_error(sys_, starts, 4)
             assert message == f"fiber coordinate {bad!r} outside [0, 1.0]"
             thetas, xs = [t for t, _ in starts], [x for _, x in starts]
-            for run in (lambda: advance(sys_, thetas, xs, 4),
-                        lambda: last_of_orbits(sys_, thetas, xs, 4),
+            for run in (lambda: last_of_orbits(sys_, thetas, xs, 4),
+                        lambda: last_of_orbits(generic(sys_), thetas, xs, 4),
                         lambda: match_fraction(sys_, graph, 4, starts)):
                 with pytest.raises(DomainError) as exc:
                     run()
                 assert str(exc.value) == message
 
     def test_match_fraction_reads_symbol_streams(self):
-        # the stream path shifts each word once, never through base.step,
-        # and counts what the generic walk counts
+        # the symbol walk builds each word once, when the graph reads it,
+        # never through base.step, and counts what the list walk counts
         sys_ = make_coinflip("one")
         calls = []
         shift = sys_.base.step
@@ -1217,7 +1262,8 @@ class TestAdvance:
                 hits = 0
                 for i in range(0, len(starts), 32):
                     block = starts[i:i + 32]
-                    thetas, xs = advance(sys_, [t for t, _ in block], [x for _, x in block], n)
+                    thetas, xs = last_of_orbits(
+                        sys_, [t for t, _ in block], [x for _, x in block], n)
                     hits += sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
                 assert match_fraction(sys_, graph, n, starts, tol) == hits / len(starts)
 
@@ -1618,7 +1664,7 @@ class TestHelpers:
         ]
         freq = match_fraction(sys_, flat, 6, starts, tol=0.0)
         assert 0.35 <= freq <= 0.65
-        assert freq == sum(orbit(sys_, s, 6)[-1][1] == 0.0 for s in starts) / len(starts)
+        assert freq == sum(step_orbit(sys_, s, 6)[-1][1] == 0.0 for s in starts) / len(starts)
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_match_fraction_tol_must_be_nonnegative(self, tol):

@@ -13,7 +13,7 @@ from skewlab.catalog import (
 )
 from skewlab.errors import CapabilityError, DomainError, RegistryError
 from skewlab.fiber import grid_max
-from skewlab.skew import classify, declared, orbit, step
+from skewlab.skew import classify, declared, orbits, step
 
 
 class TestNoinvattr:
@@ -33,8 +33,8 @@ class TestNoinvattr:
 
     def test_forward_orbit_reaches_top(self):
         sys_ = make_noinvattr(16)
-        pts = orbit(sys_, (0.0, 0.5), 5)
-        assert pts[-1][1] >= 1.0 - 1e-9
+        *_, (_, (x5,)) = orbits(sys_, [0.0], [0.5], 5)
+        assert x5 >= 1.0 - 1e-9
 
     def test_classification(self):
         cls = classify(make_noinvattr(8), 8, grid_size=1024)

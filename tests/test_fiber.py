@@ -169,6 +169,23 @@ class TestCertify:
         cert = certify(fm, 8)
         assert cert.alpha_star == 0.0 and cert.monotone and cert.b == 1.0
 
+    @settings(deadline=None)
+    @given(st.integers(min_value=-20, max_value=20))
+    def test_binary_conjugation_maps_the_certificate_exactly(self, k):
+        # f_c(x) = f(c x) / c on [0, 1/c]: every grid node, value and
+        # bisection width scales by a power of two, so alpha* scales by c,
+        # gamma and the isoclinic point b by 1/c, with no rounding
+        def cubic(u):
+            return ((-0.6 * u - 1.2) * u + 2.4) * u
+
+        c = 2.0 ** k
+        unit = certify(FiberMap(1.0, cubic, form="cubic"), 1000)
+        conj = certify(FiberMap(1.0 / c, lambda x: cubic(c * x) / c, form="cubic_c"), 1000)
+        assert not unit.monotone and unit.b < 1.0
+        assert conj.alpha_star == unit.alpha_star * c
+        assert conj.gamma == unit.gamma / c
+        assert conj.b == unit.b / c
+
 
 class TestLeftDerivative:
     def test_linear_exact(self):
@@ -500,7 +517,7 @@ def _ref_certify(fm, grid_size):
     elif monotone:
         b = fm.a
     elif alpha_star > 0.0:
-        b = _ref_isoclinic_point(fm, tol=1e-9, scan=min(grid_size, 2048))
+        b = _ref_isoclinic_point(fm, tol=1e-9 * fm.a, scan=min(grid_size, 2048))
     else:
         b = None
     return ConcavityCertificate(

@@ -20,7 +20,7 @@ from skewlab.skew import (
     SymbolTable,
     classify,
     declared,
-    orbit,
+    orbits,
     step,
 )
 
@@ -60,7 +60,7 @@ class TestStep:
     def test_composition_matches_manual(self):
         sys_ = make_keller(omega=0.437)
         theta, x = 0.21, 0.8
-        pts = orbit(sys_, (theta, x), 12)
+        pts = [(ts[0], xs[0]) for ts, xs in orbits(sys_, [theta], [x], 12)]
         cur_t, cur_x = theta, x
         for n in range(1, 13):
             cur_x = sys_.fiber_at(cur_t)(cur_x)

@@ -10,7 +10,7 @@ path.  Likewise `import skewlab` runs no layer module, and each command executes
 only the layers it calls: `certify` neither the attractor nor the nonauto
 module, `orbit-pair` not the attractor module, `pullback` and `verify` not
 the nonauto module, nor the demos that build preinvariant graphs
-(`noinvattr`, `coinflip-one`); resolving `skewlab.advance` or
+(`noinvattr`, `coinflip-one`); resolving `skewlab.orbits` or
 `skewlab.SymbolTable` runs the skew layer alone, and `skewlab.skew`
 imports nothing from `skewlab.nonauto`.  No command imports `dataclasses`: every
 result and value type is a NamedTuple, which runs no generated code when
@@ -142,6 +142,7 @@ def test_scalar_commands_need_only_the_standard_library(tmp_path):
     keller.write_text(json.dumps(KELLER_CFG))
     noinv = tmp_path / "noinv.json"
     noinv.write_text(json.dumps(NOINV_CFG))
+    finite = str(tmp_path / "finite.csv")
     argvs = [
         ["certify", "--config", str(keller), "--theta", "0.3"],
         ["orbit-pair", "--config", str(keller), "--x0", "0.2", "--y0", "0.8", "--steps", "50"],
@@ -149,6 +150,11 @@ def test_scalar_commands_need_only_the_standard_library(tmp_path):
         ["pullback", "--config", str(noinv), "--depth", "300"],
         ["demo", "noinvattr", "--fast"],
         ["demo", "product-hump", "--fast"],
+        # the list and symbol walks of `orbits`
+        ["pullback", "--config", str(noinv), "--depth", "300", "--out", finite],
+        ["verify", "--config", str(noinv), "--phi", finite],
+        ["demo", "coinflip-one", "--fast"],
+        ["demo", "coinflip-two", "--fast"],
     ]
     # each command's stdout, then its exit code
     code = ("import json, sys; from skewlab import cli\n"
@@ -202,7 +208,7 @@ def test_import_runs_no_layer_module():
 
 
 def test_stream_walk_exports_run_no_attractor_or_nonauto():
-    code = ("import json, sys, skewlab; skewlab.advance; skewlab.SymbolTable; "
+    code = ("import json, sys, skewlab; skewlab.orbits; skewlab.SymbolTable; "
             "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
