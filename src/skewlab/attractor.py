@@ -26,13 +26,13 @@ from .errors import (
 )
 from .fiber import ZERO_TOL, FiberMap, _bisect_last, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
-from .skew import SkewSystem, orbits, step, walks_arrays  # noqa: F401
+from .skew import SkewSystem, block_rows, orbits, step, walks_arrays  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
 PULLBACK_STOP_DELTA = 1e-12
 # Rise of a pullback value that still counts as no rise.
 MONOTONE_SLACK = 1e-12
-# Graph values above this count as positive.
+# Graph values above this times the fibre width a count as positive.
 POSITIVE_THRESHOLD = 1e-9
 # Scan nodes of largest_fixed_point before its bisection.
 FIXED_POINT_SCAN = 4096
@@ -204,12 +204,13 @@ def _csv_number(cell: str, line: int, column: str) -> float:
 
 
 def positive_fraction(graph: GraphFunction) -> float:
-    """Fraction of stored graph values above POSITIVE_THRESHOLD."""
+    """Fraction of stored graph values above POSITIVE_THRESHOLD * a."""
+    threshold = POSITIVE_THRESHOLD * graph.a
     if graph.grid is not None:
-        return float((graph.grid > POSITIVE_THRESHOLD).mean())
+        return float((graph.grid > threshold).mean())
     if graph.table is not None:
         vals = list(graph.table.values())
-        return sum(v > POSITIVE_THRESHOLD for v in vals) / len(vals)
+        return sum(v > threshold for v in vals) / len(vals)
     raise DomainError("positive fraction needs a stored representation")
 
 
@@ -594,17 +595,36 @@ def _reduce_lists(walk, tol: float, count: int) -> tuple:
 
 
 def _reduce_arrays(walk, tol: float, count: int) -> tuple:
-    """`_reduce_lists` for the arrays of a `walks_arrays` walk, holding one step.
-    A NaN deviation never misses tol, and np.maximum keeps it in the tail."""
+    """`_reduce_lists` for the arrays of a `walks_arrays` walk, a block of
+    `skew.block_rows` steps at a time: each step's deviations fill a row,
+    and at the block's end each start's last missed row and the largest
+    deviation after it are found.  A NaN deviation never misses tol, and
+    np.max keeps it in the tail."""
     import numpy as np
 
     achieved = np.zeros(count, dtype=int)
     tail = np.full(count, -np.inf)
+    devs = np.empty((block_rows(count), count))  # devs[j]: the block's step j
+
+    def fold(n0: int, block) -> None:
+        np.abs(block, out=block)
+        past = np.arange(n0 + 1, n0 + 1 + len(block))[:, None]  # one past row j's step
+        # per start, one past its last missed step in the block, or 0
+        reach = np.multiply(block >= tol, past).max(axis=0)
+        np.maximum(achieved, reach, out=achieved)
+        np.copyto(block, -np.inf, where=past <= reach)
+        np.copyto(tail, -np.inf, where=reach > 0)
+        np.maximum(tail, block.max(axis=0), out=tail)
+
+    held = 0  # rows of devs filled
     for n, (_, xs, values) in enumerate(walk):
-        devs = np.abs(xs - values)
-        missed = devs >= tol
-        achieved[missed] = n + 1
-        tail = np.where(missed, -np.inf, np.maximum(tail, devs))
+        np.subtract(xs, values, out=devs[held])
+        held += 1
+        if held == len(devs):
+            fold(n + 1 - held, devs)
+            held = 0
+    if held:
+        fold(n + 1 - held, devs[:held])
     return achieved, tail
 
 

@@ -188,7 +188,7 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     elif monotone:
         b = fm.a
     elif alpha_star > 0.0:
-        b = isoclinic_point(fm, tol=1e-9 * fm.a, scan=min(grid_size, 2048))
+        b = isoclinic_point(fm, scan=min(grid_size, 2048))
     else:
         b = None  # nonmonotone with no certified strict concavity
 
@@ -239,8 +239,9 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
 
     Works by scanning the predicate on a coarse grid from the right and
     bisecting the first sign change it meets (`_bisect_last`, 60 steps to
-    width ``tol``).  Returns a when the predicate holds at the right endpoint
-    (in particular for nondecreasing maps).  Undefined for the zero map.
+    width ``tol * a``: tol is relative to the fibre's width).  Returns a
+    when the predicate holds at the right endpoint (in particular for
+    nondecreasing maps).  Undefined for the zero map.
     """
     _check_grid_size(scan)
     check_positive("tol", tol)
@@ -257,7 +258,7 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
         fx = f(x)
         return fx > 0.0 and abs(left_derivative_limit(fm, x)) < fx / x - _ISO_TIE
 
-    b = a if pred(a) else _bisect_last(pred, xs, 60, tol)
+    b = a if pred(a) else _bisect_last(pred, xs, 60, tol * a)
     # Exactly-linear initial segments defeat the strict predicate; the
     # monotone convention still applies.
     if b is None and not _nondecreasing(vals):

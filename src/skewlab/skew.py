@@ -85,11 +85,24 @@ class SymbolTable:
         return self.values[word.symbol(self.offset)]
 
 
+# Values (starts x steps) that one block of the array form of `orbits`, and
+# `attractor._reduce_arrays`, holds at once.
+BLOCK_VALUES = 8192
+
+
+def block_rows(count: int) -> int:
+    """Steps in one block of the array walk of ``count`` starts: at least 1."""
+    return max(1, BLOCK_VALUES // max(1, count))
+
+
 def _check_fibers(xs, a: float) -> None:
     """Refuse the first fiber coordinate of xs outside [0, a], a NaN
     included: the one check of `orbits` and `step`.  A numpy array is
-    searched at once."""
+    accepted by its extremes (a NaN fails both comparisons) and searched
+    only when that fails."""
     if not isinstance(xs, list):
+        if not xs.size or (xs.min() >= 0.0 and xs.max() <= a):
+            return
         bad = ~((xs >= 0.0) & (xs <= a))
         xs = [float(xs[bad.argmax()])] if bad.any() else []
     for x in xs:
@@ -124,19 +137,26 @@ def orbits(
 ) -> Iterator[tuple]:
     """Walk the forward orbits of many starts together, one step at a time.
 
-    Yields (thetas_n, xs_n, *values_n) for n = 0..steps and holds only the
-    current step; values_n is each graph's `GraphFunction.values` at
-    thetas_n.  Before each step every fiber coordinate is checked against
-    [0, a] (`_check_fibers`, the check of `step`).  The fibres choose the
-    batch form:
+    Yields (thetas_n, xs_n, *values_n) for n = 0..steps; values_n is each
+    graph's `GraphFunction.values` at thetas_n.  Before each step every
+    fiber coordinate is checked against [0, a] (`_check_fibers`, the check
+    of `step`).  The fibres choose the batch form:
 
-    - a system that `walks_arrays` steps numpy arrays;
+    - a system that `walks_arrays` steps numpy arrays a block of
+      `block_rows` steps at a time, at most `BLOCK_VALUES` values: the
+      block's base points fill one fresh array row by row, and the base
+      factors and each grid graph's values are read off it in one call
+      (a graph with no grid is read per step).  Each step then applies
+      ``fm.f`` and its factor row, so every value is the one a step at a
+      time gives, and a yielded array is never overwritten;
     - a system that `walks_symbols` reads each start's window of symbols
       once and steps the fiber coordinates by table lookup.  thetas_n builds
       each word ``w.advanced(n)`` only when read, and a graph whose ``func``
       is a `SymbolTable` with every value in [0, a] is read off the window;
     - any other system steps lists: one base step and one call of the fiber
       map's ``f`` per point, the values `step` makes.
+
+    The symbol and list forms hold only the current step.
 
     With ``xs=None`` the base alone is walked, as lists, and xs_n is None.
     """
@@ -146,13 +166,30 @@ def orbits(
         import numpy as np
 
         family, omega = sys.fiber_at, sys.base.omega
-        thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
-        for n in range(steps + 1):
-            if n:
-                _check_fibers(xs, a)
-                xs = family.fm.f(xs) * family.factors(thetas)
-                thetas = (thetas + omega) % 1.0
-            yield (thetas, xs, *[g.values(thetas) for g in graphs])
+        theta, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
+        rows = block_rows(theta.size)
+        # a non-finite start fails every grid read at step 0: the graphs are
+        # then read per step, so they fail in their order
+        blocked = bool(np.isfinite(theta).all())
+        for n0 in range(0, steps + 1, rows):
+            # ts[j]: the base points theta_{n0 + j}
+            ts = np.empty((min(rows, steps + 1 - n0), *theta.shape))
+            for j, row in enumerate(ts):
+                if n0 + j:
+                    np.remainder(np.add(theta, omega, out=row), 1.0, out=row)
+                else:
+                    row[...] = theta
+                theta = row
+            reads = [g.values(ts) if blocked and g.grid is not None else None
+                     for g in graphs]
+            factors = np.broadcast_to(family.factors(ts), ts.shape)
+            for j, row in enumerate(ts):
+                if n0 + j:
+                    _check_fibers(xs, a)
+                    xs = family.fm.f(xs) * factor  # the factor at theta_{n0 + j - 1}
+                factor = factors[j]
+                yield (row, xs, *[g.values(row) if r is None else r[j]
+                                  for g, r in zip(graphs, reads)])
         return
     if xs is not None and walks_symbols(sys):
         fibers, words, xs = sys.fiber_at, list(thetas), list(xs)

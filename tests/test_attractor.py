@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import random
@@ -56,6 +57,7 @@ from skewlab.skew import (
     ProductFamily,
     SkewSystem,
     SymbolTable,
+    block_rows,
     classify,
     orbits,
     step,
@@ -83,6 +85,12 @@ def keller_k07():
         {"form": "sin-squared", "c": 1.0, "eps": 0.5},
         CircleRotation(GOLDEN_ROTATION),
     )
+
+
+@functools.cache
+def keller_graph():
+    """Keller's grid pullback at m = 256, depth 300."""
+    return pullback_grid(make_keller(), grid_size=256, depth=300).graph
 
 
 def step_orbit(sys_, point, steps):
@@ -1010,22 +1018,29 @@ class TestVerifyAttractor:
         assert fast.records == slow.records
         assert any(r.max_dev_after for r in slow.records)
 
-    def test_circle_verification_holds_one_step(self):
+    def test_circle_verification_holds_one_block(self):
         sys_ = make_keller()
-        graph = pullback_grid(sys_, grid_size=256, depth=300).graph
+        graph = keller_graph()
         rng = random.Random(8)
-        starts = [(rng.random(), rng.random()) for _ in range(200)]
-        tracemalloc.start()
-        try:
-            verdict = verify_attractor(sys_, graph, starts, 5000, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 5001 x 200 deviations of the 2-D reduction alone take 8 MB
-        assert peak < 1_000_000
+
+        def peak(count, steps):
+            starts = [(rng.random(), rng.random()) for _ in range(count)]
+            tracemalloc.start()
+            try:
+                verdict = verify_attractor(sys_, graph, starts, steps, 0.01)
+                return starts, verdict, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a block holds at most BLOCK_VALUES values of each of its arrays; the
+        # 5001 x 200 deviations of the 2-D reduction alone take 8 MB
+        starts, verdict, held = peak(200, 5000)
+        assert held < 1_000_000
         records = [(r.achieved_step, r.max_dev_after) for r in verdict.records]
         assert records == reference_2d_records(sys_, graph, starts, 5000, 0.01)
         assert len({n for n, _ in records}) > 10
+        # a block of 50 000 starts is one step: a longer walk holds no more
+        assert peak(50_000, 100)[2] <= 1.25 * peak(50_000, 3)[2]
 
     def test_nan_deviation_stays_in_the_tail(self):
         # a fibre map giving NaN: the last step's deviation is NaN, which
@@ -1125,9 +1140,92 @@ def walk_outcome(sys_, thetas, xs, steps, *graphs):
     return seen, None
 
 
+def stepwise_orbits(sys_, thetas, xs, steps, *graphs):
+    """The array walk one step at a time: xs_n = fm.f(xs) * family.factors(thetas)
+    and thetas_n = (thetas + omega) % 1.0, every graph read at every step."""
+    family, omega = sys_.fiber_at, sys_.base.omega
+    thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
+    for n in range(steps + 1):
+        if n:
+            xs = family.fm.f(xs) * family.factors(thetas)
+            thetas = (thetas + omega) % 1.0
+        yield (thetas, xs, *[g.values(thetas) for g in graphs])
+
+
+def array_outcome(walk):
+    """Every step of an array walk as bytes and hex, then the message of the
+    DomainError it raised, or None."""
+    seen = []
+    try:
+        for ts, xs, *values in walk:
+            seen.append((ts.tobytes(), xs.tobytes(),
+                         *[[float(v).hex() for v in vs] for vs in values]))
+    except DomainError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+def overflowing(x):
+    """2x, or NaN once 1e309 x overflows (x above about 0.18)."""
+    return 2.0 * x + (x * 1e308 * 10.0 - x * 1e308 * 10.0)
+
+
 class TestOrbits:
     """Each batch form of `orbits` yields, at every step, what the list walk
     of the same system with its fibres hidden (`generic`) yields."""
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 200, 201])
+    def test_blocked_array_walk_matches_one_step_at_a_time(self, count):
+        # B steps make a block; the walk crosses none, one and three block ends
+        sys_ = keller_k07()
+        rows = block_rows(count)
+        rng = random.Random(count)
+        thetas = [rng.random() for _ in range(count)]
+        xs = [rng.random() for _ in range(count)]
+        graphs = (GraphFunction(1.0, grid=GRID8), GraphFunction(1.0, func=square))
+        for steps in sorted({0, 1, rows - 1, rows, rows + 1, 3 * rows + 5}):
+            # every yielded array is kept: a later block overwrites none of them
+            got = array_outcome(list(orbits(sys_, thetas, xs, steps, *graphs)))
+            want = array_outcome(stepwise_orbits(sys_, thetas, xs, steps, *graphs))
+            assert got == want
+            assert len(got[0]) == steps + 1
+
+    def test_non_finite_start_fails_in_graph_order(self):
+        # every step's graphs are read in order, so the callable graph listed
+        # first refuses the NaN start before the grid graph does
+        def finite_only(t):
+            if not math.isfinite(t):
+                raise DomainError(f"callable graph refuses {t!r}")
+            return 0.5
+
+        for graphs in ([GraphFunction(1.0, func=finite_only), GraphFunction(1.0, grid=GRID8)],
+                       [GraphFunction(1.0, grid=GRID8), GraphFunction(1.0, func=finite_only)]):
+            got, want = (array_outcome(walk(keller_k07(), [0.1, math.nan], [0.5, 0.5], 3, *graphs))
+                         for walk in (orbits, stepwise_orbits))
+            assert got == want
+            assert not got[0] and got[1].startswith("callable" if graphs[0].func else "grid")
+
+    @pytest.mark.parametrize("f, bad", [(lambda x: 2.0 * x, 2.0), (overflowing, math.nan)],
+                             ids=["leaves", "nan"])
+    def test_fibre_failing_inside_a_block_fails_as_the_list_walk(self, f, bad):
+        # start 117 doubles from 2^-(B + 3) and leaves [0, 1] (or turns NaN)
+        # in the middle of the second block; start 150 does at the same step
+        sys_ = SkewSystem(CircleRotation(GOLDEN_ROTATION), ProductFamily(FiberMap(1.0, f)), 1.0)
+        rows = block_rows(200)
+        xs = [2.0 ** -1000] * 200
+        xs[117], xs[150] = 2.0 ** -(rows + 3), 1.5 * 2.0 ** -(rows + 4)
+        thetas = [random.Random(i).random() for i in range(200)]
+        graph = GraphFunction(1.0, grid=GRID8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = array_outcome(orbits(sys_, thetas, xs, 3 * rows, graph))
+            want = array_outcome(stepwise_orbits(sys_, thetas, xs, len(got[0]) - 1, graph))
+        walked = 0
+        with pytest.raises(DomainError) as exc:
+            for _ in orbits(generic(sys_), thetas, xs, 3 * rows, graph):
+                walked += 1
+        assert got == (want[0], str(exc.value))
+        assert str(exc.value) == f"fiber coordinate {bad!r} outside [0, 1.0]"
+        assert len(got[0]) == walked and rows < walked < 2 * rows
 
     @given(sided=st.sampled_from(["one", "two"]), steps=st.integers(0, 25), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -1647,6 +1745,17 @@ class TestHelpers:
     def test_positive_fraction(self):
         g = GraphFunction(1.0, grid=[0.0, 0.5, 1e-12, 0.7])
         assert positive_fraction(g) == 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=-40, max_value=20))
+    def test_positive_fraction_scales_with_a(self, k):
+        # Keller's graph with three nodes at the threshold, all scaled by 2^k:
+        # at a = 2^-30 every Keller value lies below an absolute 1e-9
+        grid = keller_graph().grid.copy()
+        grid[:3] = [5e-10, 1e-9, 2e-9]
+        c = 2.0 ** k
+        assert positive_fraction(GraphFunction(1.0, grid=grid)) == 1.0 - 2 / len(grid)
+        assert positive_fraction(GraphFunction(c, grid=grid * c)) == 1.0 - 2 / len(grid)
 
     def test_positive_fraction_of_table_and_callable(self):
         g = GraphFunction(1.0, table={0.0: 1e-12, 0.25: 0.5, 0.5: 0.7, 0.75: 0.9})

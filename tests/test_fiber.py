@@ -36,6 +36,16 @@ ZERO = FiberMap(1.0, lambda x: 0.0, form="0")
 SQUARE = FiberMap(1.0, lambda x: x * x, form="x^2")  # convex: the concavity test fails
 
 
+def cubic(u):
+    """2.4u - 1.2u^2 - 0.6u^3: concave and nonmonotone on [0, 1], with b < 1."""
+    return ((-0.6 * u - 1.2) * u + 2.4) * u
+
+
+def binary_conjugate(c):
+    """The cubic conjugated by c: f_c(x) = f(c x) / c on [0, 1/c]."""
+    return FiberMap(1.0 / c, lambda x: cubic(c * x) / c, form="cubic_c")
+
+
 class TestKappa:
     def test_direct_values(self):
         assert kappa(1.0, 2.0) == 1.0
@@ -175,12 +185,9 @@ class TestCertify:
         # f_c(x) = f(c x) / c on [0, 1/c]: every grid node, value and
         # bisection width scales by a power of two, so alpha* scales by c,
         # gamma and the isoclinic point b by 1/c, with no rounding
-        def cubic(u):
-            return ((-0.6 * u - 1.2) * u + 2.4) * u
-
         c = 2.0 ** k
         unit = certify(FiberMap(1.0, cubic, form="cubic"), 1000)
-        conj = certify(FiberMap(1.0 / c, lambda x: cubic(c * x) / c, form="cubic_c"), 1000)
+        conj = certify(binary_conjugate(c), 1000)
         assert not unit.monotone and unit.b < 1.0
         assert conj.alpha_star == unit.alpha_star * c
         assert conj.gamma == unit.gamma / c
@@ -266,6 +273,16 @@ class TestIsoclinicPoint:
         b = isoclinic_point(HUMP4, tol=2.0**-10, scan=8)
         assert abs(b - 2 / 3) < 2.0**-10
         assert b * 2**11 % 2 == 1
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=-20, max_value=20))
+    def test_default_width_scales_with_a(self, k):
+        # the default bisection width 1e-9 * a scales with the conjugate's
+        # interval [0, 1/c], so its b is the cubic's b / c with no rounding
+        c = 2.0 ** k
+        unit = isoclinic_point(FiberMap(1.0, cubic, form="cubic"))
+        assert unit < 1.0
+        assert isoclinic_point(binary_conjugate(c)) == unit / c
 
 
 class TestGridSize:
@@ -477,7 +494,7 @@ def _ref_isoclinic_point(fm, tol=1e-9, scan=2048):
     last_true = max(i for i, fl in enumerate(flags) if fl)
     lo, hi = xs[last_true], xs[last_true + 1]
     for _ in range(60):
-        if hi - lo <= tol:
+        if hi - lo <= tol * a:
             break
         mid = 0.5 * (lo + hi)
         if pred(mid, fm(mid)):
@@ -517,7 +534,7 @@ def _ref_certify(fm, grid_size):
     elif monotone:
         b = fm.a
     elif alpha_star > 0.0:
-        b = _ref_isoclinic_point(fm, tol=1e-9 * fm.a, scan=min(grid_size, 2048))
+        b = _ref_isoclinic_point(fm, scan=min(grid_size, 2048))
     else:
         b = None
     return ConcavityCertificate(
