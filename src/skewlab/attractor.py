@@ -14,7 +14,7 @@ import functools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .bases import CircleRotation, orbit_walk
+from .bases import CircleRotation
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     InvariantError,
     check_at_least,
-    check_positive,
+    check_number,
 )
 from .fiber import ZERO_TOL, FiberMap, _bisect_last, grid_max
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
@@ -244,20 +244,20 @@ def build_preinvariant(
 ) -> GraphFunction:
     """Construct a preinvariant graph orbit class by orbit class.
 
-    A walk visits at most max(64, 4 x the point count) points and is cut
-    where it joins an already-assigned class, whose values it keeps.  Every
-    point of the walk is first set to 0 if it pins orbits at 0 (it contains a
-    fiber map that vanishes on the ZERO_SCAN grid, in a family whose maps all
-    fix 0, so the zero propagates), and to a otherwise.  Then an
-    unpinned walk that did not join overwrites either its cycle or its open
-    chain.  A cycle anchors at the largest fixed point of its composed fiber
-    map, which `largest_fixed_point` brackets whether or not the maps are
-    monotone, and is pushed forward around the cycle.  A walk that never
-    closes (no cycle within the walk limit) takes the forward images of
-    (theta_0, a).  Points outside every walk fall back to a.
+    Each class is walked by `orbits` over at most max(64, 4 x the point
+    count) points, and stops where it joins an already-assigned class, whose
+    values it keeps, or closes a cycle.  Every point of the walk is first set
+    to 0 if it pins orbits at 0 (it contains a fiber map that vanishes on the
+    ZERO_SCAN grid, in a family whose maps all fix 0, so the zero
+    propagates), and to a otherwise.  Then an unpinned walk that did not join
+    overwrites either its cycle or its open chain.  A cycle anchors at the
+    largest fixed point of its composed fiber map, which `largest_fixed_point`
+    brackets whether or not the maps are monotone, and is pushed forward
+    around the cycle.  A walk that never closes (no cycle within the walk
+    limit) takes the forward images of (theta_0, a).  Points outside every
+    walk fall back to a.
     """
-    base = sys.base
-    pts = list(points) if points is not None else list(getattr(base, "points", ()))
+    pts = list(points) if points is not None else list(getattr(sys.base, "points", ()))
     if not pts:
         if points is not None:
             raise DomainError("build_preinvariant needs at least one point")
@@ -273,18 +273,24 @@ def build_preinvariant(
     for p in pts:
         if p in table:
             continue
-        path, cycle = orbit_walk(base, p, limit)
-        # cut the walk where it joins an already-assigned class
-        joined = next((k for k, t in enumerate(path) if t in table), None)
-        if joined is not None:
-            path = path[:joined]
+        # place: each path point's index, to find where a cycle starts
+        path, place, joined, cycle = [], {}, False, None
+        for (t,), _ in orbits(sys, [p], None, limit - 1):
+            if t in table:
+                joined = True
+                break
+            if t in place:
+                cycle = path[place[t]:]
+                break
+            place[t] = len(path)
+            path.append(t)
 
         pinned = (any(is_zero(sys.fiber_at(t)) for t in path)
                   and all(fixes_zero(sys.fiber_at(t)) for t in path))
         fill = 0.0 if pinned else sys.a
         for t in path:
             table[t] = fill
-        if pinned or joined is not None:
+        if pinned or joined:
             continue
         if cycle is not None:
             k = len(cycle)
@@ -561,7 +567,7 @@ def verify_attractor(
     check_at_least("steps", steps, 1)
     if not starts:
         raise DomainError("verify_attractor needs at least one start")
-    check_positive("tol", tol)
+    check_number("tol", tol, "a positive number", DomainError)
     walk = orbits(sys, [t for t, _ in starts], [x for _, x in starts], steps, graph)
     reduce = _reduce_arrays if walks_arrays(sys) else _reduce_lists
     achieved, tail = reduce(walk, tol, len(starts))
@@ -664,7 +670,7 @@ def verify_preinvariance(
     raises DomainError before an earlier orbit's CoverageError (both exit 3).
     """
     check_at_least("horizon", horizon, 1)
-    check_positive("tol", tol)
+    check_number("tol", tol, "a positive number", DomainError)
     if len(thetas) == 0:
         raise DomainError("verify_preinvariance needs at least one theta")
     orbits_, phis = _along_orbits(sys, thetas, horizon, graph)
@@ -714,7 +720,7 @@ def uniqueness_probe(
     check_at_least("steps", steps, 1)
     if len(thetas) == 0:
         raise DomainError("uniqueness_probe needs at least one theta")
-    check_positive("eps", eps)
+    check_number("eps", eps, "a positive number", DomainError)
     _, reads1, reads2 = _along_orbits(sys, thetas, steps, g1, g2)
     records = []
     for theta0, values1, values2 in zip(thetas, reads1, reads2):
@@ -750,10 +756,7 @@ def match_fraction(
 ) -> float:
     """Fraction of starts whose step-n fiber value matches the graph."""
     check_at_least("n", n, 1)
-    if not tol >= 0.0:  # also refuses NaN, which no deviation is ever <=
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
-    if tol == math.inf:  # every deviation is <= it
-        raise DomainError(f"tol must be finite, got {tol!r}")
+    check_number("tol", tol, "a nonnegative number", DomainError)
     if not starts:
         raise DomainError("match_fraction needs at least one start")
     for thetas, xs in orbits(sys, [t for t, _ in starts], [x for _, x in starts], n):

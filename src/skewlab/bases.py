@@ -15,7 +15,7 @@ import random
 from collections import namedtuple
 from typing import Sequence
 
-from .errors import CapabilityError, ConfigError, DomainError, check_at_least
+from .errors import CapabilityError, ConfigError, DomainError, check_at_least, check_number
 
 
 def _bits(s: str) -> tuple[int, ...]:
@@ -363,9 +363,7 @@ class CircleRotation:
     """Rotation of [0, 1) by a fixed angle; invertible."""
 
     def __init__(self, omega: float):
-        if not (0.0 < omega < 1.0):
-            raise ConfigError(f"rotation number must lie in (0, 1), got {omega!r}")
-        self.omega = omega
+        self.omega = check_number("omega", omega, "a number in (0, 1)")
 
     def step(self, theta: float) -> float:
         return (theta + self.omega) % 1.0
@@ -437,24 +435,3 @@ class SymbolicShift:
         if self.sided == "one":
             return OneSidedWord.parse(s)
         return TwoSidedWord.parse(s)
-
-
-def orbit_walk(base, p, limit: int) -> tuple[list, list | None]:
-    """Forward walk of a base point: (path, cycle-or-None).
-
-    The path lists distinct points in visit order.  When the walk revisits a
-    path point, the cycle (in orbit order, starting at its first entry) is
-    returned; when ``limit`` distinct points pass without a revisit the orbit
-    is reported cycle-free, i.e. not recognizably preperiodic.
-    """
-    path = []
-    index = {}
-    cur = p
-    for _ in range(limit):
-        if cur in index:
-            k = index[cur]
-            return path, path[k:]
-        index[cur] = len(path)
-        path.append(cur)
-        cur = base.step(cur)
-    return path, None

@@ -11,7 +11,7 @@ import math
 from typing import TYPE_CHECKING, Callable
 
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift
-from .errors import DomainError, RegistryError, check_at_least
+from .errors import RegistryError, check_at_least
 from .fiber import FiberMap
 from .registry import build_base_function, build_fiber
 from .skew import ProductFamily, SkewSystem, SymbolTable
@@ -89,8 +89,6 @@ def make_keller(
     with c = 1, eps = 0.5.  q is rescaled when sup(p)*sup(q) would leave the
     fiber interval.
     """
-    if not (0.0 < omega < 1.0):
-        raise DomainError("omega must lie in (0, 1)")
     p_spec = p_spec or {"form": "logistic-scaled", "k": 1.0}
     q_spec = q_spec or {"form": "sin-squared", "c": 1.0, "eps": 0.5}
     return make_product(p_spec, q_spec, CircleRotation(omega), label="keller")

@@ -35,13 +35,6 @@ class RegistryError(ConfigError):
     """Unknown closed-form name or parameters outside the declared domain."""
 
 
-def check_positive(name: str, value: float) -> None:
-    if not value > 0.0:  # also refuses NaN: no deviation or gap is ever >= NaN
-        raise DomainError(f"{name} must be > 0, got {value!r}")
-    if value > sys.float_info.max:  # every finite deviation or gap is below it
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def file_error(doing: str, path: str, exc: OSError | UnicodeDecodeError) -> ConfigError:
     """The error for a file that cannot be opened or is not UTF-8: `cannot <doing> 'path': why`."""
     why = f"not UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError) else exc.strerror
@@ -70,9 +63,11 @@ _DOMAINS = {
 def check_number(where: str, v, domain: str = "a positive number", error: type = ConfigError):
     """v if it is a finite number in ``domain``, as an int for an integer domain.
 
-    Anything else, a bool, NaN or infinity included, raises ``error`` naming ``where``.
+    A number is any type with ``__float__``, numpy's included, as `check_at_least`
+    takes an integer by ``__index__``.  Anything else, a bool, NaN or infinity
+    included, raises ``error`` naming ``where``.
     """
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+    if isinstance(v, bool) or not hasattr(type(v), "__float__") or not (
         abs(v) <= sys.float_info.max and _DOMAINS[domain](v)  # abs: also refuses NaN
     ):
         raise error(f"{where}: must be {domain}, got {v!r}")

@@ -10,7 +10,6 @@ against their closed-form bounds.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -18,7 +17,7 @@ from .errors import (
     InvariantError,
     PreconditionError,
     check_at_least,
-    check_positive,
+    check_number,
 )
 
 # Grid values below this count as identically zero.
@@ -29,6 +28,8 @@ CONCAVITY_SLACK = 1e-9
 CERTIFY_GRID = 4096
 # Tie-breaker for the strict inequality in the isoclinic predicate.
 _ISO_TIE = 1e-12
+# Width, relative to a, at which `isoclinic_point` stops bisecting b.
+_ISO_WIDTH = 1e-9
 
 # Largest step of the one-sided derivative quotient, as a fraction of a.
 _H0_FRACTION = 1e-4
@@ -66,10 +67,8 @@ class FiberMap(NamedTuple):
 
     def scaled(self, c: float) -> "FiberMap":
         """The map x -> c * f(x); analytic data rescales along."""
-        if not c >= 0.0:  # also refuses NaN
-            raise DomainError(f"scale factor must be nonnegative, got {c!r}")
-        if math.isinf(c):  # inf * f(0) is NaN: the map would no longer fix 0
-            raise DomainError(f"scale factor must be finite, got {c!r}")
+        # finite too: inf * f(0) is NaN, so the map would no longer fix 0
+        check_number("scale factor", c, "a nonnegative number", DomainError)
         base = self.f
         if c == 0.0:
             return FiberMap(
@@ -234,17 +233,16 @@ def _bisect_last(pred: Callable, nodes: list, steps: int, tol: float = 0.0) -> f
     return 0.5 * (lo + hi)
 
 
-def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
+def isoclinic_point(fm: FiberMap, scan: int = 2048) -> float:
     """Supremum of the points where |left derivative| < chord slope f(x)/x.
 
     Works by scanning the predicate on a coarse grid from the right and
     bisecting the first sign change it meets (`_bisect_last`, 60 steps to
-    width ``tol * a``: tol is relative to the fibre's width).  Returns a
+    width ``_ISO_WIDTH * a``, relative to the fibre's width).  Returns a
     when the predicate holds at the right endpoint (in particular for
     nondecreasing maps).  Undefined for the zero map.
     """
     _check_grid_size(scan)
-    check_positive("tol", tol)
     a = fm.a
     xs = _grid(a, scan)[1:]
     f = functools.cache(fm)  # the scan reads each node's value from the grid pass
@@ -258,7 +256,7 @@ def isoclinic_point(fm: FiberMap, tol: float = 1e-9, scan: int = 2048) -> float:
         fx = f(x)
         return fx > 0.0 and abs(left_derivative_limit(fm, x)) < fx / x - _ISO_TIE
 
-    b = a if pred(a) else _bisect_last(pred, xs, 60, tol * a)
+    b = a if pred(a) else _bisect_last(pred, xs, 60, _ISO_WIDTH * a)
     # Exactly-linear initial segments defeat the strict predicate; the
     # monotone convention still applies.
     if b is None and not _nondecreasing(vals):
@@ -288,8 +286,7 @@ def ratio_bound_monotone(
     bound = f(y) / (f(y) + alpha*y^2).  For a map that is alpha-concave on
     [0, y] the ratio never exceeds the bound.
     """
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha!r}")
+    check_number("alpha", alpha, "a nonnegative number", DomainError)
     if not (0.0 < x < y <= fm.a):
         raise PreconditionError(
             f"precondition 0 < x < y <= a failed: x = {x!r}, y = {y!r}, a = {fm.a!r}"
@@ -311,8 +308,7 @@ def ratio_bound_nonmonotone(
     concavity level.  Returns (ratio, bound) with
     bound = 1 - alpha*b*(b - x)/f(b); the ratio is strictly below the bound.
     """
-    if alpha <= 0.0:
-        raise PreconditionError(f"precondition alpha > 0 failed: alpha = {alpha!r}")
+    check_number("alpha", alpha, "a positive number", PreconditionError)
     if not (0.0 < x < y):
         raise PreconditionError(
             f"precondition 0 < x < y failed: x = {x!r}, y = {y!r}"

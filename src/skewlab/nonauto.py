@@ -13,7 +13,7 @@ import csv
 import functools
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, PreconditionError, check_at_least, check_positive
+from .errors import DomainError, PreconditionError, check_at_least, check_number
 from .fiber import (
     CERTIFY_GRID,
     ZERO_TOL,
@@ -221,9 +221,8 @@ def convergence_certificate(
     the recorded per-step bounds gives a geometric envelope
     a * kappa_0 * prod(bounds) that dominates |x_n - y_n|.
     """
-    check_positive("beta", beta)
-    check_positive("eps", eps)
-    check_positive("tol", tol)
+    for name, v in (("beta", beta), ("eps", eps), ("tol", tol)):
+        check_number(name, v, "a positive number", DomainError)
     recorded = [r for r in trace.rows if r.bound is not None]
     if not recorded:
         raise PreconditionError("trace lacks bound records")

@@ -20,7 +20,7 @@ import math
 from typing import Callable
 
 from .errors import RegistryError, check_number
-from .fiber import FiberMap
+from .fiber import ZERO_TOL, FiberMap
 
 _VALIDATE_GRID = 257
 
@@ -46,7 +46,7 @@ def _validate_range(fm: FiberMap) -> FiberMap:
     for i in range(_VALIDATE_GRID + 1):
         x = fm.a * i / _VALIDATE_GRID
         v = fm(x)
-        if not (-1e-12 <= v <= fm.a + 1e-12):
+        if not (-ZERO_TOL <= v <= fm.a + ZERO_TOL):
             raise RegistryError(
                 f"form {fm.form}: f({x!r}) = {v!r} leaves [0, {fm.a!r}]"
             )

@@ -80,7 +80,7 @@ def test_c02_concavity_certification():
 
 
 def test_c03_isoclinic_point():
-    b = isoclinic_point(HUMP4, tol=1e-7)
+    b = isoclinic_point(HUMP4)
     assert b == pytest.approx(2.0 / 3.0, abs=1e-6)
     rng = random.Random(303)
     worst = math.inf
@@ -90,7 +90,7 @@ def test_c03_isoclinic_point():
         else:
             case = bumpy_concave(rng)
         fm = case["fm"]
-        bi = isoclinic_point(fm, tol=1e-7, scan=512)
+        bi = isoclinic_point(fm, scan=512)
         worst = min(worst, bi - fm.a / 2.0)
         assert bi >= fm.a / 2.0 - 1e-6
     _report(3, f"b(4x(1-x)) = {b:.8f}; 500 random strictly concave maps keep "

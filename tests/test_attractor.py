@@ -606,6 +606,53 @@ class TestBuildPreinvariant:
         assert len(scanned) == 2 and scanned[0] is not scanned[1]
         assert graph.value(1.0) == 1.0 and graph.value(-1.0) == 0.0
 
+    def test_cycle_entered_from_a_tail_anchors_only_the_cycle(self):
+        # 0 -> 1 -> 2 -> 3 -> 1: the cycle anchors at the fixed point 2/3 of
+        # 0.75 x(2-x) and is pushed around; its tail 0 keeps a
+        fm = build_fiber({"form": "logistic-scaled", "k": 0.75}, 1.0)
+        base = FiniteOrbitBase([0.0, 1.0, 2.0, 3.0], {0.0: 1.0, 1.0: 2.0, 2.0: 3.0, 3.0: 1.0})
+        table = build_preinvariant(SkewSystem(base, lambda t: fm, 1.0)).table
+        assert sorted(table) == [0.0, 1.0, 2.0, 3.0] and table[0.0] == 1.0
+        assert table[1.0] == pytest.approx(2 / 3, abs=1e-12)
+        assert table[2.0] == fm(table[1.0]) and table[3.0] == fm(table[2.0])
+
+    def test_walk_without_a_revisit_takes_the_open_chain(self):
+        # no revisit within the limit max(64, 4 x 1): 64 points take the
+        # forward images of a, and every later point falls back to a
+        class Chain:
+            def step(self, n):
+                return n + 1
+
+        halver = FiberMap(1.0, lambda x: x / 2.0)
+        g = build_preinvariant(SkewSystem(Chain(), lambda n: halver, 1.0), points=[0])
+        assert g.table == {n: 0.5**n for n in range(64)}
+        assert g.value(64) == 1.0
+
+    @pytest.mark.parametrize("word, period", [("0~~0@0", 1), ("01~~01@0", 2)])
+    def test_fixed_two_sided_words_are_cycles(self, word, period):
+        # a cycle anchors at the fixed point 2/3 of 0.75 x(2-x); an open chain
+        # would start at a
+        fm = build_fiber({"form": "logistic-scaled", "k": 0.75}, 1.0)
+        sys_ = SkewSystem(SymbolicShift("two"), lambda w: fm, 1.0)
+        table = build_preinvariant(sys_, points=[TwoSidedWord.parse(word)]).table
+        assert len(table) == period
+        assert all(v == pytest.approx(2 / 3, abs=1e-12) for v in table.values())
+
+    def test_walk_stops_at_the_join(self):
+        # 2 closes the cycle 3 -> 4 -> 3 in three steps; 0 joins it at 2 in
+        # two more, and walks no further
+        class CountingBase:
+            steps = 0
+
+            def step(self, t):
+                self.steps += 1
+                return {0: 1, 1: 2, 2: 3, 3: 4, 4: 3}[t]
+
+        base = CountingBase()
+        table = build_preinvariant(SkewSystem(base, lambda t: STRONG, 1.0), points=[2, 0]).table
+        assert base.steps == 5
+        assert sorted(table) == [0, 1, 2, 3, 4] and table[0] == table[1] == 1.0
+
     def test_fixed_two_sided_word_stored_once(self):
         sys_ = make_coinflip("two")
         zero = sys_.base.zero_word()
@@ -1548,7 +1595,7 @@ class TestVerifyPreinvariance:
         # horizon and tol are checked first
         with pytest.raises(DomainError, match="^horizon must be >= 1, got 0$"):
             verify_preinvariance(sys_, graph, [], 0, 1e-9)
-        with pytest.raises(DomainError, match="^tol must be > 0, got 0.0$"):
+        with pytest.raises(DomainError, match="^tol: must be a positive number, got 0.0$"):
             verify_preinvariance(sys_, graph, [], 5, 0.0)
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, math.inf])
@@ -1556,7 +1603,7 @@ class TestVerifyPreinvariance:
         # against a NaN or infinite tol every deviation passes; against tol <= 0 none does
         sys_ = make_noinvattr(8)
         graph = build_preinvariant(sys_)
-        message = f"tol must be {'finite' if tol == math.inf else '> 0'}, got {tol!r}"
+        message = f"^tol: must be a positive number, got {tol!r}$"
         with pytest.raises(DomainError, match=message):
             verify_preinvariance(sys_, graph, [0.0], 5, tol)
         with pytest.raises(DomainError, match=message):
@@ -1693,7 +1740,7 @@ class TestUniquenessProbe:
         sys_ = make_noinvattr(8)
         g1 = build_preinvariant(sys_)
         g2 = GraphFunction(1.0, func=lambda theta: 0.0)
-        with pytest.raises(DomainError, match="eps must be > 0"):
+        with pytest.raises(DomainError, match=f"^eps: must be a positive number, got {eps!r}$"):
             uniqueness_probe(sys_, g1, g2, [0.0, 0.5], 10, eps)
 
 
@@ -1783,9 +1830,7 @@ class TestHelpers:
         flat = GraphFunction(1.0, func=lambda w: 0.0)
         starts = [(OneSidedWord((), (0,)), 0.0)]
         assert match_fraction(sys_, flat, 3, starts, tol=0.0) == 1.0
-        message = f"tol must be >= 0, got {tol!r}"
-        if tol == math.inf:
-            message = "tol must be finite, got inf"
+        message = f"^tol: must be a nonnegative number, got {tol!r}$"
         with pytest.raises(DomainError, match=message):
             match_fraction(sys_, flat, 3, starts, tol=tol)
 

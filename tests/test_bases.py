@@ -12,7 +12,6 @@ from skewlab.bases import (
     SymbolicShift,
     TwoSidedWord,
     fair_bits,
-    orbit_walk,
 )
 from skewlab.catalog import coinflip_attractor_graph
 from skewlab.errors import CapabilityError, ConfigError, DomainError
@@ -461,30 +460,3 @@ def test_shift_sides_refused():
 def test_sample_count_below_one_refused(base, count):
     with pytest.raises(DomainError, match=f"sample count must be >= 1, got {count}"):
         base.sample_points(count, random.Random(0))
-
-
-class TestOrbitWalk:
-    def test_cycle_detection(self):
-        base = FiniteOrbitBase(
-            [0.0, 1.0, 2.0, 3.0], {0.0: 1.0, 1.0: 2.0, 2.0: 3.0, 3.0: 1.0}
-        )
-        path, cycle = orbit_walk(base, 0.0, 100)
-        assert path == [0.0, 1.0, 2.0, 3.0]
-        assert cycle == [1.0, 2.0, 3.0]
-
-    def test_no_cycle_within_limit(self):
-        class Chain:
-            def step(self, n):
-                return n + 1
-
-        path, cycle = orbit_walk(Chain(), 0, 10)
-        assert cycle is None and len(path) == 10
-
-    def test_fixed_two_sided_word_is_a_cycle(self):
-        zero = TwoSidedWord.parse("0~~0@0")
-        path, cycle = orbit_walk(SymbolicShift("two"), zero, 50)
-        assert path == cycle == [zero]
-        front = TwoSidedWord.parse("1~01~0@0")  # ...1 1 0 1 0 0...: no cycle
-        assert orbit_walk(SymbolicShift("two"), front, 20)[1] is None
-        alternating = TwoSidedWord.parse("01~~01@0")
-        assert len(orbit_walk(SymbolicShift("two"), alternating, 50)[1]) == 2

@@ -11,7 +11,7 @@ from skewlab.catalog import (
     make_noinvattr,
     make_product,
 )
-from skewlab.errors import CapabilityError, DomainError, RegistryError
+from skewlab.errors import CapabilityError, ConfigError, RegistryError
 from skewlab.fiber import grid_max
 from skewlab.skew import classify, declared, orbits, step
 
@@ -87,7 +87,9 @@ class TestKeller:
 
     @pytest.mark.parametrize("omega", [0.0, 1.0, 1.5])
     def test_rotation_number_refused(self, omega):
-        with pytest.raises(DomainError, match=r"^omega must lie in \(0, 1\)$"):
+        # CircleRotation refuses it, as it refuses a config's omega
+        message = rf"^omega: must be a number in \(0, 1\), got {omega!r}$"
+        with pytest.raises(ConfigError, match=message):
             make_keller(omega=omega)
 
 

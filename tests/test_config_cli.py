@@ -506,8 +506,8 @@ class TestVerifyInput:
                        "--samples", "2", "--steps", "5", "--tol", tol])
         assert rc == 3
         out, err = capsys.readouterr()
-        bound = "finite" if tol == "inf" else "> 0"
-        assert out == "" and f"tol must be {bound}, got {float(tol)!r}" in err
+        assert out == "" and err == (
+            f"invariant violation: tol: must be a positive number, got {float(tol)!r}\n")
 
     def test_missing_phi_exits_2(self, cfg_file, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -11,6 +11,7 @@ from skewlab.fiber import (
     ZERO_TOL,
     ConcavityCertificate,
     FiberMap,
+    _bisect_last,
     certify,
     grid_max,
     grid_values,
@@ -225,11 +226,11 @@ class TestLeftDerivative:
 
 class TestIsoclinicPoint:
     def test_hump(self):
-        assert isoclinic_point(HUMP4, tol=1e-7) == pytest.approx(2 / 3, abs=1e-6)
+        assert isoclinic_point(HUMP4) == pytest.approx(2 / 3, abs=1e-6)
 
     def test_monotone_gives_endpoint(self):
-        assert isoclinic_point(LOGISTIC, tol=1e-7) == 1.0
-        assert isoclinic_point(LINEAR, tol=1e-7) == 1.0
+        assert isoclinic_point(LOGISTIC) == 1.0
+        assert isoclinic_point(LINEAR) == 1.0
 
     def test_zero_map_refused(self):
         with pytest.raises(PreconditionError):
@@ -241,19 +242,10 @@ class TestIsoclinicPoint:
         with pytest.raises(PreconditionError, match="isoclinic predicate never holds"):
             isoclinic_point(fm)
 
-    def test_nan_tol_refused(self):
-        with pytest.raises(DomainError, match=r"^tol must be > 0, got nan$"):
-            isoclinic_point(LOGISTIC.scaled(0.5), tol=float("nan"))
-
-    def test_infinite_tol_refused(self):
-        # an infinite tol once returned the scan bracket's midpoint, not b = 2/3
-        with pytest.raises(DomainError, match=r"^tol must be finite, got inf$"):
-            isoclinic_point(HUMP4, tol=float("inf"))
-
     def test_scale_free(self, rng):
         # scaling the map does not move the isoclinic point
-        b1 = isoclinic_point(HUMP4, tol=1e-7, scan=512)
-        b2 = isoclinic_point(HUMP4.scaled(0.35), tol=1e-7, scan=512)
+        b1 = isoclinic_point(HUMP4, scan=512)
+        b2 = isoclinic_point(HUMP4.scaled(0.35), scan=512)
         assert b1 == pytest.approx(b2, abs=1e-6)
 
     def test_at_least_half_the_interval(self, rng):
@@ -263,14 +255,15 @@ class TestIsoclinicPoint:
             else:
                 case = bumpy_concave(rng)
             fm = case["fm"]
-            b = isoclinic_point(fm, tol=1e-7, scan=512)
+            b = isoclinic_point(fm, scan=512)
             assert b >= fm.a / 2.0 - 1e-6
 
     def test_bisection_stops_at_width_tol(self):
-        # the scan brackets b = 2/3 in a cell of width 2^-3; seven halvings reach
-        # the width tol = 2^-10 exactly and stop, so b is the midpoint of a cell
-        # of that width: an odd multiple of 2^-11
-        b = isoclinic_point(HUMP4, tol=2.0**-10, scan=8)
+        # the bisection of isoclinic_point: nodes k/8 bracket 2/3 in a cell of
+        # width 2^-3; seven halvings reach the width tol = 2^-10 exactly and
+        # stop, so the result is the midpoint of a cell of that width: an odd
+        # multiple of 2^-11
+        b = _bisect_last(lambda x: x < 2 / 3, [k / 8 for k in range(1, 9)], 60, 2.0**-10)
         assert abs(b - 2 / 3) < 2.0**-10
         assert b * 2**11 % 2 == 1
 
@@ -319,7 +312,7 @@ class TestGridSize:
         assert certify(LOGISTIC, 8).alpha_star > 0.0
         with pytest.raises(InvariantError, match="not concave"):
             certify(SQUARE, 8)
-        assert isoclinic_point(HUMP4, tol=1e-7, scan=8) == pytest.approx(2 / 3, abs=1e-6)
+        assert isoclinic_point(HUMP4, scan=8) == pytest.approx(2 / 3, abs=1e-6)
 
 
 class TestRatioBoundMonotone:
@@ -341,6 +334,14 @@ class TestRatioBoundMonotone:
             ratio_bound_monotone(HUMP4, 4.0, 0.4, 0.6)  # f(0.4) > f(0.6) fails order
         with pytest.raises(DomainError):
             ratio_bound_monotone(LOGISTIC, -1.0, 0.2, 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        # a NaN alpha once gave the bound nan, and inf the bound 0.0 against a
+        # ratio of 0.722: a false violation
+        message = rf"^alpha: must be a nonnegative number, got {alpha!r}$"
+        with pytest.raises(DomainError, match=message):
+            ratio_bound_monotone(LOGISTIC, alpha, 0.2, 0.5)
 
     @pytest.mark.parametrize("x, y", [(0.5, 0.5), (0.0, 0.5)], ids=["x=y", "x=0"])
     def test_boundary_pairs_refused(self, x, y):
@@ -374,7 +375,7 @@ class TestRatioBoundNonmonotone:
         assert rb.bound > 1.0 - 1e-5
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError, match="alpha > 0"):
+        with pytest.raises(PreconditionError, match="^alpha: must be a positive number, got 0.0$"):
             ratio_bound_nonmonotone(HUMP4, 0.0, 2 / 3, 0.5, 0.6)
         with pytest.raises(PreconditionError, match="0 < x < y"):
             ratio_bound_nonmonotone(HUMP4, 4.0, 2 / 3, 0.6, 0.5)
@@ -385,6 +386,13 @@ class TestRatioBoundNonmonotone:
         # b = 1 is where the hump returns to 0
         with pytest.raises(PreconditionError, match=r"f\(b\) > 0"):
             ratio_bound_nonmonotone(HUMP4, 4.0, 1.0, 0.6, 0.7)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        # a NaN alpha once gave the bound nan, and inf the bound -inf
+        message = rf"^alpha: must be a positive number, got {alpha!r}$"
+        with pytest.raises(PreconditionError, match=message):
+            ratio_bound_nonmonotone(HUMP4, alpha, 2 / 3, 0.45, 0.66)
 
     def test_y_at_b_refused(self):
         # f(0.6) < f(0.5) and f(b) > 0 hold: only y < b refuses the pair
@@ -419,12 +427,14 @@ class TestFiberMap:
 
     def test_scaled_nan_rejected(self):
         # NaN compares False with 0, so only a check written as not c >= 0 sees it
-        with pytest.raises(DomainError, match="^scale factor must be nonnegative, got nan$"):
+        message = "^scale factor: must be a nonnegative number, got nan$"
+        with pytest.raises(DomainError, match=message):
             LOGISTIC.scaled(float("nan"))
 
     def test_scaled_infinite_rejected(self):
         # inf * f(0) is NaN, so the scaled map would no longer fix 0
-        with pytest.raises(DomainError, match="^scale factor must be finite, got inf$"):
+        message = "^scale factor: must be a nonnegative number, got inf$"
+        with pytest.raises(DomainError, match=message):
             LOGISTIC.scaled(math.inf)
 
 
@@ -463,9 +473,7 @@ def _ref_concavity_holds(fm, alpha, grid_size, slack=CONCAVITY_SLACK):
     )
 
 
-def _ref_isoclinic_point(fm, tol=1e-9, scan=2048):
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+def _ref_isoclinic_point(fm, scan=2048):
     a = fm.a
     xs = [a * i / scan for i in range(scan + 1)]
     xs[-1] = a
@@ -494,7 +502,7 @@ def _ref_isoclinic_point(fm, tol=1e-9, scan=2048):
     last_true = max(i for i, fl in enumerate(flags) if fl)
     lo, hi = xs[last_true], xs[last_true + 1]
     for _ in range(60):
-        if hi - lo <= tol * a:
+        if hi - lo <= 1e-9 * a:
             break
         mid = 0.5 * (lo + hi)
         if pred(mid, fm(mid)):
@@ -577,13 +585,12 @@ class TestAgainstParentReference:
         assert _outcome(certify, fm, grid) == _outcome(_ref_certify, fm, grid)
 
     @settings(max_examples=150, deadline=None)
-    @given(polynomial_maps(), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
-           st.sampled_from([1, 8, 64, 300]))
-    def test_isoclinic_point(self, fm, tol, scan):
+    @given(polynomial_maps(), st.sampled_from([1, 8, 64, 300]))
+    def test_isoclinic_point(self, fm, scan):
         # the library refuses scans below 8 cells; the reference has no such check
         expected = (f"PreconditionError: grid_size must be >= 8, got {scan}" if scan < 8
-                    else _outcome(_ref_isoclinic_point, fm, tol, scan))
-        assert _outcome(isoclinic_point, fm, tol, scan) == expected
+                    else _outcome(_ref_isoclinic_point, fm, scan))
+        assert _outcome(isoclinic_point, fm, scan) == expected
 
     def test_convex_error_names_the_first_failing_node(self):
         # D2 is exactly 0 on the linear half and h^2 at x = 0.5

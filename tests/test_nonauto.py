@@ -205,10 +205,10 @@ class TestConvergenceCertificate:
             convergence_certificate(tr, beta=1.0, eps=0.1)
 
     @pytest.mark.parametrize("beta, eps, message", [
-        (float("nan"), 0.1, "beta must be > 0, got nan"),
-        (1.0, float("nan"), "eps must be > 0, got nan"),
-        (0.0, 0.1, "beta must be > 0, got 0.0"),
-        (1.0, -0.1, "eps must be > 0, got -0.1"),
+        (float("nan"), 0.1, "beta: must be a positive number, got nan"),
+        (1.0, float("nan"), "eps: must be a positive number, got nan"),
+        (0.0, 0.1, "beta: must be a positive number, got 0.0"),
+        (1.0, -0.1, "eps: must be a positive number, got -0.1"),
     ])
     def test_bad_beta_or_eps_named(self, beta, eps, message):
         # a NaN once passed as verdict "consistent" with per_step_cap nan
@@ -217,10 +217,10 @@ class TestConvergenceCertificate:
             convergence_certificate(tr, beta=beta, eps=eps)
 
     @pytest.mark.parametrize("tol, message", [
-        (float("nan"), "tol must be > 0, got nan"),
-        (-1.0, "tol must be > 0, got -1.0"),
-        (0.0, "tol must be > 0, got 0.0"),
-        (float("inf"), "tol must be finite, got inf"),
+        (float("nan"), "tol: must be a positive number, got nan"),
+        (-1.0, "tol: must be a positive number, got -1.0"),
+        (0.0, "tol: must be a positive number, got 0.0"),
+        (float("inf"), "tol: must be a positive number, got inf"),
     ])
     def test_bad_tol_named(self, tol, message):
         # a NaN or negative tol once passed as verdict "consistent", never within it
