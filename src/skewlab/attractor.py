@@ -24,15 +24,16 @@ from .errors import (
     check_at_least,
     check_number,
 )
-from .fiber import ZERO_TOL, FiberMap, _bisect_last, grid_max
+from .fiber import FiberMap, _bisect_last, _grid, grid_max, value_range, zero_tol
 # step is unused here; perfbench's tracer test looks it up as attractor.step.
 from .skew import SkewSystem, block_rows, orbits, step, walks_arrays  # noqa: F401
 
 GRAPH_COLUMNS = ("point", "value")
+# Times the fibre width a: the change below which a pullback stops (`_settled`).
 PULLBACK_STOP_DELTA = 1e-12
-# Rise of a pullback value that still counts as no rise.
+# Times a: the rise of a pullback value that still counts as no rise.
 MONOTONE_SLACK = 1e-12
-# Graph values above this times the fibre width a count as positive.
+# Times a: graph values above it count as positive, fixed points below it as 0.
 POSITIVE_THRESHOLD = 1e-9
 # Scan nodes of largest_fixed_point before its bisection.
 FIXED_POINT_SCAN = 4096
@@ -61,7 +62,7 @@ class GraphFunction:
         reps = sum(x is not None for x in (table, grid, func))
         if reps != 1:
             raise DomainError("exactly one of table/grid/func must be given")
-        self.a = a
+        self.a, self._range = a, value_range(a)  # every stored value is checked against it
         self.provenance = provenance
         self.table = dict(table) if table is not None else None
         self.grid = None
@@ -78,17 +79,18 @@ class GraphFunction:
             self.grid = np.asarray(grid, dtype=float)
             if self.grid.ndim != 1 or len(self.grid) < 1:
                 raise DomainError("grid representation must be a 1-d array")
+            lo, hi = self._range
             # written so that a NaN, which compares False, fails the check
-            if not (self.grid.min() >= -ZERO_TOL and self.grid.max() <= a + ZERO_TOL):
-                raise InvariantError("grid graph stores values outside [0, a]")
+            if not (self.grid.min() >= lo and self.grid.max() <= hi):
+                j = int(np.argmin((self.grid >= lo) & (self.grid <= hi)))
+                self._check_value(float(self.grid[j]), j / len(self.grid))
         if fallback is not None:
             self._check_value(fallback, "<fallback>")
 
     def _check_value(self, v: float, where) -> float:
-        if not (-ZERO_TOL <= v <= self.a + ZERO_TOL):
-            raise InvariantError(
-                f"graph value {v!r} at {where!s} leaves [0, {self.a!r}]"
-            )
+        lo, hi = self._range
+        if not (lo <= v <= hi):
+            raise InvariantError(f"graph value {v!r} at {where!s} leaves [0, {self.a!r}]")
         return v
 
     def value(self, theta) -> float:
@@ -109,7 +111,7 @@ class GraphFunction:
             return self.grid[np.rint((ts % 1.0) * m).astype(int) % m]
         if self.func is not None:
             func, check = self.func, self._check_value
-            lo, hi = -ZERO_TOL, self.a + ZERO_TOL
+            lo, hi = self._range
             # check raises: it is called only for a value outside [lo, hi]
             return [v if lo <= (v := func(t)) <= hi else check(v, t) for t in thetas]
         table, fallback = self.table, self.fallback
@@ -217,25 +219,25 @@ def positive_fraction(graph: GraphFunction) -> float:
 def largest_fixed_point(g: FiberMap) -> float:
     """Largest solution of g(x) = x on [0, a], by downward scan and bisection.
 
-    Returns a when g(a) = a (to 1e-12), and refuses a map with g(a) > a,
-    which leaves [0, a].  Otherwise scans g(x) - x at the nodes
+    Returns a when g(a) = a (to `fiber.zero_tol`), and refuses a map with
+    g(a) > a, which leaves [0, a].  Otherwise scans g(x) - x at the nodes
     a*j/FIXED_POINT_SCAN, j = 0..FIXED_POINT_SCAN, from the right: the first
     node where g(x) >= x and its right neighbour bracket the largest fixed
     point, and `fiber._bisect_last` closes the bracket to rounding in at most
     80 steps.  The bracket needs neither monotonicity nor a contraction, so
     this serves every cycle composition, and a neutral fixed point
-    (g'(x) = 1) costs no more than an attracting one.  Roots below 1e-9 are
-    snapped to 0; with no node where g(x) >= x the result is 0.
+    (g'(x) = 1) costs no more than an attracting one.  Roots below
+    POSITIVE_THRESHOLD * a are snapped to 0; with no node where g(x) >= x
+    the result is 0.
     """
     a = g.a
     ga = g(a)
-    if abs(ga - a) <= 1e-12:
+    if abs(ga - a) <= zero_tol(a):
         return a
     if ga > a:
         raise InvariantError(f"f({a!r}) = {ga!r} leaves [0, {a!r}] (map {g.form})")
-    nodes = [a * j / FIXED_POINT_SCAN for j in range(FIXED_POINT_SCAN + 1)]
-    x = _bisect_last(lambda x: g(x) - x >= 0.0, nodes, 80)
-    return 0.0 if x is None or x < 1e-9 else x
+    x = _bisect_last(lambda x: g(x) - x >= 0.0, _grid(a, FIXED_POINT_SCAN), 80)
+    return 0.0 if x is None or x < POSITIVE_THRESHOLD * a else x
 
 
 def build_preinvariant(
@@ -261,14 +263,12 @@ def build_preinvariant(
     if not pts:
         if points is not None:
             raise DomainError("build_preinvariant needs at least one point")
-        raise CapabilityError(
-            "build_preinvariant needs an enumerable point set for this base"
-        )
+        raise CapabilityError("build_preinvariant needs an enumerable point set for this base")
     limit = max(64, 4 * len(pts))
     table: dict = {}
     # Keyed by the fiber map, so each distinct map is scanned once.
-    is_zero = functools.cache(lambda fm: grid_max(fm, ZERO_SCAN) <= ZERO_TOL)
-    fixes_zero = functools.cache(lambda fm: abs(fm(0.0)) <= ZERO_TOL)
+    is_zero = functools.cache(lambda fm: grid_max(fm, ZERO_SCAN) <= zero_tol(fm.a))
+    fixes_zero = functools.cache(lambda fm: abs(fm(0.0)) <= zero_tol(fm.a))
 
     for p in pts:
         if p in table:
@@ -325,22 +325,21 @@ class PullbackSequence(NamedTuple):
     delta: float
     depth_used: int
     truncated: bool
+    a: float
 
     def nonincreasing(self) -> bool:
-        return all(
-            self.values[i + 1] <= self.values[i] + MONOTONE_SLACK
-            for i in range(len(self.values) - 1)
-        )
+        slack = MONOTONE_SLACK * self.a
+        return all(w <= v + slack for v, w in zip(self.values, self.values[1:]))
 
 
-def _settled(n: int, delta: float, stop_delta: float) -> bool:
-    """The stop rule of every pullback: n >= 2 and ``delta`` < ``stop_delta``.
+def _settled(n: int, delta: float, stop_delta: float, a: float) -> bool:
+    """The stop rule of every pullback: n >= 2 and ``delta`` < ``stop_delta`` * a.
 
     delta is the largest change |phi_n - phi_{n-1}|, with phi_0 = a, at the
     point of a `pullback_phi` query or over the nodes a sweep moved.
     ``stop_delta`` = 0 turns the rule off, and a NaN delta never stops.
     """
-    return stop_delta > 0.0 and n >= 2 and delta < stop_delta
+    return stop_delta > 0.0 and n >= 2 and delta < stop_delta * a
 
 
 def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]:
@@ -407,7 +406,7 @@ def _pull_back(
         moving = moved
         # a NaN rise compares False, so max keeps the running value
         max_increase = max(max_increase, rise)
-        if _settled(sweeps, delta, stop_delta):
+        if _settled(sweeps, delta, stop_delta, sys.a):
             break
     return phi, stopped, sweeps, delta, max_increase
 
@@ -460,7 +459,7 @@ def pullback_phi(
             v = fm(v)
         phis.append(v)
         delta = abs(v - phis[-2])
-        if _settled(n, delta, stop_delta):
+        if _settled(n, delta, stop_delta, sys.a):
             break
     return PullbackSequence(
         theta_repr=sys.base.format_point(theta),
@@ -468,6 +467,7 @@ def pullback_phi(
         delta=delta,
         depth_used=len(phis) - 1,
         truncated=truncated,
+        a=sys.a,
     )
 
 
@@ -492,7 +492,7 @@ def pullback_grid(
     sweep transports the whole grid one step, so sweep s holds phi_s at every
     node.  Sweeps stop by the rule of `_settled`.  ``max_increase`` is the
     largest rise of any node over any sweep (0 when none rises), and
-    ``monotone_ok`` says it stays within MONOTONE_SLACK.
+    ``monotone_ok`` says it stays within MONOTONE_SLACK * a.
     """
     base = sys.base
     if not isinstance(base, CircleRotation):
@@ -507,7 +507,7 @@ def pullback_grid(
     phi, _, sweeps, delta, max_increase = _pull_back(sys, thetas, perm, depth, stop_delta)
     return PullbackGridResult(
         graph=GraphFunction(sys.a, "pullback", grid=phi), sweeps=sweeps, delta=delta,
-        monotone_ok=max_increase <= MONOTONE_SLACK, max_increase=max_increase,
+        monotone_ok=max_increase <= MONOTONE_SLACK * sys.a, max_increase=max_increase,
     )
 
 

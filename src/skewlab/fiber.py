@@ -20,9 +20,9 @@ from .errors import (
     check_number,
 )
 
-# Grid values below this count as identically zero.
+# Times a, the slack of the fibre-value rules `value_range` and `zero_tol`.
 ZERO_TOL = 1e-12
-# Allowed slack in the grid second-difference concavity test.
+# Times a, the allowed slack in the grid second-difference concavity test.
 CONCAVITY_SLACK = 1e-9
 # Grid of `certify` for a map without analytic data, and `certify --grid`'s default.
 CERTIFY_GRID = 4096
@@ -106,6 +106,17 @@ class RatioBound(NamedTuple):
     bound: float
 
 
+def zero_tol(a: float) -> float:
+    """The size up to which a value on [0, a] counts as 0: ZERO_TOL * a."""
+    return ZERO_TOL * a
+
+
+def value_range(a: float) -> tuple[float, float]:
+    """[0, a] widened by `zero_tol` at both ends, as (lo, hi); a NaN fails lo <= v <= hi."""
+    tol = zero_tol(a)
+    return -tol, a + tol
+
+
 def _check_grid_size(n: int) -> None:
     check_at_least("grid_size", n, 8, PreconditionError)
 
@@ -127,19 +138,19 @@ def grid_max(fm: FiberMap, grid_size: int) -> float:
     return max(vals)
 
 
-def _nondecreasing(vals: list[float]) -> bool:
-    """Does no value fall more than ZERO_TOL below the one before it?"""
-    return all(w >= v - ZERO_TOL for v, w in zip(vals, vals[1:]))
+def _nondecreasing(vals: list[float], a: float) -> bool:
+    """Does no value fall more than `zero_tol` below the one before it?"""
+    tol = zero_tol(a)
+    return all(w >= v - tol for v, w in zip(vals, vals[1:]))
 
 
 def _check_map_invariants(fm: FiberMap, xs: list[float], vals: list[float]) -> None:
-    if abs(vals[0]) > ZERO_TOL:
+    if abs(vals[0]) > zero_tol(fm.a):
         raise InvariantError(f"f(0) = {vals[0]!r} is not 0 (map {fm.form})")
+    lo, hi = value_range(fm.a)
     for x, v in zip(xs, vals):
-        if not (-ZERO_TOL <= v <= fm.a + ZERO_TOL):
-            raise InvariantError(
-                f"f({x!r}) = {v!r} leaves [0, {fm.a!r}] (map {fm.form})"
-            )
+        if not (lo <= v <= hi):
+            raise InvariantError(f"f({x!r}) = {v!r} leaves [0, {fm.a!r}] (map {fm.form})")
 
 
 def _second_differences(vals: list[float]):
@@ -152,37 +163,30 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
 
     alpha_star is -max D2/(2h^2), where D2 is the centered second difference
     at the interior grid points, clamped below at 0.  A map with some
-    D2 > CONCAVITY_SLACK (convex somewhere on the grid) is rejected: that is
+    D2 > CONCAVITY_SLACK * a (convex somewhere on the grid) is rejected: that is
     exactly when f + alpha_star*x^2 fails the grid concavity test, since
     then alpha_star = 0.  The peak, supremum, monotonicity flag and
     isoclinic point are read off the same grid.
     """
     _check_grid_size(grid_size)
     if not fm.analyzable:
-        raise PreconditionError(
-            f"map {fm.form} opted out of interval concavity analysis"
-        )
+        raise PreconditionError(f"map {fm.form} opted out of interval concavity analysis")
     xs, vals = grid_values(fm, grid_size)
     _check_map_invariants(fm, xs, vals)
 
-    h = fm.a / grid_size
+    h, slack = fm.a / grid_size, CONCAVITY_SLACK * fm.a  # D2 scales with a
     d2_max = max(_second_differences(vals))
     alpha_star = max(0.0, -d2_max / (2.0 * h * h))
-    if d2_max > CONCAVITY_SLACK:
-        i = next(
-            i for i, d2 in enumerate(_second_differences(vals), 1)
-            if d2 > CONCAVITY_SLACK
-        )
-        raise InvariantError(
-            f"map {fm.form} is not concave on the grid near x = {xs[i]!r}"
-        )
+    if d2_max > slack:
+        i = next(i for i, d2 in enumerate(_second_differences(vals), 1) if d2 > slack)
+        raise InvariantError(f"map {fm.form} is not concave on the grid near x = {xs[i]!r}")
 
     i_max = max(range(len(vals)), key=vals.__getitem__)
     gamma = vals[i_max]
     c = xs[i_max]
-    monotone = _nondecreasing(vals)
+    monotone = _nondecreasing(vals, fm.a)
 
-    if gamma <= ZERO_TOL:
+    if gamma <= zero_tol(fm.a):
         b = None  # identically-zero map: f(b) > 0 has no witness
     elif monotone:
         b = fm.a
@@ -247,10 +251,8 @@ def isoclinic_point(fm: FiberMap, scan: int = 2048) -> float:
     xs = _grid(a, scan)[1:]
     f = functools.cache(fm)  # the scan reads each node's value from the grid pass
     vals = [f(x) for x in xs]
-    if max(vals) <= ZERO_TOL:
-        raise PreconditionError(
-            "isoclinic point undefined: map is identically 0 on the scan grid"
-        )
+    if max(vals) <= zero_tol(a):
+        raise PreconditionError("isoclinic point undefined: map is identically 0 on the scan grid")
 
     def pred(x: float) -> bool:
         fx = f(x)
@@ -259,7 +261,7 @@ def isoclinic_point(fm: FiberMap, scan: int = 2048) -> float:
     b = a if pred(a) else _bisect_last(pred, xs, 60, _ISO_WIDTH * a)
     # Exactly-linear initial segments defeat the strict predicate; the
     # monotone convention still applies.
-    if b is None and not _nondecreasing(vals):
+    if b is None and not _nondecreasing(vals, a):
         raise PreconditionError(
             "isoclinic predicate never holds on the scan grid; "
             "map does not look strictly concave"

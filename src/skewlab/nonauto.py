@@ -16,14 +16,14 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, PreconditionError, check_at_least, check_number
 from .fiber import (
     CERTIFY_GRID,
-    ZERO_TOL,
     FiberMap,
     certify,
     flip_bound,
     kappa,
     monotone_bound,
+    zero_tol,
 )
-from .skew import SkewSystem, declared
+from .skew import SkewSystem, _check_fibers, declared
 
 _BOUND_SLACK = 1e-9
 # Relative gaps below this are dominated by the rounding error of the two
@@ -124,7 +124,8 @@ def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPai
 
     Terminates early with reason "merged" when the coordinates coincide and
     with reason "pinched" when the acting map is identically zero on its
-    certification grid (both coordinates then sit at 0 for good).
+    certification grid (both coordinates then sit at 0 for good).  Before
+    each step `skew._check_fibers` checks both coordinates, as in every walk.
     """
     check_at_least("steps", steps, 1)
     a = seq.a
@@ -140,11 +141,13 @@ def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPai
     reason = "completed"
     # a map met again is not re-certified
     profile = functools.cache(map_profile)
+    tol = zero_tol(a)
     for n in range(1, steps + 1):
+        _check_fibers([x, y], a)
         fm = seq.map_at(n)
         prof = profile(fm)
 
-        if prof.gamma <= ZERO_TOL:
+        if prof.gamma <= tol:
             # a map that vanishes has no isoclinic point
             rows.append(PairStep(n - 1, x, y, k))
             x, y = fm(x), fm(y)
@@ -154,11 +157,7 @@ def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPai
 
         u, v = (x, y) if x < y else (y, x)
         fu, fv = fm(u), fm(v)
-        alpha = (
-            seq.declared_beta * prof.gamma
-            if seq.declared_beta is not None
-            else prof.alpha
-        )
+        alpha = seq.declared_beta * prof.gamma if seq.declared_beta is not None else prof.alpha
 
         bound = None
         if fu < fv:

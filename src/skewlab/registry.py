@@ -20,7 +20,7 @@ import math
 from typing import Callable
 
 from .errors import RegistryError, check_number
-from .fiber import ZERO_TOL, FiberMap
+from .fiber import FiberMap, grid_values, value_range
 
 _VALIDATE_GRID = 257
 
@@ -43,13 +43,10 @@ _sin, _tanh = _elementwise("sin"), _elementwise("tanh")
 
 
 def _validate_range(fm: FiberMap) -> FiberMap:
-    for i in range(_VALIDATE_GRID + 1):
-        x = fm.a * i / _VALIDATE_GRID
-        v = fm(x)
-        if not (-ZERO_TOL <= v <= fm.a + ZERO_TOL):
-            raise RegistryError(
-                f"form {fm.form}: f({x!r}) = {v!r} leaves [0, {fm.a!r}]"
-            )
+    lo, hi = value_range(fm.a)
+    for x, v in zip(*grid_values(fm, _VALIDATE_GRID)):
+        if not (lo <= v <= hi):
+            raise RegistryError(f"form {fm.form}: f({x!r}) = {v!r} leaves [0, {fm.a!r}]")
     return fm
 
 

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
-from .fiber import ZERO_TOL, FiberMap, certify
+from .fiber import FiberMap, certify, value_range, zero_tol
 
 
 class SkewSystem(NamedTuple):
@@ -196,8 +196,8 @@ def orbits(
         fs = tuple(fm.f for fm in fibers.values)
         # tables[i]: graph i's symbol table when it is read off the window
         tables = [g.func if isinstance(g.func, SymbolTable)
-                  and all(-ZERO_TOL <= v <= g.a + ZERO_TOL for v in g.func.values) else None
-                  for g in graphs]
+                  and all(lo <= v <= hi for v in g.func.values) else None
+                  for g in graphs for lo, hi in [value_range(g.a)]]
         lo, hi = fibers.offset, fibers.offset + steps - 1
         for t in filter(None, tables):
             lo, hi = min(lo, t.offset), max(hi, t.offset + steps)
@@ -306,6 +306,7 @@ def classify(
     range_ok = True
     # a map met again is not re-certified
     certified = functools.cache(lambda fm: certify(fm, grid_size))
+    tol = zero_tol(sys.a)
 
     for theta in thetas:
         try:
@@ -313,7 +314,7 @@ def classify(
         except SkewlabError as exc:
             diagnostics.append(f"certification failed at theta = {theta!s}: {exc}")
             return Classification("unclassified", None, len(thetas), diagnostics)
-        if cert.gamma <= ZERO_TOL:
+        if cert.gamma <= tol:
             diagnostics.append(f"zero map at theta = {theta!s} (0-concave)")
             continue
         if cert.alpha_star <= 0.0:

@@ -487,13 +487,29 @@ class TestVerifyInput:
         assert self.verify(cfg_file(cfg), phi) == 2
         assert needle in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows", [["0.0,nan", "0.5,nan"], ["0.0,0.5", "0.5,nan"]],
+    # the message names the first node whose value fails, as the table path does
+    @pytest.mark.parametrize("rows, node", [(["0.0,nan", "0.5,nan"], "0.0"),
+                                            (["0.0,0.5", "0.5,nan"], "0.5")],
                              ids=["all-nan", "one-nan"])
-    def test_nan_grid_values_exit_3(self, cfg_file, tmp_path, capsys, rows):
+    def test_nan_grid_values_exit_3(self, cfg_file, tmp_path, capsys, rows, node):
         phi = self.graph_csv(tmp_path, rows)
         assert self.verify(cfg_file(KELLER_CFG), phi) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "grid graph stores values outside [0, a]" in err
+        assert out == ""
+        assert err == f"invariant violation: graph value nan at {node} leaves [0, 1.0]\n"
+
+    @pytest.mark.parametrize("rows, bad", [
+        (["0.0,0.5", "0.25,1.5", "0.5,0.5", "0.75,-0.25"], "1.5 at 0.25"),
+        (["0.0,0.5", "0.25,0.5", "0.5,0.5", "0.75,-0.25"], "-0.25 at 0.75"),
+        # within the slack 1e-12 * a of [0, a]: the next node is named
+        (["0.0,-1e-13", "0.25,1.0000000000001", "0.5,1.01", "0.75,0.5"], "1.01 at 0.5"),
+    ], ids=["above-a", "below-0", "past-the-slack"])
+    def test_grid_value_outside_range_exit_3(self, cfg_file, tmp_path, capsys, rows, bad):
+        phi = self.graph_csv(tmp_path, rows)
+        assert self.verify(cfg_file(KELLER_CFG), phi) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"invariant violation: graph value {bad} leaves [0, 1.0]\n"
 
     @pytest.mark.parametrize("cfg, rows", [
         (KELLER_CFG, ["0.0,0.5", "0.5,0.5"]),

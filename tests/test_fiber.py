@@ -441,7 +441,8 @@ class TestFiberMap:
 # Reference versions that evaluate the predicate at every scan point, the
 # quotient at every step of a shrinking-h schedule, and the concavity test a
 # second time at alpha_star.  The library functions must give the same
-# floats and raise the same errors.
+# floats and raise the same errors.  Every fibre-value tolerance is a
+# multiple of a: ZERO_TOL * a and CONCAVITY_SLACK * a.
 
 
 def _ref_left_quotient(fm, x, h):
@@ -461,7 +462,8 @@ def _ref_left_derivative_limit(fm, x):
     return val
 
 
-def _ref_concavity_holds(fm, alpha, grid_size, slack=CONCAVITY_SLACK):
+def _ref_concavity_holds(fm, alpha, grid_size, slack=None):
+    slack = CONCAVITY_SLACK * fm.a if slack is None else slack
     xs = [fm.a * i / grid_size for i in range(grid_size + 1)]
     xs[-1] = fm.a
     vals = [fm(x) for x in xs]
@@ -479,7 +481,7 @@ def _ref_isoclinic_point(fm, scan=2048):
     xs[-1] = a
     xs = xs[1:]
     vals = [fm(x) for x in xs]
-    if max(vals) <= ZERO_TOL:
+    if max(vals) <= ZERO_TOL * a:
         raise PreconditionError(
             "isoclinic point undefined: map is identically 0 on the scan grid"
         )
@@ -493,7 +495,7 @@ def _ref_isoclinic_point(fm, scan=2048):
     if flags[-1]:
         return a
     if not any(flags):
-        if all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(len(vals) - 1)):
+        if all(vals[i + 1] >= vals[i] - ZERO_TOL * a for i in range(len(vals) - 1)):
             return a
         raise PreconditionError(
             "isoclinic predicate never holds on the scan grid; "
@@ -518,10 +520,11 @@ def _ref_certify(fm, grid_size):
     xs = [fm.a * i / grid_size for i in range(grid_size + 1)]
     xs[-1] = fm.a
     vals = [fm(x) for x in xs]
-    if abs(vals[0]) > ZERO_TOL:
+    tol = ZERO_TOL * fm.a
+    if abs(vals[0]) > tol:
         raise InvariantError(f"f(0) = {vals[0]!r} is not 0 (map {fm.form})")
     for x, v in zip(xs, vals):
-        if not (-ZERO_TOL <= v <= fm.a + ZERO_TOL):
+        if not (-tol <= v <= fm.a + tol):
             raise InvariantError(f"f({x!r}) = {v!r} leaves [0, {fm.a!r}] (map {fm.form})")
     h = fm.a / grid_size
     denom = 2.0 * h * h
@@ -532,12 +535,12 @@ def _ref_certify(fm, grid_size):
     alpha_star = max(0.0, alpha_star)
     bump = 2.0 * alpha_star * h * h
     for i in range(1, grid_size):
-        if vals[i - 1] - 2.0 * vals[i] + vals[i + 1] + bump > CONCAVITY_SLACK:
+        if vals[i - 1] - 2.0 * vals[i] + vals[i + 1] + bump > CONCAVITY_SLACK * fm.a:
             raise InvariantError(f"map {fm.form} is not concave on the grid near x = {xs[i]!r}")
     i_max = max(range(len(vals)), key=vals.__getitem__)
     gamma = vals[i_max]
-    monotone = all(vals[i + 1] >= vals[i] - ZERO_TOL for i in range(grid_size))
-    if gamma <= ZERO_TOL:
+    monotone = all(vals[i + 1] >= vals[i] - tol for i in range(grid_size))
+    if gamma <= tol:
         b = None
     elif monotone:
         b = fm.a

@@ -89,6 +89,16 @@ class TestIteratePair:
         with pytest.raises(DomainError):
             iterate_pair(constant_sequence(HALF), 0.5, 0.7, 0)
 
+    def test_coordinate_past_a_refused_before_the_next_step(self):
+        # f(1) = 1 + 5e-13 passes the registry's range check, which allows
+        # 1e-12 * a of slack, but a walk coordinate gets none: the image of
+        # y0 = 1.0 is refused before the step that would map it, as in `orbits`
+        seq = constant_sequence(build_fiber({"form": "poly", "coeffs": [1.0000000000005]}, 1.0))
+        assert iterate_pair(seq, 0.5, 1.0, 1).rows[-1].y == 1.0000000000005
+        with pytest.raises(DomainError,
+                           match=r"^fiber coordinate 1\.0000000000005 outside \[0, 1\.0\]$"):
+            iterate_pair(seq, 0.5, 1.0, 3)
+
     def test_sequence_index_starts_at_one(self):
         seq = constant_sequence(HALF)
         assert seq.map_at(1) is HALF

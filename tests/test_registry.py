@@ -64,6 +64,20 @@ class TestFiberForms:
         with pytest.raises(RegistryError):
             build_fiber({"form": "poly", "coeffs": [-1.0]}, 1.0)
 
+    def test_range_check_evaluates_only_on_the_interval(self):
+        # a * 257 / 257 rounds 4.4e-16 above this a: the last node is a itself
+        a, seen = 3.985556480007111, []
+        _validate_range(FiberMap(a, lambda x: seen.append(x) or 0.5 * x))
+        assert len(seen) == 258 and max(seen) == seen[-1] == a
+
+    @pytest.mark.parametrize("k", [-40, 0, 10])
+    def test_range_slack_scales_with_a(self, k):
+        # within 1e-12 * a of a the value passes; 2e-12 * a above it is refused
+        a = 2.0 ** k
+        assert build_fiber({"form": "poly", "coeffs": [1.0 + 2.0 ** -41]}, a)
+        with pytest.raises(RegistryError, match=r"leaves \[0, "):
+            build_fiber({"form": "poly", "coeffs": [1.0 + 2e-12]}, a)
+
     def test_unknown_form(self):
         with pytest.raises(RegistryError):
             build_fiber({"form": "sombrero"}, 1.0)
