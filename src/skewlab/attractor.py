@@ -45,29 +45,25 @@ class GraphFunction:
     """A candidate attractor graph phi: base -> [0, a].
 
     Exactly one representation is active: ``table`` (orbit-keyed), ``grid``
-    (dense nodes j/m over [0,1), nearest-node lookup), or ``func``.  Table
-    graphs may carry a ``fallback`` value for points outside the table; without
-    one, evaluation off the table raises a coverage error naming the point.
+    (dense nodes j/m over [0,1), nearest-node lookup), or ``func``.  A table
+    graph answers on its points only: evaluation anywhere else raises a
+    coverage error naming the point.
     """
 
     def __init__(
         self,
         a: float,
-        provenance: str = "user-supplied",
         table: dict | None = None,
         grid: Sequence[float] | None = None,
         func: Callable | None = None,
-        fallback: float | None = None,
     ):
         reps = sum(x is not None for x in (table, grid, func))
         if reps != 1:
             raise DomainError("exactly one of table/grid/func must be given")
         self.a, self._range = a, value_range(a)  # every stored value is checked against it
-        self.provenance = provenance
         self.table = dict(table) if table is not None else None
         self.grid = None
         self.func = func
-        self.fallback = fallback
         if self.table is not None:
             if not self.table:
                 raise DomainError("table representation must hold at least one point")
@@ -84,8 +80,6 @@ class GraphFunction:
             if not (self.grid.min() >= lo and self.grid.max() <= hi):
                 j = int(np.argmin((self.grid >= lo) & (self.grid <= hi)))
                 self._check_value(float(self.grid[j]), j / len(self.grid))
-        if fallback is not None:
-            self._check_value(fallback, "<fallback>")
 
     def _check_value(self, v: float, where) -> float:
         lo, hi = self._range
@@ -114,16 +108,14 @@ class GraphFunction:
             lo, hi = self._range
             # check raises: it is called only for a value outside [lo, hi]
             return [v if lo <= (v := func(t)) <= hi else check(v, t) for t in thetas]
-        table, fallback = self.table, self.fallback
-        if fallback is not None:
-            return [table.get(t, fallback) for t in thetas]
+        table = self.table
         try:
             return [table[t] for t in thetas]
         except KeyError:
             missing = next(t for t in thetas if t not in table)
             raise CoverageError(f"graph not defined at base point {missing!s}") from None
 
-    def to_csv(self, stream, base=None) -> None:
+    def to_csv(self, stream, base) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(GRAPH_COLUMNS)
         if self.grid is not None:
@@ -134,8 +126,7 @@ class GraphFunction:
             )
             return
         if self.table is not None:
-            fmt = base.format_point if base is not None else str
-            rows = sorted((fmt(k), repr(v)) for k, v in self.table.items())
+            rows = sorted((base.format_point(k), repr(v)) for k, v in self.table.items())
             writer.writerows(rows)
             return
         raise CapabilityError("callable graphs have no CSV serialization")
@@ -256,8 +247,9 @@ def build_preinvariant(
     largest fixed point of its composed fiber map, which `largest_fixed_point`
     brackets whether or not the maps are monotone, and is pushed forward
     around the cycle.  A walk that never closes (no cycle within the walk
-    limit) takes the forward images of (theta_0, a).  Points outside every
-    walk fall back to a.
+    limit) takes the forward images of (theta_0, a).  The graph answers on
+    the points of its walks only: anywhere else it raises a coverage error
+    naming the point.
     """
     pts = list(points) if points is not None else list(getattr(sys.base, "points", ()))
     if not pts:
@@ -314,7 +306,7 @@ def build_preinvariant(
             v = sys.fiber_at(prev)(v)
             table[t] = v
 
-    return GraphFunction(sys.a, "constructed-preinvariant", table=table, fallback=sys.a)
+    return GraphFunction(sys.a, table=table)
 
 
 class PullbackSequence(NamedTuple):
@@ -506,7 +498,7 @@ def pullback_grid(
     perm = (np.arange(m) - shift) % m
     phi, _, sweeps, delta, max_increase = _pull_back(sys, thetas, perm, depth, stop_delta)
     return PullbackGridResult(
-        graph=GraphFunction(sys.a, "pullback", grid=phi), sweeps=sweeps, delta=delta,
+        graph=GraphFunction(sys.a, grid=phi), sweeps=sweeps, delta=delta,
         monotone_ok=max_increase <= MONOTONE_SLACK * sys.a, max_increase=max_increase,
     )
 
@@ -534,7 +526,7 @@ def pullback_graph_finite(
             pred.append(-1)
     phi, stopped, sweeps, *_ = _pull_back(sys, pts, pred, depth, stop_delta)
     depths = {base.format_point(p): stopped.get(i, sweeps) for i, p in enumerate(pts)}
-    return GraphFunction(sys.a, "pullback", table=dict(zip(pts, phi))), depths
+    return GraphFunction(sys.a, table=dict(zip(pts, phi))), depths
 
 
 class SampleRecord(NamedTuple):

@@ -59,14 +59,13 @@ def make_noinvattr(window: int = 64) -> SkewSystem:
 def make_coinflip(sided: str = "one") -> SkewSystem:
     """Binary shift driving a two-point fiber: the new value is the leading bit.
 
-    The fiber maps are constants, so they opt out of all concavity analysis;
-    this system exists to exercise orbit and attractor verification only.
+    The fiber maps are constants, so the map 1 fails `certify`'s f(0) = 0
+    check; this system exists to exercise orbit and attractor verification only.
     """
     base = SymbolicShift(sided)
     fiber_at = SymbolTable(
         0,
-        (FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})", analyzable=False)
-         for bit in (0.0, 1.0)),
+        (FiberMap(a=1.0, f=lambda x, _v=bit: _v, form=f"const({bit!r})") for bit in (0.0, 1.0)),
     )
     return SkewSystem(base=base, fiber_at=fiber_at, a=1.0, label=f"coinflip-{sided}")
 

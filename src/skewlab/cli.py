@@ -56,6 +56,8 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_BOUND = 4
 EXIT_CAPABILITY = 5
+# Times the fibre width a: verify's default --tol.
+VERIFY_TOL = 1e-9
 
 
 @contextlib.contextmanager
@@ -114,22 +116,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_orbit_pair(args) -> int:
-    from .nonauto import (
-        TRACE_COLUMNS,
-        along_orbit,
-        bound_violations,
-        check_starts,
-        iterate_pair,
-        trace_to_csv,
-    )
+    from .nonauto import along_orbit, bound_violations, iterate_pair, trace_to_csv
 
     system = load_system(args.config)
     theta = _resolve_theta(system.base, args.theta)
-    if args.steps == 0:  # no step is taken, but the starts are checked all the same
-        check_starts(args.x0, args.y0, system.a)
-        with _out_stream(args.out) as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-        return EXIT_OK
     seq = along_orbit(system, theta)
     trace = iterate_pair(seq, args.x0, args.y0, args.steps)
     with _out_stream(args.out) as fh:
@@ -218,8 +208,9 @@ def cmd_verify(args) -> int:
     starts = [
         (theta, rng.uniform(0.05 * system.a, 0.95 * system.a)) for theta in thetas
     ]
-    verdict = verify_attractor(system, graph, starts, args.steps, args.tol)
-    preinv = verify_preinvariance(system, graph, thetas[:3], args.horizon, args.tol)
+    tol = VERIFY_TOL * system.a if args.tol is None else args.tol
+    verdict = verify_attractor(system, graph, starts, args.steps, tol)
+    preinv = verify_preinvariance(system, graph, thetas[:3], args.horizon, tol)
     _emit_json(
         {
             # json writes a bare NamedTuple as an array: convert the nested records too.
@@ -227,7 +218,7 @@ def cmd_verify(args) -> int:
                 verdict._asdict(), records=[r._asdict() for r in verdict.records]
             ),
             "preinvariance": [r._asdict() for r in preinv],
-            "graph_provenance": graph.provenance,
+            "graph_provenance": "user-supplied",
         }
     )
     return EXIT_OK
@@ -496,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="graph CSV to verify")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None)  # VERIFY_TOL * a
     p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)

@@ -49,8 +49,6 @@ class FiberMap(NamedTuple):
     used in reports.  The optional analytic fields are populated by the
     closed-form registry when the family allows; grid certification never
     consults them, so they can always be cross-checked against `certify`.
-    Maps with ``analyzable=False`` (e.g. the two-point coin fibers) opt out
-    of all concavity machinery.
     """
 
     a: float
@@ -60,7 +58,6 @@ class FiberMap(NamedTuple):
     alpha: float | None = None
     b: float | None = None
     monotone: bool | None = None
-    analyzable: bool = True
 
     def __call__(self, x: float) -> float:
         return self.f(x)
@@ -71,11 +68,8 @@ class FiberMap(NamedTuple):
         check_number("scale factor", c, "a nonnegative number", DomainError)
         base = self.f
         if c == 0.0:
-            return FiberMap(
-                a=self.a, f=lambda x: 0.0, form="zero",
-                gamma=0.0, alpha=0.0, b=None, monotone=True,
-                analyzable=self.analyzable,
-            )
+            return FiberMap(a=self.a, f=lambda x: 0.0, form="zero",
+                            gamma=0.0, alpha=0.0, b=None, monotone=True)
         return self._replace(
             f=lambda x: c * base(x),
             form=f"{c!r}*({self.form})",
@@ -169,8 +163,6 @@ def certify(fm: FiberMap, grid_size: int) -> ConcavityCertificate:
     isoclinic point are read off the same grid.
     """
     _check_grid_size(grid_size)
-    if not fm.analyzable:
-        raise PreconditionError(f"map {fm.form} opted out of interval concavity analysis")
     xs, vals = grid_values(fm, grid_size)
     _check_map_invariants(fm, xs, vals)
 

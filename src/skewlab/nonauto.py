@@ -29,6 +29,8 @@ _BOUND_SLACK = 1e-9
 # Relative gaps below this are dominated by the rounding error of the two
 # image evaluations, so a contraction ratio read off them means nothing.
 KAPPA_NOISE_FLOOR = 1e-13
+# Times the fibre width a: convergence_certificate's default tol.
+CONVERGENCE_TOL = 1e-6
 
 
 def map_profile(fm: FiberMap) -> FiberMap:
@@ -112,24 +114,20 @@ def _kappa_or_none(x: float, y: float) -> float | None:
     return None
 
 
-def check_starts(x0: float, y0: float, a: float) -> None:
-    """Refuse a start pair that `iterate_pair` refuses: each in (0, a]."""
-    for name, v in (("x0", x0), ("y0", y0)):
-        if not (0.0 < v <= a):
-            raise DomainError(f"{name} must lie in (0, {a!r}], got {v!r}")
-
-
 def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPairTrace:
     """Push a pair of points through the sequence, recording gap contraction.
 
     Terminates early with reason "merged" when the coordinates coincide and
     with reason "pinched" when the acting map is identically zero on its
-    certification grid (both coordinates then sit at 0 for good).  Before
+    certification grid (both coordinates then sit at 0 for good).  x0 and y0
+    must lie in (0, a], and ``steps`` = 0 gives the start row alone.  Before
     each step `skew._check_fibers` checks both coordinates, as in every walk.
     """
-    check_at_least("steps", steps, 1)
+    check_at_least("steps", steps, 0)
     a = seq.a
-    check_starts(x0, y0, a)
+    for name, v in (("x0", x0), ("y0", y0)):
+        if not (0.0 < v <= a):
+            raise DomainError(f"{name} must lie in (0, {a!r}], got {v!r}")
 
     k = _kappa_or_none(x0, y0)
     if x0 == y0:
@@ -142,6 +140,7 @@ def iterate_pair(seq: MapSequence, x0: float, y0: float, steps: int) -> OrbitPai
     # a map met again is not re-certified
     profile = functools.cache(map_profile)
     tol = zero_tol(a)
+    n = 0  # the last row's step when no step is taken
     for n in range(1, steps + 1):
         _check_fibers([x, y], a)
         fm = seq.map_at(n)
@@ -211,15 +210,18 @@ class ConvergenceReport(NamedTuple):
 
 
 def convergence_certificate(
-    trace: OrbitPairTrace, beta: float, eps: float, tol: float = 1e-6
+    trace: OrbitPairTrace, beta: float, eps: float, tol: float | None = None
 ) -> ConvergenceReport:
     """Check a monotone equiconcave trace against its contraction budget.
 
     Every step whose coordinates both stay above eps must contract the
     relative gap by at least the factor 1/(1 + beta*eps^2); the product of
     the recorded per-step bounds gives a geometric envelope
-    a * kappa_0 * prod(bounds) that dominates |x_n - y_n|.
+    a * kappa_0 * prod(bounds) that dominates |x_n - y_n|.  ``tol``, the
+    gap that counts as converged, defaults to CONVERGENCE_TOL * a.
     """
+    if tol is None:
+        tol = CONVERGENCE_TOL * trace.a
     for name, v in (("beta", beta), ("eps", eps), ("tol", tol)):
         check_number(name, v, "a positive number", DomainError)
     recorded = [r for r in trace.rows if r.bound is not None]

@@ -69,7 +69,8 @@ STRONG = FiberMap(1.0, lambda x: x * (2 - x), gamma=1.0, alpha=1.0, b=1.0, monot
 WEAK = FiberMap(1.0, lambda x: x * (2 - x) / 4.0, gamma=0.25, alpha=0.25, b=1.0, monotone=True)
 # The data of one graph per representation, for the lookup tests.
 GRID8 = np.linspace(0.0, 0.875, 8)
-TABLE = {0.5: 0.3, 0.25: 0.6}
+# 1/16, 3/16 and 2.5625 fall halfway between two nodes of GRID8
+THETAS = [0.0, 1 / 16, 3 / 16, 0.25, 0.5, 0.7, 0.99, 0.999999, -0.3, 2.5625]
 
 
 def square(t):
@@ -451,13 +452,15 @@ class TestGraphFunction:
         with pytest.raises(CoverageError, match="0.75"):
             g.value(0.75)
 
-    def test_fallback(self):
-        g = GraphFunction(1.0, table={0.5: 0.3}, fallback=1.0)
-        assert g.value(0.123) == 1.0
+    def test_values_off_the_table_name_the_first_missing_point(self):
+        # a table graph answers on its points only; there is no default value
+        g = GraphFunction(1.0, table={0.5: 0.3, 0.25: 0.6})
+        with pytest.raises(CoverageError, match=r"^graph not defined at base point 0\.123$"):
+            g.values([0.5, 0.123, 0.7])
 
     def test_exactly_one_representation(self):
         with pytest.raises(DomainError, match="exactly one of table/grid/func"):
-            GraphFunction(1.0, "user-supplied", table={0.0: 0.5}, func=lambda t: 0.5)
+            GraphFunction(1.0, table={0.0: 0.5}, func=lambda t: 0.5)
 
     def test_callable_graph_has_no_csv(self):
         with pytest.raises(CapabilityError, match="callable graphs have no CSV"):
@@ -480,23 +483,21 @@ class TestGraphFunction:
         [
             # the nearest of the 8 nodes, Python's round also rounding ties to even
             (GraphFunction(1.0, grid=GRID8), lambda t: GRID8[round((t % 1.0) * 8) % 8]),
-            (GraphFunction(1.0, table=TABLE, fallback=1.0), lambda t: TABLE.get(t, 1.0)),
+            (GraphFunction(1.0, table={t: square(t) for t in THETAS}), square),
             (GraphFunction(1.0, func=square), square),
         ],
         ids=["grid", "table", "callable"],
     )
     def test_values_match_value(self, graph, reference):
-        # 1/16, 3/16 and 2.5625 fall halfway between two grid nodes
-        thetas = [0.0, 1 / 16, 3 / 16, 0.25, 0.5, 0.7, 0.99, 0.999999, -0.3, 2.5625]
-        expected = [reference(t) for t in thetas]
-        assert list(graph.values(thetas)) == expected
-        assert [graph.value(t) for t in thetas] == expected
-        assert all(type(graph.value(t)) is float for t in thetas)
+        expected = [reference(t) for t in THETAS]
+        assert list(graph.values(THETAS)) == expected
+        assert [graph.value(t) for t in THETAS] == expected
+        assert all(type(graph.value(t)) is float for t in THETAS)
 
     def test_csv_roundtrip_grid(self):
         base = CircleRotation(0.3)
         vals = np.linspace(0.0, 0.9, 64)
-        g = GraphFunction(1.0, grid=vals, provenance="pullback")
+        g = GraphFunction(1.0, grid=vals)
         text = csv_text(g, base=base)
         g2 = GraphFunction.from_csv(io.StringIO(text), base, 1.0)
         assert np.array_equal(g2.grid, g.grid)
@@ -618,7 +619,7 @@ class TestBuildPreinvariant:
 
     def test_walk_without_a_revisit_takes_the_open_chain(self):
         # no revisit within the limit max(64, 4 x 1): 64 points take the
-        # forward images of a, and every later point falls back to a
+        # forward images of a, and the graph answers nowhere else
         class Chain:
             def step(self, n):
                 return n + 1
@@ -626,7 +627,8 @@ class TestBuildPreinvariant:
         halver = FiberMap(1.0, lambda x: x / 2.0)
         g = build_preinvariant(SkewSystem(Chain(), lambda n: halver, 1.0), points=[0])
         assert g.table == {n: 0.5**n for n in range(64)}
-        assert g.value(64) == 1.0
+        with pytest.raises(CoverageError, match=r"^graph not defined at base point 64$"):
+            g.value(64)
 
     @pytest.mark.parametrize("word, period", [("0~~0@0", 1), ("01~~01@0", 2)])
     def test_fixed_two_sided_words_are_cycles(self, word, period):

@@ -288,13 +288,15 @@ class TestOrbitPairCommand:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1 and float(rows[0]["kappa"]) == 0.0
 
-    def test_zero_steps_header_only(self, cfg_file, tmp_path):
+    def test_zero_steps_write_the_start_row(self, cfg_file, tmp_path):
+        # row 0 as every trace starts, with no transition fields
         out = tmp_path / "trace.csv"
-        cli.main(["orbit-pair", "--config", cfg_file(NOINV_CFG),
-                  "--theta", "0.0", "--x0", "0.2", "--y0", "0.8",
-                  "--steps", "0", "--out", str(out)])
-        lines = out.read_text().strip().splitlines()
-        assert lines == ["n,x,y,kappa,ratio,bound,b"]
+        rc = cli.main(["orbit-pair", "--config", cfg_file(NOINV_CFG),
+                       "--theta", "0.0", "--x0", "0.2", "--y0", "0.8",
+                       "--steps", "0", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines() == ["n,x,y,kappa,ratio,bound,b",
+                                                "0,0.2,0.8,3.0000000000000004,,,"]
 
     @pytest.mark.parametrize("steps", ["0", "1"])
     @pytest.mark.parametrize("flag, value, shown", [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab.catalog import make_coinflip
 from skewlab.errors import DomainError, InvariantError, PreconditionError, SkewlabError
 from skewlab.fiber import (
     _ISO_TIE,
@@ -150,10 +151,12 @@ class TestCertify:
         assert not cert.monotone and cert.b == pytest.approx(2.0 / 3.0, abs=1e-6)
         assert calls[0] <= 3 * 1025
 
-    def test_unanalyzable_rejected(self):
-        coin = FiberMap(1.0, lambda x: 1.0, analyzable=False)
-        with pytest.raises(PreconditionError):
-            certify(coin, 64)
+    def test_coin_fibres_judged_by_their_values(self):
+        # the constant 1 does not fix 0, and the constant 0 is the zero map
+        zero, one = make_coinflip("one").fiber_at.values
+        with pytest.raises(InvariantError, match=r"^f\(0\) = 1\.0 is not 0 \(map const\(1\.0\)\)$"):
+            certify(one, 64)
+        assert certify(zero, 64) == certify(ZERO, 64)
 
     def test_alpha_star_is_maximal(self, rng):
         # passes at the certified level, fails 10% above it

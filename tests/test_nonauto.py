@@ -87,7 +87,7 @@ class TestIteratePair:
         with pytest.raises(DomainError):
             iterate_pair(constant_sequence(HALF), 0.5, 1.5, 5)
         with pytest.raises(DomainError):
-            iterate_pair(constant_sequence(HALF), 0.5, 0.7, 0)
+            iterate_pair(constant_sequence(HALF), 0.5, 0.7, -1)
 
     def test_coordinate_past_a_refused_before_the_next_step(self):
         # f(1) = 1 + 5e-13 passes the registry's range check, which allows
@@ -105,10 +105,15 @@ class TestIteratePair:
         with pytest.raises(DomainError, match=r"^sequence index must be >= 1, got 0$"):
             seq.map_at(0)
 
-    @pytest.mark.parametrize("steps", [0, -3])
+    @pytest.mark.parametrize("steps", [-1, -3])
     def test_steps_refused_with_the_value(self, steps):
-        with pytest.raises(DomainError, match=rf"^steps must be >= 1, got {steps}$"):
+        with pytest.raises(DomainError, match=rf"^steps must be >= 0, got {steps}$"):
             iterate_pair(constant_sequence(HALF), 0.5, 0.7, steps)
+
+    def test_zero_steps_give_the_start_row(self):
+        trace = iterate_pair(constant_sequence(HALF), 0.5, 0.7, 0)
+        assert trace.rows == [nonauto.PairStep(0, 0.5, 0.7, 0.3999999999999999)]
+        assert trace.reason == "completed"
 
     def test_repeated_map_profiled_once(self, monkeypatch):
         calls = []
