@@ -20,7 +20,8 @@ import csv
 import sys
 
 from skewlab.attractor import positive_fraction, pullback_grid
-from skewlab.catalog import make_keller
+from skewlab.bases import CircleRotation
+from skewlab.catalog import GOLDEN_ROTATION, make_product
 
 
 def main() -> int:
@@ -36,7 +37,12 @@ def main() -> int:
 
     rows = []
     for eps in args.eps:
-        system = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": eps})
+        system = make_product(
+            {"form": "logistic-scaled", "k": 1.0},
+            {"form": "sin-squared", "c": 1.0, "eps": eps},
+            CircleRotation(GOLDEN_ROTATION),
+            label="keller",
+        )
         res = pullback_grid(system, grid_size=args.grid, depth=args.depth)
         frac = positive_fraction(res.graph)
         rows.append((eps, frac, res.sweeps, res.delta))

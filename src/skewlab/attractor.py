@@ -31,8 +31,6 @@ from .skew import SkewSystem, block_rows, orbits, step, walks_arrays  # noqa: F4
 GRAPH_COLUMNS = ("point", "value")
 # Times the fibre width a: the change below which a pullback stops (`_settled`).
 PULLBACK_STOP_DELTA = 1e-12
-# Times a: the rise of a pullback value that still counts as no rise.
-MONOTONE_SLACK = 1e-12
 # Times a: graph values above it count as positive, fixed points below it as 0.
 POSITIVE_THRESHOLD = 1e-9
 # Scan nodes of largest_fixed_point before its bisection.
@@ -312,26 +310,29 @@ def build_preinvariant(
 class PullbackSequence(NamedTuple):
     """phi_n(theta) for n = 1..depth_used along the backward orbit of theta."""
 
-    theta_repr: str
     values: list[float]
     delta: float
-    depth_used: int
     truncated: bool
     a: float
 
+    @property
+    def depth_used(self) -> int:
+        return len(self.values)
+
     def nonincreasing(self) -> bool:
-        slack = MONOTONE_SLACK * self.a
+        """No value rises over the one before it by more than ``zero_tol(a)``."""
+        slack = zero_tol(self.a)
         return all(w <= v + slack for v, w in zip(self.values, self.values[1:]))
 
 
-def _settled(n: int, delta: float, stop_delta: float, a: float) -> bool:
-    """The stop rule of every pullback: n >= 2 and ``delta`` < ``stop_delta`` * a.
+def _settled(n: int, delta: float, early_stop: bool, a: float) -> bool:
+    """The stop rule of every pullback: n >= 2 and ``delta`` < PULLBACK_STOP_DELTA * a.
 
     delta is the largest change |phi_n - phi_{n-1}|, with phi_0 = a, at the
     point of a `pullback_phi` query or over the nodes a sweep moved.
-    ``stop_delta`` = 0 turns the rule off, and a NaN delta never stops.
+    ``early_stop`` False turns the rule off, and a NaN delta never stops.
     """
-    return stop_delta > 0.0 and n >= 2 and delta < stop_delta * a
+    return early_stop and n >= 2 and delta < PULLBACK_STOP_DELTA * a
 
 
 def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]:
@@ -380,7 +381,7 @@ def _sweeps(sys: SkewSystem, nodes: Sequence, pred: Sequence) -> Iterator[tuple]
 
 
 def _pull_back(
-    sys: SkewSystem, nodes: Sequence, pred: Sequence, depth: int, stop_delta: float
+    sys: SkewSystem, nodes: Sequence, pred: Sequence, depth: int, early_stop: bool
 ) -> tuple:
     """Sweep a node set until `_settled` stops it, no node moves, or ``depth``.
 
@@ -398,7 +399,7 @@ def _pull_back(
         moving = moved
         # a NaN rise compares False, so max keeps the running value
         max_increase = max(max_increase, rise)
-        if _settled(sweeps, delta, stop_delta, sys.a):
+        if _settled(sweeps, delta, early_stop, sys.a):
             break
     return phi, stopped, sweeps, delta, max_increase
 
@@ -407,7 +408,7 @@ def pullback_phi(
     sys: SkewSystem,
     theta,
     depth: int,
-    stop_delta: float = PULLBACK_STOP_DELTA,
+    early_stop: bool = True,
 ) -> PullbackSequence:
     """Fiber images of the top endpoint transported along the backward orbit.
 
@@ -451,16 +452,9 @@ def pullback_phi(
             v = fm(v)
         phis.append(v)
         delta = abs(v - phis[-2])
-        if _settled(n, delta, stop_delta, sys.a):
+        if _settled(n, delta, early_stop, sys.a):
             break
-    return PullbackSequence(
-        theta_repr=sys.base.format_point(theta),
-        values=phis[1:],
-        delta=delta,
-        depth_used=len(phis) - 1,
-        truncated=truncated,
-        a=sys.a,
-    )
+    return PullbackSequence(values=phis[1:], delta=delta, truncated=truncated, a=sys.a)
 
 
 class PullbackGridResult(NamedTuple):
@@ -475,7 +469,7 @@ def pullback_grid(
     sys: SkewSystem,
     grid_size: int,
     depth: int = 1000,
-    stop_delta: float = PULLBACK_STOP_DELTA,
+    early_stop: bool = True,
 ) -> PullbackGridResult:
     """Pullback limit over a dense circle grid by repeated backward sweeps.
 
@@ -484,7 +478,7 @@ def pullback_grid(
     sweep transports the whole grid one step, so sweep s holds phi_s at every
     node.  Sweeps stop by the rule of `_settled`.  ``max_increase`` is the
     largest rise of any node over any sweep (0 when none rises), and
-    ``monotone_ok`` says it stays within MONOTONE_SLACK * a.
+    ``monotone_ok`` says it stays within ``zero_tol(a)``.
     """
     base = sys.base
     if not isinstance(base, CircleRotation):
@@ -496,15 +490,15 @@ def pullback_grid(
     thetas = np.arange(m) / m
     shift = int(round(m * base.omega)) % m
     perm = (np.arange(m) - shift) % m
-    phi, _, sweeps, delta, max_increase = _pull_back(sys, thetas, perm, depth, stop_delta)
+    phi, _, sweeps, delta, max_increase = _pull_back(sys, thetas, perm, depth, early_stop)
     return PullbackGridResult(
         graph=GraphFunction(sys.a, grid=phi), sweeps=sweeps, delta=delta,
-        monotone_ok=max_increase <= MONOTONE_SLACK * sys.a, max_increase=max_increase,
+        monotone_ok=max_increase <= zero_tol(sys.a), max_increase=max_increase,
     )
 
 
 def pullback_graph_finite(
-    sys: SkewSystem, depth: int, stop_delta: float = PULLBACK_STOP_DELTA
+    sys: SkewSystem, depth: int, early_stop: bool = True
 ) -> tuple[GraphFunction, dict]:
     """Pullback over every point of a finite base, as one node set.
 
@@ -524,7 +518,7 @@ def pullback_graph_finite(
             pred.append(index[base.predecessor(p)])
         except CapabilityError:
             pred.append(-1)
-    phi, stopped, sweeps, *_ = _pull_back(sys, pts, pred, depth, stop_delta)
+    phi, stopped, sweeps, *_ = _pull_back(sys, pts, pred, depth, early_stop)
     depths = {base.format_point(p): stopped.get(i, sweeps) for i, p in enumerate(pts)}
     return GraphFunction(sys.a, table=dict(zip(pts, phi))), depths
 
@@ -744,14 +738,12 @@ def match_fraction(
     graph: GraphFunction,
     n: int,
     starts: Sequence[tuple],
-    tol: float = 0.0,
 ) -> float:
-    """Fraction of starts whose step-n fiber value matches the graph."""
+    """Fraction of starts whose step-n fiber value equals the graph's value."""
     check_at_least("n", n, 1)
-    check_number("tol", tol, "a nonnegative number", DomainError)
     if not starts:
         raise DomainError("match_fraction needs at least one start")
     for thetas, xs in orbits(sys, [t for t, _ in starts], [x for _, x in starts], n):
         pass
-    hits = sum(abs(x - v) <= tol for x, v in zip(xs, graph.values(thetas)))
+    hits = sum(x == v for x, v in zip(xs, graph.values(thetas)))
     return hits / len(starts)

@@ -77,20 +77,18 @@ def coinflip_attractor_graph() -> GraphFunction:
     return GraphFunction(1.0, func=SymbolTable(-1, (0.0, 1.0)))
 
 
-def make_keller(
-    p_spec: dict | None = None,
-    q_spec: dict | None = None,
-    omega: float = GOLDEN_ROTATION,
-) -> SkewSystem:
-    """Irrational rotation driving product fibers p(x) * q(theta) on [0, 1].
+def make_keller() -> SkewSystem:
+    """The golden rotation driving product fibers p(x) * q(theta) on [0, 1].
 
-    Defaults: p(x) = x(2-x) and q(theta) = c*(eps + (1-eps) sin^2(pi theta))
-    with c = 1, eps = 0.5.  q is rescaled when sup(p)*sup(q) would leave the
-    fiber interval.
+    p(x) = x(2-x) and q(theta) = eps + (1-eps) sin^2(pi theta) with eps = 0.5;
+    `make_product` builds other p, q and rotations.
     """
-    p_spec = p_spec or {"form": "logistic-scaled", "k": 1.0}
-    q_spec = q_spec or {"form": "sin-squared", "c": 1.0, "eps": 0.5}
-    return make_product(p_spec, q_spec, CircleRotation(omega), label="keller")
+    return make_product(
+        {"form": "logistic-scaled", "k": 1.0},
+        {"form": "sin-squared", "c": 1.0, "eps": 0.5},
+        CircleRotation(GOLDEN_ROTATION),
+        label="keller",
+    )
 
 
 def make_product(

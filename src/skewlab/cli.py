@@ -135,16 +135,10 @@ def cmd_orbit_pair(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    from .attractor import (
-        PULLBACK_STOP_DELTA,
-        positive_fraction,
-        pullback_graph_finite,
-        pullback_grid,
-        pullback_phi,
-    )
+    from .attractor import positive_fraction, pullback_graph_finite, pullback_grid, pullback_phi
 
     system = load_system(args.config)
-    stop_delta = 0.0 if args.no_early_stop else PULLBACK_STOP_DELTA
+    early_stop = not args.no_early_stop
 
     if args.theta is not None:
         for flag, value in (("--grid", args.grid), ("--out", args.out)):
@@ -152,10 +146,10 @@ def cmd_pullback(args) -> int:
                 raise ConfigError(f"{flag} cannot be combined with --theta, which pulls "
                                   "back at one point and prints its values")
         theta = system.base.parse_point(args.theta)
-        seq = pullback_phi(system, theta, args.depth, stop_delta=stop_delta)
+        seq = pullback_phi(system, theta, args.depth, early_stop=early_stop)
         _emit_json(
             {
-                "theta": seq.theta_repr,
+                "theta": system.base.format_point(theta),
                 "depth_used": seq.depth_used,
                 "delta": seq.delta,
                 "nonincreasing": seq.nonincreasing(),
@@ -168,7 +162,7 @@ def cmd_pullback(args) -> int:
     base = system.base
     if isinstance(base, CircleRotation):
         grid = 4096 if args.grid is None else args.grid
-        res = pullback_grid(system, grid_size=grid, depth=args.depth, stop_delta=stop_delta)
+        res = pullback_grid(system, grid_size=grid, depth=args.depth, early_stop=early_stop)
         with _out_stream(args.out) as fh:
             res.graph.to_csv(fh, base=base)
         summary = res._asdict()
@@ -179,7 +173,7 @@ def cmd_pullback(args) -> int:
         if args.grid is not None:
             raise ConfigError("--grid sets the nodes of a circle base: a finite base "
                               "pulls back at each of its points")
-        graph, depths = pullback_graph_finite(system, args.depth, stop_delta=stop_delta)
+        graph, depths = pullback_graph_finite(system, args.depth, early_stop=early_stop)
         with _out_stream(args.out) as fh:
             graph.to_csv(fh, base=base)
         print(
@@ -240,7 +234,7 @@ def _claims_noinvattr(fast: bool) -> list[tuple[bool, str]]:
         )
     )
 
-    seq = pullback_phi(system, 0.0, 40, stop_delta=0.0)
+    seq = pullback_phi(system, 0.0, 40, early_stop=False)
     halving = all(v <= 2.0 ** -(n + 1) for n, v in enumerate(seq.values))
     claims.append(
         (
@@ -324,7 +318,7 @@ def _claims_coinflip_one(fast: bool) -> list[tuple[bool, str]]:
     n_words = 2000 if fast else 10 ** 4
     flat = GraphFunction(1.0, func=lambda w: 0.0)
     starts = [(w, 0.0) for w in _coin_words(random.Random(20260809), n_words)]
-    freq = match_fraction(system, flat, 20, starts, tol=0.0)
+    freq = match_fraction(system, flat, 20, starts)
     claims = [
         (
             abs(freq - 0.5) <= 0.05,
@@ -391,7 +385,7 @@ def _claims_product_hump(fast: bool) -> list[tuple[bool, str]]:
     from .nonauto import along_orbit, isoclinic_guard, iterate_pair
 
     system = CATALOG["product-hump"]()
-    cls = classify(system, 12, grid_size=1024)
+    cls = classify(system, 12)
     claims = [
         (
             cls.kind == "isoclinic-equiconcave" and abs((cls.beta or 0) - 4.0) < 1e-3,
@@ -416,7 +410,7 @@ def _claims_product_hump(fast: bool) -> list[tuple[bool, str]]:
         CircleRotation(GOLDEN_ROTATION),
         label="full-hump",
     )
-    cls2 = classify(unscaled, 8, grid_size=1024)
+    cls2 = classify(unscaled, 8)
     trace2 = iterate_pair(along_orbit(unscaled, 0.1), 0.2, 0.21, 40)
     guard2 = isoclinic_guard(trace2)
     claims.append(

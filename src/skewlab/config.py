@@ -1,10 +1,11 @@
 """System configuration documents: parse, validate, build.
 
 A config is a JSON object that describes a system: a base descriptor, a
-fiber descriptor and the fiber interval endpoint.  The analysis (grids,
-depths, step counts, tolerances) is set on the command line.  Parsing keeps
-the normalized document, so ``json.dumps(cfg._asdict())`` parses back to an
-equal config with every parameter bit-exact (floats go through repr).
+fiber descriptor and the fiber interval endpoint.  It is given as a JSON
+file or as a dict.  The analysis (grids, depths, step counts, tolerances) is
+set on the command line.  Parsing keeps the normalized document, so
+``parse_config(json.loads(json.dumps(cfg._asdict())))`` equals ``cfg`` with
+every parameter bit-exact (floats go through repr).
 """
 
 from __future__ import annotations
@@ -41,19 +42,16 @@ def _only(obj: dict, prefix: str, known: tuple) -> None:
 
 
 def parse_config(doc) -> SystemConfig:
-    """Validate a config document (dict, JSON string, or path), every number included."""
-    if isinstance(doc, Path):
+    """Validate a config document (a dict, or the path of a JSON file), every number included."""
+    if isinstance(doc, (str, Path)):
         doc = str(doc)
-    if isinstance(doc, str):
-        text = doc
-        if not doc.lstrip().startswith("{"):
-            p = Path(doc)
-            if not p.exists():
-                raise ConfigError(f"config file {doc!r} not found")
-            try:
-                text = p.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise file_error("read config file", doc, exc) from None
+        p = Path(doc)
+        if not p.exists():
+            raise ConfigError(f"config file {doc!r} not found")
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise file_error("read config file", doc, exc) from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -10,6 +10,9 @@ from .bases import CircleRotation, FiniteOrbitBase, SymbolicShift, _index
 from .errors import DomainError, SkewlabError, check_at_least
 from .fiber import FiberMap, certify, value_range, zero_tol
 
+# Grid on which `classify` certifies each sampled fiber map.
+CLASSIFY_GRID = 1024
+
 
 class SkewSystem(NamedTuple):
     """F(theta, x) = (R(theta), psi_theta(x)) on base x [0, a].
@@ -283,16 +286,13 @@ class Classification(NamedTuple):
     diagnostics: list[str]
 
 
-def classify(
-    sys: SkewSystem,
-    sample_count: int,
-    grid_size: int = 2048,
-) -> Classification:
+def classify(sys: SkewSystem, sample_count: int) -> Classification:
     """Certify sampled fiber maps and derive the system's classification.
 
     The sample points are drawn by ``random.Random(0)``, so every run on a
-    system certifies the same maps.  beta is estimated as the minimum of
-    alpha_star/gamma over the nonzero sampled maps.  The verdict is
+    system certifies the same maps, each on CLASSIFY_GRID nodes.  beta is
+    estimated as the minimum of alpha_star/gamma over the nonzero sampled
+    maps.  The verdict is
     monotone-equiconcave when every sample is nondecreasing,
     isoclinic-equiconcave when instead every nonmonotone sample's range stays
     strictly below the isoclinic point of its successor map, and unclassified
@@ -305,7 +305,7 @@ def classify(
     all_monotone = True
     range_ok = True
     # a map met again is not re-certified
-    certified = functools.cache(lambda fm: certify(fm, grid_size))
+    certified = functools.cache(lambda fm: certify(fm, CLASSIFY_GRID))
     tol = zero_tol(sys.a)
 
     for theta in thetas:

@@ -10,8 +10,13 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from skewlab.fiber import FiberMap
+
+# Every run of the suite draws the same hypothesis examples, and none is stored.
+settings.register_profile("skewlab", derandomize=True, database=None)
+settings.load_profile("skewlab")
 
 
 def monotone_concave(rng: random.Random) -> dict:

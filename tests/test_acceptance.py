@@ -221,7 +221,7 @@ def test_c08_chain_example():
     *_, (_, (x5,)) = orbits(system, [0.0], [0.5], 5)
     assert x5 >= 1.0 - 1e-9
 
-    seq = pullback_phi(system, 0.0, 40, stop_delta=0.0)
+    seq = pullback_phi(system, 0.0, 40, early_stop=False)
     assert seq.depth_used == 40
     assert all(v <= 2.0 ** -(n + 1) for n, v in enumerate(seq.values))
 
@@ -255,7 +255,7 @@ def test_c09_coin_model():
         (OneSidedWord(tuple(rng.randrange(2) for _ in range(20)), (0,)), 0.0)
         for _ in range(10_000)
     ]
-    freq = match_fraction(one, flat, 20, word_starts, tol=0.0)
+    freq = match_fraction(one, flat, 20, word_starts)
     assert abs(freq - 0.5) <= 0.05
     _report(9, f"two-sided reader exact on all {len(starts)} starts (words up to "
                f"length 10); one-sided constant-graph match frequency {freq:.4f}")
@@ -263,7 +263,7 @@ def test_c09_coin_model():
 
 def test_c10_pullback_dichotomy():
     system = make_keller()
-    res = pullback_grid(system, grid_size=4096, depth=4000, stop_delta=1e-12)
+    res = pullback_grid(system, grid_size=4096, depth=4000)
     assert res.monotone_ok
     assert res.delta < 1e-12
 
@@ -280,8 +280,8 @@ def test_c10_pullback_dichotomy():
 
 def test_c11_uniqueness_shadow():
     system = make_keller()
-    res = pullback_grid(system, grid_size=2048, depth=1000, stop_delta=0.0)
-    g500 = pullback_grid(system, grid_size=2048, depth=500, stop_delta=0.0).graph
+    res = pullback_grid(system, grid_size=2048, depth=1000, early_stop=False)
+    g500 = pullback_grid(system, grid_size=2048, depth=500, early_stop=False).graph
     rng = random.Random(1111)
     thetas = [rng.random() for _ in range(100)]
     rep = uniqueness_probe(system, g500, res.graph, thetas, steps=100, eps=1e-6)

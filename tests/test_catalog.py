@@ -37,7 +37,7 @@ class TestNoinvattr:
         assert x5 >= 1.0 - 1e-9
 
     def test_classification(self):
-        cls = classify(make_noinvattr(8), 8, grid_size=1024)
+        cls = classify(make_noinvattr(8), 8)
         assert cls.kind == "monotone-equiconcave"
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
 
@@ -64,33 +64,47 @@ class TestCoinflip:
         assert g.value(sys_.base.step(w)) == 0.0
 
 
+def keller_with(q_spec, p_spec=None):
+    """make_keller's system with other factors: q_spec, and p_spec for its p."""
+    p_spec = p_spec or {"form": "logistic-scaled", "k": 1.0}
+    return make_product(p_spec, q_spec, CircleRotation(GOLDEN_ROTATION), label="keller")
+
+
 class TestKeller:
+    def test_default_system(self):
+        # scripts/keller_dichotomy.py builds make_keller's system at eps = 0.5 this way
+        sys_, same = make_keller(), keller_with({"form": "sin-squared", "c": 1.0, "eps": 0.5})
+        assert sys_.base.omega == same.base.omega == GOLDEN_ROTATION
+        assert sys_.label == same.label
+        for theta in (0.0, 0.3, 0.77):
+            assert sys_.fiber_at(theta)(0.5) == same.fiber_at(theta)(0.5)
+
     def test_constant_forcing_gives_same_map_everywhere(self):
-        sys_ = make_keller(q_spec={"form": "constant", "c": 1.0})
+        sys_ = keller_with({"form": "constant", "c": 1.0})
         for theta in (0.0, 0.3, 0.77):
             assert sys_.fiber_at(theta)(0.5) == pytest.approx(0.75)
         assert declared(sys_)[0] == "monotone-equiconcave"
         assert declared(sys_)[1] == pytest.approx(1.0)
 
     def test_vanishing_forcing_pinches_exactly_at_zero(self):
-        sys_ = make_keller(q_spec={"form": "sin-squared", "c": 1.0, "eps": 0.0})
+        sys_ = keller_with({"form": "sin-squared", "c": 1.0, "eps": 0.0})
         assert grid_max(sys_.fiber_at(0.0), 128) == 0.0
         assert grid_max(sys_.fiber_at(0.25), 128) > 0.1
 
     def test_forcing_rescaled_into_interval(self):
-        sys_ = make_keller(q_spec={"form": "constant", "c": 3.0})
+        sys_ = keller_with({"form": "constant", "c": 3.0})
         assert grid_max(sys_.fiber_at(0.5), 256) <= 1.0 + 1e-12
 
     def test_unknown_form_rejected(self):
         with pytest.raises(RegistryError):
-            make_keller(p_spec={"form": "mystery"})
+            keller_with({"form": "sin-squared", "c": 1.0, "eps": 0.5}, {"form": "mystery"})
 
     @pytest.mark.parametrize("omega", [0.0, 1.0, 1.5])
     def test_rotation_number_refused(self, omega):
         # CircleRotation refuses it, as it refuses a config's omega
         message = rf"^omega: must be a number in \(0, 1\), got {omega!r}$"
         with pytest.raises(ConfigError, match=message):
-            make_keller(omega=omega)
+            CircleRotation(omega)
 
 
 class TestProduct:
@@ -154,7 +168,7 @@ class TestCatalogEntries:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_declared_classification_verified(self, name):
         sys_ = CATALOG[name]()
-        cls = classify(sys_, 8, grid_size=1024)
+        cls = classify(sys_, 8)
         kind, beta = declared(sys_)
         assert cls.kind == kind
         if beta is not None:
@@ -164,5 +178,5 @@ class TestCatalogEntries:
         from skewlab.attractor import pullback_phi
 
         sys_ = make_noinvattr(64)
-        seq = pullback_phi(sys_, 0.0, 40, stop_delta=0.0)
+        seq = pullback_phi(sys_, 0.0, 40, early_stop=False)
         assert all(v <= 2.0 ** -(n + 1) for n, v in enumerate(seq.values))

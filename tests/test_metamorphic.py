@@ -7,7 +7,9 @@ registry form: a `poly` with coefficients c_i / a^(i-1), or `tanh-like`
 grid node, value, difference and tolerance of the conjugate is the one at
 a = 1 times a (a slope or a ratio not at all, alpha* divided by a), and
 each result must map back bit for bit.  That holds while no value leaves
-the normal floats, which k in [-40, 10] keeps.
+the normal floats, which k in [-40, 10] keeps for every value that is not
+already near the bottom of them at a = 1 (`test_finite_pullback_maps_back`
+states the one such value).
 
 Reflection: for an even g such as sin^2, the rotation by 1 - omega read at
 -theta mirrors the rotation by omega at theta.  That match is not exact in
@@ -17,6 +19,7 @@ floats (see `TestReflection`).
 import functools
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -27,15 +30,18 @@ from skewlab import cli
 from skewlab.attractor import (
     largest_fixed_point,
     positive_fraction,
+    pullback_graph_finite,
     pullback_grid,
     pullback_phi,
 )
-from skewlab.catalog import GOLDEN_ROTATION
+from skewlab.bases import TwoSidedWord
+from skewlab.catalog import GOLDEN_ROTATION, make_noinvattr
 from skewlab.config import load_system
 from skewlab.errors import InvariantError
 from skewlab.fiber import certify
 from skewlab.nonauto import along_orbit, convergence_certificate, iterate_pair
 from skewlab.registry import build_fiber
+from skewlab.skew import SkewSystem
 
 EXPONENTS = st.integers(min_value=-40, max_value=10)
 
@@ -106,6 +112,77 @@ class TestOrbitPair:
             assert (c.x, c.y) == (u.x * a, u.y * a)
             assert c.b == (None if u.b is None else u.b * a)
             assert (c.kappa, c.ratio, c.bound, c.case) == (u.kappa, u.ratio, u.bound, u.case)
+
+
+def cubic_shift_trace(a):
+    """The pair (0.2a, 0.8a) along the two-sided zero word, 100 steps, under the
+    cubic 2.4x - 1.2x^2 - 0.6x^3 conjugated to [0, a]."""
+    sys_ = load_system({"base": {"variant": "shift", "sided": "two"},
+                        "fiber": {"form": "poly", "coeffs": [2.4, -1.2 / a, -0.6 / (a * a)]},
+                        "a": a})
+    zero = TwoSidedWord.parse("0~~0@0")
+    # a cubic poly carries no analytic data: each step's bounds come from certify's grid
+    assert sys_.fiber_at(zero).gamma is None
+    return iterate_pair(along_orbit(sys_, zero), 0.2 * a, 0.8 * a, 100)
+
+
+@settings(deadline=None)
+@given(EXPONENTS)
+@example(-40)
+@example(-30)
+@example(-10)
+@example(5)
+@example(10)
+def test_certified_shift_trace_maps_back(k):
+    # the cubic rises to its peak near 0.667 a and falls to 0.6 a, so the
+    # pair meets both the inc and the dec case, with a certified b
+    a = 2.0 ** k
+    unit, conj = cubic_shift_trace(1.0), cubic_shift_trace(a)
+    assert conj.reason == unit.reason == "completed" and len(conj.rows) == 101
+    assert {r.case for r in unit.rows} >= {"inc", "dec"}
+    for u, c in zip(unit.rows, conj.rows, strict=True):
+        assert (c.n, c.x / a, c.y / a) == (u.n, u.x, u.y)
+        assert (c.kappa, c.ratio, c.bound, c.case) == (u.kappa, u.ratio, u.bound, u.case)
+        assert (None if c.b is None else c.b / a) == u.b
+
+
+def noinvattr_poly(a):
+    """noinvattr's chain (window 64) with its maps conjugated to [0, a]: the
+    strong 2x - x^2 at points >= 0, the weak (2x - x^2) / 4 below."""
+    strong = build_fiber({"form": "poly", "coeffs": [2.0, -1.0 / a]}, a)
+    weak = build_fiber({"form": "poly", "coeffs": [0.5, -0.25 / a]}, a)
+    return SkewSystem(make_noinvattr(64).base, lambda t: strong if t >= 0.0 else weak, a)
+
+
+@functools.cache
+def finite_pullback(a, early_stop):
+    return pullback_graph_finite(noinvattr_poly(a), 1000, early_stop=early_stop)
+
+
+@settings(deadline=None, max_examples=30)
+@given(EXPONENTS, st.booleans())
+@example(-40, False)
+@example(-30, False)
+@example(-10, True)
+@example(5, True)
+@example(10, False)
+def test_finite_pullback_maps_back(k, early_stop):
+    # Every value and depth is a = 1's, with one exception.  With no early
+    # stop, -1.0 (the weak map's fixed point) runs all 1000 sweeps down to
+    # 3.7e-302 at a = 1, and at k <= -21 its conjugate 3.7e-302 a is
+    # subnormal.  There each weak step rounds to the subnormal spacing 2^-1074
+    # and halves the error it carries, so the value stays within one spacing
+    # of 3.7e-302 a (measured: at most 0.63 of it, for k in [-40, -21]).
+    a = 2.0 ** k
+    unit, unit_depths = finite_pullback(1.0, early_stop)
+    conj, depths = finite_pullback(a, early_stop)
+    assert depths == unit_depths
+    for p, u in unit.table.items():
+        if u * a >= sys.float_info.min:
+            assert conj.table[p] / a == u, p
+        else:
+            assert (p, early_stop) == (-1.0, False)
+            assert abs(conj.table[p] / a - u) <= 2.0 ** -1074 / a
 
 
 def pullback_examples(test):

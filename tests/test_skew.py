@@ -48,7 +48,7 @@ class TestStep:
         assert new_base == w.shifted()
 
     def test_rotation_coordinate(self):
-        sys_ = make_keller(omega=0.3)
+        sys_ = make_keller()._replace(base=CircleRotation(0.3))
         (theta1, _x1) = step(sys_, (0.1, 0.5))
         assert theta1 == pytest.approx(0.4)
 
@@ -58,7 +58,7 @@ class TestStep:
             step(sys_, (0.1, 1.5))
 
     def test_composition_matches_manual(self):
-        sys_ = make_keller(omega=0.437)
+        sys_ = make_keller()._replace(base=CircleRotation(0.437))
         theta, x = 0.21, 0.8
         pts = [(ts[0], xs[0]) for ts, xs in orbits(sys_, [theta], [x], 12)]
         cur_t, cur_x = theta, x
@@ -76,7 +76,7 @@ class TestStep:
 
 class TestClassify:
     def test_noinvattr(self):
-        cls = classify(make_noinvattr(16), 10, grid_size=2048)
+        cls = classify(make_noinvattr(16), 10)
         assert cls.kind == "monotone-equiconcave"
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
 
@@ -86,7 +86,7 @@ class TestClassify:
             {"form": "constant", "c": 0.6},
             CircleRotation(0.41),
         )
-        cls = classify(sys_, 8, grid_size=2048)
+        cls = classify(sys_, 8)
         assert cls.kind == "isoclinic-equiconcave"
         assert cls.beta == pytest.approx(4.0, abs=1e-3)
 
@@ -96,7 +96,7 @@ class TestClassify:
             {"form": "constant", "c": 1.0},
             CircleRotation(0.41),
         )
-        cls = classify(sys_, 8, grid_size=2048)
+        cls = classify(sys_, 8)
         assert cls.kind == "unclassified"
         assert any("range condition" in d for d in cls.diagnostics)
 
@@ -109,14 +109,14 @@ class TestClassify:
             fiber_at=lambda t: zero if t == 0.0 else strong,
             a=1.0,
         )
-        cls = classify(sys_, 2, grid_size=512)
+        cls = classify(sys_, 2)
         assert cls.kind == "monotone-equiconcave"
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
         assert any("zero map" in d for d in cls.diagnostics)
 
     def test_linear_member_not_strictly_concave(self):
         sys_ = autonomous(FiberMap(1.0, lambda x: 0.5 * x, form="x/2"))
-        cls = classify(sys_, 3, grid_size=512)
+        cls = classify(sys_, 3)
         assert (cls.kind, cls.beta, cls.samples) == ("unclassified", None, 3)
         [diagnostic] = cls.diagnostics
         assert diagnostic.startswith("no certified strict concavity at theta = ")
@@ -124,7 +124,7 @@ class TestClassify:
     def test_all_zero_members_leave_beta_undefined(self):
         zero = FiberMap(1.0, lambda x: 0.0, form="zero")
         base = FiniteOrbitBase([0.0, 1.0], {0.0: 1.0, 1.0: 0.0})
-        cls = classify(autonomous(zero, base), 2, grid_size=512)
+        cls = classify(autonomous(zero, base), 2)
         assert (cls.kind, cls.beta) == ("monotone-equiconcave", None)
         assert cls.diagnostics == [
             "zero map at theta = 0.0 (0-concave)",
@@ -148,13 +148,13 @@ class TestClassify:
         base = FiniteOrbitBase([0.0, 1.0], {0.0: 1.0, 1.0: 1.0})
         sys_ = SkewSystem(base=base, fiber_at=lambda t: hump if t == 0.0 else successor,
                           a=1.0)
-        cls = classify(sys_, 2, grid_size=512)
+        cls = classify(sys_, 2)
         assert cls.kind == "unclassified"
         assert len(cls.diagnostics) == len(diagnostics)
         assert all(d.startswith(p) for d, p in zip(cls.diagnostics, diagnostics))
 
     def test_coinflip_unclassified_with_diagnostics(self):
-        cls = classify(make_coinflip("one"), 4, grid_size=64)
+        cls = classify(make_coinflip("one"), 4)
         assert cls.kind == "unclassified"
         assert cls.diagnostics
 
@@ -164,7 +164,7 @@ class TestClassify:
             {"form": "constant", "c": 0.8},
             CircleRotation(0.39),
         )
-        cls = classify(sys_, 6, grid_size=1024)
+        cls = classify(sys_, 6)
         assert cls.kind == "monotone-equiconcave"
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
 
@@ -182,10 +182,10 @@ class TestClassify:
             {"form": "constant", "c": 0.6},
             CircleRotation(0.41),
         )
-        assert classify(hump, 12, grid_size=1024).kind == "isoclinic-equiconcave"
+        assert classify(hump, 12).kind == "isoclinic-equiconcave"
         assert len(calls) == 1  # 12 samples and their 12 successors: one map
         calls.clear()
-        classify(make_keller(), 6, grid_size=1024)
+        classify(make_keller(), 6)
         assert len(calls) == 6 and len(set(calls)) == 6
 
 
@@ -211,7 +211,7 @@ class TestDeclared:
         sys_ = make_keller()._replace(fiber_at=CATALOG["product-hump"]().fiber_at)
         kind, beta = declared(sys_)
         assert (kind, beta) == ("isoclinic-equiconcave", pytest.approx(4.0))
-        cls = classify(sys_, 8, grid_size=1024)
+        cls = classify(sys_, 8)
         assert cls.kind == kind and cls.beta == pytest.approx(beta, abs=1e-3)
 
     def test_finite_base_declares_through_its_points(self):
@@ -231,7 +231,7 @@ class TestDeclared:
     def test_symbol_table_of_logistic_maps(self):
         sys_ = symbol_table_system("logistic-scaled", (0.7, 0.9))
         assert declared(sys_) == ("monotone-equiconcave", 1.0)
-        cls = classify(sys_, 8, grid_size=1024)
+        cls = classify(sys_, 8)
         assert cls.kind == "monotone-equiconcave"
         assert cls.beta == pytest.approx(1.0, abs=1e-3)
 
@@ -242,7 +242,7 @@ class TestDeclared:
     def test_symbol_table_range_bound_is_the_largest_peak(self, ks, kind):
         sys_ = symbol_table_system("quadratic-hump", ks)
         assert declared(sys_) == (kind, pytest.approx(4.0))
-        assert classify(sys_, 8, grid_size=1024).kind == kind
+        assert classify(sys_, 8).kind == kind
 
     @pytest.mark.parametrize("k, kind", [
         # peaks 0.5 and 0.5: below the hump's b = 2/3 and the parabola's b = 1
