@@ -114,20 +114,18 @@ class GraphFunction:
             raise CoverageError(f"graph not defined at base point {missing!s}") from None
 
     def to_csv(self, stream, base) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(GRAPH_COLUMNS)
+        """A header, then one (point, value) row per node or point, as plain
+        text: no cell skewlab writes holds a comma, quote or newline."""
         if self.grid is not None:
             m = len(self.grid)
-            # A float's repr never needs CSV quoting, so each row is plain text.
-            stream.writelines(
-                f"{j / m!r},{v!r}\n" for j, v in enumerate(self.grid.tolist())
-            )
-            return
-        if self.table is not None:
-            rows = sorted((base.format_point(k), repr(v)) for k, v in self.table.items())
-            writer.writerows(rows)
-            return
-        raise CapabilityError("callable graphs have no CSV serialization")
+            rows = (f"{j / m!r},{v!r}\n" for j, v in enumerate(self.grid.tolist()))
+        elif self.table is not None:
+            rows = (f"{p},{v}\n" for p, v in
+                    sorted((base.format_point(k), repr(v)) for k, v in self.table.items()))
+        else:
+            raise CapabilityError("callable graphs have no CSV serialization")
+        stream.write(",".join(GRAPH_COLUMNS) + "\n")
+        stream.writelines(rows)
 
     @classmethod
     def from_csv(cls, stream, base, a):

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 a demo claim failed, 2 malformed configuration, a
 setting the command would ignore, or a file it cannot read or write, 3
 invariant or precondition violation, 4 a recorded contraction ratio
-exceeded its bound, 5 the base lacks the requested capability.
+exceeded its bound, 5 the base lacks the requested capability, 141 (from
+`run()`) a reader closed stdout before the output was written.
 
 Each handler imports the layers it runs when it runs, so `certify` never
 executes the attractor or nonauto modules and `orbit-pair` never executes
@@ -163,27 +164,24 @@ def cmd_pullback(args) -> int:
     if isinstance(base, CircleRotation):
         grid = 4096 if args.grid is None else args.grid
         res = pullback_grid(system, grid_size=grid, depth=args.depth, early_stop=early_stop)
-        with _out_stream(args.out) as fh:
-            res.graph.to_csv(fh, base=base)
         summary = res._asdict()
-        summary["positive_fraction"] = positive_fraction(summary.pop("graph"))
-        print(json.dumps(summary, sort_keys=True), file=_sys.stderr)
-        return EXIT_OK
-    if isinstance(base, FiniteOrbitBase):
+        graph = summary.pop("graph")
+        summary["positive_fraction"] = positive_fraction(graph)
+    elif isinstance(base, FiniteOrbitBase):
         if args.grid is not None:
             raise ConfigError("--grid sets the nodes of a circle base: a finite base "
                               "pulls back at each of its points")
         graph, depths = pullback_graph_finite(system, args.depth, early_stop=early_stop)
-        with _out_stream(args.out) as fh:
-            graph.to_csv(fh, base=base)
-        print(
-            json.dumps({"depth_used": depths}, sort_keys=True), file=_sys.stderr
-        )
-        return EXIT_OK
-    if getattr(base, "sided", None) == "two":  # invertible, but its words are no node set
+        summary = {"depth_used": depths}
+    elif getattr(base, "sided", None) == "two":  # invertible, but its words are no node set
         raise CapabilityError("a pullback over all points needs a circle grid or a finite "
                               "base: give --theta to pull back at one point")
-    raise CapabilityError("base not invertible: no pullback for this system")
+    else:
+        raise CapabilityError("base not invertible: no pullback for this system")
+    with _out_stream(args.out) as fh:
+        graph.to_csv(fh, base=base)
+    print(json.dumps(summary, sort_keys=True), file=_sys.stderr)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -518,12 +516,17 @@ def run() -> NoReturn:
 
     The flushes are required: a piped stdout is block-buffered, and
     `os._exit` discards what is still in the buffer.  Every `--out` file is
-    closed by its `with` block before `main` returns.  An exception out of
-    `main`, argparse's `SystemExit` included, takes the normal exit path.
+    closed by its `with` block before `main` returns.  A reader that closes
+    stdout early ends the process quietly with 141, the code a shell reports
+    for a process that SIGPIPE ended.  Any other exception out of `main`,
+    argparse's `SystemExit` included, takes the normal exit path.
     """
-    code = main()
-    _sys.stdout.flush()
-    _sys.stderr.flush()
+    try:
+        code = main()
+        _sys.stdout.flush()
+        _sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141
     _os._exit(code)
 
 

@@ -9,7 +9,6 @@ does not; ties (equal images) and coordinates pinned at 0 leave blanks.
 
 from __future__ import annotations
 
-import csv
 import functools
 from typing import Callable, NamedTuple
 
@@ -280,7 +279,6 @@ class GuardReport(NamedTuple):
     flips: int
     flip_violations: list[int]
     unverifiable: list[int]
-    verdict: str
 
 
 def isoclinic_guard(trace: OrbitPairTrace) -> GuardReport:
@@ -311,25 +309,12 @@ def isoclinic_guard(trace: OrbitPairTrace) -> GuardReport:
                 if r.ratio > norm_bound + _BOUND_SLACK:
                     flip_violations.append(r.n)
 
-    hypothesis_ok = first_violation is None
-    if not hypothesis_ok:
-        verdict = (
-            f"hypothesis violated at n = {first_violation[0]}: "
-            f"{first_violation[1]!r} >= b = {first_violation[2]!r}"
-        )
-    elif flip_violations:
-        verdict = f"flip bound violated at n = {flip_violations[0]}"
-    elif unverifiable:
-        verdict = "hypothesis holds where b is defined; some steps unverifiable"
-    else:
-        verdict = "hypothesis holds, flip bounds respected"
     return GuardReport(
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=first_violation is None,
         first_violation=first_violation,
         flips=flips,
         flip_violations=flip_violations,
         unverifiable=unverifiable,
-        verdict=verdict,
     )
 
 
@@ -341,10 +326,10 @@ def _cell(v: float | int | None) -> str:
 
 
 def trace_to_csv(trace: OrbitPairTrace, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for r in trace.rows:
-        writer.writerow(
-            [r.n, repr(r.x), repr(r.y), _cell(r.kappa), _cell(r.ratio),
-             _cell(r.bound), _cell(r.b)]
-        )
+    """A header, then one plain-text row per step, as `GraphFunction.to_csv`."""
+    stream.write(",".join(TRACE_COLUMNS) + "\n")
+    stream.writelines(
+        f"{r.n},{r.x!r},{r.y!r},{_cell(r.kappa)},{_cell(r.ratio)},{_cell(r.bound)},"
+        f"{_cell(r.b)}\n"
+        for r in trace.rows
+    )

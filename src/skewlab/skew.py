@@ -282,7 +282,6 @@ def declared(sys: SkewSystem) -> tuple[str, float | None]:
 class Classification(NamedTuple):
     kind: str  # monotone-equiconcave | isoclinic-equiconcave | unclassified
     beta: float | None
-    samples: int
     diagnostics: list[str]
 
 
@@ -299,7 +298,6 @@ def classify(sys: SkewSystem, sample_count: int) -> Classification:
     otherwise (with diagnostics, never an exception).
     """
     check_at_least("sample_count", sample_count, 1)
-    thetas = sys.base.sample_points(sample_count, random.Random(0))
     diagnostics: list[str] = []
     betas: list[float] = []
     all_monotone = True
@@ -308,12 +306,12 @@ def classify(sys: SkewSystem, sample_count: int) -> Classification:
     certified = functools.cache(lambda fm: certify(fm, CLASSIFY_GRID))
     tol = zero_tol(sys.a)
 
-    for theta in thetas:
+    for theta in sys.base.sample_points(sample_count, random.Random(0)):
         try:
             cert = certified(sys.fiber_at(theta))
         except SkewlabError as exc:
             diagnostics.append(f"certification failed at theta = {theta!s}: {exc}")
-            return Classification("unclassified", None, len(thetas), diagnostics)
+            return Classification("unclassified", None, diagnostics)
         if cert.gamma <= tol:
             diagnostics.append(f"zero map at theta = {theta!s} (0-concave)")
             continue
@@ -321,7 +319,7 @@ def classify(sys: SkewSystem, sample_count: int) -> Classification:
             diagnostics.append(
                 f"no certified strict concavity at theta = {theta!s}"
             )
-            return Classification("unclassified", None, len(thetas), diagnostics)
+            return Classification("unclassified", None, diagnostics)
         betas.append(cert.alpha_star / cert.gamma)
         if not cert.monotone:
             all_monotone = False
@@ -347,11 +345,11 @@ def classify(sys: SkewSystem, sample_count: int) -> Classification:
     beta = min(betas) if betas else None
     if beta is None:
         diagnostics.append("all sampled maps vanish; concavity constant undefined")
-        return Classification("monotone-equiconcave", None, len(thetas), diagnostics)
+        return Classification("monotone-equiconcave", None, diagnostics)
     if all_monotone:
         kind = "monotone-equiconcave"
     elif range_ok:
         kind = "isoclinic-equiconcave"
     else:
         kind = "unclassified"
-    return Classification(kind, beta, len(thetas), diagnostics)
+    return Classification(kind, beta, diagnostics)

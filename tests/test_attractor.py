@@ -425,6 +425,44 @@ def reference_grid_csv(grid):
     return buf.getvalue()
 
 
+def reference_table_csv(table, base):
+    """Table CSV through `csv.writer`, rows sorted by point text: the reference
+    for the plain-text rows, which must never need quoting."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("point", "value"))
+    writer.writerows(sorted((base.format_point(k), repr(v)) for k, v in table.items()))
+    return buf.getvalue()
+
+
+BITS = st.lists(st.integers(0, 1), max_size=12)
+CYCLES = st.lists(st.integers(0, 1), min_size=1, max_size=6)
+
+
+@st.composite
+def table_graphs(draw):
+    """A table graph and its base: finite points, or one- or two-sided words
+    built by the words' own constructors."""
+    a = draw(st.sampled_from([1.0, 0.3, 3.7, 1e-300]))
+    values = st.sampled_from([0.0, -0.0, a, 5e-324, a / 3.0]) | st.floats(0.0, a)
+    kind = draw(st.sampled_from(["finite", "one", "two"]))
+    if kind == "finite":
+        points = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=1, max_size=20, unique=True))
+        base = FiniteOrbitBase(points, dict(zip(points, points[1:] + points[:1])))
+    elif kind == "one":
+        base = SymbolicShift("one")
+        points = draw(st.lists(st.builds(OneSidedWord, BITS, CYCLES), min_size=1,
+                               max_size=20))
+    else:
+        base = SymbolicShift("two")
+        points = draw(st.lists(
+            st.builds(TwoSidedWord, CYCLES, BITS, CYCLES, st.integers(-20, 20)),
+            min_size=1, max_size=20,
+        ))
+    return GraphFunction(a, table={p: draw(values) for p in points}), base
+
+
 @st.composite
 def grid_graphs(draw):
     """A grid graph over [0, a] whose values reach 0, -0, a and subnormals."""
@@ -518,6 +556,12 @@ class TestGraphFunction:
     @given(grid_graphs())
     def test_grid_csv_matches_row_writer(self, g):
         assert csv_text(g) == reference_grid_csv(g.grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_graphs())
+    def test_table_csv_matches_row_writer(self, graph_base):
+        g, base = graph_base
+        assert csv_text(g, base=base) == reference_table_csv(g.table, base)
 
     def test_grid_csv_matches_row_writer_off_powers_of_two(self):
         rng = random.Random(5)

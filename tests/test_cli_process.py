@@ -192,6 +192,20 @@ def test_failed_out_write_exits_2_naming_out(cfg, argv):
                            b"No space left on device\n")
 
 
+def test_closed_stdout_exits_141_quietly(cfg):
+    """A reader that stops after one line ends the process with 141 and no traceback."""
+    argv = ["pullback", "--config", cfg(KELLER_CFG, "keller.json"), "--grid", "65536",
+            "--depth", "100"]
+    proc = subprocess.Popen([sys.executable, "-m", "skewlab.cli", *argv], env=_env(),
+                            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"point,value\n"
+    proc.stdout.close()  # 2.4 MB are still to come: the next write fails
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_deeply_nested_config_exits_2(tmp_path):
     path = tmp_path / "nested.json"
     path.write_text('{"base": ' + "[" * 100000 + "]" * 100000 + "}")
