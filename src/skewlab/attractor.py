@@ -306,16 +306,17 @@ def build_preinvariant(
 
 
 class PullbackSequence(NamedTuple):
-    """phi_n(theta) for n = 1..depth_used along the backward orbit of theta."""
+    """phi_n(theta) at each listed depth n along the backward orbit of theta."""
 
     values: list[float]
+    depths: list[int]
     delta: float
     truncated: bool
     a: float
 
     @property
     def depth_used(self) -> int:
-        return len(self.values)
+        return self.depths[-1]
 
     def nonincreasing(self) -> bool:
         """No value rises over the one before it by more than ``zero_tol(a)``."""
@@ -326,9 +327,10 @@ class PullbackSequence(NamedTuple):
 def _settled(n: int, delta: float, early_stop: bool, a: float) -> bool:
     """The stop rule of every pullback: n >= 2 and ``delta`` < PULLBACK_STOP_DELTA * a.
 
-    delta is the largest change |phi_n - phi_{n-1}|, with phi_0 = a, at the
-    point of a `pullback_phi` query or over the nodes a sweep moved.
-    ``early_stop`` False turns the rule off, and a NaN delta never stops.
+    delta is the change since the depth compared before n: |phi_n - phi_{n/2}|
+    at the point of a `pullback_phi` query, and the largest |phi_n - phi_{n-1}|,
+    with phi_0 = a, over the nodes a sweep moved.  ``early_stop`` False turns
+    the rule off, and a NaN delta never stops.
     """
     return early_stop and n >= 2 and delta < PULLBACK_STOP_DELTA * a
 
@@ -412,47 +414,63 @@ def pullback_phi(
 
     phi_n(theta) applies, to the endpoint a, the fiber maps met from the n-th
     preimage of theta forward to theta.  For monotone fiber families the
-    sequence is nonincreasing; iteration stops early by the rule of
-    `_settled`, or where the backward orbit ends at a point with no unique
-    predecessor, which sets ``truncated``.  A theta with no unique
-    predecessor raises.
+    sequence is nonincreasing.  The query composes phi_n at the listed depths
+    n = 1, 2, 4, ... below ``depth``, then ``depth``, and stops by the rule of
+    `_settled` on |phi_n - phi_{n/2}|; with ``early_stop`` False it lists
+    every n = 1..depth.  It also ends where the backward orbit ends at a point
+    with no unique predecessor, which lists that depth and sets
+    ``truncated``.  A theta with no unique predecessor raises.
 
-    Each preimage is read, and its fiber map built, when the composition
-    first reaches it, so a query that stops early walks no further back; phi_n
-    applies the k maps built so far to phi_{n-k}: n^2/2 calls up to the
-    stopping depth n.  An orbit that closes after p steps ends at theta
-    itself, so past it phi_n applies the period to phi_{n-p}: about n*p
-    calls, with the float operations of composing all n maps, in order.
+    Each preimage is read, and its fiber map built, when a listed depth first
+    reaches it, so a query that stops early walks no further back.  Each
+    phi_n is composed from a: about 2n calls up to a stopping depth n, and
+    n^2/2 with every depth listed.  An orbit that closes after p steps ends at
+    theta itself, so past it phi_n applies the period to phi_{n-p} where that
+    depth is listed: about n*p calls, with the float operations of composing
+    all n maps, in order.
     """
     check_at_least("depth", depth, 1)
     if not hasattr(sys.base, "predecessor"):
         raise CapabilityError("base provides no predecessor map")
+    if early_stop:
+        depth = int(depth)  # a numpy integer has no bit_length
+        listed = [*(1 << i for i in range((depth - 1).bit_length())), depth]
+    else:
+        listed = range(1, depth + 1)
     maps: list[FiberMap] = []  # maps[k-1]: the fiber map at the k-th preimage of theta
-    phis = [sys.a]  # phis[n] = phi_n
-    cur, closed, truncated = theta, False, False
-    for n in range(1, depth + 1):
-        if not closed:
+    phi = {0: sys.a}  # phi_n at each depth n composed so far
+    cur, closed, truncated, prev = theta, False, False, sys.a
+    for n in listed:
+        while len(maps) < n and not closed:
             try:
                 cur = sys.base.predecessor(cur)
             except CapabilityError:
-                if n == 1:
+                if not maps:
                     raise CapabilityError(
                         f"no pullback at {sys.base.format_point(theta)}: "
                         "the point has no unique predecessor"
                     ) from None
-                truncated = True
+                truncated, n = True, len(maps)
                 break
             maps.append(sys.fiber_at(cur))
             # predecessor inverts step, so a backward orbit can only close at theta
             closed = cur == theta
-        v = phis[n - len(maps)]
-        for fm in reversed(maps):
-            v = fm(v)
-        phis.append(v)
-        delta = abs(v - phis[-2])
-        if _settled(n, delta, early_stop, sys.a):
+        if n in phi:  # the orbit ended at the depth composed last
             break
-    return PullbackSequence(values=phis[1:], delta=delta, truncated=truncated, a=sys.a)
+        p = len(maps)
+        # the p maps go onto phi_{n-p}, which is phi_0 = a up to the end of a
+        # closed orbit's first period; past it, where phi_{n-p} was not
+        # composed, the n maps go onto a, read round the period
+        m = n - p if n - p in phi else 0
+        v = phi[m]
+        for k in range(n - m, 0, -1):
+            v = maps[(k - 1) % p](v)
+        phi[n], delta, prev = v, abs(v - prev), v
+        if truncated or _settled(n, delta, early_stop, sys.a):
+            break
+    del phi[0]
+    return PullbackSequence(values=[*phi.values()], depths=[*phi], delta=delta,
+                            truncated=truncated, a=sys.a)
 
 
 class PullbackGridResult(NamedTuple):

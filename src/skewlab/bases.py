@@ -351,12 +351,18 @@ class FiniteOrbitBase:
             v = float(s)
         except ValueError:
             raise ConfigError(f"cannot parse {s!r} as a finite-base point") from None
-        if v in self.succ:
-            return v
+        if v in self.succ:  # -0.0 finds 0.0: return the point as the base lists it
+            return self.points[self.points.index(v)]
         for p in self.points:
             if abs(p - v) <= 1e-12:
                 return p
         raise ConfigError(f"{s!r} is not a point of this base")
+
+
+def _mod1(x: float) -> float:
+    """x mod 1 in [0, 1): a tiny negative x, whose x % 1.0 rounds up to 1.0, gives 0.0."""
+    r = x % 1.0
+    return r if r < 1.0 else 0.0
 
 
 class CircleRotation:
@@ -369,7 +375,7 @@ class CircleRotation:
         return (theta + self.omega) % 1.0
 
     def predecessor(self, theta: float) -> float:
-        return (theta - self.omega) % 1.0
+        return _mod1(theta - self.omega)
 
     def sample_points(self, count: int, rng: random.Random) -> list[float]:
         check_at_least("sample count", count, 1)
@@ -385,7 +391,7 @@ class CircleRotation:
             raise ConfigError(f"cannot parse {s!r} as a circle point") from None
         if not math.isfinite(v):
             raise ConfigError(f"circle point {s!r} is not a finite number")
-        return v % 1.0
+        return _mod1(v)
 
 
 class SymbolicShift:

@@ -59,6 +59,8 @@ EXIT_BOUND = 4
 EXIT_CAPABILITY = 5
 # Times the fibre width a: verify's default --tol.
 VERIFY_TOL = 1e-9
+# Steps along each orbit that verify checks preinvariance on.
+VERIFY_HORIZON = 50
 
 
 @contextlib.contextmanager
@@ -152,6 +154,7 @@ def cmd_pullback(args) -> int:
             {
                 "theta": system.base.format_point(theta),
                 "depth_used": seq.depth_used,
+                "depths": seq.depths,
                 "delta": seq.delta,
                 "nonincreasing": seq.nonincreasing(),
                 "truncated": seq.truncated,
@@ -194,7 +197,6 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise file_error("read --phi file", args.phi, exc) from None
     check_at_least("--samples", args.samples, 1)
-    check_at_least("horizon", args.horizon, 1)
     rng = random.Random(args.seed)
     thetas = system.base.sample_points(args.samples, rng)
     starts = [
@@ -202,7 +204,7 @@ def cmd_verify(args) -> int:
     ]
     tol = VERIFY_TOL * system.a if args.tol is None else args.tol
     verdict = verify_attractor(system, graph, starts, args.steps, tol)
-    preinv = verify_preinvariance(system, graph, thetas[:3], args.horizon, tol)
+    preinv = verify_preinvariance(system, graph, thetas[:3], VERIFY_HORIZON, tol)
     _emit_json(
         {
             # json writes a bare NamedTuple as an array: convert the nested records too.
@@ -480,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--tol", type=float, default=None)  # VERIFY_TOL * a
-    p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
 

@@ -193,14 +193,16 @@ def exiting_at(sys_, point):
     )
 
 
-def reference_pullback(sys_, theta, depth, early_stop):
-    """(phi_1..phi_N, truncated): every phi_n composed afresh along the backward orbit.
+def composed(sys_, back):
+    """The fiber maps at the preimages ``back`` (nearest first) applied to a, deepest first."""
+    v = sys_.a
+    for t in reversed(back):
+        v = sys_.fiber_at(t)(v)
+    return v
 
-    With ``early_stop``, N is the first n >= 2 with |phi_n - phi_{n-1}| below
-    PULLBACK_STOP_DELTA * a; else, or with no such n, N is the depth or the
-    length of the backward orbit, whichever is shorter.  truncated: the orbit
-    ended before the depth and the stop rule did not end the query first.
-    """
+
+def backward_orbit(sys_, theta, depth):
+    """The first ``depth`` preimages of theta, fewer where the backward orbit ends."""
     back = []
     cur = theta
     for _ in range(depth):
@@ -209,14 +211,34 @@ def reference_pullback(sys_, theta, depth, early_stop):
         except CapabilityError:
             break
         back.append(cur)
-    values = []
-    for n in range(1, len(back) + 1):
-        v = sys_.a
-        for t in reversed(back[:n]):
-            v = sys_.fiber_at(t)(v)
-        values.append(v)
-        if early_stop and n >= 2 and abs(values[-1] - values[-2]) < PULLBACK_STOP_DELTA * sys_.a:
+    return back
+
+
+def reference_pullback(sys_, theta, depth, early_stop):
+    """(phi_n at each listed n, truncated): every phi_n composed afresh along the backward orbit.
+
+    The listed depths are n = 1, 2, 4, ... below the depth, then the depth,
+    with ``early_stop``, and every n = 1..depth without; an orbit of length
+    L < depth keeps those below L, then L.  With ``early_stop``, the list
+    ends at the first listed n >= 2 with |phi_n - phi_m| below
+    PULLBACK_STOP_DELTA * a, m the depth before n; an orbit's end off that
+    list is never tested.  truncated: the orbit ended before the depth and
+    the stop rule did not end the query first.
+    """
+    back = backward_orbit(sys_, theta, depth)
+    if not back:
+        return [], True
+    if early_stop:
+        listed = [*(2 ** i for i in range((depth - 1).bit_length())), depth]
+    else:
+        listed = list(range(1, depth + 1))
+    values, prev = [], sys_.a
+    for n in [*(n for n in listed if n < len(back)), len(back)]:
+        values.append(composed(sys_, back[:n]))
+        if (early_stop and n >= 2 and n in listed
+                and abs(values[-1] - prev) < PULLBACK_STOP_DELTA * sys_.a):
             return values, False
+        prev = values[-1]
     return values, len(back) < depth
 
 
@@ -722,6 +744,13 @@ class TestBuildPreinvariant:
 NO_PREDECESSOR = "^no pullback at {}: the point has no unique predecessor$"
 
 
+# 0.9 x(2 - x) at each symbol 1 of a two-sided word, 0.5 x(2 - x) at each 0.
+SYMBOL_MAPS = (FiberMap(1.0, lambda x: 0.5 * x * (2.0 - x)),
+               FiberMap(1.0, lambda x: 0.9 * x * (2.0 - x)))
+TWO_SIDED = SkewSystem(base=SymbolicShift("two"),
+                       fiber_at=lambda w: SYMBOL_MAPS[w.symbol(0)], a=1.0)
+
+
 class TestPullbackPhi:
     def test_noinvattr_halves(self):
         sys_ = make_noinvattr(64)
@@ -771,6 +800,49 @@ class TestPullbackPhi:
         seq = pullback_phi(make_noinvattr(64), 0.9, 1000)
         assert seq.values == [1.0, 1.0]
         assert seq.depth_used == 2 and not seq.truncated
+
+    @pytest.mark.parametrize("sys_, theta, depth", [
+        (make_keller(), 0.0625, 128),
+        (make_keller(), 0.20784410369082473, 128),
+        (make_product({"form": "logistic-scaled", "k": 1.0},
+                      {"form": "sin-squared", "c": 1.0, "eps": 0.3},
+                      CircleRotation(GOLDEN_ROTATION)), 0.13354059442963973, 256),
+    ], ids=["keller-0.0625", "keller-0.2078", "eps-0.3-product"])
+    def test_stop_lands_on_the_limit(self, sys_, theta, depth):
+        # a stop on |phi_n - phi_{n-1}| ends these at depths 9, 6 and 35, off
+        # the limit by 6.7e-4, 3.8e-3 and 8.0e-5; n against n/2 stops them
+        # on phi_600 itself
+        seq = pullback_phi(sys_, theta, 4000)
+        assert seq.depths == [2 ** i for i in range(depth.bit_length())]
+        assert not seq.truncated
+        assert abs(seq.values[-1] - composed(sys_, backward_orbit(sys_, theta, 600))) <= 1e-15
+
+    def test_random_keller_queries_land_on_the_limit(self):
+        # a stop on |phi_n - phi_{n-1}| leaves 18 of these 300 more than 1e-6 off
+        keller = make_keller()
+        rng = random.Random(0)
+        for theta in [rng.random() for _ in range(300)]:
+            seq = pullback_phi(keller, theta, 4000)
+            n = seq.depth_used
+            assert n & (n - 1) == 0 and seq.depths[-1] == n, theta
+            limit = composed(keller, backward_orbit(keller, theta, 300))
+            assert abs(seq.values[-1] - limit) <= 1e-15, theta
+
+    @pytest.mark.parametrize("sys_, theta", [
+        (make_keller(), 0.3),
+        (make_keller()._replace(base=CircleRotation(0.25)), 0.125),
+        *((TWO_SIDED, TwoSidedWord.parse(w))
+          for w in ("01~~01@0", "011~~011@1", "0010~~0010@2", "0~0110101~1@3")),
+        *((make_noinvattr(64), t) for t in (-1.0, 0.0, 0.5, -0.5)),
+    ], ids=["keller-open", "quarter-closed", "word-01", "word-011", "word-0010",
+            "word-open", "noinvattr-closed", "noinvattr-0", "noinvattr-0.5", "noinvattr--0.5"])
+    def test_default_values_are_the_no_stop_values_at_their_depths(self, sys_, theta):
+        seq, full = (pullback_phi(sys_, theta, 600, early_stop=s) for s in (True, False))
+        assert full.depths == list(range(1, full.depth_used + 1))
+        assert seq.values == [full.values[n - 1] for n in seq.depths]
+        assert seq.truncated == full.truncated
+        for s in (seq, full):  # delta: the change from the depth listed before, or from a
+            assert s.delta == abs(s.values[-1] - [sys_.a, *s.values][-2])
 
     @pytest.mark.parametrize("sys_, theta", [
         (make_keller(), 0.3),
@@ -854,16 +926,16 @@ class TestClosedFormPullback:
 
     def test_pointwise_pullback_reaches_psi(self):
         # depth 200 with no stop lands within 2.3e-16 of psi (depth 100 only
-        # within 3.6e-14): the bound 1e-14 leaves room for rounding of psi
-        # and g.  The default stop fires on a change below 1e-12 and lands
-        # within 1.5e-10; its bound is 1e-9.
+        # within 3.6e-14), and so does the default stop, which compares
+        # phi_n with phi_{n/2}: the bound 1e-14 leaves room for rounding of
+        # psi and g
         sys_ = self.system()
         rng = random.Random(0)
         thetas = [rng.random() for _ in range(100)]
-        for early_stop, tol in ((False, 1e-14), (True, 1e-9)):
+        for early_stop in (False, True):
             for theta in thetas:
                 seq = pullback_phi(sys_, theta, 200, early_stop=early_stop)
-                assert abs(seq.values[-1] - closed_form_psi(theta)) < tol, (early_stop, theta)
+                assert abs(seq.values[-1] - closed_form_psi(theta)) < 1e-14, (early_stop, theta)
 
     @pytest.mark.parametrize("m", [4096, 8192, 4181, 17711, 65536])
     def test_grid_error_follows_the_rounded_rotation(self, m):
@@ -963,10 +1035,7 @@ class TestPullbackSweep:
 
     @pytest.mark.parametrize("word", ["01~~01@0", "011~~011@1", "0010~~0010@2"])
     def test_periodic_two_sided_word_matches_composition(self, word):
-        strong = FiberMap(1.0, lambda x: 0.9 * x * (2.0 - x))
-        weak = FiberMap(1.0, lambda x: 0.5 * x * (2.0 - x))
-        sys_ = SkewSystem(base=SymbolicShift("two"),
-                          fiber_at=lambda w: strong if w.symbol(0) else weak, a=1.0)
+        sys_ = TWO_SIDED
         theta = TwoSidedWord.parse(word)
         period = len(word.split("~")[0])
         back = theta
@@ -976,12 +1045,12 @@ class TestPullbackSweep:
         for depth, early_stop in ((200, False), (2000, True)):
             seq = pullback_phi(sys_, theta, depth, early_stop=early_stop)
             values, _ = reference_pullback(sys_, theta, depth, early_stop)
-            assert len(values) > 4 * period
+            assert seq.depth_used > 4 * period
             assert seq.values == values and not seq.truncated
 
-    def test_open_query_cost_triangular(self):
-        # the golden rotation's backward orbits never close; each phi_n is
-        # composed afresh, so a query that stops at n makes n(n+1)/2 calls
+    def test_converging_query_cost_within_twice_its_depth(self):
+        # the golden rotation's backward orbits never close; phi_n is composed
+        # afresh at n = 1, 2, 4, ..., so a query that stops at n makes 2n - 1 calls
         keller = make_keller()
         calls = [0]
 
@@ -999,7 +1068,7 @@ class TestPullbackSweep:
             seq = pullback_phi(sys_, theta, 4000)
             n = seq.depth_used
             assert 2 <= n < 4000 and not seq.truncated
-            assert calls[0] <= n * (n + 1) // 2
+            assert calls[0] == 2 * n - 1
             assert seq.values == pullback_phi(keller, theta, 4000).values
 
     def test_cost_linear_in_depth(self):

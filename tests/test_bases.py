@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -424,6 +425,14 @@ class TestFiniteOrbitBase:
         with pytest.raises(ConfigError, match="^cannot parse 'half' as a finite-base point$"):
             base.parse_point("half")
 
+    @pytest.mark.parametrize("text, point", [("-0.0", 0.0), ("0.0", -0.0)])
+    def test_parsed_point_is_the_listed_one(self, text, point):
+        # -0.0 == 0.0: the parse returns the point the base lists, sign bit and all
+        base = FiniteOrbitBase([point, 1.0], {point: 1.0, 1.0: point})
+        parsed = base.parse_point(text)
+        assert math.copysign(1.0, parsed) == math.copysign(1.0, point)
+        assert base.format_point(parsed) == repr(point)
+
 
 class TestCircleRotation:
     def test_step_wraps(self):
@@ -443,6 +452,18 @@ class TestCircleRotation:
         assert base.parse_point("1.25") == pytest.approx(0.25)
         with pytest.raises(ConfigError, match="^cannot parse 'half' as a circle point$"):
             base.parse_point("half")
+
+    @pytest.mark.parametrize("text", ["-1e-20", "-5e-324", "-0.0", "-1.0", "1.0"])
+    def test_parsed_point_lies_in_the_unit_interval(self, text):
+        # a tiny negative's x % 1.0 rounds up to 1.0, which is 0.0 on the circle
+        parsed = CircleRotation(0.3).parse_point(text)
+        assert parsed == 0.0 and math.copysign(1.0, parsed) == 1.0
+
+    @pytest.mark.parametrize("omega, theta", [
+        (0.1, 0.1 - 2.0 ** -56), (0.5, 0.5 - 2.0 ** -54), (0.3, 0.3)])
+    def test_predecessor_never_reaches_one(self, omega, theta):
+        pred = CircleRotation(omega).predecessor(theta)
+        assert pred == 0.0 and math.copysign(1.0, pred) == 1.0
 
 
 def test_shift_sides_refused():

@@ -119,8 +119,8 @@ def test_out_file_is_the_bytes_main_writes(cfg, tmp_path, capsysbinary):
     (2, ["certify", "--config", "bad.json"],
      "config error: field base.variant: must be one of "
      "('circle-rotation', 'finite-orbit', 'shift'), got 'torus'\n"),
-    (3, ["verify", "--config", "keller.json", "--phi", "phi.csv", "--horizon", "0"],
-     "invariant violation: horizon must be >= 1, got 0\n"),
+    (3, ["verify", "--config", "keller.json", "--phi", "phi.csv", "--steps", "0"],
+     "invariant violation: steps must be >= 1, got 0\n"),
     (5, ["pullback", "--config", "shift.json"],
      "capability error: base not invertible: no pullback for this system\n"),
 ], ids=["ok", "config", "invariant", "capability"])

@@ -340,7 +340,7 @@ class TestJsonLayout:
                          "--out", str(phi)]) == 0
         capsys.readouterr()
         rc = cli.main(["verify", "--config", cfg, "--phi", str(phi), "--samples", "5",
-                       "--steps", "30", "--tol", "0.05", "--horizon", "3"])
+                       "--steps", "30", "--tol", "0.05"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"attractor", "preinvariance", "graph_provenance"}
@@ -367,8 +367,7 @@ class TestPullbackVerifyPipeline:
                        "--depth", "400", "--out", str(phi)])
         assert rc == 0
         rc = cli.main(["verify", "--config", cfg, "--phi", str(phi),
-                       "--samples", "4", "--steps", "40", "--tol", "0.05",
-                       "--horizon", "1"])
+                       "--samples", "4", "--steps", "40", "--tol", "0.05"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["attractor"]["verdict"] == "attracting"
@@ -401,6 +400,20 @@ class TestPullbackVerifyPipeline:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["nonincreasing"] and len(doc["values"]) == 40
+
+    @pytest.mark.parametrize("argv, depths", [
+        ([], [1, 2, 4, 8, 16, 32, 64, 128]),
+        (["--no-early-stop"], list(range(1, 301))),
+    ], ids=["default", "no-early-stop"])
+    def test_single_point_pullback_lists_its_depths(self, cfg_file, capsys, argv, depths):
+        # the default composes phi_n at n = 1, 2, 4, ... and stops on
+        # |phi_n - phi_{n/2}|; --no-early-stop lists every depth
+        rc = cli.main(["pullback", "--config", cfg_file(KELLER_CFG), "--theta", "0.3",
+                       "--depth", "300", *argv])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["depths"], doc["depth_used"]) == (depths, depths[-1])
+        assert len(doc["values"]) == len(depths)
 
     def test_single_point_delta_at_depth_1_is_measured_from_a(self, cfg_file, capsys):
         rc = cli.main(["pullback", "--config", cfg_file(KELLER_CFG), "--theta", "0.3",
@@ -576,9 +589,8 @@ class TestRangeErrorsNameTheValue:
     @pytest.mark.parametrize("argv, needle", [
         (["pullback", "--depth", "0"], "depth must be >= 1, got 0"),
         (["pullback", "--grid", "7"], "grid_size must be >= 8, got 7"),
-        (["verify", "--horizon", "0"], "horizon must be >= 1, got 0"),
         (["verify", "--steps", "0"], "steps must be >= 1, got 0"),
-    ], ids=["pullback-depth", "pullback-grid", "verify-horizon", "verify-steps"])
+    ], ids=["pullback-depth", "pullback-grid", "verify-steps"])
     def test_exits_3(self, cfg_file, tmp_path, capsys, argv, needle):
         if argv[0] == "verify":
             phi = tmp_path / "phi.csv"
@@ -587,20 +599,6 @@ class TestRangeErrorsNameTheValue:
         assert cli.main([argv[0], "--config", cfg_file(KELLER_CFG), *argv[1:]]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"invariant violation: {needle}\n"
-
-    def test_bad_horizon_is_refused_before_any_walk(self, cfg_file, tmp_path, capsys,
-                                                    monkeypatch):
-        def walk(*args, **kwargs):
-            raise AssertionError("verify_attractor ran")
-
-        monkeypatch.setattr("skewlab.attractor.verify_attractor", walk)
-        phi = tmp_path / "phi.csv"
-        phi.write_text("point,value\n0.0,0.5\n0.5,0.5\n")
-        rc = cli.main(["verify", "--config", cfg_file(KELLER_CFG), "--phi", str(phi),
-                       "--horizon", "0"])
-        assert rc == 3
-        out, err = capsys.readouterr()
-        assert out == "" and err == "invariant violation: horizon must be >= 1, got 0\n"
 
 
 class TestNonFiniteCirclePoint:
